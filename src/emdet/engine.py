@@ -28,6 +28,7 @@ from emdet.latent import (
     enumerate_exact,
     exact_config_values,
     exact_log_likelihood_grid,
+    label_marginals,
     logsumexp,
     score_config_set,
     select_k,
@@ -35,6 +36,8 @@ from emdet.latent import (
 from emdet.scorer import (
     OptimizerState,
     ScorerParams,
+    ce_loss_and_gradient,
+    check_soft_labels,
     log_prob_matrix,
     sgd_step,
     weighted_ce_gradient,
@@ -267,28 +270,12 @@ def _score_log_columns(scores: np.ndarray) -> np.ndarray:
 def soft_labels(post: PosteriorTable, record: ImageRecord,
                 num_categories: int) -> SoftLabels:
     """Marginal per-proposal label distribution under a config posterior."""
-    B = record.num_proposals
-    cats = np.array(post.config_set.categories, dtype=np.int64)
-    if cats.max() >= num_categories:
+    top = max(post.config_set.categories)
+    if top >= num_categories:
         raise ValueError(
-            f"posterior mentions category {cats.max()} but only "
+            f"posterior mentions category {top} but only "
             f"{num_categories} categories exist")
-    centers = post.config_set.centers
-    boxes = boxes_to_array(record.proposals)
-    overlap = iou_matrix(boxes)
-    covered = overlap >= CENTER_IOU
-    keys = overlap + 2.0 * np.eye(B)
-
-    q = np.zeros((B, num_categories))
-    for i in range(B):
-        key_rows = keys[i, centers]
-        cov_rows = covered[i, centers]
-        masked = np.where(cov_rows, key_rows, -np.inf)
-        has = cov_rows.any(axis=1)
-        slot = masked.argmax(axis=1)
-        q[i, 0] = post.weights[~has].sum()
-        for m in range(len(cats)):
-            q[i, cats[m]] += post.weights[has & (slot == m)].sum()
+    q = label_marginals(post.config_set, post.weights, record.proposals, num_categories)
     return SoftLabels(record.image_id, q)
 
 
@@ -349,19 +336,30 @@ def _sample_rows(rng: np.random.Generator, pool: np.ndarray, count: int) -> np.n
     return rng.choice(pool, size=count, replace=pool.size < count)
 
 
-def _minibatch_rows(rng: np.random.Generator, q: np.ndarray,
+def _pools(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Foreground- and background-eligible rows, by the soft-label argmax."""
+    fg = q.argmax(axis=1) != 0
+    return np.flatnonzero(fg), np.flatnonzero(~fg)
+
+
+def _minibatch_rows(rng: np.random.Generator, fg_pool: np.ndarray, bg_pool: np.ndarray,
                     config: EmConfig) -> np.ndarray:
     """Sample row indices for one image: fg_per_image + bg_per_image.
 
-    Eligibility follows the soft-label argmax; a pool shorter than its quota
-    is sampled with replacement, an empty pool contributes nothing.
+    The pools come from _pools; a pool shorter than its quota is sampled
+    with replacement, an empty pool contributes nothing.
     """
-    fg_pool = np.flatnonzero(q.argmax(axis=1) != 0)
-    bg_pool = np.flatnonzero(q.argmax(axis=1) == 0)
     return np.concatenate([
         _sample_rows(rng, fg_pool, config.fg_per_image),
         _sample_rows(rng, bg_pool, config.bg_per_image),
     ])
+
+
+def _sgd_image(record: ImageRecord, q: np.ndarray, params: ScorerParams):
+    """One image's M-step inputs: features, checked soft labels, sampling pools."""
+    q = np.asarray(q, dtype=np.float64)
+    check_soft_labels(q, record.num_proposals, params.num_categories)
+    return record.features, q, *_pools(q)
 
 
 def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams,
@@ -369,29 +367,36 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
            start_step: int = 0) -> int:
     """Sampled SGD M-step; returns the global step counter after the run.
 
-    Each mini-batch takes one uniformly chosen image together with its
-    horizontally flipped twin.  Features are geometry-derived and flip
-    invariant, so the twin contributes an independent draw of the same
-    image's proposals.  The gradient is the per-sample mean, keeping the
-    learning-rate scale independent of batch size.
+    Each mini-batch takes one uniformly chosen image and samples its
+    foreground and background quotas twice, so one step sees two independent
+    draws of the same image's proposals.  The gradient is the per-sample
+    mean, keeping the learning-rate scale independent of batch size.  Soft
+    labels are checked once per image up front, with the checks of
+    weighted_ce_gradient.
     """
     records = dataset.records
+    images = [_sgd_image(r, labels[r.image_id], params) for r in records]
+    # Mini-batch rows are gathered into one reused buffer whose last column
+    # stays 1, the bias input; per-image augmented copies would raise peak memory.
+    batch = np.ones((2 * (config.fg_per_image + config.bg_per_image), params.feature_dim + 1))
     background_only: set[str] = set()
     for n in range(config.sgd_steps_per_m_step):
         state.learning_rate = learning_rate(config, start_step + n)
-        record = records[int(rng.integers(len(records)))]
-        q = labels[record.image_id]
-        rows = np.concatenate([_minibatch_rows(rng, q, config),
-                               _minibatch_rows(rng, q, config)])
+        index = int(rng.integers(len(records)))
+        features, q, fg_pool, bg_pool = images[index]
+        rows = np.concatenate([_minibatch_rows(rng, fg_pool, bg_pool, config),
+                               _minibatch_rows(rng, fg_pool, bg_pool, config)])
         if rows.size == 0:
             continue
-        if config.fg_per_image > 0 and not np.any(q.argmax(axis=1) != 0) \
-                and record.image_id not in background_only:
+        image_id = records[index].image_id
+        if config.fg_per_image > 0 and fg_pool.size == 0 \
+                and image_id not in background_only:
             logger.debug("image %s has no foreground-eligible proposals; "
-                         "contributing background only", record.image_id)
-            background_only.add(record.image_id)
-        _, grad = weighted_ce_gradient(params, record.features[rows], q[rows],
-                                       config.l2)
+                         "contributing background only", image_id)
+            background_only.add(image_id)
+        augmented = batch[:rows.size]
+        augmented[:, :-1] = features[rows]
+        _, grad = ce_loss_and_gradient(params, augmented, q[rows], config.l2)
         grad /= rows.size
         sgd_step(params, state, grad)
     if background_only:

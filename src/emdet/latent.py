@@ -11,6 +11,7 @@ or truncated per category for larger instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,16 +142,49 @@ class LatentConfigSet:
         return (self.config_at(n) for n in range(len(self)))
 
 
-def _winner_slots(key_rows: np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """Per row, the covering slot with the highest key; -1 when none covers.
+# Config rows labelled per kernel pass; bounds the (rows, M, B) temporaries so
+# kernel memory does not grow with the size of the config set.
+LABEL_CHUNK = 1024
 
-    Ties go to the earliest slot, which is the lowest category id because
-    slots are sorted by category.
+
+class CenterGeometry(NamedTuple):
+    """The overlap data of the center-coverage rule for one image's proposals.
+
+    ``covered[i, j]`` says proposal j joins center i's neighborhood (IoU at
+    or above CENTER_IOU).  ``keys`` is the IoU with 2 added on the diagonal,
+    so a center outranks every other center on its own proposal.  Both are
+    symmetric, so row i describes center i.
     """
-    masked = np.where(covered, key_rows, -np.inf)
-    slots = masked.argmax(axis=1)
-    slots[~covered.any(axis=1)] = -1
-    return slots
+
+    covered: np.ndarray
+    keys: np.ndarray
+
+
+def center_geometry(proposals: list[Box]) -> CenterGeometry:
+    """Build the per-image (B, B) coverage and keys from one IoU matrix."""
+    overlap = iou_matrix(boxes_to_array(proposals))
+    return CenterGeometry(overlap >= CENTER_IOU, overlap + 2.0 * np.eye(len(proposals)))
+
+
+def _label_chunks(geometry: CenterGeometry, categories, centers: np.ndarray):
+    """Yield (first row, (rows, B) labels) over the configs, LABEL_CHUNK at a time.
+
+    Each proposal takes the category of the covering center with the highest
+    key, ties going to the earliest slot (the lowest category id, because
+    slots are sorted by category); uncovered proposals are background.
+    """
+    cats = np.asarray(categories, dtype=np.int64)
+    for start in range(0, centers.shape[0], LABEL_CHUNK):
+        rows = centers[start:start + LABEL_CHUNK]
+        covered = geometry.covered[rows]  # (rows, M, B)
+        slots = np.where(covered, geometry.keys[rows], -np.inf).argmax(axis=1)
+        yield start, np.where(covered.any(axis=1), cats[slots], 0)
+
+
+def config_labels(geometry: CenterGeometry, categories, centers: np.ndarray) -> np.ndarray:
+    """Proposal labels of every config row: (N, B) ints, 0 = background."""
+    centers = np.asarray(centers, dtype=np.int64)
+    return np.concatenate([labels for _, labels in _label_chunks(geometry, categories, centers)])
 
 
 def expand(config: LatentConfig, proposals: list[Box]) -> np.ndarray:
@@ -160,17 +194,10 @@ def expand(config: LatentConfig, proposals: list[Box]) -> np.ndarray:
     with some center reaches CENTER_IOU takes the category of the
     highest-IoU center, ties resolved toward the lower category id.
     """
-    B = len(proposals)
-    idxs = np.array(config.indices, dtype=np.int64)
-    cats = np.array(config.categories, dtype=np.int64)
-    if np.any(idxs >= B):
-        raise ValueError(f"config centers {config.indices} exceed {B} proposals")
-    boxes = boxes_to_array(proposals)
-    overlap = iou_matrix(boxes, boxes[idxs])
-    slots = _winner_slots(overlap, overlap >= CENTER_IOU)
-    labels = np.where(slots >= 0, cats[slots], 0)
-    labels[idxs] = cats
-    return labels
+    if max(config.indices) >= len(proposals):
+        raise ValueError(f"config centers {config.indices} exceed {len(proposals)} proposals")
+    return config_labels(center_geometry(proposals), config.categories,
+                         np.array([config.indices]))[0]
 
 
 def _distinct_rows(centers: np.ndarray) -> np.ndarray:
@@ -202,36 +229,67 @@ def enumerate_exact(proposals: list[Box], z) -> LatentConfigSet:
     return LatentConfigSet(label.categories, rows, "exact")
 
 
+def _check_scoring_inputs(categories, centers: np.ndarray, log_probs: np.ndarray,
+                          proposals: list[Box]) -> None:
+    if log_probs.shape[0] != len(proposals):
+        raise ValueError(
+            f"{log_probs.shape[0]} score rows for {len(proposals)} proposals")
+    if max(categories) >= log_probs.shape[1]:
+        raise ValueError(
+            f"config categories {tuple(categories)} exceed {log_probs.shape[1]} columns")
+    if not np.all(np.isfinite(log_probs)):
+        raise ValueError("log probabilities must be finite")
+    if centers.max() >= len(proposals):
+        raise ValueError(f"config centers reach index {centers.max()} but there are "
+                         f"only {len(proposals)} proposals")
+
+
+def _config_scores(geometry: CenterGeometry, categories, centers: np.ndarray,
+                   log_probs: np.ndarray) -> np.ndarray:
+    """All-background baseline plus each config's foreground deltas, per row."""
+    base = log_probs[:, 0].sum()
+    delta = log_probs - log_probs[:, [0]]
+    cols = np.arange(log_probs.shape[0])
+    values = np.empty(centers.shape[0])
+    for start, labels in _label_chunks(geometry, categories, centers):
+        values[start:start + labels.shape[0]] = base + delta[cols, labels].sum(axis=1)
+    return values
+
+
 def config_log_likelihood(config: LatentConfig, log_probs: np.ndarray,
                           proposals: list[Box]) -> float:
     """Joint log-likelihood of the labels a config implies.
 
     Computed as the all-background baseline plus the per-proposal deltas of
-    the foreground assignments, which only touches the centers'
-    neighborhoods beyond the baseline sum.
+    the foreground assignments.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
-    if log_probs.shape[0] != len(proposals):
-        raise ValueError(
-            f"{log_probs.shape[0]} score rows for {len(proposals)} proposals")
-    if max(config.categories) >= log_probs.shape[1]:
-        raise ValueError(
-            f"config categories {config.categories} exceed {log_probs.shape[1]} columns")
-    if not np.all(np.isfinite(log_probs)):
-        raise ValueError("log probabilities must be finite")
-    labels = expand(config, proposals)
-    base = log_probs[:, 0].sum()
-    fg = np.flatnonzero(labels)
-    return float(base + (log_probs[fg, labels[fg]] - log_probs[fg, 0]).sum())
+    centers = np.array([config.indices], dtype=np.int64)
+    _check_scoring_inputs(config.categories, centers, log_probs, proposals)
+    return float(_config_scores(center_geometry(proposals), config.categories,
+                                centers, log_probs)[0])
 
 
 def score_config_set(config_set: LatentConfigSet, log_probs: np.ndarray,
                      proposals: list[Box]) -> np.ndarray:
     """Log-likelihood of each config in the set, aligned with its rows."""
-    return np.array([
-        config_log_likelihood(config_set.config_at(n), log_probs, proposals)
-        for n in range(len(config_set))
-    ])
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    _check_scoring_inputs(config_set.categories, config_set.centers, log_probs, proposals)
+    return _config_scores(center_geometry(proposals), config_set.categories,
+                          config_set.centers, log_probs)
+
+
+def label_marginals(config_set: LatentConfigSet, weights: np.ndarray,
+                    proposals: list[Box], num_categories: int) -> np.ndarray:
+    """Per-proposal category distribution (B, C) under weights over the configs."""
+    q = np.zeros((len(proposals), num_categories))
+    present = (0, *config_set.categories)
+    for start, labels in _label_chunks(center_geometry(proposals), config_set.categories,
+                                       config_set.centers):
+        w = weights[start:start + labels.shape[0]]
+        for c in present:
+            q[:, c] += w @ (labels == c)
+    return q
 
 
 def exact_log_likelihood_grid(proposals: list[Box], z,
@@ -250,7 +308,7 @@ def exact_log_likelihood_grid(proposals: list[Box], z,
     cats = np.array(label.categories, dtype=np.int64)
 
     if M > 3:
-        # Rare at desk scale; score row by row through the shared slow path.
+        # Rare at desk scale; score the distinct rows through the labelling kernel.
         grid = np.full((B,) * M, -np.inf)
         rows = _index_grid(B, M)
         keep = _distinct_rows(rows)
@@ -259,11 +317,7 @@ def exact_log_likelihood_grid(proposals: list[Box], z,
         grid.reshape(-1)[keep] = values
         return grid
 
-    boxes = boxes_to_array(proposals)
-    overlap = iou_matrix(boxes)
-    covered = overlap >= CENTER_IOU
-    # Boosted keys make each center win its own proposal outright.
-    keys = overlap + 2.0 * np.eye(B)
+    covered, keys = center_geometry(proposals)
     base = log_probs[:, 0].sum()
     delta = log_probs[:, cats] - log_probs[:, [0]]
     per_center = covered.T.astype(np.float64) @ delta  # (B, M)

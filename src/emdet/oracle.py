@@ -15,7 +15,8 @@ import numpy as np
 
 from emdet.data import ImageRecord
 from emdet.engine import EmConfig, PosteriorTable
-from emdet.latent import GuardError, LatentConfig, LatentConfigSet, expand
+from emdet.geometry import Box, iou
+from emdet.latent import CENTER_IOU, GuardError, LatentConfig, LatentConfigSet
 from emdet.scorer import ScorerParams, log_prob_matrix
 
 # Largest B ** M these references will enumerate.
@@ -44,6 +45,27 @@ def _guarded_enumeration(record: ImageRecord) -> list[tuple[int, ...]]:
             f"the oracle guard of {ORACLE_GUARD} configs")
     return [centers for centers in itertools.product(range(B), repeat=M)
             if len(set(centers)) == M]
+
+
+def expand(config: LatentConfig, proposals: list[Box]) -> np.ndarray:
+    """Naive labels of one config, kept apart from the engine's labelling kernel.
+
+    Each proposal scans the centers in category order: a center keeps its own
+    category, otherwise the first center with the highest IoU at or above
+    CENTER_IOU wins and no covering center means background.
+    """
+    labels = np.zeros(len(proposals), dtype=np.int64)
+    for i, box in enumerate(proposals):
+        best = -1.0
+        for category, center in config.pairs:
+            if center == i:
+                labels[i] = category
+                break
+            overlap = iou(box, proposals[center])
+            if overlap >= CENTER_IOU and overlap > best:
+                best = overlap
+                labels[i] = category
+    return labels
 
 
 def brute_config_value(record: ImageRecord, centers: tuple[int, ...],

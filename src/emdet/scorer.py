@@ -83,6 +83,37 @@ def log_softmax(params: ScorerParams, features: np.ndarray) -> np.ndarray:
     return log_prob_matrix(params, features[None, :])[0]
 
 
+def check_soft_labels(soft_labels: np.ndarray, num_rows: int, num_categories: int) -> None:
+    """Reject a soft-label matrix that weighted_ce_gradient cannot train on."""
+    if num_rows != soft_labels.shape[0]:
+        raise ValueError(
+            f"{num_rows} feature rows vs {soft_labels.shape[0]} label rows")
+    if soft_labels.shape[1] != num_categories:
+        raise ValueError(
+            f"soft labels have {soft_labels.shape[1]} columns, scorer has "
+            f"{num_categories} categories")
+    if np.any(soft_labels < 0.0):
+        raise ValueError("soft labels must be non-negative")
+    sums = soft_labels.sum(axis=1)
+    if not np.allclose(sums, 1.0, atol=1e-9):
+        raise ValueError("soft label rows must sum to 1")
+
+
+def ce_loss_and_gradient(params: ScorerParams, augmented: np.ndarray,
+                         soft_labels: np.ndarray, l2: float = 0.0):
+    """weighted_ce_gradient on bias-augmented features, without input checks."""
+    logits = augmented @ params.weights.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    probs = np.exp(logp)
+
+    penalized = params.weights.copy()
+    penalized[:, -1] = 0.0
+    loss = -(soft_labels * logp).sum() + 0.5 * l2 * (penalized ** 2).sum()
+    grad = (probs - soft_labels).T @ augmented + l2 * penalized
+    return loss, grad
+
+
 def weighted_ce_gradient(params: ScorerParams, features: np.ndarray,
                          soft_labels: np.ndarray, l2: float = 0.0):
     """Soft-label cross-entropy loss and its exact gradient.
@@ -99,30 +130,8 @@ def weighted_ce_gradient(params: ScorerParams, features: np.ndarray,
         features = features[None, :]
     if soft_labels.ndim == 1:
         soft_labels = soft_labels[None, :]
-    if features.shape[0] != soft_labels.shape[0]:
-        raise ValueError(
-            f"{features.shape[0]} feature rows vs {soft_labels.shape[0]} label rows")
-    if soft_labels.shape[1] != params.num_categories:
-        raise ValueError(
-            f"soft labels have {soft_labels.shape[1]} columns, scorer has "
-            f"{params.num_categories} categories")
-    if np.any(soft_labels < 0.0):
-        raise ValueError("soft labels must be non-negative")
-    sums = soft_labels.sum(axis=1)
-    if not np.allclose(sums, 1.0, atol=1e-9):
-        raise ValueError("soft label rows must sum to 1")
-
-    aug = _augment(features)
-    logits = aug @ params.weights.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    probs = np.exp(logp)
-
-    penalized = params.weights.copy()
-    penalized[:, -1] = 0.0
-    loss = -(soft_labels * logp).sum() + 0.5 * l2 * (penalized ** 2).sum()
-    grad = (probs - soft_labels).T @ aug + l2 * penalized
-    return loss, grad
+    check_soft_labels(soft_labels, features.shape[0], params.num_categories)
+    return ce_loss_and_gradient(params, _augment(features), soft_labels, l2)
 
 
 def sgd_step(params: ScorerParams, state: OptimizerState,

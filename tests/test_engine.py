@@ -6,10 +6,14 @@ is checked numerically; posterior values are checked against hand products.
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import emdet.engine
+import emdet.geometry
+import emdet.latent
 from emdet.data import Dataset
 from emdet.engine import (
     EmConfig,
@@ -27,14 +31,17 @@ from emdet.engine import (
     strong_labels,
     surrogate_value,
     _minibatch_rows,
+    _pools,
 )
 from emdet.geometry import Box
 from emdet.latent import (GuardError, LatentConfigSet, exact_config_values,
                           select_hard)
+from emdet.oracle import expand as naive_expand
 from emdet.scorer import (
     OptimizerState,
     ScorerParams,
     log_prob_matrix,
+    sgd_step,
     weighted_ce_gradient,
 )
 from helpers import (
@@ -294,6 +301,33 @@ class TestSoftLabels:
             assert np.allclose(q.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(q >= 0)
 
+    def test_matches_naive_weighted_expansion(self):
+        rng = np.random.default_rng(22)
+        for trial in range(10):
+            rec = random_weak_record(rng, f"w{trial}", num_proposals=9,
+                                     num_fg=3, feature_dim=4)
+            post = e_step(rec, random_params(rng, 4, 4), EmConfig(mode="exact"))
+            expected = np.zeros((9, 4))
+            for w, config in zip(post.weights, post.config_set):
+                expected[np.arange(9), naive_expand(config, rec.proposals)] += w
+            assert np.max(np.abs(soft_labels(post, rec, 4).q - expected)) < 1e-12
+
+    def test_exact_posterior_memory_is_bounded_by_the_chunk(self):
+        # 50 * 49 * 48 configs; an unchunked (B, N, M) key block alone is ~140 MB
+        rng = np.random.default_rng(24)
+        rec = random_weak_record(rng, "w", num_proposals=50, num_fg=3,
+                                 feature_dim=4, num_present=3)
+        post = e_step(rec, random_params(rng, 4, 4), EmConfig(mode="exact"))
+        assert len(post.config_set) == 50 * 49 * 48
+        tracemalloc.start()
+        try:
+            q = soft_labels(post, rec, 4).q
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert np.allclose(q.sum(axis=1), 1.0, atol=1e-12)
+
     def test_rejects_categories_beyond_count(self):
         rec = isolated_weak_record("w", 2, (3,), dim=3)
         post = PosteriorTable("w", LatentConfigSet((3,), np.array([[0]]), "hard"),
@@ -370,7 +404,7 @@ class TestMinibatchRows:
         q[:4, 1] = 1.0
         q[4:, 0] = 1.0
         config = EmConfig(fg_per_image=16, bg_per_image=48)
-        rows = _minibatch_rows(rng, q, config)
+        rows = _minibatch_rows(rng, *_pools(q), config)
         assert rows.shape == (64,)
         assert np.all(q.argmax(axis=1)[rows[:16]] != 0)
         assert np.all(q.argmax(axis=1)[rows[16:]] == 0)
@@ -379,7 +413,7 @@ class TestMinibatchRows:
         rng = np.random.default_rng(3)
         q = np.zeros((6, 3))
         q[:, 0] = 1.0
-        rows = _minibatch_rows(rng, q, EmConfig())
+        rows = _minibatch_rows(rng, *_pools(q), EmConfig())
         assert rows.shape == (48,)
         assert set(rows.tolist()) <= set(range(6))
 
@@ -418,6 +452,65 @@ class TestMStep:
         state = OptimizerState.for_params(params, config.lr_initial)
         m_step(dataset, labels, params, state, config, np.random.default_rng(1))
         assert np.max(np.abs(params.weights)) > 0.0
+
+    def test_matches_a_per_step_gradient_loop_bit_for_bit(self):
+        # mixed images, one with no foreground-eligible rows, l2 on, and a
+        # learning-rate drop inside the run
+        rng = np.random.default_rng(3)
+        records = [random_weak_record(rng, f"w{n}", num_proposals=7, num_fg=2,
+                                      feature_dim=4) for n in range(3)]
+        gt = Box(10, 10, 30, 30)
+        records.append(strong_record("s", [gt, Box(12, 10, 31, 30), Box(60, 60, 70, 70)],
+                                     rng.normal(size=(3, 4)), [(gt, 2)]))
+        dataset = Dataset(records)
+        anchor = random_params(rng, 3, 4)
+        labels = {r.image_id: soft_labels(e_step(r, anchor, EmConfig(mode="exact")),
+                                          r, 3).q for r in records[:-1]}
+        labels["s"] = strong_labels(records[-1], 3)
+        labels["w0"] = np.eye(3)[np.zeros(7, dtype=int)]
+        config = EmConfig(sgd_steps_per_m_step=200, lr_drop_step=150, l2=0.3,
+                          fg_per_image=4, bg_per_image=5)
+        start = random_params(rng, 3, 4)
+
+        def run(step_fn):
+            params = start.copy()
+            state = OptimizerState.for_params(params, config.lr_initial,
+                                              config.momentum, config.weight_decay)
+            step_fn(params, state, np.random.default_rng(9))
+            return params.weights
+
+        def draw(rng, q):
+            fg = q.argmax(axis=1) != 0
+            out = []
+            for pool, count in ((np.flatnonzero(fg), config.fg_per_image),
+                                (np.flatnonzero(~fg), config.bg_per_image)):
+                if pool.size:
+                    out.append(rng.choice(pool, size=count, replace=pool.size < count))
+            return out
+
+        def reference(params, state, rng):
+            for n in range(config.sgd_steps_per_m_step):
+                state.learning_rate = learning_rate(config, 5 + n)
+                record = records[int(rng.integers(len(records)))]
+                q = labels[record.image_id]
+                rows = np.concatenate(draw(rng, q) + draw(rng, q))
+                _, grad = weighted_ce_gradient(params, record.features[rows], q[rows],
+                                               config.l2)
+                sgd_step(params, state, grad / rows.size)
+
+        expected = run(reference)
+        actual = run(lambda params, state, rng: m_step(dataset, labels, params, state,
+                                                       config, rng, start_step=5))
+        assert np.array_equal(actual, expected)
+
+    def test_unnormalized_soft_label_row_is_rejected(self):
+        dataset, labels, params = self.small_setup()
+        labels["w"] = labels["w"].copy()
+        labels["w"][2] *= 0.5
+        config = EmConfig(sgd_steps_per_m_step=5)
+        state = OptimizerState.for_params(params, config.lr_initial)
+        with pytest.raises(ValueError, match="sum to 1"):
+            m_step(dataset, labels, params, state, config, np.random.default_rng(0))
 
 
 class TestFullBatchDescent:
@@ -531,6 +624,23 @@ class TestRunEm:
         dataset = self.tiny_dataset()
         with pytest.raises(ValueError, match="categories"):
             run_em(dataset, EmConfig(), init_params=ScorerParams.zeros(2, 4))
+
+    def test_kem_builds_at_most_two_iou_matrices_per_image_and_round(self, monkeypatch):
+        dataset = self.tiny_dataset(seed=29, count=5)
+        calls = []
+        original = emdet.geometry.iou_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (emdet.geometry, emdet.latent, emdet.engine):
+            monkeypatch.setattr(module, "iou_matrix", counting)
+        config = EmConfig(mode="k_em", k=10, em_iterations=3,
+                          sgd_steps_per_m_step=20, record_trace=False)
+        run_em(dataset, config)
+        # one E-step and one soft-label pass per weak image and round
+        assert len(calls) <= 2 * len(dataset) * config.em_iterations
 
     def test_num_categories_override_widens_the_scorer(self):
         dataset = self.tiny_dataset()

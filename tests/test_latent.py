@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import emdet.latent
 from emdet.geometry import Box, iou
-from emdet.latent import (CENTER_IOU, ImageLabel, LatentConfig,
-                          LatentConfigSet, config_log_likelihood,
-                          enumerate_exact, exact_config_values,
-                          exact_log_likelihood_grid, expand, logsumexp,
-                          select_hard, select_k)
+from emdet.latent import (CENTER_IOU, LABEL_CHUNK, ImageLabel, LatentConfig,
+                          LatentConfigSet, center_geometry, config_labels,
+                          config_log_likelihood, enumerate_exact,
+                          exact_config_values, exact_log_likelihood_grid,
+                          expand, label_marginals, logsumexp,
+                          score_config_set, select_hard, select_k)
+from emdet.oracle import expand as naive_expand
 from helpers import fg_log_probs, isolated_boxes, random_box
 
 WORKED_PROPOSALS = [Box(0, 0, 10, 10), Box(1, 1, 11, 11), Box(20, 20, 30, 30)]
@@ -29,6 +32,19 @@ def random_instance(rng, max_b=8, max_m=2, max_fg=3):
     logits = rng.normal(0.0, 1.5, size=(b, fg + 1))
     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     return boxes, ImageLabel(cats), log_probs
+
+
+def grid_boxes(rng, count, duplicates=3):
+    """Integer boxes on a small grid, with repeats and an overlap of exactly 0.5."""
+    boxes = []
+    while len(boxes) < count - duplicates - 1:
+        x1, y1 = rng.integers(0, 4, size=2)
+        w, h = rng.integers(1, 5, size=2)
+        boxes.append(Box(float(x1), float(y1), float(x1 + w), float(y1 + h)))
+    half = boxes[0]
+    boxes.append(Box(half.x1, half.y1, (half.x1 + half.x2) / 2, half.y2))
+    boxes += [boxes[int(i)] for i in rng.integers(0, len(boxes), size=duplicates)]
+    return [boxes[int(i)] for i in rng.permutation(count)]
 
 
 class TestImageLabel:
@@ -87,6 +103,50 @@ class TestExpand:
         # center 1 overlaps proposal 0 at 0.9, center 2 at 0.625
         labels = expand(LatentConfig.from_dict({1: 2, 2: 1}), boxes)
         assert labels[0] == 2
+
+
+class TestLabellingKernel:
+    """The batched kernel against the oracle's naive per-config expansion."""
+
+    def instances(self, seed):
+        rng = np.random.default_rng(seed)
+        for m in (1, 2, 3, 4):
+            for _ in range(2):
+                boxes = grid_boxes(rng, 9)
+                assert any(iou(a, b) == 0.5 for a in boxes for b in boxes)
+                label = ImageLabel(tuple(range(1, m + 1)))
+                logits = rng.normal(0.0, 1.5, size=(len(boxes), m + 1))
+                log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+                yield boxes, enumerate_exact(boxes, label), log_probs
+
+    @pytest.mark.parametrize("chunk", [7, LABEL_CHUNK])
+    def test_rows_scores_and_marginals_match_naive_expansion(self, chunk, monkeypatch):
+        monkeypatch.setattr(emdet.latent, "LABEL_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for boxes, config_set, log_probs in self.instances(chunk):
+            # every set spans more than one chunk of 7; of the default, only M = 4 does
+            assert len(config_set) > chunk or len(config_set.categories) < 4
+            naive = np.array([naive_expand(c, boxes) for c in config_set])
+            labels = config_labels(center_geometry(boxes), config_set.categories,
+                                   config_set.centers)
+            assert np.array_equal(labels, naive)
+
+            direct = log_probs[np.arange(len(boxes)), naive].sum(axis=1)
+            values = score_config_set(config_set, log_probs, boxes)
+            assert np.max(np.abs(values - direct)) < 1e-12
+
+            weights = rng.random(len(config_set))
+            weights /= weights.sum()
+            expected = np.zeros_like(log_probs)
+            for w, row in zip(weights, naive):
+                expected[np.arange(len(boxes)), row] += w
+            q = label_marginals(config_set, weights, boxes, log_probs.shape[1])
+            assert np.max(np.abs(q - expected)) < 1e-12
+
+    def test_out_of_range_center_is_rejected(self):
+        config_set = LatentConfigSet((1,), np.array([[3]]), "k_em")
+        with pytest.raises(ValueError, match="only 3 proposals"):
+            score_config_set(config_set, uniform_log_probs(3, 2), isolated_boxes(3))
 
 
 class TestEnumerateExact:
