@@ -7,7 +7,7 @@ over weak images assigns one center proposal per present category and labels
 every proposal near a center with that center's category.
 """
 
-from emdet.geometry import Box, ScoredBox, hflip, iou, nms
+from emdet.geometry import Box, ScoredBox, iou, nms
 from emdet.latent import (
     ImageLabel,
     LatentConfig,
@@ -15,14 +15,12 @@ from emdet.latent import (
     config_log_likelihood,
     enumerate_exact,
     expand,
-    select_hard,
     select_k,
 )
 from emdet.scorer import (
     OptimizerState,
     ScorerParams,
     load_checkpoint,
-    log_softmax,
     save_checkpoint,
     sgd_step,
     weighted_ce_gradient,
@@ -32,7 +30,6 @@ __all__ = [
     "Box",
     "ScoredBox",
     "iou",
-    "hflip",
     "nms",
     "ImageLabel",
     "LatentConfig",
@@ -40,11 +37,9 @@ __all__ = [
     "expand",
     "enumerate_exact",
     "config_log_likelihood",
-    "select_hard",
     "select_k",
     "ScorerParams",
     "OptimizerState",
-    "log_softmax",
     "weighted_ce_gradient",
     "sgd_step",
     "save_checkpoint",

@@ -172,6 +172,35 @@ def _parse_fractions(text: str) -> list[float]:
     return fractions
 
 
+def sweep(source: Dataset, test: Dataset, cfg: EmConfig, fractions,
+          init_scores: dict | None, split_seed: int) -> list[dict]:
+    """One EM run per strong fraction of source: test mAP and source CorLoc.
+
+    Each row holds fraction, map, mean_corloc and seed.
+    """
+    rows = []
+    for fraction in fractions:
+        split = split_semi(source, fraction, split_seed)
+        result = run_em(split, cfg, init_scores=init_scores)
+        report = evaluate_detections(test, detect(test, result.params))
+        _, mean_corloc = corloc(source, result.params)
+        rows.append({"fraction": fraction, "map": report.mean_ap,
+                     "mean_corloc": mean_corloc, "seed": cfg.seed})
+        print(f"fraction {fraction:g}: mAP {report.mean_ap:.4f} "
+              f"meanCorLoc {mean_corloc:.4f}")
+    return rows
+
+
+def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
+    """Sweep rows as CSV: fraction, mAP, meanCorLoc, seed."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["fraction", "mAP", "meanCorLoc", "seed"])
+        for row in rows:
+            writer.writerow([f"{row['fraction']:g}", f"{row['map']:.6f}",
+                             f"{row['mean_corloc']:.6f}", row["seed"]])
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     source = load_dataset(args.data)
     cfg, extras = _em_config(_read_json(args.config), args.config, args,
@@ -181,23 +210,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     test = load_dataset(extras["test_data"])
     init_scores = (load_init_scores(extras["init_scores"])
                    if "init_scores" in extras else None)
-    split_seed = int(extras.get("split_seed", 0))
-    fractions = _parse_fractions(args.fractions)
-    rows = []
-    for fraction in fractions:
-        split = split_semi(source, fraction, split_seed)
-        result = run_em(split, cfg, init_scores=init_scores)
-        report = evaluate_detections(test, detect(test, result.params))
-        _, mean_corloc = corloc(source, result.params)
-        rows.append((fraction, report.mean_ap, mean_corloc, cfg.seed))
-        print(f"fraction {fraction:g}: mAP {report.mean_ap:.4f} "
-              f"meanCorLoc {mean_corloc:.4f}")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "mAP", "meanCorLoc", "seed"])
-        for fraction, mean_ap, mean_corloc, seed in rows:
-            writer.writerow([f"{fraction:g}", f"{mean_ap:.6f}",
-                             f"{mean_corloc:.6f}", seed])
+    rows = sweep(source, test, cfg, _parse_fractions(args.fractions), init_scores,
+                 int(extras.get("split_seed", 0)))
+    write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -45,7 +45,8 @@ from emdet.scorer import (
 
 logger = logging.getLogger(__name__)
 
-# Largest exact enumeration the objective will attempt per weak image.
+# Largest exact enumeration (B ** M configs) the objective or an exact or
+# hard E-step will attempt per weak image.
 OBJECTIVE_GUARD = 10 ** 6
 
 
@@ -180,6 +181,15 @@ def _weak_label(record: ImageRecord):
     return record.annotation.label
 
 
+def _check_enumeration_size(record: ImageRecord, label) -> None:
+    """Raise GuardError before an exact enumeration would exceed OBJECTIVE_GUARD."""
+    if record.num_proposals ** len(label) > OBJECTIVE_GUARD:
+        raise GuardError(
+            f"image {record.image_id}: {record.num_proposals} proposals with "
+            f"{len(label)} categories exceed the {OBJECTIVE_GUARD} config guard "
+            f"of exact enumeration")
+
+
 def _normalized(values: np.ndarray) -> np.ndarray:
     total = logsumexp(values)
     if not np.isfinite(total):
@@ -201,6 +211,7 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig) -> Poste
         values = score_config_set(config_set, log_probs, record.proposals)
         return PosteriorTable(record.image_id, config_set, _normalized(values))
 
+    _check_enumeration_size(record, label)
     if config.mode == "hard":
         grid = exact_log_likelihood_grid(record.proposals, label, log_probs)
         if not np.isfinite(grid.max()):
@@ -240,6 +251,7 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
         config_set = select_k(record.proposals, label, _score_log_columns(scores),
                               config.k)
     else:
+        _check_enumeration_size(record, label)
         config_set = enumerate_exact(record.proposals, label)
 
     cols = np.array(label.categories) - 1
@@ -254,8 +266,9 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
 
     if config.mode == "hard":
         best = int(np.argmax(weights))
+        # A copy, not a view: a view would keep the whole enumeration alive.
         config_set = LatentConfigSet(label.categories,
-                                     config_set.centers[best:best + 1], "hard")
+                                     config_set.centers[best:best + 1].copy(), "hard")
         weights = np.array([1.0])
     return PosteriorTable(record.image_id, config_set, weights)
 
@@ -292,11 +305,7 @@ def objective(dataset: Dataset, params: ScorerParams) -> ObjectiveValue:
         log_probs = log_prob_matrix(params, record.features)
         if record.is_weak:
             label = _weak_label(record)
-            if record.num_proposals ** len(label) > OBJECTIVE_GUARD:
-                raise GuardError(
-                    f"image {record.image_id}: {record.num_proposals} proposals with "
-                    f"{len(label)} categories exceed the {OBJECTIVE_GUARD} config "
-                    f"guard; objective requires exact enumeration")
+            _check_enumeration_size(record, label)
             grid = exact_log_likelihood_grid(record.proposals, label, log_probs)
             weak_term += logsumexp(grid.reshape(-1))
         else:
@@ -408,19 +417,14 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
 
 def full_batch_gradient_descent(params: ScorerParams, features: np.ndarray,
                                 soft: np.ndarray, steps: int, lr: float,
-                                l2: float = 0.0, backtrack: bool = True) -> float:
-    """Plain gradient descent on the weighted CE loss; returns the final loss.
+                                l2: float = 0.0) -> float:
+    """Gradient descent on the weighted CE loss; returns the final loss.
 
-    With backtracking the step size halves until the loss strictly
-    decreases, so the loss never goes up; without it the caller owns picking
-    a small enough rate.
+    The step size halves until the loss strictly decreases, so the loss
+    never goes up.
     """
     loss, grad = weighted_ce_gradient(params, features, soft, l2)
     for _ in range(steps):
-        if not backtrack:
-            params.weights -= lr * grad
-            loss, grad = weighted_ce_gradient(params, features, soft, l2)
-            continue
         accepted = False
         for _ in range(60):
             candidate = ScorerParams(params.weights - lr * grad)

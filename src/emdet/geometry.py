@@ -78,13 +78,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
-def hflip(box: Box, canvas_width: float) -> Box:
-    """Mirror a box about the vertical axis of a canvas of the given width."""
-    if not (0.0 <= box.x1 and box.x2 <= canvas_width):
-        raise ValueError(f"box {box} exceeds canvas width {canvas_width}")
-    return Box(canvas_width - box.x2, box.y1, canvas_width - box.x1, box.y2)
-
-
 def nms(dets: list[ScoredBox], threshold: float) -> list[ScoredBox]:
     """Greedy non-maximum suppression over a single category.
 

@@ -87,10 +87,6 @@ class LatentConfig:
         if len(set(idxs)) != len(idxs) or any(i < 0 for i in idxs):
             raise ValueError(f"center indices must be distinct and non-negative, got {idxs}")
 
-    @classmethod
-    def from_dict(cls, centers: dict[int, int]) -> "LatentConfig":
-        return cls(tuple(sorted((int(c), int(i)) for c, i in centers.items())))
-
     @property
     def categories(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.pairs)
@@ -98,9 +94,6 @@ class LatentConfig:
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(i for _, i in self.pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
 
 
 @dataclass
@@ -310,11 +303,8 @@ def exact_log_likelihood_grid(proposals: list[Box], z,
     if M > 3:
         # Rare at desk scale; score the distinct rows through the labelling kernel.
         grid = np.full((B,) * M, -np.inf)
-        rows = _index_grid(B, M)
-        keep = _distinct_rows(rows)
-        values = score_config_set(LatentConfigSet(label.categories, rows[keep], "exact"),
-                                  log_probs, proposals)
-        grid.reshape(-1)[keep] = values
+        config_set = enumerate_exact(proposals, label)
+        grid[tuple(config_set.centers.T)] = score_config_set(config_set, log_probs, proposals)
         return grid
 
     covered, keys = center_geometry(proposals)
@@ -385,20 +375,9 @@ def _mask_duplicate_entries(grid: np.ndarray) -> None:
 def exact_config_values(proposals: list[Box], z,
                         log_probs: np.ndarray) -> tuple[LatentConfigSet, np.ndarray]:
     """The exact enumeration plus its log-likelihoods, row-aligned."""
-    label = as_label(z)
-    grid = exact_log_likelihood_grid(proposals, label, log_probs)
-    rows = _index_grid(len(proposals), len(label))
-    keep = _distinct_rows(rows)
-    config_set = LatentConfigSet(label.categories, rows[keep], "exact")
-    return config_set, grid.reshape(-1)[keep]
-
-
-def select_hard(config_set: LatentConfigSet, log_probs: np.ndarray,
-                proposals: list[Box]) -> LatentConfigSet:
-    """The single most likely config of a set; ties keep the earliest row."""
-    values = score_config_set(config_set, log_probs, proposals)
-    best = int(np.argmax(values))
-    return LatentConfigSet(config_set.categories, config_set.centers[best:best + 1], "hard")
+    config_set = enumerate_exact(proposals, z)
+    grid = exact_log_likelihood_grid(proposals, config_set.categories, log_probs)
+    return config_set, grid[tuple(config_set.centers.T)]
 
 
 def _integer_root(k: int, m: int) -> int:
@@ -411,18 +390,13 @@ def _integer_root(k: int, m: int) -> int:
     return r
 
 
-def rank_candidates(scores: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the top ``count`` scores, descending, ties to lower index."""
-    order = np.argsort(-scores, kind="stable")
-    return order[:count]
-
-
 def select_k(proposals: list[Box], z, log_probs: np.ndarray, k: int) -> LatentConfigSet:
     """Truncated config set with at most k entries.
 
     Each category keeps its min(B, floor(k ** (1/M))) highest-scoring
-    proposals as candidate centers; the set is the Cartesian product of the
-    candidate lists minus configs that reuse a proposal.
+    proposals as candidate centers, ties to the lower index; the set is the
+    Cartesian product of the candidate lists minus configs that reuse a
+    proposal.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
@@ -432,8 +406,8 @@ def select_k(proposals: list[Box], z, log_probs: np.ndarray, k: int) -> LatentCo
     if B < M:
         raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
     r = min(B, _integer_root(k, M))
-    candidates = [rank_candidates(log_probs[:, c], r) for c in label.categories]
-    rows = _index_grid(r, M) if M > 1 else np.arange(r)[:, None]
+    candidates = [np.argsort(-log_probs[:, c], kind="stable")[:r] for c in label.categories]
+    rows = _index_grid(r, M)
     rows = np.stack([candidates[m][rows[:, m]] for m in range(M)], axis=1)
     keep = _distinct_rows(rows)
     if not np.any(keep):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from emdet.data import Dataset, SchemaError
+from emdet.data import Dataset, ImageRecord, SchemaError
 from emdet.geometry import Box, ScoredBox, iou, nms
 from emdet.scorer import ScorerParams, log_prob_matrix
 
@@ -59,6 +59,16 @@ def _check_dims(dataset: Dataset, params: ScorerParams) -> None:
             f"provides {dataset.feature_dim}-dim features")
 
 
+def _threshold_nms(record: ImageRecord, category: int, scores: np.ndarray,
+                   score_threshold: float, nms_threshold: float) -> list[Detection]:
+    """One image's detections of one category: positive scores at or above
+    the threshold, then greedy NMS."""
+    rows = np.flatnonzero((scores >= score_threshold) & (scores > 0.0))
+    scored = [ScoredBox(record.proposals[i], category, float(scores[i])) for i in rows]
+    return [Detection(record.image_id, category, kept.box, kept.score)
+            for kept in nms(scored, nms_threshold)]
+
+
 def detect(dataset: Dataset, params: ScorerParams,
            score_threshold: float = DEFAULT_SCORE_THRESHOLD,
            nms_threshold: float = DEFAULT_NMS_IOU) -> list[Detection]:
@@ -68,13 +78,8 @@ def detect(dataset: Dataset, params: ScorerParams,
     for record in dataset:
         probs = np.exp(log_prob_matrix(params, record.features))
         for category in range(1, params.num_categories):
-            rows = np.flatnonzero((probs[:, category] >= score_threshold)
-                                  & (probs[:, category] > 0.0))
-            scored = [ScoredBox(record.proposals[i], category, float(probs[i, category]))
-                      for i in rows]
-            for kept in nms(scored, nms_threshold):
-                detections.append(Detection(record.image_id, category,
-                                            kept.box, kept.score))
+            detections += _threshold_nms(record, category, probs[:, category],
+                                         score_threshold, nms_threshold)
     return detections
 
 
@@ -130,21 +135,6 @@ def eleven_point_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
     return total / 11.0
 
 
-def average_precision(dataset: Dataset, detections: list[Detection],
-                      category: int, iou_threshold: float = MATCH_IOU) -> float | None:
-    """11-point AP for one category; None when the category has no ground truth."""
-    flags, num_gt = _match_category(dataset, detections, category, iou_threshold)
-    if num_gt == 0:
-        return None
-    if flags.size == 0:
-        return 0.0
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    recalls = tp / num_gt
-    precisions = tp / (tp + fp)
-    return float(eleven_point_ap(recalls, precisions))
-
-
 def evaluate_detections(dataset: Dataset, detections: list[Detection],
                         categories: list[int] | None = None,
                         iou_threshold: float = MATCH_IOU) -> MetricsReport:
@@ -173,11 +163,6 @@ def evaluate_detections(dataset: Dataset, detections: list[Detection],
     return MetricsReport(ap, mean_ap, counts)
 
 
-def _top_proposal(scores: np.ndarray) -> int:
-    """Index of the highest score, ties to the lower index."""
-    return int(np.argmax(scores))
-
-
 def _corloc_from_column_scores(dataset: Dataset, column_scores,
                                iou_threshold: float) -> tuple[dict[int, float | None], float | None]:
     """Shared CorLoc loop; column_scores(record, category) -> (B,) scores."""
@@ -195,7 +180,7 @@ def _corloc_from_column_scores(dataset: Dataset, column_scores,
             if not gt_boxes:
                 continue
             positives += 1
-            top = _top_proposal(column_scores(record, category))
+            top = int(np.argmax(column_scores(record, category)))  # ties to the lower index
             if max(iou(record.proposals[top], g) for g in gt_boxes) >= iou_threshold:
                 correct += 1
         result[category] = correct / positives if positives else None
@@ -247,13 +232,9 @@ def detections_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],
         for category in range(1, num_cats + 1):
             if peaks[category - 1] <= 0:
                 continue
-            col = mat[:, category - 1] / peaks[category - 1]
-            rows = np.flatnonzero((col >= score_threshold) & (col > 0.0))
-            scored = [ScoredBox(record.proposals[i], category, float(col[i]))
-                      for i in rows]
-            for kept in nms(scored, nms_threshold):
-                detections.append(Detection(record.image_id, category,
-                                            kept.box, kept.score))
+            detections += _threshold_nms(record, category,
+                                         mat[:, category - 1] / peaks[category - 1],
+                                         score_threshold, nms_threshold)
     return detections
 
 

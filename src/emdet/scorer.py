@@ -65,22 +65,18 @@ def _augment(features: np.ndarray) -> np.ndarray:
     return np.concatenate([features, ones], axis=1)
 
 
+def _row_log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax of each row, shifted by the row max so exp cannot overflow."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def log_prob_matrix(params: ScorerParams, features: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax scores for an (n, d) feature matrix, shape (n, C)."""
     if features.shape[-1] != params.feature_dim:
         raise ValueError(
             f"feature dim {features.shape[-1]} does not match scorer dim {params.feature_dim}")
-    logits = _augment(features) @ params.weights.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def log_softmax(params: ScorerParams, features: np.ndarray) -> np.ndarray:
-    """Length-C log-probability vector for a single feature vector."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 1:
-        raise ValueError(f"expected a single feature vector, got shape {features.shape}")
-    return log_prob_matrix(params, features[None, :])[0]
+    return _row_log_softmax(_augment(features) @ params.weights.T)
 
 
 def check_soft_labels(soft_labels: np.ndarray, num_rows: int, num_categories: int) -> None:
@@ -102,9 +98,7 @@ def check_soft_labels(soft_labels: np.ndarray, num_rows: int, num_categories: in
 def ce_loss_and_gradient(params: ScorerParams, augmented: np.ndarray,
                          soft_labels: np.ndarray, l2: float = 0.0):
     """weighted_ce_gradient on bias-augmented features, without input checks."""
-    logits = augmented @ params.weights.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = _row_log_softmax(augmented @ params.weights.T)
     probs = np.exp(logp)
 
     penalized = params.weights.copy()
@@ -118,7 +112,7 @@ def weighted_ce_gradient(params: ScorerParams, features: np.ndarray,
                          soft_labels: np.ndarray, l2: float = 0.0):
     """Soft-label cross-entropy loss and its exact gradient.
 
-    loss = -sum_n sum_c q[n, c] * log_softmax(params, x_n)[c]
+    loss = -sum_n sum_c q[n, c] * log_prob_matrix(params, x)[n, c]
            + (l2 / 2) * ||W||_F^2   (bias column excluded from the penalty)
 
     Returns (loss, gradient) where gradient has the shape of the weights.

@@ -34,10 +34,8 @@ from emdet.engine import (
     surrogate_value,
 )
 from emdet.geometry import Box, ScoredBox, nms
-from emdet.latent import exact_config_values, select_hard
 from emdet.metrics import (
     Detection,
-    average_precision,
     corloc,
     corloc_from_scores,
     detect,
@@ -51,7 +49,6 @@ from emdet.oracle import (
 )
 from emdet.scorer import (
     ScorerParams,
-    log_prob_matrix,
     weighted_ce_gradient,
 )
 from helpers import random_params, random_weak_record, strong_record
@@ -133,11 +130,8 @@ def test_ac1_oracle_equivalence():
         max_objective_dev = max(max_objective_dev, abs(
             fast_weak - brute_marginal_likelihood(rec, params)))
 
-        log_probs = log_prob_matrix(params, rec.features)
-        config_set, _ = exact_config_values(rec.proposals,
-                                            rec.annotation.label, log_probs)
-        picked = select_hard(config_set, log_probs, rec.proposals)
-        if tuple(int(v) for v in picked.centers[0]) \
+        hard = e_step(rec, params, EmConfig(mode="hard"))
+        if tuple(int(v) for v in hard.config_set.centers[0]) \
                 != brute_hard_config(rec, params):
             hard_agreed = False
 
@@ -291,7 +285,7 @@ def test_ac6_metric_worked_examples(tmp_path):
     dets = [Detection("img_a", 1, gt, 0.9),
             Detection("img_a", 1, far, 0.8),
             Detection("img_b", 1, gt, 0.7)]
-    ap = average_precision(dataset, dets, 1)
+    ap = evaluate_detections(dataset, dets, [1]).ap[1]
     ap_ok = abs(ap - 28.0 / 33.0) < 1e-9
 
     boxes = [Box(0, 0, 10, 10), Box(1, 1, 11, 11), Box(20, 20, 30, 30)]

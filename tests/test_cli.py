@@ -174,6 +174,19 @@ class TestTrain:
         assert "iteration 0: objective" in stdout
         assert "iteration 1: objective" in stdout
 
+    def test_oversized_hard_e_step_exits_three(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rec = random_weak_record(rng, "big", num_proposals=200, num_fg=3,
+                                 num_present=3)
+        data = tmp_path / "big.jsonl"
+        save_dataset(Dataset([rec]), data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "hard", "record_trace": False}))
+        rc = main(["train", "--data", str(data), "--config", str(config),
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert "guard" in capsys.readouterr().err
+
 
 class TestDetectAndEval:
     def test_detect_writes_parseable_detections(self, bench, tmp_path):
@@ -304,3 +317,4 @@ class TestOracle:
         rc = main(["oracle", "--data", str(data), "--ckpt", str(ckpt)])
         assert rc == 3
         assert "guard" in capsys.readouterr().err
+

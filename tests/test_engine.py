@@ -6,6 +6,7 @@ is checked numerically; posterior values are checked against hand products.
 
 import logging
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -34,13 +35,12 @@ from emdet.engine import (
     _pools,
 )
 from emdet.geometry import Box
-from emdet.latent import (GuardError, LatentConfigSet, exact_config_values,
-                          select_hard)
+from emdet.latent import GuardError, LatentConfigSet
+from emdet.oracle import brute_hard_config
 from emdet.oracle import expand as naive_expand
 from emdet.scorer import (
     OptimizerState,
     ScorerParams,
-    log_prob_matrix,
     sgd_step,
     weighted_ce_gradient,
 )
@@ -178,12 +178,8 @@ class TestEStep:
                                  feature_dim=4, num_present=2)
         params = random_params(rng, 3, 4)
         post = e_step(rec, params, EmConfig(mode="hard"))
-        log_probs = log_prob_matrix(params, rec.features)
-        config_set, _ = exact_config_values(rec.proposals,
-                                            rec.annotation.label, log_probs)
-        picked = select_hard(config_set, log_probs, rec.proposals)
         assert len(post.config_set) == 1
-        assert np.array_equal(post.config_set.centers, picked.centers)
+        assert tuple(post.config_set.centers[0]) == brute_hard_config(rec, params)
         assert post.weights.tolist() == [1.0]
 
     def test_hard_tie_picks_lexicographically_smallest(self):
@@ -212,6 +208,19 @@ class TestEStep:
         with pytest.raises(ValueError, match="only covers"):
             e_step(rec, ScorerParams.zeros(3, 3), EmConfig(mode="exact"))
 
+    @pytest.mark.parametrize("mode", ["exact", "hard"])
+    def test_guard_rejects_oversized_enumeration_up_front(self, mode):
+        # 200 ** 3 configs exceed the 10 ** 6 guard; building them would take ~200 MB
+        rng = np.random.default_rng(0)
+        rec = random_weak_record(rng, "big", num_proposals=200, num_fg=3,
+                                 num_present=3)
+        start = time.monotonic()
+        with pytest.raises(GuardError, match="exceed"):
+            e_step(rec, ScorerParams.zeros(4, 5), EmConfig(mode=mode))
+        with pytest.raises(GuardError, match="exceed"):
+            e_step_from_scores(rec, np.ones((200, 3)), EmConfig(mode=mode))
+        assert time.monotonic() - start < 1.0
+
 
 class TestEStepFromScores:
     def config(self, mode="exact", k=100):
@@ -238,6 +247,21 @@ class TestEStepFromScores:
         assert len(post.config_set) == 1
         assert tuple(post.config_set.centers[0]) == (1,)
         assert post.weights.tolist() == [1.0]
+
+    def test_hard_posterior_keeps_only_its_row(self):
+        # the enumeration it is picked from holds 60 * 59 * 58 rows, ~4.9 MB
+        rng = np.random.default_rng(5)
+        rec = random_weak_record(rng, "w", num_proposals=60, num_fg=3,
+                                 num_present=3)
+        scores = rng.uniform(0.1, 1.0, size=(60, 3))
+        tracemalloc.start()
+        try:
+            post = e_step_from_scores(rec, scores, self.config(mode="hard"))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(post.config_set) == 1
+        assert kept < 2 ** 20
 
     def test_truncated_mode_ranks_by_score(self):
         rec = isolated_weak_record("w", 3, (1,), dim=3)
@@ -525,7 +549,7 @@ class TestFullBatchDescent:
         params, features, soft = self.setup_loss()
         initial, _ = weighted_ce_gradient(params, features, soft)
         final = full_batch_gradient_descent(params, features, soft, steps=25,
-                                            lr=0.005, backtrack=False)
+                                            lr=0.005)
         assert final < initial
 
     def test_backtracking_never_increases_loss(self):
@@ -533,7 +557,7 @@ class TestFullBatchDescent:
         params, features, soft = self.setup_loss(seed=6)
         initial, _ = weighted_ce_gradient(params, features, soft)
         final = full_batch_gradient_descent(params, features, soft, steps=10,
-                                            lr=100.0, backtrack=True)
+                                            lr=100.0)
         assert final <= initial
 
     def test_zero_steps_return_initial_loss(self):

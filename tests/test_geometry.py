@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emdet.geometry import (Box, ScoredBox, boxes_to_array, hflip, iou,
+from emdet.geometry import (Box, ScoredBox, boxes_to_array, iou,
                             iou_matrix, nms)
 
 
@@ -73,29 +73,6 @@ class TestBoxValidation:
         with pytest.raises(ValueError):
             ScoredBox(Box(0, 0, 1, 1), 1, 0.0)
         ScoredBox(Box(0, 0, 1, 1), 1, 1.0)
-
-
-class TestHflip:
-    def test_mirror_example(self):
-        assert hflip(Box(0, 0, 2, 2), 10) == Box(8, 0, 10, 2)
-
-    def test_centered_box_is_fixed_point(self):
-        assert hflip(Box(4, 1, 6, 3), 10) == Box(4, 1, 6, 3)
-
-    @given(box_strategy(), st.floats(0.0, 20.0, allow_nan=False))
-    def test_involution(self, box, slack):
-        # double flip returns the box up to subtraction rounding
-        width = box.x2 + slack
-        twice = hflip(hflip(box, width), width)
-        assert twice.x1 == pytest.approx(box.x1, abs=1e-9)
-        assert twice.x2 == pytest.approx(box.x2, abs=1e-9)
-        assert (twice.y1, twice.y2) == (box.y1, box.y2)
-
-    def test_rejects_box_outside_canvas(self):
-        with pytest.raises(ValueError):
-            hflip(Box(5, 0, 12, 2), 10)
-        with pytest.raises(ValueError):
-            hflip(Box(-1, 0, 2, 2), 10)
 
 
 class TestNms:

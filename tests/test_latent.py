@@ -10,7 +10,7 @@ from emdet.latent import (CENTER_IOU, LABEL_CHUNK, ImageLabel, LatentConfig,
                           config_log_likelihood, enumerate_exact,
                           exact_config_values, exact_log_likelihood_grid,
                           expand, label_marginals, logsumexp,
-                          score_config_set, select_hard, select_k)
+                          score_config_set, select_k)
 from emdet.oracle import expand as naive_expand
 from helpers import fg_log_probs, isolated_boxes, random_box
 
@@ -65,23 +65,23 @@ class TestImageLabel:
 
 class TestExpand:
     def test_neighbor_takes_center_category(self):
-        config = LatentConfig.from_dict({1: 0})
+        config = LatentConfig(((1, 0),))
         assert iou(WORKED_PROPOSALS[0], WORKED_PROPOSALS[1]) >= CENTER_IOU
         assert expand(config, WORKED_PROPOSALS).tolist() == [1, 1, 0]
 
     def test_isolated_boxes_label_centers_only(self):
         boxes = isolated_boxes(4)
-        labels = expand(LatentConfig.from_dict({1: 1, 2: 3}), boxes)
+        labels = expand(LatentConfig(((1, 1), (2, 3))), boxes)
         assert labels.tolist() == [0, 1, 0, 2]
 
     def test_disjoint_neighborhoods_union(self):
         # two clusters of two boxes each, no overlap across clusters
         boxes = [Box(0, 0, 10, 10), Box(1, 1, 11, 11),
                  Box(40, 40, 50, 50), Box(41, 41, 51, 51)]
-        both = expand(LatentConfig.from_dict({1: 0, 2: 2}), boxes)
+        both = expand(LatentConfig(((1, 0), (2, 2))), boxes)
         assert both.tolist() == [1, 1, 2, 2]
-        one = expand(LatentConfig.from_dict({1: 0}), boxes)
-        two = expand(LatentConfig.from_dict({2: 2}), boxes)
+        one = expand(LatentConfig(((1, 0),)), boxes)
+        two = expand(LatentConfig(((2, 2),)), boxes)
         assert np.array_equal(both, one + two)
 
     def test_tie_goes_to_lower_category(self):
@@ -89,19 +89,19 @@ class TestExpand:
         boxes = [Box(0, 0, 2, 2), Box(0, 0, 4, 2), Box(0, 0, 2, 4)]
         assert iou(boxes[0], boxes[1]) == 0.5
         assert iou(boxes[0], boxes[2]) == 0.5
-        labels = expand(LatentConfig.from_dict({1: 1, 2: 2}), boxes)
+        labels = expand(LatentConfig(((1, 1), (2, 2))), boxes)
         assert labels[0] == 1
 
     def test_centers_keep_their_own_category(self):
         # identical boxes as centers of different categories
         boxes = [Box(0, 0, 5, 5), Box(0, 0, 5, 5)]
-        labels = expand(LatentConfig.from_dict({1: 0, 2: 1}), boxes)
+        labels = expand(LatentConfig(((1, 0), (2, 1))), boxes)
         assert labels.tolist() == [1, 2]
 
     def test_higher_iou_center_wins(self):
         boxes = [Box(0, 0, 10, 10), Box(0, 0, 10, 9), Box(0, 0, 10, 16)]
         # center 1 overlaps proposal 0 at 0.9, center 2 at 0.625
-        labels = expand(LatentConfig.from_dict({1: 2, 2: 1}), boxes)
+        labels = expand(LatentConfig(((1, 2), (2, 1))), boxes)
         assert labels[0] == 2
 
 
@@ -190,7 +190,7 @@ class TestConfigLogLikelihood:
     def test_isolated_hand_value(self):
         boxes = isolated_boxes(3)
         log_probs = fg_log_probs([0.9, 0.2, 0.1])
-        value = config_log_likelihood(LatentConfig.from_dict({1: 0}),
+        value = config_log_likelihood(LatentConfig(((1, 0),)),
                                       log_probs, boxes)
         expected = math.log(0.9) + math.log(0.8) + math.log(0.9)
         assert abs(value - expected) < 1e-12
@@ -200,7 +200,7 @@ class TestConfigLogLikelihood:
         log_probs = uniform_log_probs(2, 2)
         log_probs[1, 1] = -np.inf
         with pytest.raises(ValueError):
-            config_log_likelihood(LatentConfig.from_dict({1: 0}),
+            config_log_likelihood(LatentConfig(((1, 0),)),
                                   log_probs, boxes)
 
     def test_incremental_matches_direct_sum(self):
@@ -229,6 +229,19 @@ class TestExactGrid:
                 worst = max(worst, abs(grid[idx] - slow))
         assert worst < 1e-12
 
+    def test_four_categories_score_every_distinct_row(self):
+        rng = np.random.default_rng(23)
+        boxes = [random_box(rng) for _ in range(6)]
+        logits = rng.normal(0.0, 1.5, size=(6, 5))
+        log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        label = ImageLabel((1, 2, 3, 4))
+        grid = exact_log_likelihood_grid(boxes, label, log_probs)
+        config_set = enumerate_exact(boxes, label)
+        assert np.isfinite(grid).sum() == len(config_set)
+        for n, config in enumerate(config_set):
+            slow = config_log_likelihood(config, log_probs, boxes)
+            assert abs(grid[tuple(config_set.centers[n])] - slow) < 1e-12
+
     def test_duplicate_entries_masked(self):
         boxes = isolated_boxes(3)
         grid = exact_log_likelihood_grid(boxes, ImageLabel((1, 2)),
@@ -246,33 +259,6 @@ class TestExactGrid:
             slow = config_log_likelihood(config_set.config_at(n), log_probs,
                                          boxes)
             assert abs(values[n] - slow) < 1e-12
-
-
-class TestSelectHard:
-    def test_picks_strongest_isolated_center(self):
-        boxes = isolated_boxes(3)
-        log_probs = fg_log_probs([0.9, 0.2, 0.1])
-        config_set = enumerate_exact(boxes, ImageLabel((1,)))
-        best = select_hard(config_set, log_probs, boxes)
-        assert len(best) == 1
-        assert tuple(best.centers[0]) == (0,)
-
-    def test_tie_takes_lexicographically_first(self):
-        boxes = isolated_boxes(4)
-        config_set = enumerate_exact(boxes, ImageLabel((1, 2)))
-        best = select_hard(config_set, uniform_log_probs(4, 3), boxes)
-        assert tuple(best.centers[0]) == (0, 1)
-
-    def test_matches_brute_force_argmax(self):
-        rng = np.random.default_rng(41)
-        for _ in range(40):
-            boxes, label, log_probs = random_instance(rng, max_b=5, max_m=2)
-            config_set = enumerate_exact(boxes, label)
-            values = [config_log_likelihood(c, log_probs, boxes)
-                      for c in config_set]
-            best = select_hard(config_set, log_probs, boxes)
-            assert tuple(best.centers[0]) == tuple(
-                config_set.centers[int(np.argmax(values))])
 
 
 class TestSelectK:

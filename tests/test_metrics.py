@@ -12,7 +12,6 @@ from emdet.geometry import Box
 from emdet.metrics import (
     Detection,
     MetricsReport,
-    average_precision,
     corloc,
     corloc_from_scores,
     detect,
@@ -57,19 +56,20 @@ class TestElevenPointAp:
 
 class TestAveragePrecision:
     def test_worked_example(self):
-        ap = average_precision(two_image_dataset(), worked_detections(), 1)
+        ap = evaluate_detections(two_image_dataset(), worked_detections(), [1]).ap[1]
         assert abs(ap - 28.0 / 33.0) < 1e-9
 
     def test_all_matched_is_one(self):
         dets = [Detection("img_a", 1, GT_BOX, 0.9),
                 Detection("img_b", 1, GT_BOX, 0.8)]
-        assert average_precision(two_image_dataset(), dets, 1) == 1.0
+        assert evaluate_detections(two_image_dataset(), dets, [1]).ap[1] == 1.0
 
     def test_no_detections_is_zero(self):
-        assert average_precision(two_image_dataset(), [], 1) == 0.0
+        assert evaluate_detections(two_image_dataset(), [], [1]).ap[1] == 0.0
 
     def test_no_ground_truth_is_none(self):
-        assert average_precision(two_image_dataset(), worked_detections(), 2) is None
+        report = evaluate_detections(two_image_dataset(), worked_detections(), [2])
+        assert report.ap[2] is None
 
     def test_ground_truth_matched_at_most_once(self):
         # the duplicate hit must count as a false positive
@@ -85,9 +85,9 @@ class TestAveragePrecision:
             dets = [Detection("img_a", 1, GT_BOX if rng.random() < 0.6 else FAR_BOX,
                               float(rng.uniform(0.3, 1.0)))
                     for _ in range(int(rng.integers(1, 6)))]
-            base = average_precision(dataset, dets, 1)
+            base = evaluate_detections(dataset, dets, [1]).ap[1]
             extended = dets + [Detection("img_b", 1, FAR_BOX, 0.01)]
-            assert average_precision(dataset, extended, 1) <= base + 1e-12
+            assert evaluate_detections(dataset, extended, [1]).ap[1] <= base + 1e-12
 
 
 class TestEvaluateDetections:

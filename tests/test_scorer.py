@@ -16,7 +16,6 @@ from emdet.scorer import (
     ScorerParams,
     load_checkpoint,
     log_prob_matrix,
-    log_softmax,
     save_checkpoint,
     sgd_step,
     weighted_ce_gradient,
@@ -50,19 +49,19 @@ class TestParamsValidation:
 class TestLogSoftmax:
     def test_zero_weights_give_uniform(self):
         params = ScorerParams.zeros(4, 3)
-        out = log_softmax(params, np.array([0.3, -1.2, 5.0]))
+        out = log_prob_matrix(params, np.array([[0.3, -1.2, 5.0]]))[0]
         assert np.allclose(out, -np.log(4.0), atol=1e-15)
 
     def test_constant_logits_give_uniform(self):
         # identical rows produce identical logits regardless of the feature
         params = ScorerParams(np.tile(np.array([[0.5, -0.25, 2.0]]), (3, 1)))
-        out = log_softmax(params, np.array([1.7, 0.4]))
+        out = log_prob_matrix(params, np.array([[1.7, 0.4]]))[0]
         assert np.allclose(out, -np.log(3.0), atol=1e-12)
 
     def test_extreme_logits_stay_finite(self):
         # logits (1000, 0): naive exp overflows, shifted form is exact
         params = ScorerParams(np.array([[1000.0, 0.0], [0.0, 0.0]]))
-        out = log_softmax(params, np.array([1.0]))
+        out = log_prob_matrix(params, np.array([[1.0]]))[0]
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0
         assert out[1] == -1000.0
@@ -84,10 +83,6 @@ class TestLogSoftmax:
         params = random_params(rng, c, d, scale=3.0)
         out = log_prob_matrix(params, rng.normal(size=(n, d)))
         assert np.allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-12)
-
-    def test_rejects_matrix_input(self):
-        with pytest.raises(ValueError, match="single feature vector"):
-            log_softmax(ScorerParams.zeros(2, 3), np.zeros((2, 3)))
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
