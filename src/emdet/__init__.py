@@ -10,9 +10,7 @@ every proposal near a center with that center's category.
 from emdet.geometry import Box, ScoredBox, iou, nms
 from emdet.latent import (
     ImageLabel,
-    LatentConfig,
     LatentConfigSet,
-    config_log_likelihood,
     enumerate_exact,
     expand,
     select_k,
@@ -32,11 +30,9 @@ __all__ = [
     "iou",
     "nms",
     "ImageLabel",
-    "LatentConfig",
     "LatentConfigSet",
     "expand",
     "enumerate_exact",
-    "config_log_likelihood",
     "select_k",
     "ScorerParams",
     "OptimizerState",

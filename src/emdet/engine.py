@@ -219,7 +219,7 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig) -> Poste
                 f"image {record.image_id} has zero likelihood under the scorer")
         flat = int(np.argmax(grid))
         centers = np.array(np.unravel_index(flat, grid.shape)).reshape(1, -1)
-        config_set = LatentConfigSet(label.categories, centers, "hard")
+        config_set = LatentConfigSet(label.categories, centers)
         return PosteriorTable(record.image_id, config_set, np.array([1.0]))
 
     config_set, values = exact_config_values(record.proposals, label, log_probs)
@@ -267,8 +267,7 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
     if config.mode == "hard":
         best = int(np.argmax(weights))
         # A copy, not a view: a view would keep the whole enumeration alive.
-        config_set = LatentConfigSet(label.categories,
-                                     config_set.centers[best:best + 1].copy(), "hard")
+        config_set = LatentConfigSet(label.categories, config_set.centers[best:best + 1].copy())
         weights = np.array([1.0])
     return PosteriorTable(record.image_id, config_set, weights)
 

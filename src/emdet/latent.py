@@ -67,33 +67,18 @@ def as_label(z) -> ImageLabel:
     return ImageLabel(tuple(sorted(set(int(c) for c in z))))
 
 
-@dataclass(frozen=True)
-class LatentConfig:
-    """One center proposal per present category.
+def _reuses_proposal(columns) -> np.ndarray:
+    """True where two slots' centers are the same proposal, which no config may do.
 
-    Stored as (category, proposal index) pairs sorted by category; center
-    indices are pairwise distinct.
+    ``columns`` holds one center-index array per category slot, and they
+    broadcast against each other: the columns of config rows (``centers.T``)
+    give one flag per row, a sparse index grid one flag per grid entry.
     """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        cats = [c for c, _ in self.pairs]
-        idxs = [i for _, i in self.pairs]
-        if not cats:
-            raise ValueError("config must place at least one center")
-        if sorted(set(cats)) != cats or any(c < 1 for c in cats):
-            raise ValueError(f"config categories must be distinct foreground ids, got {cats}")
-        if len(set(idxs)) != len(idxs) or any(i < 0 for i in idxs):
-            raise ValueError(f"center indices must be distinct and non-negative, got {idxs}")
-
-    @property
-    def categories(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.pairs)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for _, i in self.pairs)
+    repeated = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in columns)), dtype=bool)
+    for a in range(len(columns)):
+        for b in range(a + 1, len(columns)):
+            repeated |= columns[a] == columns[b]
+    return repeated
 
 
 @dataclass
@@ -101,18 +86,13 @@ class LatentConfigSet:
     """A batch of configs over one image, stored columnar.
 
     ``centers[n, m]`` is the center proposal index for the m-th category of
-    ``categories`` in the n-th config.  ``mode`` records how the set was
-    built: "exact" (full enumeration), "hard" (single argmax config), or
-    "k_em" (per-category truncation).
+    ``categories`` in the n-th config.
     """
 
     categories: tuple[int, ...]
     centers: np.ndarray
-    mode: str
 
     def __post_init__(self):
-        if self.mode not in ("exact", "hard", "k_em"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         self.centers = np.asarray(self.centers, dtype=np.int64)
         if self.centers.ndim != 2 or self.centers.shape[1] != len(self.categories):
             raise ValueError(
@@ -120,19 +100,11 @@ class LatentConfigSet:
                 f"{len(self.categories)} categories")
         if self.centers.shape[0] == 0:
             raise ValueError("config set is empty")
-        if len(self.categories) > 1:
-            rows = np.sort(self.centers, axis=1)
-            if np.any(rows[:, 1:] == rows[:, :-1]):
-                raise ValueError("a config reuses one proposal for two categories")
+        if np.any(_reuses_proposal(self.centers.T)):
+            raise ValueError("a config reuses one proposal for two categories")
 
     def __len__(self) -> int:
         return self.centers.shape[0]
-
-    def config_at(self, n: int) -> LatentConfig:
-        return LatentConfig(tuple(zip(self.categories, (int(i) for i in self.centers[n]))))
-
-    def __iter__(self):
-        return (self.config_at(n) for n in range(len(self)))
 
 
 # Config rows labelled per kernel pass; bounds the (rows, M, B) temporaries so
@@ -174,37 +146,19 @@ def _label_chunks(geometry: CenterGeometry, categories, centers: np.ndarray):
         yield start, np.where(covered.any(axis=1), cats[slots], 0)
 
 
-def config_labels(geometry: CenterGeometry, categories, centers: np.ndarray) -> np.ndarray:
-    """Proposal labels of every config row: (N, B) ints, 0 = background."""
-    centers = np.asarray(centers, dtype=np.int64)
-    return np.concatenate([labels for _, labels in _label_chunks(geometry, categories, centers)])
-
-
-def expand(config: LatentConfig, proposals: list[Box]) -> np.ndarray:
-    """Proposal labels implied by a config: length-B int array, 0 = background.
+def expand(config_set: LatentConfigSet, proposals: list[Box]) -> np.ndarray:
+    """Proposal labels of every config in the set: (N, B) ints, 0 = background.
 
     Center proposals keep their own category.  Any other proposal whose IoU
     with some center reaches CENTER_IOU takes the category of the
     highest-IoU center, ties resolved toward the lower category id.
     """
-    if max(config.indices) >= len(proposals):
-        raise ValueError(f"config centers {config.indices} exceed {len(proposals)} proposals")
-    return config_labels(center_geometry(proposals), config.categories,
-                         np.array([config.indices]))[0]
-
-
-def _distinct_rows(centers: np.ndarray) -> np.ndarray:
-    """Mask of rows whose entries are pairwise distinct."""
-    if centers.shape[1] == 1:
-        return np.ones(centers.shape[0], dtype=bool)
-    rows = np.sort(centers, axis=1)
-    return np.all(rows[:, 1:] != rows[:, :-1], axis=1)
-
-
-def _index_grid(num_proposals: int, num_slots: int) -> np.ndarray:
-    """All index tuples (n, M) in lexicographic order, duplicates included."""
-    grid = np.indices((num_proposals,) * num_slots)
-    return grid.reshape(num_slots, -1).T
+    if config_set.centers.max() >= len(proposals):
+        raise ValueError(f"config centers reach index {config_set.centers.max()} but there "
+                         f"are only {len(proposals)} proposals")
+    chunks = _label_chunks(center_geometry(proposals), config_set.categories,
+                           config_set.centers)
+    return np.concatenate([labels for _, labels in chunks])
 
 
 def enumerate_exact(proposals: list[Box], z) -> LatentConfigSet:
@@ -217,9 +171,8 @@ def enumerate_exact(proposals: list[Box], z) -> LatentConfigSet:
     B, M = len(proposals), len(label)
     if B < M:
         raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
-    rows = _index_grid(B, M)
-    rows = rows[_distinct_rows(rows)]
-    return LatentConfigSet(label.categories, rows, "exact")
+    rows = np.argwhere(~_reuses_proposal(np.indices((B,) * M, sparse=True)))
+    return LatentConfigSet(label.categories, rows)
 
 
 def _check_scoring_inputs(categories, centers: np.ndarray, log_probs: np.ndarray,
@@ -247,20 +200,6 @@ def _config_scores(geometry: CenterGeometry, categories, centers: np.ndarray,
     for start, labels in _label_chunks(geometry, categories, centers):
         values[start:start + labels.shape[0]] = base + delta[cols, labels].sum(axis=1)
     return values
-
-
-def config_log_likelihood(config: LatentConfig, log_probs: np.ndarray,
-                          proposals: list[Box]) -> float:
-    """Joint log-likelihood of the labels a config implies.
-
-    Computed as the all-background baseline plus the per-proposal deltas of
-    the foreground assignments.
-    """
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    centers = np.array([config.indices], dtype=np.int64)
-    _check_scoring_inputs(config.categories, centers, log_probs, proposals)
-    return float(_config_scores(center_geometry(proposals), config.categories,
-                                centers, log_probs)[0])
 
 
 def score_config_set(config_set: LatentConfigSet, log_probs: np.ndarray,
@@ -291,7 +230,7 @@ def exact_log_likelihood_grid(proposals: list[Box], z,
 
     Entry [j1, ..., jM] scores the config placing category z[m]'s center at
     proposal jm; entries with repeated indices are -inf.  Matches
-    config_log_likelihood to float accumulation order.
+    score_config_set to float accumulation order.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
@@ -342,7 +281,7 @@ def exact_log_likelihood_grid(proposals: list[Box], z,
             add = np.where(third_c, delta[i, 2], np.where(third_b, delta[i, 1], delta[i, 0]))
             grid[np.ix_(cover, cover, cover)] += add
 
-    _mask_duplicate_entries(grid)
+    grid[_reuses_proposal(np.indices(grid.shape, sparse=True))] = -np.inf
     return grid
 
 
@@ -357,19 +296,6 @@ def _pair_shape(M: int, a: int, b: int, B: int) -> tuple[int, ...]:
     shape[a] = B
     shape[b] = B
     return tuple(shape)
-
-
-def _mask_duplicate_entries(grid: np.ndarray) -> None:
-    """Set entries whose index tuple repeats a proposal to -inf, in place."""
-    M = grid.ndim
-    if M == 1:
-        return
-    B = grid.shape[0]
-    idx = np.arange(B)
-    for a in range(M):
-        for b in range(a + 1, M):
-            eq = idx.reshape(_axis_shape(M, a, B)) == idx.reshape(_axis_shape(M, b, B))
-            grid[np.broadcast_to(eq, grid.shape)] = -np.inf
 
 
 def exact_config_values(proposals: list[Box], z,
@@ -407,10 +333,9 @@ def select_k(proposals: list[Box], z, log_probs: np.ndarray, k: int) -> LatentCo
         raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
     r = min(B, _integer_root(k, M))
     candidates = [np.argsort(-log_probs[:, c], kind="stable")[:r] for c in label.categories]
-    rows = _index_grid(r, M)
-    rows = np.stack([candidates[m][rows[:, m]] for m in range(M)], axis=1)
-    keep = _distinct_rows(rows)
+    rows = np.stack([c.ravel() for c in np.meshgrid(*candidates, indexing="ij")], axis=1)
+    keep = ~_reuses_proposal(rows.T)
     if not np.any(keep):
         raise ValueError(
             f"all {rows.shape[0]} candidate combinations reuse a proposal; increase k={k}")
-    return LatentConfigSet(label.categories, rows[keep], "k_em")
+    return LatentConfigSet(label.categories, rows[keep])

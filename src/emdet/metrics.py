@@ -163,9 +163,21 @@ def evaluate_detections(dataset: Dataset, detections: list[Detection],
     return MetricsReport(ap, mean_ap, counts)
 
 
-def _corloc_from_column_scores(dataset: Dataset, column_scores,
-                               iou_threshold: float) -> tuple[dict[int, float | None], float | None]:
-    """Shared CorLoc loop; column_scores(record, category) -> (B,) scores."""
+def corloc(dataset: Dataset, params: ScorerParams,
+           iou_threshold: float = MATCH_IOU) -> tuple[dict[int, float | None], float | None]:
+    """Fraction of positive images whose top-scoring proposal hits a
+    ground-truth box of the category at the IoU threshold."""
+    _check_dims(dataset, params)
+    probs = {r.image_id: np.exp(log_prob_matrix(params, r.features))[:, 1:] for r in dataset}
+    return corloc_from_scores(dataset, probs, iou_threshold)
+
+
+def corloc_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],
+                       iou_threshold: float = MATCH_IOU) -> tuple[dict[int, float | None], float | None]:
+    """CorLoc of per-image (B, C - 1) foreground scores; column c - 1 scores category c.
+
+    With raw external scores this is the init-score localization baseline.
+    """
     if any(r.is_weak for r in dataset):
         raise ValueError("correct-localization scoring needs ground truth for "
                          "every image; pass the strong variant of the dataset")
@@ -180,36 +192,14 @@ def _corloc_from_column_scores(dataset: Dataset, column_scores,
             if not gt_boxes:
                 continue
             positives += 1
-            top = int(np.argmax(column_scores(record, category)))  # ties to the lower index
+            # ties to the lower index
+            top = int(np.argmax(score_map[record.image_id][:, category - 1]))
             if max(iou(record.proposals[top], g) for g in gt_boxes) >= iou_threshold:
                 correct += 1
         result[category] = correct / positives if positives else None
     defined = [v for v in result.values() if v is not None]
     mean = float(np.mean(defined)) if defined else None
     return result, mean
-
-
-def corloc(dataset: Dataset, params: ScorerParams,
-           iou_threshold: float = MATCH_IOU) -> tuple[dict[int, float | None], float | None]:
-    """Fraction of positive images whose top-scoring proposal hits a
-    ground-truth box of the category at the IoU threshold."""
-    _check_dims(dataset, params)
-    cache: dict[str, np.ndarray] = {}
-
-    def scores(record, category):
-        if record.image_id not in cache:
-            cache[record.image_id] = np.exp(log_prob_matrix(params, record.features))
-        return cache[record.image_id][:, category]
-
-    return _corloc_from_column_scores(dataset, scores, iou_threshold)
-
-
-def corloc_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],
-                       iou_threshold: float = MATCH_IOU) -> tuple[dict[int, float | None], float | None]:
-    """CorLoc of raw external scores, the init-score localization baseline."""
-    return _corloc_from_column_scores(
-        dataset, lambda record, category: score_map[record.image_id][:, category - 1],
-        iou_threshold)
 
 
 def detections_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],

@@ -16,7 +16,7 @@ import numpy as np
 from emdet.data import ImageRecord
 from emdet.engine import EmConfig, PosteriorTable
 from emdet.geometry import Box, iou
-from emdet.latent import CENTER_IOU, GuardError, LatentConfig, LatentConfigSet
+from emdet.latent import CENTER_IOU, GuardError, LatentConfigSet
 from emdet.scorer import ScorerParams, log_prob_matrix
 
 # Largest B ** M these references will enumerate.
@@ -47,17 +47,19 @@ def _guarded_enumeration(record: ImageRecord) -> list[tuple[int, ...]]:
             if len(set(centers)) == M]
 
 
-def expand(config: LatentConfig, proposals: list[Box]) -> np.ndarray:
+def expand(categories: tuple[int, ...], centers: tuple[int, ...],
+           proposals: list[Box]) -> np.ndarray:
     """Naive labels of one config, kept apart from the engine's labelling kernel.
 
-    Each proposal scans the centers in category order: a center keeps its own
-    category, otherwise the first center with the highest IoU at or above
-    CENTER_IOU wins and no covering center means background.
+    ``centers[m]`` is the center proposal of ``categories[m]``.  Each proposal
+    scans the centers in category order: a center keeps its own category,
+    otherwise the first center with the highest IoU at or above CENTER_IOU
+    wins and no covering center means background.
     """
     labels = np.zeros(len(proposals), dtype=np.int64)
     for i, box in enumerate(proposals):
         best = -1.0
-        for category, center in config.pairs:
+        for category, center in zip(categories, centers):
             if center == i:
                 labels[i] = category
                 break
@@ -71,9 +73,7 @@ def expand(config: LatentConfig, proposals: list[Box]) -> np.ndarray:
 def brute_config_value(record: ImageRecord, centers: tuple[int, ...],
                        log_probs: np.ndarray) -> float:
     """Naive full-sum log-likelihood of one config's expanded labels."""
-    cats = _weak_label(record)
-    config = LatentConfig(tuple(zip(cats, centers)))
-    labels = expand(config, record.proposals)
+    labels = expand(_weak_label(record), centers, record.proposals)
     return float(sum(log_probs[i, labels[i]] for i in range(record.num_proposals)))
 
 
@@ -94,7 +94,7 @@ def brute_posterior(record: ImageRecord, params: ScorerParams) -> PosteriorTable
               for centers in enumeration]
     total = _logsumexp(values)
     weights = np.array([math.exp(v - total) for v in values])
-    config_set = LatentConfigSet(cats, np.array(enumeration), "exact")
+    config_set = LatentConfigSet(cats, np.array(enumeration))
     return PosteriorTable(record.image_id, config_set, weights / weights.sum())
 
 
@@ -138,7 +138,7 @@ def brute_truncated_posterior(record: ImageRecord, params: ScorerParams,
               for centers in enumeration]
     total = _logsumexp(values)
     weights = np.array([math.exp(v - total) for v in values])
-    config_set = LatentConfigSet(cats, np.array(enumeration), "k_em")
+    config_set = LatentConfigSet(cats, np.array(enumeration))
     return PosteriorTable(record.image_id, config_set, weights / weights.sum())
 
 
@@ -149,7 +149,6 @@ def reference_posterior(record: ImageRecord, params: ScorerParams,
         return brute_posterior(record, params)
     if config.mode == "hard":
         centers = brute_hard_config(record, params)
-        config_set = LatentConfigSet(_weak_label(record),
-                                     np.array([centers]), "hard")
+        config_set = LatentConfigSet(_weak_label(record), np.array([centers]))
         return PosteriorTable(record.image_id, config_set, np.array([1.0]))
     return brute_truncated_posterior(record, params, config.k)

@@ -293,7 +293,7 @@ class TestOracle:
         # sabotage the oracle's label expansion so the references go wrong
         monkeypatch.setattr(
             emdet.oracle, "expand",
-            lambda config, proposals: np.zeros(len(proposals), dtype=np.int64))
+            lambda categories, centers, proposals: np.zeros(len(proposals), dtype=np.int64))
         rc = main(["oracle", "--data", str(bench["mixed"]),
                    "--ckpt", str(bench["ckpt"]), "--mode", "exact"])
         assert rc == 1

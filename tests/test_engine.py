@@ -75,7 +75,7 @@ class TestEmConfigValidation:
 
 class TestPosteriorTable:
     def config_set(self):
-        return LatentConfigSet((1,), np.array([[0], [1]]), "exact")
+        return LatentConfigSet((1,), np.array([[0], [1]]))
 
     def test_rejects_wrong_weight_count(self):
         with pytest.raises(ValueError, match="configs"):
@@ -169,7 +169,6 @@ class TestEStep:
     def test_exact_uniform_posterior(self):
         rec = isolated_weak_record("w", 5, (1,), dim=3)
         post = e_step(rec, ScorerParams.zeros(2, 3), EmConfig(mode="exact"))
-        assert post.config_set.mode == "exact"
         assert np.allclose(post.weights, 0.2, atol=1e-12)
 
     def test_hard_matches_argmax_selection(self):
@@ -292,7 +291,7 @@ class TestEStepFromScores:
 class TestSoftLabels:
     def test_hard_posterior_gives_one_hot_rows(self):
         rec = isolated_weak_record("w", 3, (1,), dim=3)
-        post = PosteriorTable("w", LatentConfigSet((1,), np.array([[0]]), "hard"),
+        post = PosteriorTable("w", LatentConfigSet((1,), np.array([[0]])),
                               np.array([1.0]))
         q = soft_labels(post, rec, 2).q
         assert np.array_equal(q, np.array([[0, 1], [1, 0], [1, 0]], dtype=float))
@@ -300,7 +299,7 @@ class TestSoftLabels:
     def test_split_posterior_splits_the_marginals(self):
         rec = isolated_weak_record("w", 3, (1,), dim=3)
         post = PosteriorTable("w",
-                              LatentConfigSet((1,), np.array([[0], [1]]), "exact"),
+                              LatentConfigSet((1,), np.array([[0], [1]])),
                               np.array([0.5, 0.5]))
         q = soft_labels(post, rec, 2).q
         assert np.allclose(q, np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]))
@@ -309,7 +308,7 @@ class TestSoftLabels:
         # proposal 1 overlaps center 0 above the threshold, proposal 2 not
         boxes = [Box(0, 0, 10, 10), Box(1, 0, 11, 10), Box(40, 40, 50, 50)]
         rec = weak_record("w", boxes, np.zeros((3, 3)), (1,))
-        post = PosteriorTable("w", LatentConfigSet((1,), np.array([[0]]), "hard"),
+        post = PosteriorTable("w", LatentConfigSet((1,), np.array([[0]])),
                               np.array([1.0]))
         q = soft_labels(post, rec, 2).q
         assert np.array_equal(q, np.array([[0, 1], [0, 1], [1, 0]], dtype=float))
@@ -332,8 +331,9 @@ class TestSoftLabels:
                                      num_fg=3, feature_dim=4)
             post = e_step(rec, random_params(rng, 4, 4), EmConfig(mode="exact"))
             expected = np.zeros((9, 4))
-            for w, config in zip(post.weights, post.config_set):
-                expected[np.arange(9), naive_expand(config, rec.proposals)] += w
+            cats = post.config_set.categories
+            for w, row in zip(post.weights, post.config_set.centers):
+                expected[np.arange(9), naive_expand(cats, row, rec.proposals)] += w
             assert np.max(np.abs(soft_labels(post, rec, 4).q - expected)) < 1e-12
 
     def test_exact_posterior_memory_is_bounded_by_the_chunk(self):
@@ -354,7 +354,7 @@ class TestSoftLabels:
 
     def test_rejects_categories_beyond_count(self):
         rec = isolated_weak_record("w", 2, (3,), dim=3)
-        post = PosteriorTable("w", LatentConfigSet((3,), np.array([[0]]), "hard"),
+        post = PosteriorTable("w", LatentConfigSet((3,), np.array([[0]])),
                               np.array([1.0]))
         with pytest.raises(ValueError, match="categories exist"):
             soft_labels(post, rec, 2)

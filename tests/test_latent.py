@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,16 +6,19 @@ import pytest
 
 import emdet.latent
 from emdet.geometry import Box, iou
-from emdet.latent import (CENTER_IOU, LABEL_CHUNK, ImageLabel, LatentConfig,
-                          LatentConfigSet, center_geometry, config_labels,
-                          config_log_likelihood, enumerate_exact,
-                          exact_config_values, exact_log_likelihood_grid,
-                          expand, label_marginals, logsumexp,
-                          score_config_set, select_k)
+from emdet.latent import (CENTER_IOU, LABEL_CHUNK, ImageLabel, LatentConfigSet,
+                          enumerate_exact, exact_config_values,
+                          exact_log_likelihood_grid, expand, label_marginals,
+                          logsumexp, score_config_set, select_k)
 from emdet.oracle import expand as naive_expand
 from helpers import fg_log_probs, isolated_boxes, random_box
 
 WORKED_PROPOSALS = [Box(0, 0, 10, 10), Box(1, 1, 11, 11), Box(20, 20, 30, 30)]
+
+
+def one_config(categories, centers):
+    """The set holding the single config that puts categories[m]'s center at centers[m]."""
+    return LatentConfigSet(categories, np.array([centers]))
 
 
 def uniform_log_probs(num_proposals, num_categories):
@@ -65,23 +69,22 @@ class TestImageLabel:
 
 class TestExpand:
     def test_neighbor_takes_center_category(self):
-        config = LatentConfig(((1, 0),))
         assert iou(WORKED_PROPOSALS[0], WORKED_PROPOSALS[1]) >= CENTER_IOU
-        assert expand(config, WORKED_PROPOSALS).tolist() == [1, 1, 0]
+        assert expand(one_config((1,), (0,)), WORKED_PROPOSALS).tolist() == [[1, 1, 0]]
 
     def test_isolated_boxes_label_centers_only(self):
         boxes = isolated_boxes(4)
-        labels = expand(LatentConfig(((1, 1), (2, 3))), boxes)
+        labels = expand(one_config((1, 2), (1, 3)), boxes)[0]
         assert labels.tolist() == [0, 1, 0, 2]
 
     def test_disjoint_neighborhoods_union(self):
         # two clusters of two boxes each, no overlap across clusters
         boxes = [Box(0, 0, 10, 10), Box(1, 1, 11, 11),
                  Box(40, 40, 50, 50), Box(41, 41, 51, 51)]
-        both = expand(LatentConfig(((1, 0), (2, 2))), boxes)
+        both = expand(one_config((1, 2), (0, 2)), boxes)[0]
         assert both.tolist() == [1, 1, 2, 2]
-        one = expand(LatentConfig(((1, 0),)), boxes)
-        two = expand(LatentConfig(((2, 2),)), boxes)
+        one = expand(one_config((1,), (0,)), boxes)[0]
+        two = expand(one_config((2,), (2,)), boxes)[0]
         assert np.array_equal(both, one + two)
 
     def test_tie_goes_to_lower_category(self):
@@ -89,19 +92,19 @@ class TestExpand:
         boxes = [Box(0, 0, 2, 2), Box(0, 0, 4, 2), Box(0, 0, 2, 4)]
         assert iou(boxes[0], boxes[1]) == 0.5
         assert iou(boxes[0], boxes[2]) == 0.5
-        labels = expand(LatentConfig(((1, 1), (2, 2))), boxes)
+        labels = expand(one_config((1, 2), (1, 2)), boxes)[0]
         assert labels[0] == 1
 
     def test_centers_keep_their_own_category(self):
         # identical boxes as centers of different categories
         boxes = [Box(0, 0, 5, 5), Box(0, 0, 5, 5)]
-        labels = expand(LatentConfig(((1, 0), (2, 1))), boxes)
+        labels = expand(one_config((1, 2), (0, 1)), boxes)[0]
         assert labels.tolist() == [1, 2]
 
     def test_higher_iou_center_wins(self):
         boxes = [Box(0, 0, 10, 10), Box(0, 0, 10, 9), Box(0, 0, 10, 16)]
         # center 1 overlaps proposal 0 at 0.9, center 2 at 0.625
-        labels = expand(LatentConfig(((1, 2), (2, 1))), boxes)
+        labels = expand(one_config((1, 2), (2, 1)), boxes)[0]
         assert labels[0] == 2
 
 
@@ -126,10 +129,9 @@ class TestLabellingKernel:
         for boxes, config_set, log_probs in self.instances(chunk):
             # every set spans more than one chunk of 7; of the default, only M = 4 does
             assert len(config_set) > chunk or len(config_set.categories) < 4
-            naive = np.array([naive_expand(c, boxes) for c in config_set])
-            labels = config_labels(center_geometry(boxes), config_set.categories,
-                                   config_set.centers)
-            assert np.array_equal(labels, naive)
+            naive = np.array([naive_expand(config_set.categories, row, boxes)
+                              for row in config_set.centers])
+            assert np.array_equal(expand(config_set, boxes), naive)
 
             direct = log_probs[np.arange(len(boxes)), naive].sum(axis=1)
             values = score_config_set(config_set, log_probs, boxes)
@@ -144,7 +146,7 @@ class TestLabellingKernel:
             assert np.max(np.abs(q - expected)) < 1e-12
 
     def test_out_of_range_center_is_rejected(self):
-        config_set = LatentConfigSet((1,), np.array([[3]]), "k_em")
+        config_set = one_config((1,), (3,))
         with pytest.raises(ValueError, match="only 3 proposals"):
             score_config_set(config_set, uniform_log_probs(3, 2), isolated_boxes(3))
 
@@ -169,12 +171,17 @@ class TestEnumerateExact:
         assert rows == sorted(rows)
         assert rows[0] == (0, 1)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_rows_match_filtered_product(self, m):
+        boxes = isolated_boxes(5)
+        rows = [tuple(r) for r in enumerate_exact(boxes, ImageLabel(tuple(range(1, m + 1)))).centers]
+        assert rows == [c for c in itertools.product(range(5), repeat=m) if len(set(c)) == m]
+
     def test_column_max_reconstructs_label(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             boxes, label, _ = random_instance(rng)
-            for config in enumerate_exact(boxes, label):
-                labels = expand(config, boxes)
+            for labels in expand(enumerate_exact(boxes, label), boxes):
                 present = tuple(sorted(set(labels.tolist()) - {0}))
                 assert present == label.categories
 
@@ -183,15 +190,14 @@ class TestConfigLogLikelihood:
     def test_uniform_scorer_symmetry(self):
         boxes = isolated_boxes(3)
         log_probs = uniform_log_probs(3, 2)
-        for config in enumerate_exact(boxes, ImageLabel((1,))):
-            value = config_log_likelihood(config, log_probs, boxes)
-            assert abs(value - 3 * math.log(0.5)) < 1e-12
+        config_set = enumerate_exact(boxes, ImageLabel((1,)))
+        values = score_config_set(config_set, log_probs, boxes)
+        assert np.max(np.abs(values - 3 * math.log(0.5))) < 1e-12
 
     def test_isolated_hand_value(self):
         boxes = isolated_boxes(3)
         log_probs = fg_log_probs([0.9, 0.2, 0.1])
-        value = config_log_likelihood(LatentConfig(((1, 0),)),
-                                      log_probs, boxes)
+        value = score_config_set(one_config((1,), (0,)), log_probs, boxes)[0]
         expected = math.log(0.9) + math.log(0.8) + math.log(0.9)
         assert abs(value - expected) < 1e-12
 
@@ -200,18 +206,17 @@ class TestConfigLogLikelihood:
         log_probs = uniform_log_probs(2, 2)
         log_probs[1, 1] = -np.inf
         with pytest.raises(ValueError):
-            config_log_likelihood(LatentConfig(((1, 0),)),
-                                  log_probs, boxes)
+            score_config_set(one_config((1,), (0,)), log_probs, boxes)
 
     def test_incremental_matches_direct_sum(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
             boxes, label, log_probs = random_instance(rng, max_m=3, max_fg=3)
-            for config in enumerate_exact(boxes, label):
-                labels = expand(config, boxes)
-                direct = float(log_probs[np.arange(len(boxes)), labels].sum())
-                fast = config_log_likelihood(config, log_probs, boxes)
-                assert abs(fast - direct) < 1e-12
+            config_set = enumerate_exact(boxes, label)
+            labels = expand(config_set, boxes)
+            direct = log_probs[np.arange(len(boxes)), labels].sum(axis=1)
+            fast = score_config_set(config_set, log_probs, boxes)
+            assert np.max(np.abs(fast - direct)) < 1e-12
 
 
 class TestExactGrid:
@@ -223,10 +228,8 @@ class TestExactGrid:
             grid = exact_log_likelihood_grid(boxes, label, log_probs)
             assert grid.shape == (len(boxes),) * len(label)
             config_set = enumerate_exact(boxes, label)
-            for n, config in enumerate(config_set):
-                idx = tuple(config_set.centers[n])
-                slow = config_log_likelihood(config, log_probs, boxes)
-                worst = max(worst, abs(grid[idx] - slow))
+            slow = score_config_set(config_set, log_probs, boxes)
+            worst = max(worst, np.max(np.abs(grid[tuple(config_set.centers.T)] - slow)))
         assert worst < 1e-12
 
     def test_four_categories_score_every_distinct_row(self):
@@ -238,9 +241,8 @@ class TestExactGrid:
         grid = exact_log_likelihood_grid(boxes, label, log_probs)
         config_set = enumerate_exact(boxes, label)
         assert np.isfinite(grid).sum() == len(config_set)
-        for n, config in enumerate(config_set):
-            slow = config_log_likelihood(config, log_probs, boxes)
-            assert abs(grid[tuple(config_set.centers[n])] - slow) < 1e-12
+        slow = score_config_set(config_set, log_probs, boxes)
+        assert np.max(np.abs(grid[tuple(config_set.centers.T)] - slow)) < 1e-12
 
     def test_duplicate_entries_masked(self):
         boxes = isolated_boxes(3)
@@ -248,6 +250,11 @@ class TestExactGrid:
                                          uniform_log_probs(3, 3))
         for i in range(3):
             assert grid[i, i] == -np.inf
+        # three slots: a repeat in the first and last slot is masked too
+        grid = exact_log_likelihood_grid(isolated_boxes(4), ImageLabel((1, 2, 3)),
+                                         uniform_log_probs(4, 4))
+        assert grid[0, 1, 0] == -np.inf
+        assert np.isfinite(grid).sum() == 4 * 3 * 2
 
     def test_exact_config_values_alignment(self):
         rng = np.random.default_rng(31)
@@ -255,10 +262,8 @@ class TestExactGrid:
         config_set, values = exact_config_values(boxes, label, log_probs)
         reference = enumerate_exact(boxes, label)
         assert np.array_equal(config_set.centers, reference.centers)
-        for n in range(len(config_set)):
-            slow = config_log_likelihood(config_set.config_at(n), log_probs,
-                                         boxes)
-            assert abs(values[n] - slow) < 1e-12
+        slow = score_config_set(config_set, log_probs, boxes)
+        assert np.max(np.abs(values - slow)) < 1e-12
 
 
 class TestSelectK:
@@ -320,19 +325,18 @@ class TestSelectK:
 class TestConfigSetValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            LatentConfigSet((1, 2), np.array([[0], [1]]), "exact")
+            LatentConfigSet((1, 2), np.array([[0], [1]]))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            LatentConfigSet((1,), np.array([[0]]), "soft")
-
-    def test_duplicate_centers_within_row_rejected(self):
-        with pytest.raises(ValueError):
-            LatentConfigSet((1, 2), np.array([[1, 1]]), "exact")
+    @pytest.mark.parametrize("a, b", itertools.combinations(range(4), 2))
+    def test_duplicate_centers_within_row_rejected(self, a, b):
+        row = [0, 1, 2, 3]
+        row[b] = row[a]
+        with pytest.raises(ValueError, match="reuses one proposal"):
+            LatentConfigSet((1, 2, 3, 4), np.array([[0, 1, 2, 3], row]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            LatentConfigSet((1,), np.zeros((0, 1), dtype=np.int64), "exact")
+            LatentConfigSet((1,), np.zeros((0, 1), dtype=np.int64))
 
 
 class TestLogsumexp:
