@@ -214,10 +214,10 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig) -> Poste
     _check_enumeration_size(record, label)
     if config.mode == "hard":
         grid = exact_log_likelihood_grid(record.proposals, label, log_probs)
-        if not np.isfinite(grid.max()):
+        flat = int(np.argmax(grid))
+        if not np.isfinite(grid.flat[flat]):
             raise ValueError(
                 f"image {record.image_id} has zero likelihood under the scorer")
-        flat = int(np.argmax(grid))
         centers = np.array(np.unravel_index(flat, grid.shape)).reshape(1, -1)
         config_set = LatentConfigSet(label.categories, centers)
         return PosteriorTable(record.image_id, config_set, np.array([1.0]))
@@ -341,7 +341,11 @@ def learning_rate(config: EmConfig, step: int) -> float:
 def _sample_rows(rng: np.random.Generator, pool: np.ndarray, count: int) -> np.ndarray:
     if pool.size == 0 or count == 0:
         return np.empty(0, dtype=np.int64)
-    return rng.choice(pool, size=count, replace=pool.size < count)
+    if pool.size < count:
+        # The draws and generator state of rng.choice(..., replace=True),
+        # without its per-call checks.
+        return pool[rng.integers(pool.size, size=count)]
+    return rng.choice(pool, size=count, replace=False)
 
 
 def _pools(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

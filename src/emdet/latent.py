@@ -33,7 +33,9 @@ def logsumexp(values: np.ndarray) -> float:
     m = values.max()
     if not np.isfinite(m):
         return float(m)
-    return float(m + np.log(np.exp(values - m).sum()))
+    shifted = values - m
+    np.exp(shifted, out=shifted)
+    return float(m + np.log(shifted.sum()))
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,18 @@ def exact_log_likelihood_grid(proposals: list[Box], z,
     Entry [j1, ..., jM] scores the config placing category z[m]'s center at
     proposal jm; entries with repeated indices are -inf.  Matches
     score_config_set to float accumulation order.
+
+    For M <= 3 the grid is built by inclusion-exclusion over neighborhoods.
+    The dense part is ((base + u[j1]) + v[j2]) + w[j3], where base is the
+    all-background sum and u, v, w each center's foreground deltas over the
+    proposals it covers.  The overlap corrections are sparse: they come from
+    the (i, j, k) entries where distinct centers j and k both cover proposal
+    i, listed by i, then j, then k.  For each slot pair the losing slot's
+    delta is summed per (j, k) in that order and subtracted only on the
+    (j, k) lines it touches.  For M = 3, each proposal covered by all three
+    centers then gets its bottom-ranked slot's delta added back, in order
+    of i.  Entries never touched by a correction cost no work beyond the
+    dense part.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
@@ -251,50 +265,65 @@ def exact_log_likelihood_grid(proposals: list[Box], z,
     delta = log_probs[:, cats] - log_probs[:, [0]]
     per_center = covered.T.astype(np.float64) @ delta  # (B, M)
 
-    grid = np.full((B,) * M, base)
+    grid = base
     for m in range(M):
-        grid += per_center[:, m].reshape(_axis_shape(M, m, B))
+        grid = grid + per_center[:, m].reshape(_axis_shape(M, m, B))
 
     if M >= 2:
         # Where two neighborhoods share a proposal the plain sum counts both
-        # categories; subtract the losing one for every pair of slots.
-        both = covered[:, :, None] & covered[:, None, :]
-        first_wins = keys[:, :, None] >= keys[:, None, :]
+        # categories; subtract the losing one for every pair of slots.  Only
+        # proposals i covered by two distinct centers j, k contribute.
+        rows, cols = np.nonzero(covered)
+        counts = np.bincount(rows, minlength=B)
+        entry, k = _cover_join(counts, cols, rows)
+        i, j = rows[entry], cols[entry]
+        keep = j != k
+        i, j, k = i[keep], j[keep], k[keep]
+        line = j * B + k
+        touched = np.flatnonzero(np.bincount(line, minlength=B * B))
+        first_wins = keys[i, j] >= keys[i, k]
         for a in range(M):
             for b in range(a + 1, M):
-                loser = np.where(first_wins, delta[:, b, None, None],
-                                 delta[:, a, None, None])
-                pair = np.einsum("ijk,ijk->jk", both.astype(np.float64), loser)
-                grid -= pair.reshape(_pair_shape(M, a, b, B))
+                loser = np.where(first_wins, delta[i, b], delta[i, a])
+                pair = np.bincount(line, weights=loser, minlength=B * B)[touched]
+                lines = np.moveaxis(grid, (a, b), (0, 1))
+                lines[touched // B, touched % B] -= pair.reshape((-1,) + (1,) * (M - 2))
 
     if M == 3:
         # Proposals covered by all three chosen centers lost one delta too
         # many above; add back the bottom-ranked slot's delta.
-        for i in range(B):
-            cover = np.flatnonzero(covered[i])
-            if cover.size == 0:
-                continue
-            k = keys[i, cover]
-            ka, kb, kc = k[:, None, None], k[None, :, None], k[None, None, :]
-            third_c = (ka >= kc) & (kb >= kc)
-            third_b = (ka >= kb) & ~(kb >= kc)
-            add = np.where(third_c, delta[i, 2], np.where(third_b, delta[i, 1], delta[i, 0]))
-            grid[np.ix_(cover, cover, cover)] += add
+        entry, l = _cover_join(counts, cols, i)
+        i, j, k = i[entry], j[entry], k[entry]
+        keep = (l != j) & (l != k)
+        i, j, k, l = i[keep], j[keep], k[keep], l[keep]
+        ka, kb, kc = keys[i, j], keys[i, k], keys[i, l]
+        third_c = (ka >= kc) & (kb >= kc)
+        third_b = (ka >= kb) & ~(kb >= kc)
+        add = np.where(third_c, delta[i, 2], np.where(third_b, delta[i, 1], delta[i, 0]))
+        np.add.at(grid, (j, k, l), add)
 
     grid[_reuses_proposal(np.indices(grid.shape, sparse=True))] = -np.inf
     return grid
 
 
+def _cover_join(counts: np.ndarray, cols: np.ndarray, i: np.ndarray):
+    """Pair each entry of i with every center covering proposal i.
+
+    ``cols`` lists the covering centers of proposal 0, then 1, ..., and
+    ``counts`` how many each has.  Returns the entry index of every pair and
+    its center: entries keep their order, and each one's centers come in
+    index order.
+    """
+    n = counts[i]
+    entry = np.repeat(np.arange(i.size), n)
+    offset = np.arange(entry.size) - np.repeat(np.cumsum(n) - n, n)
+    first = np.cumsum(counts) - counts
+    return entry, cols[first[i][entry] + offset]
+
+
 def _axis_shape(M: int, axis: int, B: int) -> tuple[int, ...]:
     shape = [1] * M
     shape[axis] = B
-    return tuple(shape)
-
-
-def _pair_shape(M: int, a: int, b: int, B: int) -> tuple[int, ...]:
-    shape = [1] * M
-    shape[a] = B
-    shape[b] = B
     return tuple(shape)
 
 

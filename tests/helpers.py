@@ -23,6 +23,20 @@ def isolated_boxes(count, size=5.0, gap=20.0):
             for i in range(count)]
 
 
+def clustered_boxes(rng, count):
+    """Overlapping boxes that meet every case of the center-coverage rule.
+
+    Unit shifts of one 10x10 box overlap at IoU >= 0.5 up to three units
+    apart, so a box in the middle of the chain is covered by three or more
+    other centers at once.  One box is duplicated, and a half box overlaps
+    the first one at IoU exactly 0.5.
+    """
+    boxes = [Box(float(x), 0.0, float(x + 10), 10.0) for x in range(count - 2)]
+    boxes.append(boxes[int(rng.integers(count - 2))])
+    boxes.append(Box(0.0, 0.0, 5.0, 10.0))
+    return [boxes[int(i)] for i in rng.permutation(count)]
+
+
 def random_weak_record(rng, image_id="img_0", num_proposals=6, num_fg=2,
                        feature_dim=5, num_present=None):
     if num_present is None:

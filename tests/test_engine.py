@@ -4,6 +4,7 @@ The gradient identity between the surrogate and the soft-label cross entropy
 is checked numerically; posterior values are checked against hand products.
 """
 
+import itertools
 import logging
 import math
 import time
@@ -33,6 +34,7 @@ from emdet.engine import (
     surrogate_value,
     _minibatch_rows,
     _pools,
+    _sample_rows,
 )
 from emdet.geometry import Box
 from emdet.latent import GuardError, LatentConfigSet
@@ -45,6 +47,7 @@ from emdet.scorer import (
     weighted_ce_gradient,
 )
 from helpers import (
+    clustered_boxes,
     isolated_boxes,
     isolated_weak_record,
     random_params,
@@ -185,6 +188,36 @@ class TestEStep:
         rec = isolated_weak_record("w", 4, (1, 2), dim=3)
         post = e_step(rec, ScorerParams.zeros(3, 3), EmConfig(mode="hard"))
         assert tuple(post.config_set.centers[0]) == (0, 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_hard_matches_oracle_on_clustered_instances(self, m):
+        cats = tuple(range(1, m + 1))
+        unique = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            boxes = clustered_boxes(rng, 8)
+            rec = weak_record("w", boxes, rng.normal(size=(8, 3)), cats)
+            params = random_params(rng, 4, 3, scale=1.0)
+            centers = tuple(e_step(rec, params, EmConfig(mode="hard")).config_set.centers[0])
+            best = brute_hard_config(rec, params)
+            # Configs with identical labels tie exactly; the grid's rounding,
+            # not index order, decides among them.
+            labels = naive_expand(cats, best, boxes)
+            tied = [c for c in itertools.permutations(range(8), m)
+                    if np.array_equal(naive_expand(cats, c, boxes), labels)]
+            if tied == [best]:
+                unique += 1
+                assert centers == best
+            else:
+                assert centers in tied
+        assert unique > 0
+
+    def test_hard_rejects_zero_likelihood(self):
+        rec = isolated_weak_record("w", 4, (1, 2), dim=3)
+        weights = np.zeros((3, 4))
+        weights[1, 0] = np.nan
+        with pytest.raises(ValueError, match="zero likelihood"):
+            e_step(rec, ScorerParams(weights), EmConfig(mode="hard"))
 
     def test_truncated_with_full_budget_matches_exact(self):
         rng = np.random.default_rng(9)
@@ -440,6 +473,20 @@ class TestMinibatchRows:
         rows = _minibatch_rows(rng, *_pools(q), EmConfig())
         assert rows.shape == (48,)
         assert set(rows.tolist()) <= set(range(6))
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize("size", [1, 5, 15, 16, 17, 60])
+    @pytest.mark.parametrize("count", [16, 48])
+    def test_draws_and_generator_state_match_choice(self, size, count):
+        pool = np.arange(size, dtype=np.int64) * 3 + 1
+        for seed in range(5):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = _sample_rows(rng, pool, count)
+            expected = reference.choice(pool, size=count, replace=pool.size < count)
+            assert rows.dtype == expected.dtype
+            assert np.array_equal(rows, expected)
+            assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestMStep:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from emdet.latent import (CENTER_IOU, LABEL_CHUNK, ImageLabel, LatentConfigSet,
                           exact_log_likelihood_grid, expand, label_marginals,
                           logsumexp, score_config_set, select_k)
 from emdet.oracle import expand as naive_expand
-from helpers import fg_log_probs, isolated_boxes, random_box
+from helpers import clustered_boxes, fg_log_probs, isolated_boxes, random_box
 
 WORKED_PROPOSALS = [Box(0, 0, 10, 10), Box(1, 1, 11, 11), Box(20, 20, 30, 30)]
 
@@ -243,6 +244,36 @@ class TestExactGrid:
         assert np.isfinite(grid).sum() == len(config_set)
         slow = score_config_set(config_set, log_probs, boxes)
         assert np.max(np.abs(grid[tuple(config_set.centers.T)] - slow)) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_clustered_grid_matches_naive_expansion(self, m):
+        # duplicates, IoU exactly 0.5 and proposals covered by three centers
+        rng = np.random.default_rng(40 + m)
+        for _ in range(8):
+            boxes = clustered_boxes(rng, 8)
+            cats = tuple(sorted(rng.choice(np.arange(1, 5), size=m, replace=False).tolist()))
+            logits = rng.normal(0.0, 1.5, size=(8, 5))
+            log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            grid = exact_log_likelihood_grid(boxes, ImageLabel(cats), log_probs)
+            for centers in itertools.product(range(8), repeat=m):
+                if len(set(centers)) < m:
+                    assert grid[centers] == -np.inf
+                    continue
+                labels = naive_expand(cats, centers, boxes)
+                assert abs(grid[centers] - log_probs[np.arange(8), labels].sum()) < 1e-12
+
+    def test_peak_memory_stays_below_twice_the_grid(self):
+        rng = np.random.default_rng(25)
+        boxes = [random_box(rng) for _ in range(50)]
+        logits = rng.normal(0.0, 1.5, size=(50, 4))
+        log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        tracemalloc.start()
+        try:
+            grid = exact_log_likelihood_grid(boxes, ImageLabel((1, 2, 3)), log_probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid.nbytes
 
     def test_duplicate_entries_masked(self):
         boxes = isolated_boxes(3)
