@@ -1,10 +1,11 @@
 """Dataset records, synthetic benchmark generation, and JSONL IO.
 
-An image record carries proposals with precomputed feature rows plus either a
-strong annotation (ground-truth boxes) or a weak one (the set of categories
-present).  The synthetic generator plants one ground-truth box per sampled
-category, surrounds it with jittered proposals, and derives features from a
-fixed orthogonal prototype per category so a linear scorer can succeed.
+An image record carries its proposals as one (B, 4) array of [x1, y1, x2, y2]
+rows, with precomputed feature rows, plus either a strong annotation
+(ground-truth boxes) or a weak one (the set of categories present).  The
+synthetic generator plants one ground-truth box per sampled category,
+surrounds it with jittered proposals, and derives features from a fixed
+orthogonal prototype per category so a linear scorer can succeed.
 """
 
 from __future__ import annotations
@@ -49,24 +50,37 @@ class ImageRecord:
     image_id: str
     width: float
     height: float
-    proposals: list[Box]
+    proposals: np.ndarray
     features: np.ndarray
     annotation: WeakAnnotation | StrongAnnotation
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image {self.image_id} has non-positive size")
-        if len(self.proposals) == 0:
+        self.proposals = np.asarray(self.proposals, dtype=np.float64)
+        if self.proposals.ndim != 2 or self.proposals.shape[1] != 4:
+            raise ValueError(f"image {self.image_id}: proposals must be a (B, 4) array of "
+                             f"[x1, y1, x2, y2] rows, got shape {self.proposals.shape}")
+        if self.proposals.shape[0] == 0:
             raise ValueError(f"image {self.image_id} has no proposals")
+        if not np.all(np.isfinite(self.proposals)):
+            raise ValueError(f"image {self.image_id}: proposal coordinates must be finite")
+        x1, y1, x2, y2 = self.proposals.T
+        degenerate = np.flatnonzero(~((x1 < x2) & (y1 < y2)))
+        if degenerate.size:
+            raise ValueError(f"image {self.image_id}: degenerate proposal {degenerate[0]}: "
+                             f"{self.proposals[degenerate[0]].tolist()}")
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] != len(self.proposals):
+        if self.features.ndim != 2 or self.features.shape[0] != self.num_proposals:
             raise ValueError(
                 f"image {self.image_id}: {self.features.shape} feature matrix for "
-                f"{len(self.proposals)} proposals")
+                f"{self.num_proposals} proposals")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError(f"image {self.image_id}: features must be finite")
 
     @property
     def num_proposals(self) -> int:
-        return len(self.proposals)
+        return self.proposals.shape[0]
 
     @property
     def is_weak(self) -> bool:
@@ -198,18 +212,17 @@ def _synthesize_image(rng: np.random.Generator, cfg: GeneratorConfig,
     cats = np.sort(rng.choice(cfg.num_fg_categories, size=m, replace=False) + 1)
     objects = tuple(GroundTruth(_random_box(rng, cfg), int(c)) for c in cats)
 
-    proposals: list[Box] = []
+    boxes: list[Box] = []
     for gt in objects:
         for j in range(cfg.jitters_per_object):
             # Magnitudes from near-copies to loose context boxes.
             frac = j / max(cfg.jitters_per_object - 1, 1)
-            proposals.append(_jittered_box(rng, gt.box, 0.03 + 0.55 * frac, cfg))
-    while len(proposals) < cfg.proposals_per_image:
-        proposals.append(_random_box(rng, cfg))
-    proposals = proposals[:cfg.proposals_per_image]
+            boxes.append(_jittered_box(rng, gt.box, 0.03 + 0.55 * frac, cfg))
+    while len(boxes) < cfg.proposals_per_image:
+        boxes.append(_random_box(rng, cfg))
+    proposals = boxes_to_array(boxes[:cfg.proposals_per_image])
 
-    overlap = iou_matrix(boxes_to_array(proposals),
-                         boxes_to_array([g.box for g in objects]))
+    overlap = iou_matrix(proposals, boxes_to_array([g.box for g in objects]))
     features = rng.normal(0.0, cfg.noise_sigma,
                           size=(len(proposals), cfg.feature_dim))
     for col, gt in enumerate(objects):
@@ -281,7 +294,7 @@ def _record_to_json(record: ImageRecord) -> dict:
         "id": record.image_id,
         "width": record.width,
         "height": record.height,
-        "proposals": [b.to_list() for b in record.proposals],
+        "proposals": record.proposals.tolist(),
         "features": [[float(v) for v in row] for row in record.features],
         "annotation": ann,
     }
@@ -307,8 +320,9 @@ def _parse_record(obj: dict, where: str) -> ImageRecord:
     for key in ("id", "width", "height", "proposals", "features", "annotation"):
         if key not in obj:
             raise SchemaError(f"{where}: missing key {key!r}")
-    proposals = [_parse_box(b, where) for b in obj["proposals"]]
-    features = obj["features"]
+    proposals, features = obj["proposals"], obj["features"]
+    if not isinstance(proposals, list):
+        raise SchemaError(f"{where}: proposals must be a list of [x1, y1, x2, y2] boxes")
     if not isinstance(features, list) or len(features) != len(proposals):
         raise SchemaError(
             f"{where}: {len(features) if isinstance(features, list) else 'no'} "
@@ -377,8 +391,7 @@ def make_init_scores(dataset: Dataset, noise_sigma: float = 0.4,
         base = np.zeros((record.num_proposals, num_fg_categories))
         objects = record.annotation.objects
         if objects:
-            overlap = iou_matrix(boxes_to_array(record.proposals),
-                                 boxes_to_array([g.box for g in objects]))
+            overlap = iou_matrix(record.proposals, boxes_to_array([g.box for g in objects]))
             for col, gt in enumerate(objects):
                 cat = gt.category - 1
                 base[:, cat] = np.maximum(base[:, cat], overlap[:, col])

@@ -23,6 +23,7 @@ from emdet.data import Dataset, ImageRecord
 from emdet.geometry import boxes_to_array, iou_matrix
 from emdet.latent import (
     CENTER_IOU,
+    OBJECTIVE_GUARD,
     GuardError,
     LatentConfigSet,
     enumerate_exact,
@@ -44,10 +45,6 @@ from emdet.scorer import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Largest exact enumeration (B ** M configs) the objective or an exact or
-# hard E-step will attempt per weak image.
-OBJECTIVE_GUARD = 10 ** 6
 
 
 @dataclass
@@ -107,9 +104,9 @@ class PosteriorTable:
         if self.weights.shape != (len(self.config_set),):
             raise ValueError(
                 f"{self.weights.shape} weights for {len(self.config_set)} configs")
-        if np.any(self.weights < 0):
-            raise ValueError("posterior weights must be non-negative")
-        if abs(self.weights.sum() - 1.0) > 1e-9:
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+            raise ValueError("posterior weights must be finite and non-negative")
+        if not abs(self.weights.sum() - 1.0) <= 1e-9:
             raise ValueError(f"posterior weights sum to {self.weights.sum()}, not 1")
 
 
@@ -159,8 +156,7 @@ def strong_label_vector(record: ImageRecord, num_categories: int) -> np.ndarray:
             raise ValueError(
                 f"image {record.image_id} has category {cats.max()} but the scorer "
                 f"only covers {num_categories} categories")
-        overlap = iou_matrix(boxes_to_array(record.proposals),
-                             boxes_to_array([g.box for g in objects]))
+        overlap = iou_matrix(record.proposals, boxes_to_array([g.box for g in objects]))
         best = overlap.argmax(axis=1)
         best_iou = overlap[np.arange(len(labels)), best]
         labels = np.where(best_iou >= CENTER_IOU, cats[best], 0)
@@ -198,7 +194,15 @@ def _normalized(values: np.ndarray) -> np.ndarray:
 
 
 def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig) -> PosteriorTable:
-    """Posterior over latent configs for one weak image under the scorer."""
+    """Posterior over latent configs for one weak image under the scorer.
+
+    In "hard" mode the one config kept is the argmax of the exact grid.
+    Configs that label every proposal alike (a center absorbed by another
+    center's neighborhood, or duplicate proposals) have equal likelihoods,
+    but the grid's inclusion-exclusion sums can differ in the last bits
+    between them, so such ties go by rounding, not by index order.  The
+    labels, and so training, do not depend on which tied config is kept.
+    """
     label = _weak_label(record)
     log_probs = log_prob_matrix(params, record.features)
     if max(label.categories) >= params.num_categories:
@@ -243,8 +247,9 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
         raise ValueError(
             f"image {record.image_id}: scores cover {scores.shape[1]} foreground "
             f"categories but the label mentions {max(label.categories)}")
-    if np.any(scores < 0):
-        raise ValueError("init scores must be non-negative")
+    if not np.all(np.isfinite(scores)) or np.any(scores < 0):
+        raise ValueError(
+            f"image {record.image_id}: init scores must be finite and non-negative")
 
     if config.mode == "k_em":
         # Rank candidates by the external score column instead of the scorer.

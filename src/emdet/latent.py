@@ -15,10 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from emdet.geometry import Box, boxes_to_array, iou_matrix
+from emdet.geometry import iou_matrix
 
 # IoU at or above which a proposal joins a center's neighborhood.
 CENTER_IOU = 0.5
+
+# Largest number of configs (B ** M for an exact enumeration, r ** M for
+# select_k's candidate product) built for one weak image.
+OBJECTIVE_GUARD = 10 ** 6
 
 
 class GuardError(RuntimeError):
@@ -127,9 +131,10 @@ class CenterGeometry(NamedTuple):
     keys: np.ndarray
 
 
-def center_geometry(proposals: list[Box]) -> CenterGeometry:
-    """Build the per-image (B, B) coverage and keys from one IoU matrix."""
-    overlap = iou_matrix(boxes_to_array(proposals))
+def center_geometry(proposals: np.ndarray) -> CenterGeometry:
+    """Build the per-image (B, B) coverage and keys from one IoU matrix of the
+    (B, 4) proposal coordinates."""
+    overlap = iou_matrix(proposals)
     return CenterGeometry(overlap >= CENTER_IOU, overlap + 2.0 * np.eye(len(proposals)))
 
 
@@ -148,7 +153,7 @@ def _label_chunks(geometry: CenterGeometry, categories, centers: np.ndarray):
         yield start, np.where(covered.any(axis=1), cats[slots], 0)
 
 
-def expand(config_set: LatentConfigSet, proposals: list[Box]) -> np.ndarray:
+def expand(config_set: LatentConfigSet, proposals: np.ndarray) -> np.ndarray:
     """Proposal labels of every config in the set: (N, B) ints, 0 = background.
 
     Center proposals keep their own category.  Any other proposal whose IoU
@@ -163,7 +168,7 @@ def expand(config_set: LatentConfigSet, proposals: list[Box]) -> np.ndarray:
     return np.concatenate([labels for _, labels in chunks])
 
 
-def enumerate_exact(proposals: list[Box], z) -> LatentConfigSet:
+def enumerate_exact(proposals: np.ndarray, z) -> LatentConfigSet:
     """Every config with distinct centers, one per category of z.
 
     Rows are ordered lexicographically by center index along ascending
@@ -178,7 +183,7 @@ def enumerate_exact(proposals: list[Box], z) -> LatentConfigSet:
 
 
 def _check_scoring_inputs(categories, centers: np.ndarray, log_probs: np.ndarray,
-                          proposals: list[Box]) -> None:
+                          proposals: np.ndarray) -> None:
     if log_probs.shape[0] != len(proposals):
         raise ValueError(
             f"{log_probs.shape[0]} score rows for {len(proposals)} proposals")
@@ -205,7 +210,7 @@ def _config_scores(geometry: CenterGeometry, categories, centers: np.ndarray,
 
 
 def score_config_set(config_set: LatentConfigSet, log_probs: np.ndarray,
-                     proposals: list[Box]) -> np.ndarray:
+                     proposals: np.ndarray) -> np.ndarray:
     """Log-likelihood of each config in the set, aligned with its rows."""
     log_probs = np.asarray(log_probs, dtype=np.float64)
     _check_scoring_inputs(config_set.categories, config_set.centers, log_probs, proposals)
@@ -214,7 +219,7 @@ def score_config_set(config_set: LatentConfigSet, log_probs: np.ndarray,
 
 
 def label_marginals(config_set: LatentConfigSet, weights: np.ndarray,
-                    proposals: list[Box], num_categories: int) -> np.ndarray:
+                    proposals: np.ndarray, num_categories: int) -> np.ndarray:
     """Per-proposal category distribution (B, C) under weights over the configs."""
     q = np.zeros((len(proposals), num_categories))
     present = (0, *config_set.categories)
@@ -226,7 +231,7 @@ def label_marginals(config_set: LatentConfigSet, weights: np.ndarray,
     return q
 
 
-def exact_log_likelihood_grid(proposals: list[Box], z,
+def exact_log_likelihood_grid(proposals: np.ndarray, z,
                               log_probs: np.ndarray) -> np.ndarray:
     """Config log-likelihoods for the full enumeration as a (B,) * M array.
 
@@ -327,7 +332,7 @@ def _axis_shape(M: int, axis: int, B: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
-def exact_config_values(proposals: list[Box], z,
+def exact_config_values(proposals: np.ndarray, z,
                         log_probs: np.ndarray) -> tuple[LatentConfigSet, np.ndarray]:
     """The exact enumeration plus its log-likelihoods, row-aligned."""
     config_set = enumerate_exact(proposals, z)
@@ -345,13 +350,14 @@ def _integer_root(k: int, m: int) -> int:
     return r
 
 
-def select_k(proposals: list[Box], z, log_probs: np.ndarray, k: int) -> LatentConfigSet:
+def select_k(proposals: np.ndarray, z, log_probs: np.ndarray, k: int) -> LatentConfigSet:
     """Truncated config set with at most k entries.
 
     Each category keeps its min(B, floor(k ** (1/M))) highest-scoring
     proposals as candidate centers, ties to the lower index; the set is the
     Cartesian product of the candidate lists minus configs that reuse a
-    proposal.
+    proposal.  A product of more than OBJECTIVE_GUARD rows raises GuardError
+    before anything is built.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
@@ -361,6 +367,10 @@ def select_k(proposals: list[Box], z, log_probs: np.ndarray, k: int) -> LatentCo
     if B < M:
         raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
     r = min(B, _integer_root(k, M))
+    if r ** M > OBJECTIVE_GUARD:
+        raise GuardError(
+            f"{B} proposals with {M} categories at k={k} give {r} ** {M} candidate "
+            f"configs, which exceed the {OBJECTIVE_GUARD} config guard")
     candidates = [np.argsort(-log_probs[:, c], kind="stable")[:r] for c in label.categories]
     rows = np.stack([c.ravel() for c in np.meshgrid(*candidates, indexing="ij")], axis=1)
     keep = ~_reuses_proposal(rows.T)

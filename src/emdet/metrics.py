@@ -64,7 +64,8 @@ def _threshold_nms(record: ImageRecord, category: int, scores: np.ndarray,
     """One image's detections of one category: positive scores at or above
     the threshold, then greedy NMS."""
     rows = np.flatnonzero((scores >= score_threshold) & (scores > 0.0))
-    scored = [ScoredBox(record.proposals[i], category, float(scores[i])) for i in rows]
+    scored = [ScoredBox(Box(*record.proposals[i].tolist()), category, float(scores[i]))
+              for i in rows]
     return [Detection(record.image_id, category, kept.box, kept.score)
             for kept in nms(scored, nms_threshold)]
 
@@ -194,7 +195,8 @@ def corloc_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],
             positives += 1
             # ties to the lower index
             top = int(np.argmax(score_map[record.image_id][:, category - 1]))
-            if max(iou(record.proposals[top], g) for g in gt_boxes) >= iou_threshold:
+            proposal = Box(*record.proposals[top].tolist())
+            if max(iou(proposal, g) for g in gt_boxes) >= iou_threshold:
                 correct += 1
         result[category] = correct / positives if positives else None
     defined = [v for v in result.values() if v is not None]

@@ -48,14 +48,16 @@ def _guarded_enumeration(record: ImageRecord) -> list[tuple[int, ...]]:
 
 
 def expand(categories: tuple[int, ...], centers: tuple[int, ...],
-           proposals: list[Box]) -> np.ndarray:
+           proposals: np.ndarray) -> np.ndarray:
     """Naive labels of one config, kept apart from the engine's labelling kernel.
 
-    ``centers[m]`` is the center proposal of ``categories[m]``.  Each proposal
-    scans the centers in category order: a center keeps its own category,
-    otherwise the first center with the highest IoU at or above CENTER_IOU
-    wins and no covering center means background.
+    ``centers[m]`` is the center proposal of ``categories[m]``, a row of the
+    (B, 4) ``proposals``.  Each proposal scans the centers in category order:
+    a center keeps its own category, otherwise the first center with the
+    highest scalar IoU at or above CENTER_IOU wins and no covering center
+    means background.
     """
+    proposals = [Box(*row) for row in proposals.tolist()]
     labels = np.zeros(len(proposals), dtype=np.int64)
     for i, box in enumerate(proposals):
         best = -1.0

@@ -4,7 +4,7 @@ import numpy as np
 
 from emdet.data import (Dataset, GroundTruth, ImageRecord, StrongAnnotation,
                         WeakAnnotation)
-from emdet.geometry import Box
+from emdet.geometry import Box, boxes_to_array
 from emdet.latent import ImageLabel
 from emdet.scorer import ScorerParams
 
@@ -17,14 +17,19 @@ def random_box(rng, canvas=100.0, min_size=4.0, max_size=40.0):
     return Box(x1, y1, x1 + w, y1 + h)
 
 
+def random_boxes(rng, count):
+    """(count, 4) proposals drawn one random_box at a time."""
+    return boxes_to_array([random_box(rng) for _ in range(count)])
+
+
 def isolated_boxes(count, size=5.0, gap=20.0):
-    """Boxes on a diagonal with zero pairwise overlap."""
-    return [Box(gap * i, gap * i, gap * i + size, gap * i + size)
-            for i in range(count)]
+    """(count, 4) proposals on a diagonal with zero pairwise overlap."""
+    corner = gap * np.arange(count, dtype=np.float64)[:, None]
+    return np.hstack([corner, corner, corner + size, corner + size])
 
 
 def clustered_boxes(rng, count):
-    """Overlapping boxes that meet every case of the center-coverage rule.
+    """(count, 4) overlapping proposals that meet every case of the center-coverage rule.
 
     Unit shifts of one 10x10 box overlap at IoU >= 0.5 up to three units
     apart, so a box in the middle of the chain is covered by three or more
@@ -34,7 +39,7 @@ def clustered_boxes(rng, count):
     boxes = [Box(float(x), 0.0, float(x + 10), 10.0) for x in range(count - 2)]
     boxes.append(boxes[int(rng.integers(count - 2))])
     boxes.append(Box(0.0, 0.0, 5.0, 10.0))
-    return [boxes[int(i)] for i in rng.permutation(count)]
+    return boxes_to_array([boxes[int(i)] for i in rng.permutation(count)])
 
 
 def random_weak_record(rng, image_id="img_0", num_proposals=6, num_fg=2,
@@ -43,7 +48,7 @@ def random_weak_record(rng, image_id="img_0", num_proposals=6, num_fg=2,
         num_present = int(rng.integers(1, num_fg + 1))
     cats = np.sort(rng.choice(np.arange(1, num_fg + 1), size=num_present,
                               replace=False))
-    boxes = [random_box(rng) for _ in range(num_proposals)]
+    boxes = random_boxes(rng, num_proposals)
     features = rng.normal(0.0, 1.0, size=(num_proposals, feature_dim))
     return ImageRecord(image_id, 100.0, 100.0, boxes, features,
                        WeakAnnotation(ImageLabel(tuple(int(c) for c in cats))))

@@ -33,7 +33,7 @@ from emdet.engine import (
     soft_labels,
     surrogate_value,
 )
-from emdet.geometry import Box, ScoredBox, nms
+from emdet.geometry import Box, ScoredBox, boxes_to_array, nms
 from emdet.metrics import (
     Detection,
     corloc,
@@ -279,7 +279,8 @@ def test_ac6_metric_worked_examples(tmp_path):
     gt = Box(0.0, 0.0, 10.0, 10.0)
     far = Box(50.0, 50.0, 60.0, 60.0)
 
-    records = [strong_record(name, [gt, far], np.zeros((2, 3)), [(gt, 1)])
+    records = [strong_record(name, boxes_to_array([gt, far]), np.zeros((2, 3)),
+                             [(gt, 1)])
                for name in ("img_a", "img_b")]
     dataset = Dataset(records)
     dets = [Detection("img_a", 1, gt, 0.9),
@@ -294,9 +295,9 @@ def test_ac6_metric_worked_examples(tmp_path):
     kept = nms(scored, 0.4)
     nms_ok = [s.box for s in kept] == [boxes[0], boxes[2]]
 
-    rec_hit = strong_record("hit", [Box(0, 0, 6, 10), far],
+    rec_hit = strong_record("hit", boxes_to_array([Box(0, 0, 6, 10), far]),
                             np.zeros((2, 2)), [(gt, 1)])
-    rec_miss = strong_record("miss", [Box(0, 0, 3, 10), far],
+    rec_miss = strong_record("miss", boxes_to_array([Box(0, 0, 3, 10), far]),
                              np.zeros((2, 2)), [(gt, 1)])
     scores = {"hit": np.array([[0.9], [0.1]]),
               "miss": np.array([[0.9], [0.1]])}

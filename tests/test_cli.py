@@ -187,6 +187,32 @@ class TestTrain:
         assert rc == 3
         assert "guard" in capsys.readouterr().err
 
+    def test_oversized_candidate_product_exits_three(self, tmp_path, capsys):
+        # k = 10 ** 7 keeps all 1100 proposals per category: 1100 ** 2 candidate rows
+        rng = np.random.default_rng(0)
+        rec = random_weak_record(rng, "big", num_proposals=1100, num_fg=2,
+                                 num_present=2)
+        data = tmp_path / "big.jsonl"
+        save_dataset(Dataset([rec]), data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "k_em", "k": 10 ** 7, "record_trace": False}))
+        rc = main(["train", "--data", str(data), "--config", str(config),
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert "guard" in capsys.readouterr().err
+
+    def test_non_finite_features_exit_two(self, bench, tmp_path, capsys):
+        lines = bench["train"].read_text().splitlines()
+        record = json.loads(lines[1])
+        record["features"][0][0] = float("nan")
+        lines[1] = json.dumps(record)
+        data = tmp_path / "nan.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--data", str(data), "--config", str(bench["config"]),
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert f"{data}:2: image" in capsys.readouterr().err
+
 
 class TestDetectAndEval:
     def test_detect_writes_parseable_detections(self, bench, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for dataset records, the synthetic generator, splits, and IO."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -34,8 +35,47 @@ SMALL = GeneratorConfig(n_train=12, n_test=5, num_fg_categories=3,
 class TestRecordValidation:
     def test_rejects_empty_proposals(self):
         with pytest.raises(ValueError, match="no proposals"):
-            ImageRecord("a", 10, 10, [], np.zeros((0, 2)),
+            ImageRecord("a", 10, 10, np.zeros((0, 4)), np.zeros((0, 2)),
                         WeakAnnotation(ImageLabel((1,))))
+
+    @pytest.mark.parametrize("shape", [(2, 8), (8,), (0,)])
+    def test_rejects_proposals_not_shaped_b_by_4(self, shape):
+        with pytest.raises(ValueError, match=r"\(B, 4\) array"):
+            ImageRecord("a", 10, 10, np.ones(shape), np.zeros((2, 2)),
+                        WeakAnnotation(ImageLabel((1,))))
+
+    def test_rejects_box_list(self):
+        with pytest.raises((TypeError, ValueError)):
+            ImageRecord("a", 10, 10, [Box(0, 0, 5, 5)], np.zeros((1, 2)),
+                        WeakAnnotation(ImageLabel((1,))))
+
+    @pytest.mark.parametrize("row, message", [
+        ([0.0, 0.0, np.nan, 5.0], "finite"),
+        ([0.0, -np.inf, 5.0, 5.0], "finite"),
+        ([2.0, 0.0, 2.0, 5.0], "degenerate proposal 1"),
+        ([0.0, 5.0, 5.0, 5.0], "degenerate proposal 1"),
+        ([3.0, 0.0, 2.0, 5.0], "degenerate proposal 1"),
+    ])
+    def test_rejects_bad_coordinates(self, row, message):
+        proposals = np.array([[0.0, 0.0, 5.0, 5.0], row])
+        with pytest.raises(ValueError, match=message):
+            ImageRecord("a", 10, 10, proposals, np.zeros((2, 2)),
+                        WeakAnnotation(ImageLabel((1,))))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_features(self, value):
+        features = np.zeros((2, 2))
+        features[1, 0] = value
+        with pytest.raises(ValueError, match="features must be finite"):
+            ImageRecord("a", 10, 10, isolated_boxes(2), features,
+                        WeakAnnotation(ImageLabel((1,))))
+
+    def test_proposals_are_float64_coordinates(self):
+        rec = ImageRecord("a", 10, 10, [[0, 0, 5, 5], [1, 1, 4, 6]], np.zeros((2, 2)),
+                          WeakAnnotation(ImageLabel((1,))))
+        assert rec.proposals.dtype == np.float64
+        assert rec.proposals.shape == (2, 4)
+        assert rec.num_proposals == 2
 
     def test_rejects_feature_row_mismatch(self):
         with pytest.raises(ValueError, match="feature matrix"):
@@ -55,7 +95,7 @@ class TestRecordValidation:
         weak = random_weak_record(np.random.default_rng(0), num_present=2)
         assert positive_categories(weak) == weak.annotation.label.categories
         box = Box(0, 0, 10, 10)
-        strong = strong_record("s", [box], np.zeros((1, 2)),
+        strong = strong_record("s", boxes_to_array([box]), np.zeros((1, 2)),
                                [(box, 2), (box, 2), (box, 1)])
         assert positive_categories(strong) == (1, 2)
 
@@ -130,9 +170,9 @@ class TestGenerate:
             for rec in ds:
                 assert not rec.is_weak
                 assert 1 <= len(rec.annotation.objects) <= 3
-                for box in rec.proposals:
-                    assert 0.0 <= box.x1 < box.x2 <= SMALL.canvas_width
-                    assert 0.0 <= box.y1 < box.y2 <= SMALL.canvas_height
+                x1, y1, x2, y2 = rec.proposals.T
+                assert np.all((0.0 <= x1) & (x1 < x2) & (x2 <= SMALL.canvas_width))
+                assert np.all((0.0 <= y1) & (y1 < y2) & (y2 <= SMALL.canvas_height))
                 for gt in rec.annotation.objects:
                     assert 1 <= gt.category <= SMALL.num_fg_categories
 
@@ -145,8 +185,7 @@ class TestGenerate:
         train, _ = generate(cfg)
         for rec in train:
             gt = rec.annotation.objects[0]
-            overlap = iou_matrix(boxes_to_array(rec.proposals),
-                                 boxes_to_array([gt.box]))[:, 0]
+            overlap = iou_matrix(rec.proposals, boxes_to_array([gt.box]))[:, 0]
             covered = overlap >= CENTER_IOU
             assert np.allclose(rec.features[covered, 0], overlap[covered],
                                atol=1e-12)
@@ -190,7 +229,7 @@ class TestSplitSemi:
         for before, after in zip(src, out):
             assert after.annotation.label.categories \
                 == positive_categories(before)
-            assert after.proposals == before.proposals
+            assert np.array_equal(after.proposals, before.proposals)
             assert np.array_equal(after.features, before.features)
 
 
@@ -216,7 +255,8 @@ class TestDatasetIo:
         assert len(loaded) == len(mixed)
         for before, after in zip(mixed, loaded):
             assert after.image_id == before.image_id
-            assert after.proposals == before.proposals
+            assert after.proposals.dtype == np.float64
+            assert np.array_equal(after.proposals, before.proposals)
             assert np.array_equal(after.features, before.features)
             assert after.is_weak == before.is_weak
             if before.is_weak:
@@ -231,6 +271,41 @@ class TestDatasetIo:
         save_dataset(train, first)
         save_dataset(load_dataset(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("proposals", [
+        [[0, 0, 5, 5, 1]],
+        [[0, 0, 5]],
+        [[0, 0, 5, 5], [0, 0, 5]],
+        [1, 2, 3, 4],
+        [],
+        [[0, 0, 0, 5]],
+        [[0, 0, float("nan"), 5]],
+        [[0, 0, 5, float("inf")]],
+        [[0, 0, "x", 5]],
+        "boxes",
+    ])
+    def test_malformed_proposals_report_line_number(self, tmp_path, proposals):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"id": "a", "width": 10, "height": 10,
+                           "proposals": [[0, 0, 5, 5]], "features": [[1.0]],
+                           "annotation": {"type": "weak", "z": [1]}})
+        rows = len(proposals) if isinstance(proposals, list) else 1
+        bad = json.dumps({"id": "b", "width": 10, "height": 10,
+                          "proposals": proposals, "features": [[1.0]] * rows,
+                          "annotation": {"type": "weak", "z": [1]}})
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2:")):
+            load_dataset(path)
+
+    def test_non_finite_features_report_line_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"id": "a", "width": 10, "height": 10,
+                                    "proposals": [[0, 0, 5, 5]],
+                                    "features": [[float("nan")]],
+                                    "annotation": {"type": "weak", "z": [1]}}) + "\n")
+        message = f"{path}:1: image a: features must be finite"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_dataset(path)
 
     def test_invalid_json_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -300,8 +375,8 @@ class TestInitScores:
 
     def test_noise_free_scores_are_best_overlaps(self):
         box = Box(0, 0, 10, 10)
-        rec = strong_record("s", [box, Box(0, 0, 10, 5), Box(50, 50, 60, 60)],
-                            np.zeros((3, 4)), [(box, 2)])
+        proposals = boxes_to_array([box, Box(0, 0, 10, 5), Box(50, 50, 60, 60)])
+        rec = strong_record("s", proposals, np.zeros((3, 4)), [(box, 2)])
         scores = make_init_scores(Dataset([rec]), noise_sigma=0.0, seed=0)["s"]
         assert scores.shape == (3, 2)
         assert np.allclose(scores[:, 1], [1.0, 0.5, 0.0], atol=1e-12)

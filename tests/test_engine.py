@@ -36,7 +36,7 @@ from emdet.engine import (
     _pools,
     _sample_rows,
 )
-from emdet.geometry import Box
+from emdet.geometry import Box, boxes_to_array
 from emdet.latent import GuardError, LatentConfigSet
 from emdet.oracle import brute_hard_config
 from emdet.oracle import expand as naive_expand
@@ -88,6 +88,11 @@ class TestPosteriorTable:
         with pytest.raises(ValueError, match="non-negative"):
             PosteriorTable("a", self.config_set(), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            PosteriorTable("a", self.config_set(), np.array(weights))
+
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError, match="sum"):
             PosteriorTable("a", self.config_set(), np.array([0.5, 0.4]))
@@ -96,27 +101,27 @@ class TestPosteriorTable:
 class TestStrongLabelVector:
     def test_identical_box_takes_category(self):
         box = Box(10, 10, 20, 20)
-        rec = strong_record("s", [box], np.zeros((1, 3)), [(box, 2)])
+        rec = strong_record("s", boxes_to_array([box]), np.zeros((1, 3)), [(box, 2)])
         assert strong_label_vector(rec, 3).tolist() == [2]
 
     def test_disjoint_proposal_is_background(self):
-        rec = strong_record("s", [Box(0, 0, 5, 5)], np.zeros((1, 3)),
+        rec = strong_record("s", boxes_to_array([Box(0, 0, 5, 5)]), np.zeros((1, 3)),
                             [(Box(50, 50, 60, 60), 1)])
         assert strong_label_vector(rec, 2).tolist() == [0]
 
     def test_highest_overlap_wins(self):
         # IoU 0.6 for category 1 beats IoU 0.55 for category 2
-        rec = strong_record("s", [Box(0, 0, 10, 10)], np.zeros((1, 3)),
+        rec = strong_record("s", boxes_to_array([Box(0, 0, 10, 10)]), np.zeros((1, 3)),
                             [(Box(0, 0, 6, 10), 1), (Box(0, 0, 5.5, 10), 2)])
         assert strong_label_vector(rec, 3).tolist() == [1]
 
     def test_tie_goes_to_earlier_object(self):
-        rec = strong_record("s", [Box(0, 0, 10, 10)], np.zeros((1, 3)),
+        rec = strong_record("s", boxes_to_array([Box(0, 0, 10, 10)]), np.zeros((1, 3)),
                             [(Box(0, 0, 5, 10), 2), (Box(5, 0, 10, 10), 1)])
         assert strong_label_vector(rec, 3).tolist() == [2]
 
     def test_below_threshold_is_background(self):
-        rec = strong_record("s", [Box(0, 0, 10, 10)], np.zeros((1, 3)),
+        rec = strong_record("s", boxes_to_array([Box(0, 0, 10, 10)]), np.zeros((1, 3)),
                             [(Box(0, 0, 4.9, 10), 1)])
         assert strong_label_vector(rec, 2).tolist() == [0]
 
@@ -131,13 +136,13 @@ class TestStrongLabelVector:
 
     def test_rejects_categories_beyond_scorer(self):
         box = Box(0, 0, 10, 10)
-        rec = strong_record("s", [box], np.zeros((1, 3)), [(box, 5)])
+        rec = strong_record("s", boxes_to_array([box]), np.zeros((1, 3)), [(box, 5)])
         with pytest.raises(ValueError, match="only covers"):
             strong_label_vector(rec, 3)
 
     def test_one_hot_expansion(self):
         box = Box(0, 0, 10, 10)
-        rec = strong_record("s", [box, Box(50, 50, 55, 55)],
+        rec = strong_record("s", boxes_to_array([box, Box(50, 50, 55, 55)]),
                             np.zeros((2, 3)), [(box, 1)])
         q = strong_labels(rec, 2)
         assert np.array_equal(q, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -154,7 +159,7 @@ class TestObjective:
 
     def test_strong_only_dataset_has_zero_weak_term(self):
         box = Box(0, 0, 10, 10)
-        rec = strong_record("s", [box], np.zeros((1, 4)), [(box, 1)])
+        rec = strong_record("s", boxes_to_array([box]), np.zeros((1, 4)), [(box, 1)])
         val = objective(single_record_dataset(rec), ScorerParams.zeros(2, 4))
         assert val.weak_term == 0.0
         assert abs(val.strong_term - math.log(0.5)) < 1e-12
@@ -320,6 +325,20 @@ class TestEStepFromScores:
         with pytest.raises(ValueError, match="non-negative"):
             e_step_from_scores(rec, np.array([[1.0], [-0.1]]), self.config())
 
+    @pytest.mark.parametrize("mode", ["k_em", "exact", "hard"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_scores_before_enumerating(self, mode, value, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("configs enumerated before the score check")
+
+        monkeypatch.setattr(emdet.engine, "select_k", unreachable)
+        monkeypatch.setattr(emdet.engine, "enumerate_exact", unreachable)
+        rec = isolated_weak_record("w", 6, (1, 2), dim=3)
+        scores = np.ones((6, 2))
+        scores[3, 1] = value
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            e_step_from_scores(rec, scores, self.config(mode=mode))
+
 
 class TestSoftLabels:
     def test_hard_posterior_gives_one_hot_rows(self):
@@ -339,7 +358,7 @@ class TestSoftLabels:
 
     def test_covered_neighbor_inherits_center_category(self):
         # proposal 1 overlaps center 0 above the threshold, proposal 2 not
-        boxes = [Box(0, 0, 10, 10), Box(1, 0, 11, 10), Box(40, 40, 50, 50)]
+        boxes = boxes_to_array([Box(0, 0, 10, 10), Box(1, 0, 11, 10), Box(40, 40, 50, 50)])
         rec = weak_record("w", boxes, np.zeros((3, 3)), (1,))
         post = PosteriorTable("w", LatentConfigSet((1,), np.array([[0]])),
                               np.array([1.0]))
@@ -403,7 +422,7 @@ class TestSurrogateGradientIdentity:
         weak_b = random_weak_record(rng, "b", num_proposals=5, num_fg=2,
                                     feature_dim=3, num_present=1)
         gt = Box(10, 10, 30, 30)
-        strong = strong_record("c", [gt, Box(60, 60, 70, 70)],
+        strong = strong_record("c", boxes_to_array([gt, Box(60, 60, 70, 70)]),
                                rng.normal(size=(2, 3)), [(gt, 1)])
         dataset = Dataset([weak_a, weak_b, strong])
         anchor = random_params(rng, 3, 3)
@@ -531,8 +550,8 @@ class TestMStep:
         records = [random_weak_record(rng, f"w{n}", num_proposals=7, num_fg=2,
                                       feature_dim=4) for n in range(3)]
         gt = Box(10, 10, 30, 30)
-        records.append(strong_record("s", [gt, Box(12, 10, 31, 30), Box(60, 60, 70, 70)],
-                                     rng.normal(size=(3, 4)), [(gt, 2)]))
+        proposals = boxes_to_array([gt, Box(12, 10, 31, 30), Box(60, 60, 70, 70)])
+        records.append(strong_record("s", proposals, rng.normal(size=(3, 4)), [(gt, 2)]))
         dataset = Dataset(records)
         anchor = random_params(rng, 3, 4)
         labels = {r.image_id: soft_labels(e_step(r, anchor, EmConfig(mode="exact")),

@@ -1,20 +1,21 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import emdet.latent
-from emdet.geometry import Box, iou
-from emdet.latent import (CENTER_IOU, LABEL_CHUNK, ImageLabel, LatentConfigSet,
-                          enumerate_exact, exact_config_values,
-                          exact_log_likelihood_grid, expand, label_marginals,
-                          logsumexp, score_config_set, select_k)
+from emdet.geometry import Box, boxes_to_array, iou, iou_matrix
+from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
+                          ImageLabel, LatentConfigSet, enumerate_exact,
+                          exact_config_values, exact_log_likelihood_grid, expand,
+                          label_marginals, logsumexp, score_config_set, select_k)
 from emdet.oracle import expand as naive_expand
-from helpers import clustered_boxes, fg_log_probs, isolated_boxes, random_box
+from helpers import clustered_boxes, fg_log_probs, isolated_boxes, random_boxes
 
-WORKED_PROPOSALS = [Box(0, 0, 10, 10), Box(1, 1, 11, 11), Box(20, 20, 30, 30)]
+WORKED_PROPOSALS = boxes_to_array([Box(0, 0, 10, 10), Box(1, 1, 11, 11), Box(20, 20, 30, 30)])
 
 
 def one_config(categories, centers):
@@ -33,7 +34,7 @@ def random_instance(rng, max_b=8, max_m=2, max_fg=3):
     fg = int(rng.integers(m, max_fg + 1))
     cats = tuple(sorted(rng.choice(np.arange(1, fg + 1), size=m,
                                    replace=False).tolist()))
-    boxes = [random_box(rng) for _ in range(b)]
+    boxes = random_boxes(rng, b)
     logits = rng.normal(0.0, 1.5, size=(b, fg + 1))
     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     return boxes, ImageLabel(cats), log_probs
@@ -49,7 +50,7 @@ def grid_boxes(rng, count, duplicates=3):
     half = boxes[0]
     boxes.append(Box(half.x1, half.y1, (half.x1 + half.x2) / 2, half.y2))
     boxes += [boxes[int(i)] for i in rng.integers(0, len(boxes), size=duplicates)]
-    return [boxes[int(i)] for i in rng.permutation(count)]
+    return boxes_to_array([boxes[int(i)] for i in rng.permutation(count)])
 
 
 class TestImageLabel:
@@ -70,7 +71,7 @@ class TestImageLabel:
 
 class TestExpand:
     def test_neighbor_takes_center_category(self):
-        assert iou(WORKED_PROPOSALS[0], WORKED_PROPOSALS[1]) >= CENTER_IOU
+        assert iou_matrix(WORKED_PROPOSALS)[0, 1] >= CENTER_IOU
         assert expand(one_config((1,), (0,)), WORKED_PROPOSALS).tolist() == [[1, 1, 0]]
 
     def test_isolated_boxes_label_centers_only(self):
@@ -80,8 +81,8 @@ class TestExpand:
 
     def test_disjoint_neighborhoods_union(self):
         # two clusters of two boxes each, no overlap across clusters
-        boxes = [Box(0, 0, 10, 10), Box(1, 1, 11, 11),
-                 Box(40, 40, 50, 50), Box(41, 41, 51, 51)]
+        boxes = boxes_to_array([Box(0, 0, 10, 10), Box(1, 1, 11, 11),
+                                Box(40, 40, 50, 50), Box(41, 41, 51, 51)])
         both = expand(one_config((1, 2), (0, 2)), boxes)[0]
         assert both.tolist() == [1, 1, 2, 2]
         one = expand(one_config((1,), (0,)), boxes)[0]
@@ -93,17 +94,17 @@ class TestExpand:
         boxes = [Box(0, 0, 2, 2), Box(0, 0, 4, 2), Box(0, 0, 2, 4)]
         assert iou(boxes[0], boxes[1]) == 0.5
         assert iou(boxes[0], boxes[2]) == 0.5
-        labels = expand(one_config((1, 2), (1, 2)), boxes)[0]
+        labels = expand(one_config((1, 2), (1, 2)), boxes_to_array(boxes))[0]
         assert labels[0] == 1
 
     def test_centers_keep_their_own_category(self):
         # identical boxes as centers of different categories
-        boxes = [Box(0, 0, 5, 5), Box(0, 0, 5, 5)]
+        boxes = boxes_to_array([Box(0, 0, 5, 5), Box(0, 0, 5, 5)])
         labels = expand(one_config((1, 2), (0, 1)), boxes)[0]
         assert labels.tolist() == [1, 2]
 
     def test_higher_iou_center_wins(self):
-        boxes = [Box(0, 0, 10, 10), Box(0, 0, 10, 9), Box(0, 0, 10, 16)]
+        boxes = boxes_to_array([Box(0, 0, 10, 10), Box(0, 0, 10, 9), Box(0, 0, 10, 16)])
         # center 1 overlaps proposal 0 at 0.9, center 2 at 0.625
         labels = expand(one_config((1, 2), (2, 1)), boxes)[0]
         assert labels[0] == 2
@@ -117,7 +118,7 @@ class TestLabellingKernel:
         for m in (1, 2, 3, 4):
             for _ in range(2):
                 boxes = grid_boxes(rng, 9)
-                assert any(iou(a, b) == 0.5 for a in boxes for b in boxes)
+                assert np.any(iou_matrix(boxes) == 0.5)
                 label = ImageLabel(tuple(range(1, m + 1)))
                 logits = rng.normal(0.0, 1.5, size=(len(boxes), m + 1))
                 log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
@@ -235,7 +236,7 @@ class TestExactGrid:
 
     def test_four_categories_score_every_distinct_row(self):
         rng = np.random.default_rng(23)
-        boxes = [random_box(rng) for _ in range(6)]
+        boxes = random_boxes(rng, 6)
         logits = rng.normal(0.0, 1.5, size=(6, 5))
         log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         label = ImageLabel((1, 2, 3, 4))
@@ -264,7 +265,7 @@ class TestExactGrid:
 
     def test_peak_memory_stays_below_twice_the_grid(self):
         rng = np.random.default_rng(25)
-        boxes = [random_box(rng) for _ in range(50)]
+        boxes = random_boxes(rng, 50)
         logits = rng.normal(0.0, 1.5, size=(50, 4))
         log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         tracemalloc.start()
@@ -315,7 +316,7 @@ class TestSelectK:
 
     def test_budget_respected_two_categories(self):
         rng = np.random.default_rng(61)
-        boxes = [random_box(rng) for _ in range(20)]
+        boxes = random_boxes(rng, 20)
         logits = rng.normal(size=(20, 3))
         log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         config_set = select_k(boxes, ImageLabel((1, 2)), log_probs, 100)
@@ -351,6 +352,26 @@ class TestSelectK:
         ]))
         with pytest.raises(ValueError, match="increase k"):
             select_k(boxes, ImageLabel((1, 2)), log_probs, 1)
+
+
+    def test_guard_rejects_oversized_candidate_product_up_front(self):
+        # 1500 ** 2 candidate rows exceed the 10 ** 6 guard; building them takes ~70 MB
+        log_probs = np.log(np.full((1500, 3), 1.0 / 3.0))
+        start = time.monotonic()
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="exceed"):
+                select_k(isolated_boxes(1500), ImageLabel((1, 2)), log_probs, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - start < 1.0
+        assert peak < 2 ** 20
+
+    def test_guard_allows_a_product_at_the_limit(self):
+        config_set = select_k(isolated_boxes(1000), ImageLabel((1, 2)),
+                              uniform_log_probs(1000, 3), OBJECTIVE_GUARD)
+        assert len(config_set) == 1000 * 999
 
 
 class TestConfigSetValidation:

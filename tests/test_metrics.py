@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from emdet.data import Dataset, SchemaError
-from emdet.geometry import Box
+from emdet.geometry import Box, boxes_to_array
 from emdet.metrics import (
     Detection,
     MetricsReport,
@@ -30,7 +30,7 @@ FAR_BOX = Box(50.0, 50.0, 60.0, 60.0)
 
 def two_image_dataset():
     """Two strong images, one category-1 ground-truth box each."""
-    records = [strong_record(name, [GT_BOX, FAR_BOX], np.zeros((2, 3)),
+    records = [strong_record(name, boxes_to_array([GT_BOX, FAR_BOX]), np.zeros((2, 3)),
                              [(GT_BOX, 1)]) for name in ("img_a", "img_b")]
     return Dataset(records)
 
@@ -98,7 +98,7 @@ class TestEvaluateDetections:
         assert abs(report.mean_ap - report.ap[1]) < 1e-12
 
     def test_mean_is_mean_of_defined(self):
-        records = [strong_record("a", [GT_BOX, FAR_BOX], np.zeros((2, 3)),
+        records = [strong_record("a", boxes_to_array([GT_BOX, FAR_BOX]), np.zeros((2, 3)),
                                  [(GT_BOX, 1), (FAR_BOX, 2)])]
         dets = [Detection("a", 1, GT_BOX, 0.9),
                 Detection("a", 2, GT_BOX, 0.8)]
@@ -127,7 +127,7 @@ def saturated_setup():
     records = []
     for n, cat in enumerate((1, 2, 3)):
         gt = Box(0, 0, 10, 10)
-        proposals = [gt, Box(30, 30, 40, 40), Box(60, 60, 70, 70)]
+        proposals = boxes_to_array([gt, Box(30, 30, 40, 40), Box(60, 60, 70, 70)])
         features = np.zeros((3, 3))
         features[0, cat - 1] = 1.0
         records.append(strong_record(f"img_{n}", proposals, features, [(gt, cat)]))
@@ -152,7 +152,7 @@ class TestDetect:
         # boxes A and B overlap at IoU 81/119 > 0.4, C is far away
         boxes = [Box(0, 0, 10, 10), Box(1, 1, 11, 11), Box(20, 20, 30, 30)]
         features = np.array([[3.0], [2.0], [1.0]])
-        rec = strong_record("img", boxes, features, [(boxes[0], 1)])
+        rec = strong_record("img", boxes_to_array(boxes), features, [(boxes[0], 1)])
         params = ScorerParams(np.array([[0.0, 0.0], [2.0, 0.0]]))
         dets = detect(Dataset([rec]), params)
         assert [d.box for d in dets] == [boxes[0], boxes[2]]
@@ -166,8 +166,9 @@ class TestDetect:
 class TestDetectionsFromScores:
     def test_global_peak_scaling_and_threshold(self):
         boxes = isolated_boxes(2)
-        records = [strong_record("a", boxes, np.zeros((2, 2)), [(boxes[0], 1)]),
-                   strong_record("b", boxes, np.zeros((2, 2)), [(boxes[0], 1)])]
+        gt = Box(*boxes[0])
+        records = [strong_record("a", boxes, np.zeros((2, 2)), [(gt, 1)]),
+                   strong_record("b", boxes, np.zeros((2, 2)), [(gt, 1)])]
         scores = {"a": np.array([[5.0], [1.0]]),
                   "b": np.array([[2.0], [0.04]])}
         dets = detections_from_scores(Dataset(records), scores)
@@ -176,7 +177,7 @@ class TestDetectionsFromScores:
 
     def test_missing_image_is_rejected(self):
         boxes = isolated_boxes(1)
-        records = [strong_record("a", boxes, np.zeros((1, 2)), [(boxes[0], 1)])]
+        records = [strong_record("a", boxes, np.zeros((1, 2)), [(Box(*boxes[0]), 1)])]
         with pytest.raises(ValueError, match="no scores for image"):
             detections_from_scores(Dataset(records), {"other": np.ones((1, 1))})
 
@@ -184,9 +185,9 @@ class TestDetectionsFromScores:
 class TestCorloc:
     def test_half_right_hand_example(self):
         # top proposal overlaps at 0.6 in one image, 0.3 in the other
-        rec_hit = strong_record("hit", [Box(0, 0, 6, 10), FAR_BOX],
+        rec_hit = strong_record("hit", boxes_to_array([Box(0, 0, 6, 10), FAR_BOX]),
                                 np.zeros((2, 2)), [(GT_BOX, 1)])
-        rec_miss = strong_record("miss", [Box(0, 0, 3, 10), FAR_BOX],
+        rec_miss = strong_record("miss", boxes_to_array([Box(0, 0, 3, 10), FAR_BOX]),
                                  np.zeros((2, 2)), [(GT_BOX, 1)])
         scores = {"hit": np.array([[0.9], [0.1]]),
                   "miss": np.array([[0.9], [0.1]])}

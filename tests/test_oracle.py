@@ -43,7 +43,7 @@ class TestBruteMarginal:
         base = brute_marginal_likelihood(rec, params)
         perm = rng.permutation(rec.num_proposals)
         shuffled = type(rec)(rec.image_id, rec.width, rec.height,
-                             [rec.proposals[p] for p in perm],
+                             rec.proposals[perm],
                              rec.features[perm], rec.annotation)
         assert abs(brute_marginal_likelihood(shuffled, params) - base) < 1e-12
 
