@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -55,8 +56,10 @@ class ImageRecord:
     annotation: WeakAnnotation | StrongAnnotation
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image {self.image_id} has non-positive size")
+        # Written so that NaN fails too.
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"image {self.image_id} has a non-positive or non-finite "
+                             f"size {self.width} x {self.height}")
         self.proposals = np.asarray(self.proposals, dtype=np.float64)
         if self.proposals.ndim != 2 or self.proposals.shape[1] != 4:
             raise ValueError(f"image {self.image_id}: proposals must be a (B, 4) array of "

@@ -14,6 +14,7 @@ soft proposal labels those posteriors imply.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -26,9 +27,11 @@ from emdet.latent import (
     OBJECTIVE_GUARD,
     GuardError,
     LatentConfigSet,
+    _reuses_proposal,
     enumerate_exact,
     exact_config_values,
     exact_log_likelihood_grid,
+    exact_log_partition,
     label_marginals,
     logsumexp,
     score_config_set,
@@ -235,7 +238,9 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
     """First-round posterior built from external per-proposal scores.
 
     Config weights are proportional to the product of each center's score for
-    its category; a zero-mass enumeration falls back to uniform weights.
+    its category; a zero-mass enumeration falls back to uniform weights.  In
+    "hard" mode the one config kept is the highest-weight one, ties going to
+    the first in enumerate_exact's row order.
     """
     label = _weak_label(record)
     scores = np.asarray(scores, dtype=np.float64)
@@ -251,6 +256,26 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
         raise ValueError(
             f"image {record.image_id}: init scores must be finite and non-negative")
 
+    cols = np.array(label.categories) - 1
+    if config.mode == "hard":
+        _check_enumeration_size(record, label)
+        if record.num_proposals < len(label):
+            raise ValueError(f"image {record.image_id}: need at least {len(label)} "
+                             f"proposals to place {len(label)} centers")
+        # Every config's mass as one (B,) * M product grid.  Its distinct
+        # entries in C order are enumerate_exact's rows, so the sum, the
+        # division and the argmax are those of the row form.
+        mass = functools.reduce(np.multiply.outer, scores[:, cols].T)
+        distinct = ~_reuses_proposal(np.indices(mass.shape, sparse=True))
+        total = _total_mass(record, mass[distinct])
+        if total <= 0.0:
+            flat = np.argmax(distinct)
+        else:
+            flat = np.argmax(np.where(distinct, mass / total, -1.0))
+        centers = np.array(np.unravel_index(flat, mass.shape)).reshape(1, -1)
+        config_set = LatentConfigSet(label.categories, centers)
+        return PosteriorTable(record.image_id, config_set, np.array([1.0]))
+
     if config.mode == "k_em":
         # Rank candidates by the external score column instead of the scorer.
         config_set = select_k(record.proposals, label, _score_log_columns(scores),
@@ -258,23 +283,22 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
     else:
         _check_enumeration_size(record, label)
         config_set = enumerate_exact(record.proposals, label)
-
-    cols = np.array(label.categories) - 1
     mass = np.prod(scores[config_set.centers, cols[None, :]], axis=1)
+    total = _total_mass(record, mass)
+    if total <= 0.0:
+        weights = np.full(len(config_set), 1.0 / len(config_set))
+    else:
+        weights = mass / total
+    return PosteriorTable(record.image_id, config_set, weights)
+
+
+def _total_mass(record: ImageRecord, mass: np.ndarray) -> float:
+    """Sum of the config masses; zero mass is logged, and weights go uniform."""
     total = mass.sum()
     if total <= 0.0:
         logger.warning("image %s: init scores give zero mass; using uniform weights",
                        record.image_id)
-        weights = np.full(len(config_set), 1.0 / len(config_set))
-    else:
-        weights = mass / total
-
-    if config.mode == "hard":
-        best = int(np.argmax(weights))
-        # A copy, not a view: a view would keep the whole enumeration alive.
-        config_set = LatentConfigSet(label.categories, config_set.centers[best:best + 1].copy())
-        weights = np.array([1.0])
-    return PosteriorTable(record.image_id, config_set, weights)
+    return total
 
 
 def _score_log_columns(scores: np.ndarray) -> np.ndarray:
@@ -299,9 +323,12 @@ def soft_labels(post: PosteriorTable, record: ImageRecord,
 def objective(dataset: Dataset, params: ScorerParams) -> ObjectiveValue:
     """The true mixed-supervision log-likelihood J at the given scorer.
 
-    Weak terms always use the exact enumeration; images too large for it
-    raise GuardError (use truncated E-steps for training, but the objective
-    itself has no truncated form).
+    Weak terms are always exact: exact_log_partition sums every config for
+    up to three categories (three without building the B ** 3 grid), and
+    more categories take the log-sum-exp of the exact grid.  The objective
+    has no truncated form, so a three-category image whose pair factors
+    (B ** 2), or any other weak image whose enumeration (B ** M), exceeds
+    OBJECTIVE_GUARD raises GuardError.
     """
     strong_term = 0.0
     weak_term = 0.0
@@ -309,9 +336,12 @@ def objective(dataset: Dataset, params: ScorerParams) -> ObjectiveValue:
         log_probs = log_prob_matrix(params, record.features)
         if record.is_weak:
             label = _weak_label(record)
-            _check_enumeration_size(record, label)
-            grid = exact_log_likelihood_grid(record.proposals, label, log_probs)
-            weak_term += logsumexp(grid.reshape(-1))
+            if len(label) <= 3:
+                weak_term += exact_log_partition(record.proposals, label, log_probs)
+            else:
+                _check_enumeration_size(record, label)
+                grid = exact_log_likelihood_grid(record.proposals, label, log_probs)
+                weak_term += logsumexp(grid.reshape(-1))
         else:
             labels = strong_label_vector(record, params.num_categories)
             strong_term += float(log_probs[np.arange(len(labels)), labels].sum())

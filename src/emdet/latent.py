@@ -237,26 +237,25 @@ def exact_log_likelihood_grid(proposals: np.ndarray, z,
 
     Entry [j1, ..., jM] scores the config placing category z[m]'s center at
     proposal jm; entries with repeated indices are -inf.  Matches
-    score_config_set to float accumulation order.
+    score_config_set to float accumulation order.  The hard and exact
+    E-steps read it, and so does the objective for every label but three
+    categories, whose log-sum-exp exact_log_partition gives without
+    building the B ** 3 grid.
 
-    For M <= 3 the grid is built by inclusion-exclusion over neighborhoods.
-    The dense part is ((base + u[j1]) + v[j2]) + w[j3], where base is the
-    all-background sum and u, v, w each center's foreground deltas over the
-    proposals it covers.  The overlap corrections are sparse: they come from
-    the (i, j, k) entries where distinct centers j and k both cover proposal
-    i, listed by i, then j, then k.  For each slot pair the losing slot's
-    delta is summed per (j, k) in that order and subtracted only on the
-    (j, k) lines it touches.  For M = 3, each proposal covered by all three
-    centers then gets its bottom-ranked slot's delta added back, in order
-    of i.  Entries never touched by a correction cost no work beyond the
-    dense part.
+    For M <= 3 the grid is built by inclusion-exclusion over neighborhoods
+    (see _overlap_terms).  The dense part is ((base + u[j1]) + v[j2]) + w[j3],
+    where base is the all-background sum and u, v, w each center's
+    foreground deltas over the proposals it covers.  Each slot pair's loser
+    sums are subtracted only on the (j, k) lines they touch, and for M = 3
+    each proposal covered by all three centers gets its bottom-ranked slot's
+    delta added back, in order of the proposal.  Entries never touched by a
+    correction cost no work beyond the dense part.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
     B, M = len(proposals), len(label)
     if B < M:
         raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
-    cats = np.array(label.categories, dtype=np.int64)
 
     if M > 3:
         # Rare at desk scale; score the distinct rows through the labelling kernel.
@@ -265,19 +264,60 @@ def exact_log_likelihood_grid(proposals: np.ndarray, z,
         grid[tuple(config_set.centers.T)] = score_config_set(config_set, log_probs, proposals)
         return grid
 
+    terms = _overlap_terms(proposals, label.categories, log_probs)
+    grid = terms.base
+    for m in range(M):
+        grid = grid + terms.per_center[:, m].reshape(_axis_shape(M, m, B))
+    for (a, b), pair in terms.pairs.items():
+        lines = np.moveaxis(grid, (a, b), (0, 1))
+        lines[terms.touched // B, terms.touched % B] -= pair.reshape((-1,) + (1,) * (M - 2))
+    if M == 3:
+        j, k, l, add = terms.triples
+        np.add.at(grid, (j, k, l), add)
+    grid[_reuses_proposal(np.indices(grid.shape, sparse=True))] = -np.inf
+    return grid
+
+
+class _Overlaps(NamedTuple):
+    """One image's inclusion-exclusion terms for M <= 3 category slots.
+
+    The config with slot m's center at proposal j_m scores ``base`` plus
+    ``per_center[j_m, m]`` for every slot, minus ``pairs[(a, b)]`` on line
+    j_a * B + j_b of ``touched`` for every slot pair, plus, for M = 3, the
+    ``delta`` of every ``triples`` entry (j, k, l, delta) it matches.
+    ``touched`` is None for M = 1 and ``triples`` for M < 3.
+    """
+
+    base: float
+    per_center: np.ndarray
+    touched: np.ndarray | None
+    pairs: dict[tuple[int, int], np.ndarray]
+    triples: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def _overlap_terms(proposals: np.ndarray, categories, log_probs: np.ndarray) -> _Overlaps:
+    """The dense and sparse terms of the config log-likelihoods of one image.
+
+    ``base`` is the all-background sum and ``per_center`` each center's
+    foreground deltas over the proposals it covers.  Where two neighborhoods
+    share a proposal the plain sum counts both categories, so each slot pair
+    subtracts the losing slot's delta.  Only the (i, j, k) entries where
+    distinct centers j and k both cover proposal i contribute, listed by i,
+    then j, then k; the losers are summed per (j, k) line in that order.
+    For M = 3 a proposal covered by all three chosen centers lost one delta
+    too many, so its bottom-ranked slot's delta comes back as one
+    ``triples`` entry, in order of i.
+    """
+    B, M = len(proposals), len(categories)
+    cats = np.array(categories, dtype=np.int64)
     covered, keys = center_geometry(proposals)
     base = log_probs[:, 0].sum()
     delta = log_probs[:, cats] - log_probs[:, [0]]
     per_center = covered.T.astype(np.float64) @ delta  # (B, M)
-
-    grid = base
-    for m in range(M):
-        grid = grid + per_center[:, m].reshape(_axis_shape(M, m, B))
+    touched = triples = None
+    pairs: dict[tuple[int, int], np.ndarray] = {}
 
     if M >= 2:
-        # Where two neighborhoods share a proposal the plain sum counts both
-        # categories; subtract the losing one for every pair of slots.  Only
-        # proposals i covered by two distinct centers j, k contribute.
         rows, cols = np.nonzero(covered)
         counts = np.bincount(rows, minlength=B)
         entry, k = _cover_join(counts, cols, rows)
@@ -290,13 +330,9 @@ def exact_log_likelihood_grid(proposals: np.ndarray, z,
         for a in range(M):
             for b in range(a + 1, M):
                 loser = np.where(first_wins, delta[i, b], delta[i, a])
-                pair = np.bincount(line, weights=loser, minlength=B * B)[touched]
-                lines = np.moveaxis(grid, (a, b), (0, 1))
-                lines[touched // B, touched % B] -= pair.reshape((-1,) + (1,) * (M - 2))
+                pairs[(a, b)] = np.bincount(line, weights=loser, minlength=B * B)[touched]
 
     if M == 3:
-        # Proposals covered by all three chosen centers lost one delta too
-        # many above; add back the bottom-ranked slot's delta.
         entry, l = _cover_join(counts, cols, i)
         i, j, k = i[entry], j[entry], k[entry]
         keep = (l != j) & (l != k)
@@ -305,10 +341,88 @@ def exact_log_likelihood_grid(proposals: np.ndarray, z,
         third_c = (ka >= kc) & (kb >= kc)
         third_b = (ka >= kb) & ~(kb >= kc)
         add = np.where(third_c, delta[i, 2], np.where(third_b, delta[i, 1], delta[i, 0]))
-        np.add.at(grid, (j, k, l), add)
+        triples = (j, k, l, add)
+    return _Overlaps(base, per_center, touched, pairs, triples)
 
-    grid[_reuses_proposal(np.indices(grid.shape, sparse=True))] = -np.inf
-    return grid
+
+def exact_log_partition(proposals: np.ndarray, z, log_probs: np.ndarray) -> float:
+    """log P(z | x) for M <= 3: the log-sum-exp of every exact config's log-likelihood.
+
+    For M <= 2 this is logsumexp(exact_log_likelihood_grid(...)): that grid
+    holds B ** M <= B ** 2 entries, no more than one pair factor.  For M = 3
+    it equals the grid's log-sum-exp up to float rounding, but sums the
+    terms of _overlap_terms over a pairwise factor graph instead of
+    building the B ** 3 grid (variable elimination).  With u, v, w the
+    per-center terms and P_ab a slot pair's loser sums (0 off its touched
+    lines, +inf on the diagonal, so no config reuses a proposal),
+
+        log Z = base + logsumexp over (j, k) of
+                u_j + v_k - P01[j, k] + log inner[j, k],
+        inner[j, k] = sum over l of exp(w_l - P02[j, l] - P12[k, l]),
+
+    where inner is one (B, B) matrix product of two factors exponentiated
+    with each row shifted by its own max: no exp overflows, and corrections
+    hundreds of nats apart do not underflow every config, as one shift per
+    factor would.  Configs with a triple-covered proposal are left out of
+    inner on their (j, k) lines and added with their exact values, so only
+    positive terms are summed.  The largest table built has B ** min(M, 2)
+    entries: more than OBJECTIVE_GUARD raise GuardError before anything is
+    built.
+    """
+    label = as_label(z)
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    B, M = len(proposals), len(label)
+    if M > 3:
+        raise ValueError(f"exact_log_partition covers at most 3 categories, got {M}")
+    if B < M:
+        raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
+    if B ** min(M, 2) > OBJECTIVE_GUARD:
+        raise GuardError(
+            f"{B} proposals give {B} ** {min(M, 2)} configs or pair factors, which "
+            f"exceed the {OBJECTIVE_GUARD} config guard")
+    if M <= 2:
+        grid = exact_log_likelihood_grid(proposals, label, log_probs)
+        return float(logsumexp(grid.reshape(-1)))
+
+    terms = _overlap_terms(proposals, label.categories, log_probs)
+    # -pairs[(a, b)] on the touched lines, 0 elsewhere, -inf on the diagonal.
+    minus = {}
+    for pair, loser in terms.pairs.items():
+        values = np.zeros((B, B))
+        values.flat[terms.touched] = -loser
+        np.fill_diagonal(values, -np.inf)
+        minus[pair] = values
+    u, v = terms.per_center[:, 0], terms.per_center[:, 1]
+    outer = u[:, None] + v[None, :] + minus[(0, 1)]
+
+    # inner[j, k] = sum over l of exp(w_l - P02[j, l] - P12[k, l]), with each
+    # row of the two factors shifted by its own max.
+    near = terms.per_center[:, 2] + minus[(0, 2)]
+    far = minus[(1, 2)]
+    near_top, far_top = near.max(axis=1), far.max(axis=1)
+    near = np.exp(near - near_top[:, None])
+    far = np.exp(far - far_top[:, None])
+    inner = near @ far.T
+    # Each triple config's corrections are summed once; its (j, k) line of
+    # inner is recomputed without it, and its exact value is kept apart.
+    j, k, l, add = terms.triples
+    flat, at = np.unique(np.ravel_multi_index((j, k, l), (B, B, B)), return_inverse=True)
+    bonus = np.bincount(at, weights=add, minlength=flat.size)
+    j, k, l = np.unravel_index(flat, (B, B, B))
+    lines, line = np.unique(j * B + k, return_inverse=True)
+    lj, lk = np.unravel_index(lines, (B, B))
+    kept = near[lj] * far[lk]
+    kept[line, l] = 0.0
+    inner[lj, lk] = kept.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        # A line whose every config is triple-covered sums to 0.
+        dense = outer + near_top[:, None] + far_top[None, :] + np.log(inner)
+    total = logsumexp(dense)
+    if flat.size:
+        exact = (outer[j, k] + terms.per_center[l, 2] + minus[(0, 2)][j, l]
+                 + minus[(1, 2)][k, l] + bonus)
+        total = np.logaddexp(total, logsumexp(exact))
+    return float(terms.base + total)
 
 
 def _cover_join(counts: np.ndarray, cols: np.ndarray, i: np.ndarray):

@@ -47,17 +47,18 @@ def _guarded_enumeration(record: ImageRecord) -> list[tuple[int, ...]]:
             if len(set(centers)) == M]
 
 
-def expand(categories: tuple[int, ...], centers: tuple[int, ...],
-           proposals: np.ndarray) -> np.ndarray:
+def expand(categories: tuple[int, ...], centers: tuple[int, ...], proposals) -> np.ndarray:
     """Naive labels of one config, kept apart from the engine's labelling kernel.
 
     ``centers[m]`` is the center proposal of ``categories[m]``, a row of the
-    (B, 4) ``proposals``.  Each proposal scans the centers in category order:
-    a center keeps its own category, otherwise the first center with the
-    highest scalar IoU at or above CENTER_IOU wins and no covering center
-    means background.
+    (B, 4) ``proposals`` array; the brute-force references pass its rows as
+    a list of Box instead, built once per call.  Each proposal scans the
+    centers in category order: a center keeps its own category, otherwise
+    the first center with the highest scalar IoU at or above CENTER_IOU
+    wins and no covering center means background.
     """
-    proposals = [Box(*row) for row in proposals.tolist()]
+    if isinstance(proposals, np.ndarray):
+        proposals = _boxes(proposals)
     labels = np.zeros(len(proposals), dtype=np.int64)
     for i, box in enumerate(proposals):
         best = -1.0
@@ -72,18 +73,26 @@ def expand(categories: tuple[int, ...], centers: tuple[int, ...],
     return labels
 
 
-def brute_config_value(record: ImageRecord, centers: tuple[int, ...],
-                       log_probs: np.ndarray) -> float:
-    """Naive full-sum log-likelihood of one config's expanded labels."""
-    labels = expand(_weak_label(record), centers, record.proposals)
-    return float(sum(log_probs[i, labels[i]] for i in range(record.num_proposals)))
+def _boxes(proposals: np.ndarray) -> list[Box]:
+    return [Box(*row) for row in proposals.tolist()]
+
+
+def _config_values(record: ImageRecord, enumeration, log_probs: np.ndarray) -> list[float]:
+    """Naive full-sum log-likelihood of each config's expanded labels."""
+    cats = _weak_label(record)
+    boxes = _boxes(record.proposals)
+    values = []
+    for centers in enumeration:
+        labels = expand(cats, centers, boxes)
+        values.append(float(sum(log_probs[i, labels[i]]
+                                for i in range(record.num_proposals))))
+    return values
 
 
 def brute_marginal_likelihood(record: ImageRecord, params: ScorerParams) -> float:
     """log P(z | x): log-sum-exp of every config's naive log-likelihood."""
     log_probs = log_prob_matrix(params, record.features)
-    values = [brute_config_value(record, centers, log_probs)
-              for centers in _guarded_enumeration(record)]
+    values = _config_values(record, _guarded_enumeration(record), log_probs)
     return _logsumexp(values)
 
 
@@ -92,8 +101,7 @@ def brute_posterior(record: ImageRecord, params: ScorerParams) -> PosteriorTable
     cats = _weak_label(record)
     log_probs = log_prob_matrix(params, record.features)
     enumeration = _guarded_enumeration(record)
-    values = [brute_config_value(record, centers, log_probs)
-              for centers in enumeration]
+    values = _config_values(record, enumeration, log_probs)
     total = _logsumexp(values)
     weights = np.array([math.exp(v - total) for v in values])
     config_set = LatentConfigSet(cats, np.array(enumeration))
@@ -104,8 +112,7 @@ def brute_hard_config(record: ImageRecord, params: ScorerParams) -> tuple[int, .
     """Argmax config; ties keep the lexicographically smallest center tuple."""
     log_probs = log_prob_matrix(params, record.features)
     enumeration = _guarded_enumeration(record)
-    values = [brute_config_value(record, centers, log_probs)
-              for centers in enumeration]
+    values = _config_values(record, enumeration, log_probs)
     return enumeration[int(np.argmax(values))]
 
 
@@ -136,8 +143,7 @@ def brute_truncated_posterior(record: ImageRecord, params: ScorerParams,
                    if len(set(centers)) == M]
     if not enumeration:
         raise ValueError(f"truncation at k={k} leaves no valid config")
-    values = [brute_config_value(record, centers, log_probs)
-              for centers in enumeration]
+    values = _config_values(record, enumeration, log_probs)
     total = _logsumexp(values)
     weights = np.array([math.exp(v - total) for v in values])
     config_set = LatentConfigSet(cats, np.array(enumeration))

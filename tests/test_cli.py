@@ -12,8 +12,9 @@ import pytest
 
 import emdet.oracle
 from emdet.cli import main
-from emdet.data import (Dataset, load_dataset, make_init_scores,
-                        save_dataset, save_init_scores, split_semi)
+from emdet.data import (Dataset, GeneratorConfig, generate, load_dataset,
+                        make_init_scores, save_dataset, save_init_scores,
+                        split_semi)
 from emdet.metrics import load_detections
 from emdet.scorer import ScorerParams, load_checkpoint, save_checkpoint
 from helpers import random_weak_record
@@ -200,6 +201,50 @@ class TestTrain:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 3
         assert "guard" in capsys.readouterr().err
+
+    def test_trace_past_the_enumeration_guard_exits_zero(self, tmp_path):
+        # default k_em with the objective trace on, at 200 ** 3 configs per image
+        train, _ = generate(GeneratorConfig(n_train=4, n_test=1, proposals_per_image=200,
+                                            seed=2))
+        data = tmp_path / "large.jsonl"
+        save_dataset(split_semi(train, 0.0, seed=2), data)
+        assert max(len(r.annotation.label) for r in load_dataset(data)) == 3
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"em_iterations": 1, "sgd_steps_per_m_step": 50}))
+        trace = tmp_path / "trace.csv"
+        rc = main(["train", "--data", str(data), "--config", str(config),
+                   "--out", str(tmp_path / "x.json"), "--trace", str(trace)])
+        assert rc == 0
+        assert len(trace.read_text().splitlines()) == 3
+
+    def test_four_category_objective_past_the_guard_exits_three(self, tmp_path, capsys):
+        # 40 ** 4 configs: past three categories the objective still enumerates
+        rng = np.random.default_rng(0)
+        rec = random_weak_record(rng, "big", num_proposals=40, num_fg=4, num_present=4)
+        data = tmp_path / "big.jsonl"
+        save_dataset(Dataset([rec]), data)
+        config = tmp_path / "config.json"
+        # k = 10 ** 4 keeps 10 candidates per category, so the E-step has distinct configs
+        config.write_text(json.dumps({"k": 10 ** 4, "em_iterations": 1,
+                                      "sgd_steps_per_m_step": 10}))
+        rc = main(["train", "--data", str(data), "--config", str(config),
+                   "--out", str(tmp_path / "x.json"), "--trace", str(tmp_path / "t.csv")])
+        assert rc == 3
+        assert "guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_non_finite_image_size_exits_two(self, bench, tmp_path, capsys, key):
+        lines = bench["train"].read_text().splitlines()
+        record = json.loads(lines[1])
+        record[key] = float("nan") if key == "width" else float("inf")
+        lines[1] = json.dumps(record)
+        assert ("NaN" if key == "width" else "Infinity") in lines[1]
+        data = tmp_path / "size.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--data", str(data), "--config", str(bench["config"]),
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert f"{data}:2: image" in capsys.readouterr().err
 
     def test_non_finite_features_exit_two(self, bench, tmp_path, capsys):
         lines = bench["train"].read_text().splitlines()

@@ -16,7 +16,7 @@ import pytest
 import emdet.engine
 import emdet.geometry
 import emdet.latent
-from emdet.data import Dataset
+from emdet.data import Dataset, GeneratorConfig, generate, split_semi
 from emdet.engine import (
     EmConfig,
     PosteriorTable,
@@ -166,11 +166,12 @@ class TestObjective:
         assert val.total == val.strong_term
 
     def test_guard_rejects_oversized_enumeration(self):
+        # past three categories the objective takes the exact grid: 101 ** 4 configs
         rng = np.random.default_rng(0)
-        rec = random_weak_record(rng, "big", num_proposals=101, num_fg=3,
-                                 num_present=3)
+        rec = random_weak_record(rng, "big", num_proposals=101, num_fg=4,
+                                 num_present=4)
         with pytest.raises(GuardError, match="exceed"):
-            objective(single_record_dataset(rec), ScorerParams.zeros(4, 5))
+            objective(single_record_dataset(rec), ScorerParams.zeros(5, 5))
 
 
 class TestEStep:
@@ -299,6 +300,46 @@ class TestEStepFromScores:
             tracemalloc.stop()
         assert len(post.config_set) == 1
         assert kept < 2 ** 20
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_hard_mode_matches_the_row_form_on_ties(self, m):
+        # Duplicate boxes and scores from {0, 1, 2}: many configs tie on mass.
+        cats = tuple(range(1, m + 1))
+        ties = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            boxes = clustered_boxes(rng, 8)
+            rec = weak_record("w", boxes, np.zeros((8, 3)), cats)
+            scores = rng.integers(0, 3, size=(8, m)).astype(np.float64)
+            rows = emdet.latent.enumerate_exact(boxes, cats).centers
+            mass = np.prod(scores[rows, np.arange(m)[None, :]], axis=1)
+            weights = mass / mass.sum()
+            expected = tuple(rows[int(np.argmax(weights))])
+            ties += np.sum(weights == weights.max()) > 1
+            post = e_step_from_scores(rec, scores, self.config(mode="hard"))
+            assert tuple(post.config_set.centers[0]) == expected
+        assert ties > 0
+
+    def test_hard_mode_matches_the_row_form_on_random_scores(self):
+        rng = np.random.default_rng(6)
+        for trial in range(10):
+            rec = random_weak_record(rng, f"w{trial}", num_proposals=30, num_fg=3,
+                                     num_present=3)
+            scores = rng.uniform(0.0, 1.0, size=(30, 3))
+            cols = np.array(rec.annotation.label.categories) - 1
+            rows = emdet.latent.enumerate_exact(rec.proposals, rec.annotation.label).centers
+            mass = np.prod(scores[rows, cols[None, :]], axis=1)
+            expected = tuple(rows[int(np.argmax(mass / mass.sum()))])
+            post = e_step_from_scores(rec, scores, self.config(mode="hard"))
+            assert tuple(post.config_set.centers[0]) == expected
+
+    def test_hard_mode_zero_mass_keeps_the_first_distinct_config(self, caplog):
+        rec = isolated_weak_record("w", 4, (1, 2, 3), dim=3)
+        with caplog.at_level(logging.WARNING, logger="emdet.engine"):
+            post = e_step_from_scores(rec, np.zeros((4, 3)), self.config(mode="hard"))
+        assert tuple(post.config_set.centers[0]) == (0, 1, 2)
+        assert post.weights.tolist() == [1.0]
+        assert any("zero mass" in m for m in caplog.messages)
 
     def test_truncated_mode_ranks_by_score(self):
         rec = isolated_weak_record("w", 3, (1,), dim=3)
@@ -662,6 +703,18 @@ class TestRunEm:
         config = EmConfig(em_iterations=1, sgd_steps_per_m_step=5,
                           record_trace=False)
         assert run_em(dataset, config).trace == []
+
+    def test_default_config_traces_past_the_enumeration_guard(self):
+        # 200 ** 3 configs per three-category image: the trace used to raise GuardError
+        train, _ = generate(GeneratorConfig(n_train=6, n_test=1, proposals_per_image=200,
+                                            seed=2))
+        dataset = split_semi(train, 0.0, seed=2)
+        assert max(len(r.annotation.label) for r in dataset) == 3
+        config = EmConfig(sgd_steps_per_m_step=100)
+        assert config.mode == "k_em" and config.record_trace
+        trace = run_em(dataset, config).trace
+        assert len(trace) == config.em_iterations + 1
+        assert all(np.isfinite(v.total) and v.weak_term < 0.0 for v in trace)
 
     def test_exact_full_batch_objective_is_monotone(self):
         dataset = self.tiny_dataset(seed=11, count=5)

@@ -10,10 +10,14 @@ import emdet.latent
 from emdet.geometry import Box, boxes_to_array, iou, iou_matrix
 from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
                           ImageLabel, LatentConfigSet, enumerate_exact,
-                          exact_config_values, exact_log_likelihood_grid, expand,
-                          label_marginals, logsumexp, score_config_set, select_k)
+                          exact_config_values, exact_log_likelihood_grid,
+                          exact_log_partition, expand, label_marginals, logsumexp,
+                          score_config_set, select_k)
+from emdet.oracle import brute_marginal_likelihood
 from emdet.oracle import expand as naive_expand
-from helpers import clustered_boxes, fg_log_probs, isolated_boxes, random_boxes
+from emdet.scorer import log_prob_matrix
+from helpers import (clustered_boxes, fg_log_probs, isolated_boxes, random_boxes,
+                     random_params, weak_record)
 
 WORKED_PROPOSALS = boxes_to_array([Box(0, 0, 10, 10), Box(1, 1, 11, 11), Box(20, 20, 30, 30)])
 
@@ -296,6 +300,102 @@ class TestExactGrid:
         assert np.array_equal(config_set.centers, reference.centers)
         slow = score_config_set(config_set, log_probs, boxes)
         assert np.max(np.abs(values - slow)) < 1e-12
+
+
+class TestExactLogPartition:
+    @staticmethod
+    def grid_value(boxes, label, log_probs):
+        return logsumexp(exact_log_likelihood_grid(boxes, label, log_probs).reshape(-1))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_the_grid(self, m):
+        rng = np.random.default_rng(60 + m)
+        for trial in range(40):
+            b = int(rng.integers(max(m, 2), 10))
+            boxes = grid_boxes(rng, b) if b >= 6 else random_boxes(rng, b)
+            label = ImageLabel(tuple(range(1, m + 1)))
+            logits = rng.normal(0.0, 1.5, size=(b, m + 2))
+            log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            expected = self.grid_value(boxes, label, log_probs)
+            assert abs(exact_log_partition(boxes, label, log_probs) - expected) <= 1e-12
+
+    def test_matches_the_grid_at_101_proposals(self):
+        rng = np.random.default_rng(61)
+        boxes = random_boxes(rng, 101)
+        logits = rng.normal(0.0, 1.5, size=(101, 4))
+        log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        label = ImageLabel((1, 2, 3))
+        expected = self.grid_value(boxes, label, log_probs)
+        assert abs(exact_log_partition(boxes, label, log_probs) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_clustered_instances_match_grid_and_oracle(self, m):
+        # Proposals covered by three centers, duplicates, IoU exactly 0.5, and
+        # scorers whose log-probabilities reach about -30.
+        rng = np.random.default_rng(70 + m)
+        cats = tuple(range(1, m + 1))
+        deepest = 0.0
+        for trial in range(12):
+            boxes = clustered_boxes(rng, 8)
+            assert np.any((iou_matrix(boxes) >= CENTER_IOU).sum(axis=1) >= 3)
+            features = rng.normal(size=(8, 3))
+            params = random_params(rng, m + 1, 3, scale=[0.3, 1.5, 3.0][trial % 3])
+            log_probs = log_prob_matrix(params, features)
+            deepest = max(deepest, -log_probs.min())
+            value = exact_log_partition(boxes, cats, log_probs)
+            assert abs(value - self.grid_value(boxes, cats, log_probs)) <= 1e-12
+            record = weak_record("w", boxes, features, cats)
+            assert abs(value - brute_marginal_likelihood(record, params)) <= 1e-12
+        assert 20.0 < deepest < 32.0
+
+    def test_overlap_corrections_beyond_the_float_range(self):
+        # Foreground log-probabilities near -100 make the pair corrections
+        # hundreds of nats each; shifting each pair factor by one global max
+        # would underflow every config that no correction touches.
+        rng = np.random.default_rng(63)
+        for _ in range(3):
+            boxes = clustered_boxes(rng, 10)
+            logits = np.column_stack([np.zeros(10), rng.normal(-100.0, 5.0, size=(10, 3))])
+            log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            expected = self.grid_value(boxes, (1, 2, 3), log_probs)
+            value = exact_log_partition(boxes, (1, 2, 3), log_probs)
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    def test_every_config_triple_covered(self):
+        # three mutually covering proposals: every config is a triple config
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0], [1.0, 0.0, 11.0, 10.0],
+                          [0.0, 1.0, 10.0, 11.0]])
+        rng = np.random.default_rng(62)
+        logits = rng.normal(0.0, 1.5, size=(3, 4))
+        log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        expected = self.grid_value(boxes, (1, 2, 3), log_probs)
+        assert abs(exact_log_partition(boxes, (1, 2, 3), log_probs) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_guard_rejects_pair_factors_before_allocating(self, m):
+        # 1001 ** 2 configs or pair factors exceed the guard; one (B, B)
+        # float matrix is ~8 MB
+        boxes = isolated_boxes(1001)
+        log_probs = uniform_log_probs(1001, 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="exceed"):
+                exact_log_partition(boxes, tuple(range(1, m + 1)), log_probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+    def test_one_category_is_guarded_by_its_grid_size(self):
+        # 1001 configs are within the guard although 1001 ** 2 is not
+        boxes = isolated_boxes(1001)
+        log_probs = uniform_log_probs(1001, 2)
+        expected = self.grid_value(boxes, (1,), log_probs)
+        assert exact_log_partition(boxes, (1,), log_probs) == expected
+
+    def test_rejects_more_than_three_categories(self):
+        with pytest.raises(ValueError, match="at most 3"):
+            exact_log_partition(isolated_boxes(5), (1, 2, 3, 4), uniform_log_probs(5, 5))
 
 
 class TestSelectK:
