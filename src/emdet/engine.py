@@ -25,9 +25,11 @@ from emdet.geometry import boxes_to_array, iou_matrix
 from emdet.latent import (
     CENTER_IOU,
     OBJECTIVE_GUARD,
+    CenterGeometry,
     GuardError,
     LatentConfigSet,
     _reuses_proposal,
+    center_geometry,
     enumerate_exact,
     exact_config_values,
     exact_log_likelihood_grid,
@@ -196,8 +198,12 @@ def _normalized(values: np.ndarray) -> np.ndarray:
     return np.exp(values - total)
 
 
-def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig) -> PosteriorTable:
+def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig,
+           geometry: CenterGeometry | None = None) -> PosteriorTable:
     """Posterior over latent configs for one weak image under the scorer.
+
+    ``geometry`` is the center coverage of the record's proposals
+    (latent.center_geometry), built here when not given.
 
     In "hard" mode the one config kept is the argmax of the exact grid.
     Configs that label every proposal alike (a center absorbed by another
@@ -215,12 +221,12 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig) -> Poste
 
     if config.mode == "k_em":
         config_set = select_k(record.proposals, label, log_probs, config.k)
-        values = score_config_set(config_set, log_probs, record.proposals)
+        values = score_config_set(config_set, log_probs, record.proposals, geometry)
         return PosteriorTable(record.image_id, config_set, _normalized(values))
 
     _check_enumeration_size(record, label)
     if config.mode == "hard":
-        grid = exact_log_likelihood_grid(record.proposals, label, log_probs)
+        grid = exact_log_likelihood_grid(record.proposals, label, log_probs, geometry)
         flat = int(np.argmax(grid))
         if not np.isfinite(grid.flat[flat]):
             raise ValueError(
@@ -229,7 +235,7 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig) -> Poste
         config_set = LatentConfigSet(label.categories, centers)
         return PosteriorTable(record.image_id, config_set, np.array([1.0]))
 
-    config_set, values = exact_config_values(record.proposals, label, log_probs)
+    config_set, values = exact_config_values(record.proposals, label, log_probs, geometry)
     return PosteriorTable(record.image_id, config_set, _normalized(values))
 
 
@@ -308,19 +314,29 @@ def _score_log_columns(scores: np.ndarray) -> np.ndarray:
     return np.concatenate([np.full((scores.shape[0], 1), -np.inf), logs], axis=1)
 
 
-def soft_labels(post: PosteriorTable, record: ImageRecord,
-                num_categories: int) -> SoftLabels:
-    """Marginal per-proposal label distribution under a config posterior."""
+def soft_labels(post: PosteriorTable, record: ImageRecord, num_categories: int,
+                geometry: CenterGeometry | None = None) -> SoftLabels:
+    """Marginal per-proposal label distribution under a config posterior.
+
+    ``geometry`` is the center coverage of the record's proposals, built
+    here when not given.  A posterior of another image, or one whose centers
+    lie past the record's proposals, is rejected.
+    """
+    if post.image_id != record.image_id:
+        raise ValueError(f"posterior of image {post.image_id} passed with image "
+                         f"{record.image_id}")
     top = max(post.config_set.categories)
     if top >= num_categories:
         raise ValueError(
             f"posterior mentions category {top} but only "
             f"{num_categories} categories exist")
-    q = label_marginals(post.config_set, post.weights, record.proposals, num_categories)
+    q = label_marginals(post.config_set, post.weights, record.proposals, num_categories,
+                        geometry)
     return SoftLabels(record.image_id, q)
 
 
-def objective(dataset: Dataset, params: ScorerParams) -> ObjectiveValue:
+def objective(dataset: Dataset, params: ScorerParams,
+              geometries: dict[str, CenterGeometry] | None = None) -> ObjectiveValue:
     """The true mixed-supervision log-likelihood J at the given scorer.
 
     Weak terms are always exact: exact_log_partition sums every config for
@@ -328,7 +344,8 @@ def objective(dataset: Dataset, params: ScorerParams) -> ObjectiveValue:
     more categories take the log-sum-exp of the exact grid.  The objective
     has no truncated form, so a three-category image whose pair factors
     (B ** 2), or any other weak image whose enumeration (B ** M), exceeds
-    OBJECTIVE_GUARD raises GuardError.
+    OBJECTIVE_GUARD raises GuardError.  ``geometries`` maps weak image ids to
+    the center coverage of their proposals; a missing one is built per call.
     """
     strong_term = 0.0
     weak_term = 0.0
@@ -336,11 +353,14 @@ def objective(dataset: Dataset, params: ScorerParams) -> ObjectiveValue:
         log_probs = log_prob_matrix(params, record.features)
         if record.is_weak:
             label = _weak_label(record)
+            geometry = (geometries or {}).get(record.image_id)
             if len(label) <= 3:
-                weak_term += exact_log_partition(record.proposals, label, log_probs)
+                weak_term += exact_log_partition(record.proposals, label, log_probs,
+                                                 geometry)
             else:
                 _check_enumeration_size(record, label)
-                grid = exact_log_likelihood_grid(record.proposals, label, log_probs)
+                grid = exact_log_likelihood_grid(record.proposals, label, log_probs,
+                                                 geometry)
                 weak_term += logsumexp(grid.reshape(-1))
         else:
             labels = strong_label_vector(record, params.num_categories)
@@ -499,6 +519,10 @@ def run_em(dataset: Dataset, config: EmConfig,
     nothing (zero parameters, so the first posteriors are uniform over the
     enumerated sets).  The trace holds the objective at initialization and
     after every M-step.
+
+    Each weak image's center coverage is built once per run, after the
+    exact and hard enumeration guards have passed, and read by every E-step,
+    soft-label pass and objective of the run; nothing outlives the run.
     """
     if init_params is not None and init_scores is not None:
         raise ValueError("pass at most one of init_params and init_scores")
@@ -519,6 +543,11 @@ def run_em(dataset: Dataset, config: EmConfig,
     weak_records = [r for r in dataset if r.is_weak]
     strong_rows = {r.image_id: strong_labels(r, params.num_categories)
                    for r in dataset if not r.is_weak}
+    if config.mode != "k_em":
+        # Fail before the B x B IoU matrices below are built.
+        for record in weak_records:
+            _check_enumeration_size(record, _weak_label(record))
+    geometries = {r.image_id: center_geometry(r.proposals) for r in weak_records}
 
     posteriors: dict[str, PosteriorTable] = {}
     for record in weak_records:
@@ -528,11 +557,12 @@ def run_em(dataset: Dataset, config: EmConfig,
             posteriors[record.image_id] = e_step_from_scores(
                 record, init_scores[record.image_id], config)
         else:
-            posteriors[record.image_id] = e_step(record, params, config)
+            posteriors[record.image_id] = e_step(record, params, config,
+                                                 geometries[record.image_id])
 
     trace: list[ObjectiveValue] = []
     if config.record_trace:
-        trace.append(objective(dataset, params))
+        trace.append(objective(dataset, params, geometries))
 
     state = OptimizerState.for_params(params, config.lr_initial,
                                       config.momentum, config.weight_decay)
@@ -542,14 +572,16 @@ def run_em(dataset: Dataset, config: EmConfig,
         labels = dict(strong_rows)
         for record in weak_records:
             labels[record.image_id] = soft_labels(
-                posteriors[record.image_id], record, params.num_categories).q
+                posteriors[record.image_id], record, params.num_categories,
+                geometries[record.image_id]).q
         if config.full_batch:
             full_batch_m_step(dataset, labels, params, config)
         else:
             step = m_step(dataset, labels, params, state, config, rng, step)
         if config.record_trace:
-            trace.append(objective(dataset, params))
+            trace.append(objective(dataset, params, geometries))
         if it + 1 < config.em_iterations:
             for record in weak_records:
-                posteriors[record.image_id] = e_step(record, params, config)
+                posteriors[record.image_id] = e_step(record, params, config,
+                                                     geometries[record.image_id])
     return EmResult(params, trace)

@@ -113,44 +113,95 @@ class LatentConfigSet:
         return self.centers.shape[0]
 
 
-# Config rows labelled per kernel pass; bounds the (rows, M, B) temporaries so
-# kernel memory does not grow with the size of the config set.
+# Config rows labelled per kernel pass; bounds the (rows, B) label and key
+# buffers so kernel memory does not grow with the size of the config set.
 LABEL_CHUNK = 1024
 
 
 class CenterGeometry(NamedTuple):
-    """The overlap data of the center-coverage rule for one image's proposals.
+    """The center coverage of one image's proposals, as sparse member lists.
 
-    ``covered[i, j]`` says proposal j joins center i's neighborhood (IoU at
-    or above CENTER_IOU).  ``keys`` is the IoU with 2 added on the diagonal,
-    so a center outranks every other center on its own proposal.  Both are
-    symmetric, so row i describes center i.
+    Center i covers ``members[offsets[i]:offsets[i + 1]]``: the proposals
+    whose IoU with it reaches CENTER_IOU, in ascending index order, itself
+    included (compressed sparse rows; members are int32).  ``keys`` holds
+    each member's IoU, plus 2 where the member is the center itself, so a
+    center outranks every other center on its own proposal.  Coverage is
+    symmetric, so the list of center i also names the centers covering
+    proposal i.  The form holds 12 bytes per covered pair plus the B + 1
+    offsets; nothing B x B outlives center_geometry.
     """
 
-    covered: np.ndarray
+    offsets: np.ndarray
+    members: np.ndarray
     keys: np.ndarray
+
+    @property
+    def num_proposals(self) -> int:
+        return len(self.offsets) - 1
 
 
 def center_geometry(proposals: np.ndarray) -> CenterGeometry:
-    """Build the per-image (B, B) coverage and keys from one IoU matrix of the
-    (B, 4) proposal coordinates."""
+    """Build one image's coverage from one IoU matrix of its (B, 4) proposals.
+
+    Members come in np.nonzero order of the IoU >= CENTER_IOU mask, and each
+    key is the IoU exactly as in ``overlap + 2 * eye(B)``.
+    """
     overlap = iou_matrix(proposals)
-    return CenterGeometry(overlap >= CENTER_IOU, overlap + 2.0 * np.eye(len(proposals)))
+    centers, members = np.nonzero(overlap >= CENTER_IOU)
+    keys = overlap[centers, members]
+    keys[centers == members] += 2.0
+    offsets = np.zeros(len(proposals) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(centers, minlength=len(proposals)), out=offsets[1:])
+    return CenterGeometry(offsets, members.astype(np.int32), keys)
+
+
+def _geometry_for(proposals: np.ndarray, geometry: CenterGeometry | None) -> CenterGeometry:
+    """The given coverage of these proposals, or one built from them."""
+    if geometry is None:
+        return center_geometry(proposals)
+    if geometry.num_proposals != len(proposals):
+        raise ValueError(f"geometry covers {geometry.num_proposals} proposals, "
+                         f"not {len(proposals)}")
+    return geometry
+
+
+def _member_positions(offsets: np.ndarray, centers: np.ndarray):
+    """Every member of every listed center, as (index into centers, position).
+
+    Positions index ``members`` and ``keys``; the listed centers keep their
+    order, and each one's members come in index order.
+    """
+    start = offsets[centers]
+    count = offsets[centers + 1] - start
+    owner = np.repeat(np.arange(centers.size), count)
+    return owner, np.arange(owner.size) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
 def _label_chunks(geometry: CenterGeometry, categories, centers: np.ndarray):
     """Yield (first row, (rows, B) labels) over the configs, LABEL_CHUNK at a time.
 
     Each proposal takes the category of the covering center with the highest
-    key, ties going to the earliest slot (the lowest category id, because
-    slots are sorted by category); uncovered proposals are background.
+    key; uncovered proposals are background.  The slots' member lists are
+    walked in slot order, and a member changes hands only on a key strictly
+    above the best so far, so ties go to the earliest slot (the lowest
+    category id, because slots are sorted by category), as an argmax over
+    slots would.
     """
     cats = np.asarray(categories, dtype=np.int64)
+    B = geometry.num_proposals
     for start in range(0, centers.shape[0], LABEL_CHUNK):
         rows = centers[start:start + LABEL_CHUNK]
-        covered = geometry.covered[rows]  # (rows, M, B)
-        slots = np.where(covered, geometry.keys[rows], -np.inf).argmax(axis=1)
-        yield start, np.where(covered.any(axis=1), cats[slots], 0)
+        best = np.full(rows.shape[0] * B, -np.inf)
+        labels = np.zeros(rows.shape[0] * B, dtype=np.int64)
+        for m in range(rows.shape[1]):
+            row, position = _member_positions(geometry.offsets, rows[:, m])
+            cell = row * B + geometry.members[position]
+            key = geometry.keys[position]
+            wins = key > best[cell]
+            cell, key = cell[wins], key[wins]
+            best[cell] = key
+            labels[cell] = cats[m]
+        yield start, labels.reshape(-1, B)
 
 
 def expand(config_set: LatentConfigSet, proposals: np.ndarray) -> np.ndarray:
@@ -160,9 +211,7 @@ def expand(config_set: LatentConfigSet, proposals: np.ndarray) -> np.ndarray:
     with some center reaches CENTER_IOU takes the category of the
     highest-IoU center, ties resolved toward the lower category id.
     """
-    if config_set.centers.max() >= len(proposals):
-        raise ValueError(f"config centers reach index {config_set.centers.max()} but there "
-                         f"are only {len(proposals)} proposals")
+    _check_centers(config_set.centers, proposals)
     chunks = _label_chunks(center_geometry(proposals), config_set.categories,
                            config_set.centers)
     return np.concatenate([labels for _, labels in chunks])
@@ -192,6 +241,10 @@ def _check_scoring_inputs(categories, centers: np.ndarray, log_probs: np.ndarray
             f"config categories {tuple(categories)} exceed {log_probs.shape[1]} columns")
     if not np.all(np.isfinite(log_probs)):
         raise ValueError("log probabilities must be finite")
+    _check_centers(centers, proposals)
+
+
+def _check_centers(centers: np.ndarray, proposals: np.ndarray) -> None:
     if centers.max() >= len(proposals):
         raise ValueError(f"config centers reach index {centers.max()} but there are "
                          f"only {len(proposals)} proposals")
@@ -210,29 +263,38 @@ def _config_scores(geometry: CenterGeometry, categories, centers: np.ndarray,
 
 
 def score_config_set(config_set: LatentConfigSet, log_probs: np.ndarray,
-                     proposals: np.ndarray) -> np.ndarray:
-    """Log-likelihood of each config in the set, aligned with its rows."""
+                     proposals: np.ndarray,
+                     geometry: CenterGeometry | None = None) -> np.ndarray:
+    """Log-likelihood of each config in the set, aligned with its rows.
+
+    ``geometry`` is center_geometry(proposals), built here when not given.
+    """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     _check_scoring_inputs(config_set.categories, config_set.centers, log_probs, proposals)
-    return _config_scores(center_geometry(proposals), config_set.categories,
+    return _config_scores(_geometry_for(proposals, geometry), config_set.categories,
                           config_set.centers, log_probs)
 
 
 def label_marginals(config_set: LatentConfigSet, weights: np.ndarray,
-                    proposals: np.ndarray, num_categories: int) -> np.ndarray:
-    """Per-proposal category distribution (B, C) under weights over the configs."""
+                    proposals: np.ndarray, num_categories: int,
+                    geometry: CenterGeometry | None = None) -> np.ndarray:
+    """Per-proposal category distribution (B, C) under weights over the configs.
+
+    ``geometry`` is center_geometry(proposals), built here when not given.
+    """
+    _check_centers(config_set.centers, proposals)
     q = np.zeros((len(proposals), num_categories))
     present = (0, *config_set.categories)
-    for start, labels in _label_chunks(center_geometry(proposals), config_set.categories,
-                                       config_set.centers):
+    for start, labels in _label_chunks(_geometry_for(proposals, geometry),
+                                       config_set.categories, config_set.centers):
         w = weights[start:start + labels.shape[0]]
         for c in present:
             q[:, c] += w @ (labels == c)
     return q
 
 
-def exact_log_likelihood_grid(proposals: np.ndarray, z,
-                              log_probs: np.ndarray) -> np.ndarray:
+def exact_log_likelihood_grid(proposals: np.ndarray, z, log_probs: np.ndarray,
+                              geometry: CenterGeometry | None = None) -> np.ndarray:
     """Config log-likelihoods for the full enumeration as a (B,) * M array.
 
     Entry [j1, ..., jM] scores the config placing category z[m]'s center at
@@ -249,7 +311,8 @@ def exact_log_likelihood_grid(proposals: np.ndarray, z,
     sums are subtracted only on the (j, k) lines they touch, and for M = 3
     each proposal covered by all three centers gets its bottom-ranked slot's
     delta added back, in order of the proposal.  Entries never touched by a
-    correction cost no work beyond the dense part.
+    correction cost no work beyond the dense part.  ``geometry`` is
+    center_geometry(proposals), built here when not given.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
@@ -257,14 +320,16 @@ def exact_log_likelihood_grid(proposals: np.ndarray, z,
     if B < M:
         raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
 
+    geometry = _geometry_for(proposals, geometry)
     if M > 3:
         # Rare at desk scale; score the distinct rows through the labelling kernel.
         grid = np.full((B,) * M, -np.inf)
         config_set = enumerate_exact(proposals, label)
-        grid[tuple(config_set.centers.T)] = score_config_set(config_set, log_probs, proposals)
+        grid[tuple(config_set.centers.T)] = score_config_set(config_set, log_probs, proposals,
+                                                             geometry)
         return grid
 
-    terms = _overlap_terms(proposals, label.categories, log_probs)
+    terms = _overlap_terms(geometry, label.categories, log_probs)
     grid = terms.base
     for m in range(M):
         grid = grid + terms.per_center[:, m].reshape(_axis_shape(M, m, B))
@@ -295,7 +360,7 @@ class _Overlaps(NamedTuple):
     triples: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
 
 
-def _overlap_terms(proposals: np.ndarray, categories, log_probs: np.ndarray) -> _Overlaps:
+def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) -> _Overlaps:
     """The dense and sparse terms of the config log-likelihoods of one image.
 
     ``base`` is the all-background sum and ``per_center`` each center's
@@ -307,37 +372,46 @@ def _overlap_terms(proposals: np.ndarray, categories, log_probs: np.ndarray) -> 
     For M = 3 a proposal covered by all three chosen centers lost one delta
     too many, so its bottom-ranked slot's delta comes back as one
     ``triples`` entry, in order of i.
+
+    Cover entries and keys are read from the member lists of ``geometry``:
+    by symmetry, the list of proposal i names the centers covering it.
+    Only ``per_center``, one matrix product, rebuilds a dense coverage.
     """
-    B, M = len(proposals), len(categories)
+    B, M = geometry.num_proposals, len(categories)
     cats = np.array(categories, dtype=np.int64)
-    covered, keys = center_geometry(proposals)
+    offsets, keys = geometry.offsets, geometry.keys
+    rows = np.repeat(np.arange(B), np.diff(offsets))
+    cols = geometry.members.astype(np.int64)
     base = log_probs[:, 0].sum()
     delta = log_probs[:, cats] - log_probs[:, [0]]
-    per_center = covered.T.astype(np.float64) @ delta  # (B, M)
+    cover = np.zeros((B, B))
+    cover[rows, cols] = 1.0
+    per_center = cover.T @ delta  # (B, M)
+    del cover
     touched = triples = None
     pairs: dict[tuple[int, int], np.ndarray] = {}
 
     if M >= 2:
-        rows, cols = np.nonzero(covered)
-        counts = np.bincount(rows, minlength=B)
-        entry, k = _cover_join(counts, cols, rows)
-        i, j = rows[entry], cols[entry]
-        keep = j != k
-        i, j, k = i[keep], j[keep], k[keep]
+        # Positions in the member lists of (i, j) and (i, k).
+        at_j, at_k = _member_positions(offsets, rows)
+        keep = cols[at_j] != cols[at_k]
+        at_j, at_k = at_j[keep], at_k[keep]
+        i, j, k = rows[at_j], cols[at_j], cols[at_k]
         line = j * B + k
         touched = np.flatnonzero(np.bincount(line, minlength=B * B))
-        first_wins = keys[i, j] >= keys[i, k]
+        first_wins = keys[at_j] >= keys[at_k]
         for a in range(M):
             for b in range(a + 1, M):
                 loser = np.where(first_wins, delta[i, b], delta[i, a])
                 pairs[(a, b)] = np.bincount(line, weights=loser, minlength=B * B)[touched]
 
     if M == 3:
-        entry, l = _cover_join(counts, cols, i)
+        entry, at_l = _member_positions(offsets, i)
+        l = cols[at_l]
+        keep = (l != j[entry]) & (l != k[entry])
+        entry, at_l, l = entry[keep], at_l[keep], l[keep]
         i, j, k = i[entry], j[entry], k[entry]
-        keep = (l != j) & (l != k)
-        i, j, k, l = i[keep], j[keep], k[keep], l[keep]
-        ka, kb, kc = keys[i, j], keys[i, k], keys[i, l]
+        ka, kb, kc = keys[at_j[entry]], keys[at_k[entry]], keys[at_l]
         third_c = (ka >= kc) & (kb >= kc)
         third_b = (ka >= kb) & ~(kb >= kc)
         add = np.where(third_c, delta[i, 2], np.where(third_b, delta[i, 1], delta[i, 0]))
@@ -345,7 +419,8 @@ def _overlap_terms(proposals: np.ndarray, categories, log_probs: np.ndarray) -> 
     return _Overlaps(base, per_center, touched, pairs, triples)
 
 
-def exact_log_partition(proposals: np.ndarray, z, log_probs: np.ndarray) -> float:
+def exact_log_partition(proposals: np.ndarray, z, log_probs: np.ndarray,
+                        geometry: CenterGeometry | None = None) -> float:
     """log P(z | x) for M <= 3: the log-sum-exp of every exact config's log-likelihood.
 
     For M <= 2 this is logsumexp(exact_log_likelihood_grid(...)): that grid
@@ -367,7 +442,8 @@ def exact_log_partition(proposals: np.ndarray, z, log_probs: np.ndarray) -> floa
     inner on their (j, k) lines and added with their exact values, so only
     positive terms are summed.  The largest table built has B ** min(M, 2)
     entries: more than OBJECTIVE_GUARD raise GuardError before anything is
-    built.
+    built.  ``geometry`` is center_geometry(proposals), built here when not
+    given.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
@@ -381,10 +457,10 @@ def exact_log_partition(proposals: np.ndarray, z, log_probs: np.ndarray) -> floa
             f"{B} proposals give {B} ** {min(M, 2)} configs or pair factors, which "
             f"exceed the {OBJECTIVE_GUARD} config guard")
     if M <= 2:
-        grid = exact_log_likelihood_grid(proposals, label, log_probs)
+        grid = exact_log_likelihood_grid(proposals, label, log_probs, geometry)
         return float(logsumexp(grid.reshape(-1)))
 
-    terms = _overlap_terms(proposals, label.categories, log_probs)
+    terms = _overlap_terms(_geometry_for(proposals, geometry), label.categories, log_probs)
     # -pairs[(a, b)] on the touched lines, 0 elsewhere, -inf on the diagonal.
     minus = {}
     for pair, loser in terms.pairs.items():
@@ -425,32 +501,18 @@ def exact_log_partition(proposals: np.ndarray, z, log_probs: np.ndarray) -> floa
     return float(terms.base + total)
 
 
-def _cover_join(counts: np.ndarray, cols: np.ndarray, i: np.ndarray):
-    """Pair each entry of i with every center covering proposal i.
-
-    ``cols`` lists the covering centers of proposal 0, then 1, ..., and
-    ``counts`` how many each has.  Returns the entry index of every pair and
-    its center: entries keep their order, and each one's centers come in
-    index order.
-    """
-    n = counts[i]
-    entry = np.repeat(np.arange(i.size), n)
-    offset = np.arange(entry.size) - np.repeat(np.cumsum(n) - n, n)
-    first = np.cumsum(counts) - counts
-    return entry, cols[first[i][entry] + offset]
-
-
 def _axis_shape(M: int, axis: int, B: int) -> tuple[int, ...]:
     shape = [1] * M
     shape[axis] = B
     return tuple(shape)
 
 
-def exact_config_values(proposals: np.ndarray, z,
-                        log_probs: np.ndarray) -> tuple[LatentConfigSet, np.ndarray]:
+def exact_config_values(proposals: np.ndarray, z, log_probs: np.ndarray,
+                        geometry: CenterGeometry | None = None
+                        ) -> tuple[LatentConfigSet, np.ndarray]:
     """The exact enumeration plus its log-likelihoods, row-aligned."""
     config_set = enumerate_exact(proposals, z)
-    grid = exact_log_likelihood_grid(proposals, config_set.categories, log_probs)
+    grid = exact_log_likelihood_grid(proposals, config_set.categories, log_probs, geometry)
     return config_set, grid[tuple(config_set.centers.T)]
 
 

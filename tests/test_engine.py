@@ -452,6 +452,21 @@ class TestSoftLabels:
         with pytest.raises(ValueError, match="categories exist"):
             soft_labels(post, rec, 2)
 
+    def test_rejects_a_posterior_of_another_image(self):
+        rec = isolated_weak_record("w", 3, (1,), dim=3)
+        post = PosteriorTable("v", LatentConfigSet((1,), np.array([[0]])),
+                              np.array([1.0]))
+        with pytest.raises(ValueError, match="image v passed with image w"):
+            soft_labels(post, rec, 2)
+
+    def test_rejects_centers_past_the_proposals(self):
+        # a posterior built for five proposals, passed with a three-proposal record
+        rec = isolated_weak_record("w", 3, (1,), dim=3)
+        post = PosteriorTable("w", LatentConfigSet((1,), np.array([[1], [4]])),
+                              np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="only 3 proposals"):
+            soft_labels(post, rec, 2)
+
 
 class TestSurrogateGradientIdentity:
     def test_gradient_matches_stacked_soft_label_ce(self):
@@ -768,22 +783,58 @@ class TestRunEm:
         with pytest.raises(ValueError, match="categories"):
             run_em(dataset, EmConfig(), init_params=ScorerParams.zeros(2, 4))
 
-    def test_kem_builds_at_most_two_iou_matrices_per_image_and_round(self, monkeypatch):
-        dataset = self.tiny_dataset(seed=29, count=5)
+    @staticmethod
+    def count_iou_matrices(monkeypatch):
+        """Record the first argument of every iou_matrix call, by every binding."""
         calls = []
         original = emdet.geometry.iou_matrix
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(args[0])
             return original(*args, **kwargs)
 
         for module in (emdet.geometry, emdet.latent, emdet.engine):
             monkeypatch.setattr(module, "iou_matrix", counting)
-        config = EmConfig(mode="k_em", k=10, em_iterations=3,
-                          sgd_steps_per_m_step=20, record_trace=False)
-        run_em(dataset, config)
-        # one E-step and one soft-label pass per weak image and round
-        assert len(calls) <= 2 * len(dataset) * config.em_iterations
+        return calls
+
+    @pytest.mark.parametrize("mode, record_trace",
+                             [("k_em", True), ("k_em", False), ("hard", False)])
+    def test_one_iou_matrix_per_weak_image_per_run(self, mode, record_trace, monkeypatch):
+        dataset = self.tiny_dataset(seed=29, count=5)
+        calls = self.count_iou_matrices(monkeypatch)
+        config = EmConfig(mode=mode, k=10, em_iterations=3,
+                          sgd_steps_per_m_step=20, record_trace=record_trace)
+        first = run_em(dataset, config)
+        assert len(calls) == len(dataset)
+
+        # Replace one record's proposals: the next run builds every image's
+        # coverage again and trains on the new boxes.
+        record = dataset[2]
+        moved = clustered_boxes(np.random.default_rng(30), record.num_proposals)
+        record.proposals = moved
+        del calls[:]
+        second = run_em(dataset, config)
+        assert len(calls) == len(dataset)
+        assert any(boxes is moved for boxes in calls)
+        fresh = Dataset([weak_record(r.image_id, r.proposals, r.features,
+                                     r.annotation.label.categories) for r in dataset])
+        again = run_em(fresh, config)
+        assert second.params.weights.tobytes() == again.params.weights.tobytes()
+        assert [v.total for v in second.trace] == [v.total for v in again.trace]
+        assert first.params.weights.tobytes() != second.params.weights.tobytes()
+
+    @pytest.mark.parametrize("mode", ["exact", "hard"])
+    def test_guard_fails_before_any_iou_matrix_is_built(self, mode, monkeypatch):
+        # 1100 ** 2 configs exceed the guard; the image's IoU matrix alone is ~10 MB
+        dataset = self.tiny_dataset(seed=31, count=2)
+        rng = np.random.default_rng(31)
+        big = random_weak_record(rng, "big", num_proposals=1100, num_fg=2,
+                                 feature_dim=4, num_present=2)
+        dataset = Dataset([*dataset, big])
+        calls = self.count_iou_matrices(monkeypatch)
+        with pytest.raises(GuardError, match="image big"):
+            run_em(dataset, EmConfig(mode=mode, em_iterations=1, sgd_steps_per_m_step=5))
+        assert calls == []
 
     def test_num_categories_override_widens_the_scorer(self):
         dataset = self.tiny_dataset()

@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emdet.latent
 from emdet.geometry import Box, boxes_to_array, iou, iou_matrix
 from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
-                          ImageLabel, LatentConfigSet, enumerate_exact,
-                          exact_config_values, exact_log_likelihood_grid,
+                          ImageLabel, LatentConfigSet, center_geometry,
+                          enumerate_exact, exact_config_values, exact_log_likelihood_grid,
                           exact_log_partition, expand, label_marginals, logsumexp,
                           score_config_set, select_k)
 from emdet.oracle import brute_marginal_likelihood
@@ -115,14 +117,24 @@ class TestExpand:
 
 
 class TestLabellingKernel:
-    """The batched kernel against the oracle's naive per-config expansion."""
+    """The batched kernel against the oracle's naive per-config expansion.
 
-    def instances(self, seed):
+    Grid boxes hold duplicates and overlaps of exactly 0.5; clustered boxes
+    add proposals covered by three or more centers at once.  Both give
+    equal keys between slots, where the slot walk's strict > must agree
+    with the naive first-highest-IoU scan.
+    """
+
+    def instances(self, seed, kind):
         rng = np.random.default_rng(seed)
         for m in (1, 2, 3, 4):
             for _ in range(2):
-                boxes = grid_boxes(rng, 9)
-                assert np.any(iou_matrix(boxes) == 0.5)
+                boxes = grid_boxes(rng, 9) if kind == "grid" else clustered_boxes(rng, 9)
+                overlap = iou_matrix(boxes)
+                assert np.any(overlap == 0.5)
+                if kind == "clustered":
+                    assert np.any((overlap >= CENTER_IOU).sum(axis=1) >= 4)
+                    assert len(np.unique(boxes, axis=0)) < len(boxes)
                 label = ImageLabel(tuple(range(1, m + 1)))
                 logits = rng.normal(0.0, 1.5, size=(len(boxes), m + 1))
                 log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
@@ -130,9 +142,17 @@ class TestLabellingKernel:
 
     @pytest.mark.parametrize("chunk", [7, LABEL_CHUNK])
     def test_rows_scores_and_marginals_match_naive_expansion(self, chunk, monkeypatch):
+        self.check_against_naive_expansion("grid", chunk, monkeypatch)
+
+    @pytest.mark.parametrize("chunk", [7, LABEL_CHUNK])
+    def test_clustered_rows_scores_and_marginals_match_naive_expansion(self, chunk,
+                                                                       monkeypatch):
+        self.check_against_naive_expansion("clustered", chunk, monkeypatch)
+
+    def check_against_naive_expansion(self, kind, chunk, monkeypatch):
         monkeypatch.setattr(emdet.latent, "LABEL_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
-        for boxes, config_set, log_probs in self.instances(chunk):
+        for boxes, config_set, log_probs in self.instances(chunk, kind):
             # every set spans more than one chunk of 7; of the default, only M = 4 does
             assert len(config_set) > chunk or len(config_set.categories) < 4
             naive = np.array([naive_expand(config_set.categories, row, boxes)
@@ -155,6 +175,67 @@ class TestLabellingKernel:
         config_set = one_config((1,), (3,))
         with pytest.raises(ValueError, match="only 3 proposals"):
             score_config_set(config_set, uniform_log_probs(3, 2), isolated_boxes(3))
+
+
+# Small integer boxes: overlaps of exactly 0.5 and equal keys between slots are common.
+_small_box = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 4),
+                       st.integers(1, 4))
+
+
+class TestCenterGeometry:
+    def test_member_lists_are_the_dense_coverage(self):
+        rng = np.random.default_rng(5)
+        for boxes in (random_boxes(rng, 40), clustered_boxes(rng, 40), grid_boxes(rng, 20)):
+            overlap = iou_matrix(boxes)
+            keys = overlap + 2.0 * np.eye(len(boxes))
+            centers, members = np.nonzero(overlap >= CENTER_IOU)
+            geometry = center_geometry(boxes)
+            assert geometry.num_proposals == len(boxes)
+            assert geometry.members.dtype == np.int32
+            assert np.array_equal(np.repeat(np.arange(len(boxes)), np.diff(geometry.offsets)),
+                                  centers)
+            assert np.array_equal(geometry.members, members)
+            assert geometry.keys.tobytes() == keys[centers, members].tobytes()
+
+    def test_holds_nothing_quadratic(self):
+        # A (B, B) bool mask alone would take 40 kB at B = 200.
+        rng = np.random.default_rng(6)
+        B = 200
+        for boxes in (random_boxes(rng, B), clustered_boxes(rng, B)):
+            tracemalloc.start()
+            try:
+                geometry = center_geometry(boxes)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            pairs = len(geometry.members)
+            assert pairs > B
+            assert 16 * pairs + 32 * B < B * B
+            assert held < 16 * pairs + 32 * B
+
+    def test_geometry_of_other_proposals_is_rejected(self):
+        boxes = isolated_boxes(4)
+        with pytest.raises(ValueError, match="covers 3 proposals, not 4"):
+            score_config_set(one_config((1,), (0,)), uniform_log_probs(4, 2), boxes,
+                             center_geometry(boxes[:3]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxes=st.lists(_small_box, min_size=1, max_size=8), data=st.data())
+    def test_sparse_labels_equal_the_naive_expansion(self, boxes, data):
+        # Repeating drawn boxes gives equal keys between slots on every proposal
+        # the repeats cover.
+        repeats = data.draw(st.lists(st.integers(0, len(boxes) - 1), max_size=3))
+        boxes = boxes + [boxes[i] for i in repeats]
+        proposals = np.array([[x, y, x + w, y + h] for x, y, w, h in boxes], dtype=np.float64)
+        B = len(proposals)
+        m = data.draw(st.integers(1, min(4, B)))
+        categories = tuple(sorted(data.draw(
+            st.lists(st.integers(1, 6), min_size=m, max_size=m, unique=True))))
+        rows = data.draw(st.lists(st.permutations(range(B)).map(lambda p: p[:m]),
+                                  min_size=1, max_size=5))
+        config_set = LatentConfigSet(categories, np.array(rows))
+        naive = np.array([naive_expand(categories, row, proposals) for row in rows])
+        assert np.array_equal(expand(config_set, proposals), naive)
 
 
 class TestEnumerateExact:
