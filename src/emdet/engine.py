@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from emdet.latent import (
 from emdet.scorer import (
     OptimizerState,
     ScorerParams,
-    ce_loss_and_gradient,
+    ce_gradient,
     check_soft_labels,
     log_prob_matrix,
     sgd_step,
@@ -336,7 +337,8 @@ def soft_labels(post: PosteriorTable, record: ImageRecord, num_categories: int,
 
 
 def objective(dataset: Dataset, params: ScorerParams,
-              geometries: dict[str, CenterGeometry] | None = None) -> ObjectiveValue:
+              geometries: dict[str, CenterGeometry] | None = None,
+              strong_vectors: dict[str, np.ndarray] | None = None) -> ObjectiveValue:
     """The true mixed-supervision log-likelihood J at the given scorer.
 
     Weak terms are always exact: exact_log_partition sums every config for
@@ -345,7 +347,8 @@ def objective(dataset: Dataset, params: ScorerParams,
     has no truncated form, so a three-category image whose pair factors
     (B ** 2), or any other weak image whose enumeration (B ** M), exceeds
     OBJECTIVE_GUARD raises GuardError.  ``geometries`` maps weak image ids to
-    the center coverage of their proposals; a missing one is built per call.
+    the center coverage of their proposals, ``strong_vectors`` strong image
+    ids to their strong_label_vector; a missing one is built per call.
     """
     strong_term = 0.0
     weak_term = 0.0
@@ -363,7 +366,9 @@ def objective(dataset: Dataset, params: ScorerParams,
                                                  geometry)
                 weak_term += logsumexp(grid.reshape(-1))
         else:
-            labels = strong_label_vector(record, params.num_categories)
+            labels = (strong_vectors or {}).get(record.image_id)
+            if labels is None:
+                labels = strong_label_vector(record, params.num_categories)
             strong_term += float(log_probs[np.arange(len(labels)), labels].sum())
     return ObjectiveValue(strong_term, weak_term)
 
@@ -403,17 +408,11 @@ def _sample_rows(rng: np.random.Generator, pool: np.ndarray, count: int) -> np.n
     return rng.choice(pool, size=count, replace=False)
 
 
-def _pools(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Foreground- and background-eligible rows, by the soft-label argmax."""
-    fg = q.argmax(axis=1) != 0
-    return np.flatnonzero(fg), np.flatnonzero(~fg)
-
-
 def _minibatch_rows(rng: np.random.Generator, fg_pool: np.ndarray, bg_pool: np.ndarray,
                     config: EmConfig) -> np.ndarray:
     """Sample row indices for one image: fg_per_image + bg_per_image.
 
-    The pools come from _pools; a pool shorter than its quota is sampled
+    The pools come from _row_sampler; a pool shorter than its quota is sampled
     with replacement, an empty pool contributes nothing.
     """
     return np.concatenate([
@@ -422,11 +421,67 @@ def _minibatch_rows(rng: np.random.Generator, fg_pool: np.ndarray, bg_pool: np.n
     ])
 
 
-def _sgd_image(record: ImageRecord, q: np.ndarray, params: ScorerParams):
-    """One image's M-step inputs: features, checked soft labels, sampling pools."""
+def _one_call_bounds(fg_size: int, bg_size: int,
+                     config: EmConfig) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-draw (low, high) bounds of a mini-batch drawn in one generator call.
+
+    A mini-batch is two _minibatch_rows draws.  When every non-empty quota of
+    both is drawn with replacement, each draw is one bounded integer taken
+    from the generator's 32-bit stream, so ``rng.integers(low, high)`` with
+    these bounds (positions in the row order of _row_sampler) returns the
+    same rows and leaves the same generator state as the four per-pool calls.
+    A quota drawn without replacement goes through rng.choice, whose stream
+    differs, and such pool sizes give None.
+    """
+    quotas = [(start, size, count) for start, size, count in
+              ((0, fg_size, config.fg_per_image), (fg_size, bg_size, config.bg_per_image))
+              if size and count]
+    if not quotas or any(size >= count for _, size, count in quotas):
+        return None
+    low = np.concatenate([np.full(count, start) for start, _, count in quotas] * 2)
+    high = np.concatenate([np.full(count, start + size) for start, size, count in quotas] * 2)
+    return low, high
+
+
+class _RowSampler(NamedTuple):
+    """One image's mini-batch sampling state: a row order, its foreground and
+    background pools as views of it, and their _one_call_bounds."""
+
+    order: np.ndarray
+    fg_pool: np.ndarray
+    bg_pool: np.ndarray
+    bounds: tuple[np.ndarray, np.ndarray] | None
+
+
+def _row_sampler(q: np.ndarray, config: EmConfig, bounds: dict) -> _RowSampler:
+    """The _RowSampler of soft labels q: foreground-eligible rows (argmax not
+    background) first, then the rest.  ``bounds`` shares _one_call_bounds
+    between images by pool sizes, which is all they depend on."""
+    fg = q.argmax(axis=1) != 0
+    fg_rows = np.flatnonzero(fg)
+    order = np.concatenate([fg_rows, np.flatnonzero(~fg)])
+    sizes = (fg_rows.size, order.size - fg_rows.size)
+    if sizes not in bounds:
+        bounds[sizes] = _one_call_bounds(*sizes, config)
+    return _RowSampler(order, order[:fg_rows.size], order[fg_rows.size:], bounds[sizes])
+
+
+def _batch_rows(rng: np.random.Generator, sampler: _RowSampler,
+                config: EmConfig) -> np.ndarray:
+    """One mini-batch of rows: two _minibatch_rows draws, taken in one
+    generator call when the sampler has bounds for it."""
+    if sampler.bounds is not None:
+        return sampler.order.take(rng.integers(*sampler.bounds))
+    return np.concatenate([_minibatch_rows(rng, sampler.fg_pool, sampler.bg_pool, config),
+                           _minibatch_rows(rng, sampler.fg_pool, sampler.bg_pool, config)])
+
+
+def _sgd_image(record: ImageRecord, q: np.ndarray, params: ScorerParams,
+               config: EmConfig, bounds: dict):
+    """One image's M-step inputs: features, checked soft labels, _row_sampler."""
     q = np.asarray(q, dtype=np.float64)
     check_soft_labels(q, record.num_proposals, params.num_categories)
-    return record.features, q, *_pools(q)
+    return record.features, q, _row_sampler(q, config, bounds)
 
 
 def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams,
@@ -439,10 +494,13 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
     draws of the same image's proposals.  The gradient is the per-sample
     mean, keeping the learning-rate scale independent of batch size.  Soft
     labels are checked once per image up front, with the checks of
-    weighted_ce_gradient.
+    weighted_ce_gradient.  A mini-batch whose quotas are all drawn with
+    replacement takes its rows in one generator call (_one_call_bounds), with
+    the draws and generator state of the per-pool calls.
     """
     records = dataset.records
-    images = [_sgd_image(r, labels[r.image_id], params) for r in records]
+    bounds: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
+    images = [_sgd_image(r, labels[r.image_id], params, config, bounds) for r in records]
     # Mini-batch rows are gathered into one reused buffer whose last column
     # stays 1, the bias input; per-image augmented copies would raise peak memory.
     batch = np.ones((2 * (config.fg_per_image + config.bg_per_image), params.feature_dim + 1))
@@ -450,20 +508,19 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
     for n in range(config.sgd_steps_per_m_step):
         state.learning_rate = learning_rate(config, start_step + n)
         index = int(rng.integers(len(records)))
-        features, q, fg_pool, bg_pool = images[index]
-        rows = np.concatenate([_minibatch_rows(rng, fg_pool, bg_pool, config),
-                               _minibatch_rows(rng, fg_pool, bg_pool, config)])
+        features, q, sampler = images[index]
+        rows = _batch_rows(rng, sampler, config)
         if rows.size == 0:
             continue
         image_id = records[index].image_id
-        if config.fg_per_image > 0 and fg_pool.size == 0 \
+        if config.fg_per_image > 0 and sampler.fg_pool.size == 0 \
                 and image_id not in background_only:
             logger.debug("image %s has no foreground-eligible proposals; "
                          "contributing background only", image_id)
             background_only.add(image_id)
         augmented = batch[:rows.size]
-        augmented[:, :-1] = features[rows]
-        _, grad = ce_loss_and_gradient(params, augmented, q[rows], config.l2)
+        augmented[:, :-1] = features.take(rows, axis=0)
+        _, grad = ce_gradient(params, augmented, q.take(rows, axis=0), config.l2)
         grad /= rows.size
         sgd_step(params, state, grad)
     if background_only:
@@ -522,7 +579,8 @@ def run_em(dataset: Dataset, config: EmConfig,
 
     Each weak image's center coverage is built once per run, after the
     exact and hard enumeration guards have passed, and read by every E-step,
-    soft-label pass and objective of the run; nothing outlives the run.
+    soft-label pass and objective of the run; so is each strong image's
+    label vector.  Nothing outlives the run.
     """
     if init_params is not None and init_scores is not None:
         raise ValueError("pass at most one of init_params and init_scores")
@@ -541,8 +599,10 @@ def run_em(dataset: Dataset, config: EmConfig,
         params = ScorerParams.zeros(num_categories, dataset.feature_dim)
 
     weak_records = [r for r in dataset if r.is_weak]
-    strong_rows = {r.image_id: strong_labels(r, params.num_categories)
-                   for r in dataset if not r.is_weak}
+    strong_vectors = {r.image_id: strong_label_vector(r, params.num_categories)
+                      for r in dataset if not r.is_weak}
+    strong_rows = {image_id: np.eye(params.num_categories)[labels]
+                   for image_id, labels in strong_vectors.items()}
     if config.mode != "k_em":
         # Fail before the B x B IoU matrices below are built.
         for record in weak_records:
@@ -562,7 +622,7 @@ def run_em(dataset: Dataset, config: EmConfig,
 
     trace: list[ObjectiveValue] = []
     if config.record_trace:
-        trace.append(objective(dataset, params, geometries))
+        trace.append(objective(dataset, params, geometries, strong_vectors))
 
     state = OptimizerState.for_params(params, config.lr_initial,
                                       config.momentum, config.weight_decay)
@@ -579,7 +639,7 @@ def run_em(dataset: Dataset, config: EmConfig,
         else:
             step = m_step(dataset, labels, params, state, config, rng, step)
         if config.record_trace:
-            trace.append(objective(dataset, params, geometries))
+            trace.append(objective(dataset, params, geometries, strong_vectors))
         if it + 1 < config.em_iterations:
             for record in weak_records:
                 posteriors[record.image_id] = e_step(record, params, config,

@@ -66,9 +66,16 @@ def _augment(features: np.ndarray) -> np.ndarray:
 
 
 def _row_log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax of each row, shifted by the row max so exp cannot overflow."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Log-softmax of each row, shifted by the row max so exp cannot overflow.
+
+    The row max is taken over a contiguous (C, n) copy, where it is one
+    vectorized pass instead of a short reduction per row; max is exact in any
+    order.  The row sums keep the (n, C) layout, whose summation order is
+    that of ``.sum(axis=1)``, and call the ufunc ``.sum`` wraps.  So the
+    result equals the plain ``max``/``sum`` form bit for bit.
+    """
+    shifted = logits - np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
 def log_prob_matrix(params: ScorerParams, features: np.ndarray) -> np.ndarray:
@@ -95,17 +102,25 @@ def check_soft_labels(soft_labels: np.ndarray, num_rows: int, num_categories: in
         raise ValueError("soft label rows must sum to 1")
 
 
-def ce_loss_and_gradient(params: ScorerParams, augmented: np.ndarray,
-                         soft_labels: np.ndarray, l2: float = 0.0):
-    """weighted_ce_gradient on bias-augmented features, without input checks."""
-    logp = _row_log_softmax(augmented @ params.weights.T)
-    probs = np.exp(logp)
-
-    penalized = params.weights.copy()
+def _without_bias(weights: np.ndarray) -> np.ndarray:
+    """A copy of the weights with the bias column zeroed: the L2-penalized part."""
+    penalized = weights.copy()
     penalized[:, -1] = 0.0
-    loss = -(soft_labels * logp).sum() + 0.5 * l2 * (penalized ** 2).sum()
-    grad = (probs - soft_labels).T @ augmented + l2 * penalized
-    return loss, grad
+    return penalized
+
+
+def ce_gradient(params: ScorerParams, augmented: np.ndarray, soft_labels: np.ndarray,
+                l2: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of weighted_ce_gradient's loss on bias-augmented rows, unchecked.
+
+    Returns (log-probabilities of the rows, gradient); the loss itself is not
+    computed.  The L2 term is added only when ``l2`` is nonzero.
+    """
+    logp = _row_log_softmax(augmented @ params.weights.T)
+    grad = (np.exp(logp) - soft_labels).T @ augmented
+    if l2:
+        grad += l2 * _without_bias(params.weights)
+    return logp, grad
 
 
 def weighted_ce_gradient(params: ScorerParams, features: np.ndarray,
@@ -125,7 +140,9 @@ def weighted_ce_gradient(params: ScorerParams, features: np.ndarray,
     if soft_labels.ndim == 1:
         soft_labels = soft_labels[None, :]
     check_soft_labels(soft_labels, features.shape[0], params.num_categories)
-    return ce_loss_and_gradient(params, _augment(features), soft_labels, l2)
+    logp, grad = ce_gradient(params, _augment(features), soft_labels, l2)
+    loss = -(soft_labels * logp).sum() + 0.5 * l2 * (_without_bias(params.weights) ** 2).sum()
+    return loss, grad
 
 
 def sgd_step(params: ScorerParams, state: OptimizerState,
@@ -135,13 +152,16 @@ def sgd_step(params: ScorerParams, state: OptimizerState,
     velocity <- momentum * velocity - lr * (gradient + weight_decay * weights)
     weights  <- weights + velocity
 
-    Weight decay skips the bias column.  Not thread safe: callers must
-    serialize updates to a given (params, state) pair.
+    Weight decay skips the bias column.  The gradient is left unchanged;
+    the decayed step is built in one scratch array.  Not thread safe: callers
+    must serialize updates to a given (params, state) pair.
     """
-    decayed = gradient + state.weight_decay * params.weights
+    decayed = state.weight_decay * params.weights
+    decayed += gradient
     decayed[:, -1] = gradient[:, -1]
     state.velocity *= state.momentum
-    state.velocity -= state.learning_rate * decayed
+    decayed *= state.learning_rate
+    state.velocity -= decayed
     params.weights += state.velocity
     return params, state
 

@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import emdet.engine
 import emdet.geometry
@@ -32,8 +34,10 @@ from emdet.engine import (
     strong_label_vector,
     strong_labels,
     surrogate_value,
+    _batch_rows,
     _minibatch_rows,
-    _pools,
+    _one_call_bounds,
+    _row_sampler,
     _sample_rows,
 )
 from emdet.geometry import Box, boxes_to_array
@@ -536,7 +540,8 @@ class TestMinibatchRows:
         q[:4, 1] = 1.0
         q[4:, 0] = 1.0
         config = EmConfig(fg_per_image=16, bg_per_image=48)
-        rows = _minibatch_rows(rng, *_pools(q), config)
+        sampler = _row_sampler(q, config, {})
+        rows = _minibatch_rows(rng, sampler.fg_pool, sampler.bg_pool, config)
         assert rows.shape == (64,)
         assert np.all(q.argmax(axis=1)[rows[:16]] != 0)
         assert np.all(q.argmax(axis=1)[rows[16:]] == 0)
@@ -545,7 +550,8 @@ class TestMinibatchRows:
         rng = np.random.default_rng(3)
         q = np.zeros((6, 3))
         q[:, 0] = 1.0
-        rows = _minibatch_rows(rng, *_pools(q), EmConfig())
+        sampler = _row_sampler(q, EmConfig(), {})
+        rows = _minibatch_rows(rng, sampler.fg_pool, sampler.bg_pool, EmConfig())
         assert rows.shape == (48,)
         assert set(rows.tolist()) <= set(range(6))
 
@@ -562,6 +568,86 @@ class TestSampleRows:
             assert rows.dtype == expected.dtype
             assert np.array_equal(rows, expected)
             assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class TestBatchRows:
+    """The M-step's one-call mini-batch draw against the per-pool calls.
+
+    rng.integers(low, high) with per-draw bounds reproduces successive
+    rng.integers(size, size=count) calls only while numpy takes every bounded
+    draw below 2 ** 32 from the bit generator's shared 32-bit stream.  A numpy
+    release that changes that stream fails here, not by moving the manifest.
+    """
+
+    @staticmethod
+    def labels(rng, fg_size, bg_size):
+        """Soft labels with fg_size foreground-argmax rows at shuffled positions."""
+        categories = np.concatenate([rng.integers(1, 3, size=fg_size),
+                                     np.zeros(bg_size, dtype=np.int64)])
+        q = np.full((fg_size + bg_size, 3), 0.1)
+        q[np.arange(len(categories)), rng.permutation(categories)] = 0.8
+        return q
+
+    def assert_matches_per_pool_calls(self, fg_size, bg_size, fg_quota, bg_quota, seed):
+        config = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota)
+        q = self.labels(np.random.default_rng(seed), fg_size, bg_size)
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        sampler = _row_sampler(q, config, {})
+        pools = sampler.fg_pool, sampler.bg_pool
+        for _ in range(3):
+            rows = _batch_rows(rng, sampler, config)
+            expected = np.concatenate([_minibatch_rows(reference, *pools, config),
+                                       _minibatch_rows(reference, *pools, config)])
+            context = (f"numpy {np.__version__}: pools ({fg_size}, {bg_size}), "
+                       f"quotas ({fg_quota}, {bg_quota}), seed {seed}")
+            assert rows.dtype == expected.dtype, context
+            assert np.array_equal(rows, expected), f"{context}: rows differ"
+            assert rng.bit_generator.state == reference.bit_generator.state, \
+                f"{context}: generator states differ"
+
+    @pytest.mark.parametrize("fg_size, bg_size, fg_quota, bg_quota, one_call", [
+        (0, 7, 4, 8, True),     # empty foreground pool
+        (5, 0, 8, 4, True),     # empty background pool
+        (3, 7, 4, 8, True),     # both pools shorter than their quotas
+        (1, 1, 4, 8, True),     # one-row pools: draws that take no generator word
+        (4, 7, 4, 8, False),    # a pool exactly its quota: rng.choice without replacement
+        (6, 20, 4, 8, False),   # pools longer than their quotas
+        (3, 20, 4, 8, False),   # one quota with, one without replacement
+        (3, 5, 0, 8, True),     # foreground quota 0
+        (3, 5, 4, 0, True),     # background quota 0
+        (0, 5, 4, 0, False),    # nothing to draw
+    ])
+    def test_one_call_draw_matches_the_per_pool_calls(self, fg_size, bg_size, fg_quota,
+                                                      bg_quota, one_call):
+        config = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota)
+        assert (_one_call_bounds(fg_size, bg_size, config) is not None) == one_call
+        for seed in range(20):
+            self.assert_matches_per_pool_calls(fg_size, bg_size, fg_quota, bg_quota, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fg_size=st.integers(0, 40), bg_size=st.integers(0, 60),
+           fg_quota=st.integers(0, 20), bg_quota=st.integers(0, 50),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_pools_and_quotas_match_the_per_pool_calls(self, fg_size, bg_size, fg_quota,
+                                                           bg_quota, seed):
+        assume(fg_quota + bg_quota > 0)  # EmConfig rejects an empty mini-batch
+        self.assert_matches_per_pool_calls(fg_size, bg_size, fg_quota, bg_quota, seed)
+
+    def test_pools_are_views_of_one_row_order(self):
+        q = self.labels(np.random.default_rng(4), 5, 9)
+        order, fg_pool, bg_pool, _ = _row_sampler(q, EmConfig(), {})
+        assert fg_pool.base is order and bg_pool.base is order
+        assert np.array_equal(np.sort(order), np.arange(14))
+        assert np.all(q.argmax(axis=1)[fg_pool] != 0)
+        assert np.all(q.argmax(axis=1)[bg_pool] == 0)
+
+    def test_bounds_are_shared_by_pool_sizes(self):
+        rng = np.random.default_rng(6)
+        bounds = {}
+        first = _row_sampler(self.labels(rng, 3, 9), EmConfig(), bounds)
+        second = _row_sampler(self.labels(rng, 3, 9), EmConfig(), bounds)
+        assert first.bounds is second.bounds
+        assert list(bounds) == [(3, 9)]
 
 
 class TestMStep:
@@ -623,6 +709,59 @@ class TestMStep:
             state = OptimizerState.for_params(params, config.lr_initial,
                                               config.momentum, config.weight_decay)
             step_fn(params, state, np.random.default_rng(9))
+            return params.weights
+
+        def draw(rng, q):
+            fg = q.argmax(axis=1) != 0
+            out = []
+            for pool, count in ((np.flatnonzero(fg), config.fg_per_image),
+                                (np.flatnonzero(~fg), config.bg_per_image)):
+                if pool.size:
+                    out.append(rng.choice(pool, size=count, replace=pool.size < count))
+            return out
+
+        def reference(params, state, rng):
+            for n in range(config.sgd_steps_per_m_step):
+                state.learning_rate = learning_rate(config, 5 + n)
+                record = records[int(rng.integers(len(records)))]
+                q = labels[record.image_id]
+                rows = np.concatenate(draw(rng, q) + draw(rng, q))
+                _, grad = weighted_ce_gradient(params, record.features[rows], q[rows],
+                                               config.l2)
+                sgd_step(params, state, grad / rows.size)
+
+        expected = run(reference)
+        actual = run(lambda params, state, rng: m_step(dataset, labels, params, state,
+                                                       config, rng, start_step=5))
+        assert np.array_equal(actual, expected)
+
+    def test_matches_a_per_step_gradient_loop_on_both_draw_paths_without_l2(self):
+        # a background-only image, a foreground pool exactly its quota, pools
+        # shorter than their quotas, and l2 = 0: the one-call and the per-pool
+        # draws, and the gradient without the L2 term
+        rng = np.random.default_rng(4)
+        sizes = {"bg_only": (0, 4), "exact": (4, 2), "short": (3, 3), "mixed": (2, 5)}
+        records, labels = [], {}
+        for image_id, (fg_size, bg_size) in sizes.items():
+            record = random_weak_record(rng, image_id, num_proposals=fg_size + bg_size,
+                                        num_fg=2, feature_dim=4)
+            q = rng.dirichlet(np.ones(3), size=record.num_proposals)
+            q[:fg_size, 1] += 2.0
+            q[fg_size:, 0] += 2.0
+            labels[image_id] = q / q.sum(axis=1, keepdims=True)
+            records.append(record)
+        dataset = Dataset(records)
+        config = EmConfig(sgd_steps_per_m_step=200, lr_drop_step=150, l2=0.0,
+                          fg_per_image=4, bg_per_image=5)
+        one_call = [_one_call_bounds(*sizes[r.image_id], config) is not None for r in records]
+        assert one_call == [True, False, True, False]
+        start = random_params(rng, 3, 4)
+
+        def run(step_fn):
+            params = start.copy()
+            state = OptimizerState.for_params(params, config.lr_initial,
+                                              config.momentum, config.weight_decay)
+            step_fn(params, state, np.random.default_rng(11))
             return params.weights
 
         def draw(rng, q):
@@ -835,6 +974,18 @@ class TestRunEm:
         with pytest.raises(GuardError, match="image big"):
             run_em(dataset, EmConfig(mode=mode, em_iterations=1, sgd_steps_per_m_step=5))
         assert calls == []
+
+    def test_strong_images_are_labelled_once_per_run(self, monkeypatch):
+        train, _ = generate(GeneratorConfig(n_train=20, n_test=1, seed=4))
+        dataset = split_semi(train, 0.5, seed=4)
+        assert sum(r.is_weak for r in dataset) == 10
+        config = EmConfig(em_iterations=3, sgd_steps_per_m_step=20)
+        calls = self.count_iou_matrices(monkeypatch)
+        result = run_em(dataset, config)
+        # one coverage per weak image, one ground-truth match per strong image
+        assert len(calls) == 20
+        # equal to an objective that labels the strong images itself
+        assert result.trace[-1] == objective(dataset, result.params)
 
     def test_num_categories_override_widens_the_scorer(self):
         dataset = self.tiny_dataset()

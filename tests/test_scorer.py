@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from emdet.scorer import (
     OptimizerState,
     ScorerParams,
+    ce_gradient,
     load_checkpoint,
     log_prob_matrix,
     save_checkpoint,
@@ -176,6 +177,87 @@ class TestWeightedCeGradient:
         with pytest.raises(ValueError, match="categories"):
             weighted_ce_gradient(params, np.zeros((1, 2)),
                                  np.array([[0.5, 0.5]]))
+
+
+def naive_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def naive_loss_and_gradient(weights, features, soft_labels, l2):
+    augmented = np.concatenate([features, np.ones((features.shape[0], 1))], axis=1)
+    logp = naive_log_softmax(augmented @ weights.T)
+    probs = np.exp(logp)
+    penalized = weights.copy()
+    penalized[:, -1] = 0.0
+    loss = -(soft_labels * logp).sum() + 0.5 * l2 * (penalized ** 2).sum()
+    grad = (probs - soft_labels).T @ augmented + l2 * penalized
+    return loss, grad
+
+
+def naive_sgd_step(weights, velocity, gradient, lr, momentum, weight_decay):
+    decayed = gradient + weight_decay * weights
+    decayed[:, -1] = gradient[:, -1]
+    velocity = velocity * momentum
+    velocity -= lr * decayed
+    return weights + velocity, velocity
+
+
+class TestByteIdentity:
+    """The kernels against plain formulas of the softmax, its gradient and the update."""
+
+    @staticmethod
+    def instance(seed, n=40, c=5, d=6):
+        """Random rows, including one whose top logit leads by more than 800,
+        so the other categories' probabilities underflow to exactly 0."""
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, c, d, scale=1.0)
+        params.weights[:, 0] = np.arange(c)
+        features = rng.normal(size=(n, d))
+        features[0, 0] = 900.0
+        labels = rng.dirichlet(np.ones(c), size=n)
+        return params, features, labels
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_log_prob_matrix_matches_the_naive_softmax(self, seed):
+        params, features, _ = self.instance(seed)
+        augmented = np.concatenate([features, np.ones((len(features), 1))], axis=1)
+        out = log_prob_matrix(params, features)
+        assert np.all(np.exp(out[0, :-1]) == 0.0)
+        assert out.tobytes() == naive_log_softmax(augmented @ params.weights.T).tobytes()
+
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_matches_the_naive_formula(self, seed, l2):
+        params, features, labels = self.instance(seed)
+        loss, grad = naive_loss_and_gradient(params.weights, features, labels, l2)
+        got_loss, got_grad = weighted_ce_gradient(params, features, labels, l2)
+        assert got_grad.tobytes() == grad.tobytes()
+        assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
+        augmented = np.concatenate([features, np.ones((len(features), 1))], axis=1)
+        logp, core_grad = ce_gradient(params, augmented, labels, l2)
+        assert core_grad.tobytes() == grad.tobytes()
+        assert logp.tobytes() == log_prob_matrix(params, features).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sgd_step_matches_the_naive_update(self, seed):
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, 4, 6)
+        weights, velocity = params.weights.copy(), np.zeros_like(params.weights)
+        state = OptimizerState.for_params(params, 0.01, momentum=0.9, weight_decay=0.0005)
+        array_ids = (id(params.weights), id(state.velocity))
+        for step in range(6):
+            grad = rng.normal(size=weights.shape)
+            given = grad.copy()
+            state.learning_rate = 0.01 if step < 4 else 0.001
+            out = sgd_step(params, state, given)
+            weights, velocity = naive_sgd_step(weights, velocity, grad, state.learning_rate,
+                                               0.9, 0.0005)
+            assert out[0] is params and out[1] is state
+            assert (id(params.weights), id(state.velocity)) == array_ids
+            assert given.tobytes() == grad.tobytes()
+            assert params.weights.tobytes() == weights.tobytes()
+            assert state.velocity.tobytes() == velocity.tobytes()
 
 
 class TestSgdStep:
