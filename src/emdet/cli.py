@@ -26,7 +26,7 @@ from .data import (Dataset, GeneratorConfig, SchemaError, config_hash,
                    generate, load_dataset, load_init_scores, save_dataset,
                    split_semi)
 from .engine import EmConfig, e_step, infer_num_categories, objective, run_em
-from .latent import GuardError
+from .latent import GuardError, center_geometry
 from .metrics import corloc, detect, evaluate_detections, save_detections
 from .oracle import brute_marginal_likelihood, brute_posterior, reference_posterior
 from .scorer import load_checkpoint, save_checkpoint
@@ -242,11 +242,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     truncated_images = 0
     min_captured = 1.0
     for record in weak:
-        single = Dataset([record])
+        geometry = center_geometry(record.proposals)
         objective_dev = max(objective_dev, abs(
-            objective(single, params).weak_term
+            objective(Dataset([record]), params, {record.image_id: geometry}, {}).weak_term
             - brute_marginal_likelihood(record, params)))
-        fast = _table_as_dict(e_step(record, params, cfg))
+        fast = _table_as_dict(e_step(record, params, cfg, geometry))
         ref = _table_as_dict(reference_posterior(record, params, cfg))
         if args.mode == "hard":
             if set(fast) != set(ref):

@@ -169,14 +169,6 @@ def strong_label_vector(record: ImageRecord, num_categories: int) -> np.ndarray:
     return labels
 
 
-def strong_labels(record: ImageRecord, num_categories: int) -> np.ndarray:
-    """One-hot (B, C) label matrix for a strong image."""
-    labels = strong_label_vector(record, num_categories)
-    q = np.zeros((record.num_proposals, num_categories))
-    q[np.arange(len(labels)), labels] = 1.0
-    return q
-
-
 def _weak_label(record: ImageRecord):
     if not record.is_weak:
         raise ValueError(f"image {record.image_id} is strongly annotated")
@@ -200,11 +192,11 @@ def _normalized(values: np.ndarray) -> np.ndarray:
 
 
 def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig,
-           geometry: CenterGeometry | None = None) -> PosteriorTable:
+           geometry: CenterGeometry) -> PosteriorTable:
     """Posterior over latent configs for one weak image under the scorer.
 
     ``geometry`` is the center coverage of the record's proposals
-    (latent.center_geometry), built here when not given.
+    (latent.center_geometry).
 
     In "hard" mode the one config kept is the argmax of the exact grid.
     Configs that label every proposal alike (a center absorbed by another
@@ -222,12 +214,12 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig,
 
     if config.mode == "k_em":
         config_set = select_k(record.proposals, label, log_probs, config.k)
-        values = score_config_set(config_set, log_probs, record.proposals, geometry)
+        values = score_config_set(config_set, log_probs, geometry)
         return PosteriorTable(record.image_id, config_set, _normalized(values))
 
     _check_enumeration_size(record, label)
     if config.mode == "hard":
-        grid = exact_log_likelihood_grid(record.proposals, label, log_probs, geometry)
+        grid = exact_log_likelihood_grid(geometry, label, log_probs)
         flat = int(np.argmax(grid))
         if not np.isfinite(grid.flat[flat]):
             raise ValueError(
@@ -236,7 +228,7 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig,
         config_set = LatentConfigSet(label.categories, centers)
         return PosteriorTable(record.image_id, config_set, np.array([1.0]))
 
-    config_set, values = exact_config_values(record.proposals, label, log_probs, geometry)
+    config_set, values = exact_config_values(geometry, label, log_probs)
     return PosteriorTable(record.image_id, config_set, _normalized(values))
 
 
@@ -316,59 +308,53 @@ def _score_log_columns(scores: np.ndarray) -> np.ndarray:
 
 
 def soft_labels(post: PosteriorTable, record: ImageRecord, num_categories: int,
-                geometry: CenterGeometry | None = None) -> SoftLabels:
+                geometry: CenterGeometry) -> SoftLabels:
     """Marginal per-proposal label distribution under a config posterior.
 
-    ``geometry`` is the center coverage of the record's proposals, built
-    here when not given.  A posterior of another image, or one whose centers
-    lie past the record's proposals, is rejected.
+    ``geometry`` is the center coverage of the record's proposals.  A
+    posterior of another image, one whose centers lie past the record's
+    proposals, or a coverage of another proposal count is rejected.
     """
     if post.image_id != record.image_id:
         raise ValueError(f"posterior of image {post.image_id} passed with image "
                          f"{record.image_id}")
+    if geometry.num_proposals != record.num_proposals:
+        raise ValueError(f"geometry covers {geometry.num_proposals} proposals, not the "
+                         f"{record.num_proposals} of image {record.image_id}")
     top = max(post.config_set.categories)
     if top >= num_categories:
         raise ValueError(
             f"posterior mentions category {top} but only "
             f"{num_categories} categories exist")
-    q = label_marginals(post.config_set, post.weights, record.proposals, num_categories,
-                        geometry)
+    q = label_marginals(post.config_set, post.weights, geometry, num_categories)
     return SoftLabels(record.image_id, q)
 
 
 def objective(dataset: Dataset, params: ScorerParams,
-              geometries: dict[str, CenterGeometry] | None = None,
-              strong_vectors: dict[str, np.ndarray] | None = None) -> ObjectiveValue:
+              geometries: dict[str, CenterGeometry],
+              strong_vectors: dict[str, np.ndarray]) -> ObjectiveValue:
     """The true mixed-supervision log-likelihood J at the given scorer.
 
-    Weak terms are always exact: exact_log_partition sums every config for
-    up to three categories (three without building the B ** 3 grid), and
-    more categories take the log-sum-exp of the exact grid.  The objective
-    has no truncated form, so a three-category image whose pair factors
-    (B ** 2), or any other weak image whose enumeration (B ** M), exceeds
-    OBJECTIVE_GUARD raises GuardError.  ``geometries`` maps weak image ids to
-    the center coverage of their proposals, ``strong_vectors`` strong image
-    ids to their strong_label_vector; a missing one is built per call.
+    Weak terms are always exact: exact_log_partition sums every config, for
+    three categories without building the B ** 3 grid.  The objective has no
+    truncated form, so a three-category image whose pair factors (B ** 2),
+    or any other weak image whose enumeration (B ** M), exceeds
+    OBJECTIVE_GUARD raises a GuardError that names the image.  ``geometries``
+    maps every weak image id to the center coverage of its proposals,
+    ``strong_vectors`` every strong image id to its strong_label_vector.
     """
     strong_term = 0.0
     weak_term = 0.0
     for record in dataset:
         log_probs = log_prob_matrix(params, record.features)
         if record.is_weak:
-            label = _weak_label(record)
-            geometry = (geometries or {}).get(record.image_id)
-            if len(label) <= 3:
-                weak_term += exact_log_partition(record.proposals, label, log_probs,
-                                                 geometry)
-            else:
-                _check_enumeration_size(record, label)
-                grid = exact_log_likelihood_grid(record.proposals, label, log_probs,
-                                                 geometry)
-                weak_term += logsumexp(grid.reshape(-1))
+            try:
+                weak_term += exact_log_partition(geometries[record.image_id],
+                                                 _weak_label(record), log_probs)
+            except GuardError as err:
+                raise GuardError(f"image {record.image_id}: {err}") from None
         else:
-            labels = (strong_vectors or {}).get(record.image_id)
-            if labels is None:
-                labels = strong_label_vector(record, params.num_categories)
+            labels = strong_vectors[record.image_id]
             strong_term += float(log_probs[np.arange(len(labels)), labels].sum())
     return ObjectiveValue(strong_term, weak_term)
 
@@ -385,8 +371,8 @@ def surrogate_value(dataset: Dataset, posteriors: dict[str, PosteriorTable],
     for record in dataset:
         log_probs = log_prob_matrix(params, record.features)
         if record.is_weak:
-            q = soft_labels(posteriors[record.image_id], record,
-                            params.num_categories).q
+            q = soft_labels(posteriors[record.image_id], record, params.num_categories,
+                            center_geometry(record.proposals)).q
             total += float((q * log_probs).sum())
         else:
             labels = strong_label_vector(record, params.num_categories)

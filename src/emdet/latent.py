@@ -155,16 +155,6 @@ def center_geometry(proposals: np.ndarray) -> CenterGeometry:
     return CenterGeometry(offsets, members.astype(np.int32), keys)
 
 
-def _geometry_for(proposals: np.ndarray, geometry: CenterGeometry | None) -> CenterGeometry:
-    """The given coverage of these proposals, or one built from them."""
-    if geometry is None:
-        return center_geometry(proposals)
-    if geometry.num_proposals != len(proposals):
-        raise ValueError(f"geometry covers {geometry.num_proposals} proposals, "
-                         f"not {len(proposals)}")
-    return geometry
-
-
 def _member_positions(offsets: np.ndarray, centers: np.ndarray):
     """Every member of every listed center, as (index into centers, position).
 
@@ -211,7 +201,7 @@ def expand(config_set: LatentConfigSet, proposals: np.ndarray) -> np.ndarray:
     with some center reaches CENTER_IOU takes the category of the
     highest-IoU center, ties resolved toward the lower category id.
     """
-    _check_centers(config_set.centers, proposals)
+    _check_centers(config_set.centers, len(proposals))
     chunks = _label_chunks(center_geometry(proposals), config_set.categories,
                            config_set.centers)
     return np.concatenate([labels for _, labels in chunks])
@@ -223,86 +213,83 @@ def enumerate_exact(proposals: np.ndarray, z) -> LatentConfigSet:
     Rows are ordered lexicographically by center index along ascending
     categories, so the set has a canonical order for tie-breaking.
     """
-    label = as_label(z)
-    B, M = len(proposals), len(label)
+    return _distinct_configs(len(proposals), as_label(z))
+
+
+def _distinct_configs(B: int, label: ImageLabel) -> LatentConfigSet:
+    """enumerate_exact's set over B proposals."""
+    M = len(label)
     if B < M:
         raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
     rows = np.argwhere(~_reuses_proposal(np.indices((B,) * M, sparse=True)))
     return LatentConfigSet(label.categories, rows)
 
 
-def _check_scoring_inputs(categories, centers: np.ndarray, log_probs: np.ndarray,
-                          proposals: np.ndarray) -> None:
-    if log_probs.shape[0] != len(proposals):
+def _check_scoring_inputs(categories, log_probs: np.ndarray,
+                          geometry: CenterGeometry) -> None:
+    """One finite score row per covered proposal, with a column for every category."""
+    if log_probs.shape[0] != geometry.num_proposals:
         raise ValueError(
-            f"{log_probs.shape[0]} score rows for {len(proposals)} proposals")
+            f"{log_probs.shape[0]} score rows for {geometry.num_proposals} proposals")
     if max(categories) >= log_probs.shape[1]:
         raise ValueError(
             f"config categories {tuple(categories)} exceed {log_probs.shape[1]} columns")
     if not np.all(np.isfinite(log_probs)):
         raise ValueError("log probabilities must be finite")
-    _check_centers(centers, proposals)
 
 
-def _check_centers(centers: np.ndarray, proposals: np.ndarray) -> None:
-    if centers.max() >= len(proposals):
+def _check_centers(centers: np.ndarray, num_proposals: int) -> None:
+    if centers.max() >= num_proposals:
         raise ValueError(f"config centers reach index {centers.max()} but there are "
-                         f"only {len(proposals)} proposals")
+                         f"only {num_proposals} proposals")
 
 
-def _config_scores(geometry: CenterGeometry, categories, centers: np.ndarray,
-                   log_probs: np.ndarray) -> np.ndarray:
-    """All-background baseline plus each config's foreground deltas, per row."""
+def score_config_set(config_set: LatentConfigSet, log_probs: np.ndarray,
+                     geometry: CenterGeometry) -> np.ndarray:
+    """Log-likelihood of each config in the set, aligned with its rows.
+
+    ``geometry`` is the center_geometry of the image's proposals, and
+    ``log_probs`` holds one row per proposal.  Each row is the
+    all-background baseline plus the config's foreground deltas.
+    """
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    _check_scoring_inputs(config_set.categories, log_probs, geometry)
+    _check_centers(config_set.centers, geometry.num_proposals)
     base = log_probs[:, 0].sum()
     delta = log_probs - log_probs[:, [0]]
     cols = np.arange(log_probs.shape[0])
-    values = np.empty(centers.shape[0])
-    for start, labels in _label_chunks(geometry, categories, centers):
+    values = np.empty(len(config_set))
+    for start, labels in _label_chunks(geometry, config_set.categories, config_set.centers):
         values[start:start + labels.shape[0]] = base + delta[cols, labels].sum(axis=1)
     return values
 
 
-def score_config_set(config_set: LatentConfigSet, log_probs: np.ndarray,
-                     proposals: np.ndarray,
-                     geometry: CenterGeometry | None = None) -> np.ndarray:
-    """Log-likelihood of each config in the set, aligned with its rows.
-
-    ``geometry`` is center_geometry(proposals), built here when not given.
-    """
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    _check_scoring_inputs(config_set.categories, config_set.centers, log_probs, proposals)
-    return _config_scores(_geometry_for(proposals, geometry), config_set.categories,
-                          config_set.centers, log_probs)
-
-
 def label_marginals(config_set: LatentConfigSet, weights: np.ndarray,
-                    proposals: np.ndarray, num_categories: int,
-                    geometry: CenterGeometry | None = None) -> np.ndarray:
+                    geometry: CenterGeometry, num_categories: int) -> np.ndarray:
     """Per-proposal category distribution (B, C) under weights over the configs.
 
-    ``geometry`` is center_geometry(proposals), built here when not given.
+    ``geometry`` is the center_geometry of the image's B proposals.
     """
-    _check_centers(config_set.centers, proposals)
-    q = np.zeros((len(proposals), num_categories))
+    _check_centers(config_set.centers, geometry.num_proposals)
+    q = np.zeros((geometry.num_proposals, num_categories))
     present = (0, *config_set.categories)
-    for start, labels in _label_chunks(_geometry_for(proposals, geometry),
-                                       config_set.categories, config_set.centers):
+    for start, labels in _label_chunks(geometry, config_set.categories, config_set.centers):
         w = weights[start:start + labels.shape[0]]
         for c in present:
             q[:, c] += w @ (labels == c)
     return q
 
 
-def exact_log_likelihood_grid(proposals: np.ndarray, z, log_probs: np.ndarray,
-                              geometry: CenterGeometry | None = None) -> np.ndarray:
+def exact_log_likelihood_grid(geometry: CenterGeometry, z,
+                              log_probs: np.ndarray) -> np.ndarray:
     """Config log-likelihoods for the full enumeration as a (B,) * M array.
 
     Entry [j1, ..., jM] scores the config placing category z[m]'s center at
     proposal jm; entries with repeated indices are -inf.  Matches
-    score_config_set to float accumulation order.  The hard and exact
-    E-steps read it, and so does the objective for every label but three
-    categories, whose log-sum-exp exact_log_partition gives without
-    building the B ** 3 grid.
+    score_config_set to float accumulation order.  ``geometry`` is the
+    center_geometry of the image's B proposals, and ``log_probs`` holds one
+    finite row per proposal.  The hard and exact E-steps read the grid, and
+    so does exact_log_partition for every label but three categories.
 
     For M <= 3 the grid is built by inclusion-exclusion over neighborhoods
     (see _overlap_terms).  The dense part is ((base + u[j1]) + v[j2]) + w[j3],
@@ -311,22 +298,20 @@ def exact_log_likelihood_grid(proposals: np.ndarray, z, log_probs: np.ndarray,
     sums are subtracted only on the (j, k) lines they touch, and for M = 3
     each proposal covered by all three centers gets its bottom-ranked slot's
     delta added back, in order of the proposal.  Entries never touched by a
-    correction cost no work beyond the dense part.  ``geometry`` is
-    center_geometry(proposals), built here when not given.
+    correction cost no work beyond the dense part.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
-    B, M = len(proposals), len(label)
+    B, M = geometry.num_proposals, len(label)
     if B < M:
         raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
+    _check_scoring_inputs(label.categories, log_probs, geometry)
 
-    geometry = _geometry_for(proposals, geometry)
     if M > 3:
         # Rare at desk scale; score the distinct rows through the labelling kernel.
         grid = np.full((B,) * M, -np.inf)
-        config_set = enumerate_exact(proposals, label)
-        grid[tuple(config_set.centers.T)] = score_config_set(config_set, log_probs, proposals,
-                                                             geometry)
+        config_set = _distinct_configs(B, label)
+        grid[tuple(config_set.centers.T)] = score_config_set(config_set, log_probs, geometry)
         return grid
 
     terms = _overlap_terms(geometry, label.categories, log_probs)
@@ -419,14 +404,14 @@ def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) 
     return _Overlaps(base, per_center, touched, pairs, triples)
 
 
-def exact_log_partition(proposals: np.ndarray, z, log_probs: np.ndarray,
-                        geometry: CenterGeometry | None = None) -> float:
-    """log P(z | x) for M <= 3: the log-sum-exp of every exact config's log-likelihood.
+def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> float:
+    """log P(z | x): the log-sum-exp of every exact config's log-likelihood.
 
-    For M <= 2 this is logsumexp(exact_log_likelihood_grid(...)): that grid
-    holds B ** M <= B ** 2 entries, no more than one pair factor.  For M = 3
-    it equals the grid's log-sum-exp up to float rounding, but sums the
-    terms of _overlap_terms over a pairwise factor graph instead of
+    ``geometry`` is the center_geometry of the image's B proposals, and
+    ``log_probs`` holds one finite row per proposal.  For every M but 3 this
+    is logsumexp(exact_log_likelihood_grid(...)), a table of B ** M entries.
+    For M = 3 it equals the grid's log-sum-exp up to float rounding, but
+    sums the terms of _overlap_terms over a pairwise factor graph instead of
     building the B ** 3 grid (variable elimination).  With u, v, w the
     per-center terms and P_ab a slot pair's loser sums (0 off its touched
     lines, +inf on the diagonal, so no config reuses a proposal),
@@ -440,27 +425,25 @@ def exact_log_partition(proposals: np.ndarray, z, log_probs: np.ndarray,
     hundreds of nats apart do not underflow every config, as one shift per
     factor would.  Configs with a triple-covered proposal are left out of
     inner on their (j, k) lines and added with their exact values, so only
-    positive terms are summed.  The largest table built has B ** min(M, 2)
-    entries: more than OBJECTIVE_GUARD raise GuardError before anything is
-    built.  ``geometry`` is center_geometry(proposals), built here when not
-    given.
+    positive terms are summed.  The largest table built has B ** 2 entries
+    for M = 3 and B ** M otherwise: more than OBJECTIVE_GUARD raise
+    GuardError before anything is built.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
-    B, M = len(proposals), len(label)
-    if M > 3:
-        raise ValueError(f"exact_log_partition covers at most 3 categories, got {M}")
+    B, M = geometry.num_proposals, len(label)
     if B < M:
         raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
-    if B ** min(M, 2) > OBJECTIVE_GUARD:
+    power = 2 if M == 3 else M
+    if B ** power > OBJECTIVE_GUARD:
         raise GuardError(
-            f"{B} proposals give {B} ** {min(M, 2)} configs or pair factors, which "
-            f"exceed the {OBJECTIVE_GUARD} config guard")
-    if M <= 2:
-        grid = exact_log_likelihood_grid(proposals, label, log_probs, geometry)
-        return float(logsumexp(grid.reshape(-1)))
+            f"{B} proposals with {M} categories give {B} ** {power} configs or pair "
+            f"factors, which exceed the {OBJECTIVE_GUARD} config guard")
+    if M != 3:
+        return logsumexp(exact_log_likelihood_grid(geometry, label, log_probs).reshape(-1))
 
-    terms = _overlap_terms(_geometry_for(proposals, geometry), label.categories, log_probs)
+    _check_scoring_inputs(label.categories, log_probs, geometry)
+    terms = _overlap_terms(geometry, label.categories, log_probs)
     # -pairs[(a, b)] on the touched lines, 0 elsewhere, -inf on the diagonal.
     minus = {}
     for pair, loser in terms.pairs.items():
@@ -507,12 +490,12 @@ def _axis_shape(M: int, axis: int, B: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
-def exact_config_values(proposals: np.ndarray, z, log_probs: np.ndarray,
-                        geometry: CenterGeometry | None = None
-                        ) -> tuple[LatentConfigSet, np.ndarray]:
-    """The exact enumeration plus its log-likelihoods, row-aligned."""
-    config_set = enumerate_exact(proposals, z)
-    grid = exact_log_likelihood_grid(proposals, config_set.categories, log_probs, geometry)
+def exact_config_values(geometry: CenterGeometry, z,
+                        log_probs: np.ndarray) -> tuple[LatentConfigSet, np.ndarray]:
+    """The exact enumeration over the covered proposals plus its
+    log-likelihoods, row-aligned."""
+    config_set = _distinct_configs(geometry.num_proposals, as_label(z))
+    grid = exact_log_likelihood_grid(geometry, config_set.categories, log_probs)
     return config_set, grid[tuple(config_set.centers.T)]
 
 

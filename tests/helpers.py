@@ -4,8 +4,9 @@ import numpy as np
 
 from emdet.data import (Dataset, GroundTruth, ImageRecord, StrongAnnotation,
                         WeakAnnotation)
+from emdet.engine import objective, strong_label_vector
 from emdet.geometry import Box, boxes_to_array
-from emdet.latent import ImageLabel
+from emdet.latent import ImageLabel, center_geometry
 from emdet.scorer import ScorerParams
 
 
@@ -73,6 +74,14 @@ def fg_log_probs(p_fg):
 
 def single_record_dataset(record):
     return Dataset([record])
+
+
+def objective_of(dataset, params):
+    """engine.objective with every weak coverage and strong label vector built here."""
+    geometries = {r.image_id: center_geometry(r.proposals) for r in dataset if r.is_weak}
+    strong = {r.image_id: strong_label_vector(r, params.num_categories)
+              for r in dataset if not r.is_weak}
+    return objective(dataset, params, geometries, strong)
 
 
 def weak_record(image_id, boxes, features, categories):

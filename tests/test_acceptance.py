@@ -28,12 +28,12 @@ from emdet.engine import (
     EmConfig,
     e_step,
     full_batch_m_step,
-    objective,
     run_em,
     soft_labels,
     surrogate_value,
 )
 from emdet.geometry import Box, ScoredBox, boxes_to_array, nms
+from emdet.latent import center_geometry
 from emdet.metrics import (
     Detection,
     corloc,
@@ -51,7 +51,7 @@ from emdet.scorer import (
     ScorerParams,
     weighted_ce_gradient,
 )
-from helpers import random_params, random_weak_record, strong_record
+from helpers import objective_of, random_params, random_weak_record, strong_record
 
 MANIFEST_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "manifest.json"
 
@@ -119,23 +119,24 @@ def test_ac1_oracle_equivalence():
         rec = random_weak_record(rng, f"i{n}", num_proposals=b, num_fg=num_fg,
                                  feature_dim=d, num_present=m)
         params = random_params(rng, num_fg + 1, d)
+        geometry = center_geometry(rec.proposals)
 
-        exact = as_table(e_step(rec, params, EmConfig(mode="exact")))
+        exact = as_table(e_step(rec, params, EmConfig(mode="exact"), geometry))
         ref = as_table(brute_posterior(rec, params))
         assert set(exact) == set(ref)
         max_posterior_dev = max(max_posterior_dev, max(
             abs(exact[key] - ref[key]) for key in ref))
 
-        fast_weak = objective(Dataset([rec]), params).weak_term
+        fast_weak = objective_of(Dataset([rec]), params).weak_term
         max_objective_dev = max(max_objective_dev, abs(
             fast_weak - brute_marginal_likelihood(rec, params)))
 
-        hard = e_step(rec, params, EmConfig(mode="hard"))
+        hard = e_step(rec, params, EmConfig(mode="hard"), geometry)
         if tuple(int(v) for v in hard.config_set.centers[0]) \
                 != brute_hard_config(rec, params):
             hard_agreed = False
 
-        trunc = as_table(e_step(rec, params, EmConfig(mode="k_em", k=b ** m)))
+        trunc = as_table(e_step(rec, params, EmConfig(mode="k_em", k=b ** m), geometry))
         assert set(trunc) == set(ref)
         scale = max(ref.values())
         max_truncated_rel = max(max_truncated_rel, max(
@@ -197,14 +198,17 @@ def test_ac3_em_monotonicity_exact_full_batch():
         dataset = Dataset(records)
         last_dataset = dataset
         params = ScorerParams.zeros(3, 4)
+        geometries = {r.image_id: center_geometry(r.proposals) for r in dataset}
         for _ in range(cfg.em_iterations):
-            posteriors = {r.image_id: e_step(r, params, cfg) for r in dataset}
-            labels = {r.image_id: soft_labels(posteriors[r.image_id], r, 3).q
+            posteriors = {r.image_id: e_step(r, params, cfg, geometries[r.image_id])
+                          for r in dataset}
+            labels = {r.image_id: soft_labels(posteriors[r.image_id], r, 3,
+                                              geometries[r.image_id]).q
                       for r in dataset}
-            j_before = objective(dataset, params).total
+            j_before = objective_of(dataset, params).total
             q_before = surrogate_value(dataset, posteriors, params)
             full_batch_m_step(dataset, labels, params, cfg)
-            j_after = objective(dataset, params).total
+            j_after = objective_of(dataset, params).total
             q_after = surrogate_value(dataset, posteriors, params)
             worst_j_step = min(worst_j_step, j_after - j_before)
             worst_bound_gap = min(worst_bound_gap,

@@ -4,6 +4,7 @@ The gradient identity between the surrogate and the soft-label cross entropy
 is checked numerically; posterior values are checked against hand products.
 """
 
+import inspect
 import itertools
 import logging
 import math
@@ -28,11 +29,9 @@ from emdet.engine import (
     infer_num_categories,
     learning_rate,
     m_step,
-    objective,
     run_em,
     soft_labels,
     strong_label_vector,
-    strong_labels,
     surrogate_value,
     _batch_rows,
     _minibatch_rows,
@@ -41,7 +40,7 @@ from emdet.engine import (
     _sample_rows,
 )
 from emdet.geometry import Box, boxes_to_array
-from emdet.latent import GuardError, LatentConfigSet
+from emdet.latent import GuardError, LatentConfigSet, center_geometry
 from emdet.oracle import brute_hard_config
 from emdet.oracle import expand as naive_expand
 from emdet.scorer import (
@@ -54,6 +53,7 @@ from helpers import (
     clustered_boxes,
     isolated_boxes,
     isolated_weak_record,
+    objective_of,
     random_params,
     random_weak_record,
     single_record_dataset,
@@ -148,7 +148,7 @@ class TestStrongLabelVector:
         box = Box(0, 0, 10, 10)
         rec = strong_record("s", boxes_to_array([box, Box(50, 50, 55, 55)]),
                             np.zeros((2, 3)), [(box, 1)])
-        q = strong_labels(rec, 2)
+        q = np.eye(2)[strong_label_vector(rec, 2)]
         assert np.array_equal(q, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
@@ -157,14 +157,14 @@ class TestObjective:
         # zero weights, C=2: every proposal scores 1/2 for both categories,
         # so each of the 3 single-center configs has likelihood (1/2)^3
         rec = isolated_weak_record("w", 3, (1,), dim=4)
-        val = objective(single_record_dataset(rec), ScorerParams.zeros(2, 4))
+        val = objective_of(single_record_dataset(rec), ScorerParams.zeros(2, 4))
         assert val.strong_term == 0.0
         assert abs(val.weak_term - (math.log(3) + 3 * math.log(0.5))) < 1e-12
 
     def test_strong_only_dataset_has_zero_weak_term(self):
         box = Box(0, 0, 10, 10)
         rec = strong_record("s", boxes_to_array([box]), np.zeros((1, 4)), [(box, 1)])
-        val = objective(single_record_dataset(rec), ScorerParams.zeros(2, 4))
+        val = objective_of(single_record_dataset(rec), ScorerParams.zeros(2, 4))
         assert val.weak_term == 0.0
         assert abs(val.strong_term - math.log(0.5)) < 1e-12
         assert val.total == val.strong_term
@@ -174,14 +174,15 @@ class TestObjective:
         rng = np.random.default_rng(0)
         rec = random_weak_record(rng, "big", num_proposals=101, num_fg=4,
                                  num_present=4)
-        with pytest.raises(GuardError, match="exceed"):
-            objective(single_record_dataset(rec), ScorerParams.zeros(5, 5))
+        with pytest.raises(GuardError, match="image big: .* exceed"):
+            objective_of(single_record_dataset(rec), ScorerParams.zeros(5, 5))
 
 
 class TestEStep:
     def test_exact_uniform_posterior(self):
         rec = isolated_weak_record("w", 5, (1,), dim=3)
-        post = e_step(rec, ScorerParams.zeros(2, 3), EmConfig(mode="exact"))
+        post = e_step(rec, ScorerParams.zeros(2, 3), EmConfig(mode="exact"),
+                      center_geometry(rec.proposals))
         assert np.allclose(post.weights, 0.2, atol=1e-12)
 
     def test_hard_matches_argmax_selection(self):
@@ -189,14 +190,15 @@ class TestEStep:
         rec = random_weak_record(rng, "w", num_proposals=7, num_fg=2,
                                  feature_dim=4, num_present=2)
         params = random_params(rng, 3, 4)
-        post = e_step(rec, params, EmConfig(mode="hard"))
+        post = e_step(rec, params, EmConfig(mode="hard"), center_geometry(rec.proposals))
         assert len(post.config_set) == 1
         assert tuple(post.config_set.centers[0]) == brute_hard_config(rec, params)
         assert post.weights.tolist() == [1.0]
 
     def test_hard_tie_picks_lexicographically_smallest(self):
         rec = isolated_weak_record("w", 4, (1, 2), dim=3)
-        post = e_step(rec, ScorerParams.zeros(3, 3), EmConfig(mode="hard"))
+        post = e_step(rec, ScorerParams.zeros(3, 3), EmConfig(mode="hard"),
+                      center_geometry(rec.proposals))
         assert tuple(post.config_set.centers[0]) == (0, 1)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -208,7 +210,8 @@ class TestEStep:
             boxes = clustered_boxes(rng, 8)
             rec = weak_record("w", boxes, rng.normal(size=(8, 3)), cats)
             params = random_params(rng, 4, 3, scale=1.0)
-            centers = tuple(e_step(rec, params, EmConfig(mode="hard")).config_set.centers[0])
+            post = e_step(rec, params, EmConfig(mode="hard"), center_geometry(boxes))
+            centers = tuple(post.config_set.centers[0])
             best = brute_hard_config(rec, params)
             # Configs with identical labels tie exactly; the grid's rounding,
             # not index order, decides among them.
@@ -226,8 +229,9 @@ class TestEStep:
         rec = isolated_weak_record("w", 4, (1, 2), dim=3)
         weights = np.zeros((3, 4))
         weights[1, 0] = np.nan
-        with pytest.raises(ValueError, match="zero likelihood"):
-            e_step(rec, ScorerParams(weights), EmConfig(mode="hard"))
+        with pytest.raises(ValueError, match="log probabilities must be finite"):
+            e_step(rec, ScorerParams(weights), EmConfig(mode="hard"),
+                   center_geometry(rec.proposals))
 
     def test_truncated_with_full_budget_matches_exact(self):
         rng = np.random.default_rng(9)
@@ -235,8 +239,9 @@ class TestEStep:
             rec = random_weak_record(rng, f"w{trial}", num_proposals=5,
                                      num_fg=2, feature_dim=4, num_present=2)
             params = random_params(rng, 3, 4)
-            exact = e_step(rec, params, EmConfig(mode="exact"))
-            trunc = e_step(rec, params, EmConfig(mode="k_em", k=25))
+            geometry = center_geometry(rec.proposals)
+            exact = e_step(rec, params, EmConfig(mode="exact"), geometry)
+            trunc = e_step(rec, params, EmConfig(mode="k_em", k=25), geometry)
             expected = {tuple(row): w for row, w
                         in zip(exact.config_set.centers, exact.weights)}
             got = {tuple(row): w for row, w
@@ -248,7 +253,8 @@ class TestEStep:
     def test_rejects_labels_beyond_scorer(self):
         rec = isolated_weak_record("w", 3, (4,), dim=3)
         with pytest.raises(ValueError, match="only covers"):
-            e_step(rec, ScorerParams.zeros(3, 3), EmConfig(mode="exact"))
+            e_step(rec, ScorerParams.zeros(3, 3), EmConfig(mode="exact"),
+                   center_geometry(rec.proposals))
 
     @pytest.mark.parametrize("mode", ["exact", "hard"])
     def test_guard_rejects_oversized_enumeration_up_front(self, mode):
@@ -258,7 +264,8 @@ class TestEStep:
                                  num_present=3)
         start = time.monotonic()
         with pytest.raises(GuardError, match="exceed"):
-            e_step(rec, ScorerParams.zeros(4, 5), EmConfig(mode=mode))
+            e_step(rec, ScorerParams.zeros(4, 5), EmConfig(mode=mode),
+                   center_geometry(rec.proposals))
         with pytest.raises(GuardError, match="exceed"):
             e_step_from_scores(rec, np.ones((200, 3)), EmConfig(mode=mode))
         assert time.monotonic() - start < 1.0
@@ -390,7 +397,7 @@ class TestSoftLabels:
         rec = isolated_weak_record("w", 3, (1,), dim=3)
         post = PosteriorTable("w", LatentConfigSet((1,), np.array([[0]])),
                               np.array([1.0]))
-        q = soft_labels(post, rec, 2).q
+        q = soft_labels(post, rec, 2, center_geometry(rec.proposals)).q
         assert np.array_equal(q, np.array([[0, 1], [1, 0], [1, 0]], dtype=float))
 
     def test_split_posterior_splits_the_marginals(self):
@@ -398,7 +405,7 @@ class TestSoftLabels:
         post = PosteriorTable("w",
                               LatentConfigSet((1,), np.array([[0], [1]])),
                               np.array([0.5, 0.5]))
-        q = soft_labels(post, rec, 2).q
+        q = soft_labels(post, rec, 2, center_geometry(rec.proposals)).q
         assert np.allclose(q, np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]))
 
     def test_covered_neighbor_inherits_center_category(self):
@@ -407,7 +414,7 @@ class TestSoftLabels:
         rec = weak_record("w", boxes, np.zeros((3, 3)), (1,))
         post = PosteriorTable("w", LatentConfigSet((1,), np.array([[0]])),
                               np.array([1.0]))
-        q = soft_labels(post, rec, 2).q
+        q = soft_labels(post, rec, 2, center_geometry(rec.proposals)).q
         assert np.array_equal(q, np.array([[0, 1], [0, 1], [1, 0]], dtype=float))
 
     def test_rows_always_sum_to_one(self):
@@ -416,8 +423,9 @@ class TestSoftLabels:
             rec = random_weak_record(rng, f"w{trial}", num_proposals=6,
                                      num_fg=3, feature_dim=4)
             params = random_params(rng, 4, 4)
-            post = e_step(rec, params, EmConfig(mode="exact"))
-            q = soft_labels(post, rec, 4).q
+            geometry = center_geometry(rec.proposals)
+            post = e_step(rec, params, EmConfig(mode="exact"), geometry)
+            q = soft_labels(post, rec, 4, geometry).q
             assert np.allclose(q.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(q >= 0)
 
@@ -426,23 +434,25 @@ class TestSoftLabels:
         for trial in range(10):
             rec = random_weak_record(rng, f"w{trial}", num_proposals=9,
                                      num_fg=3, feature_dim=4)
-            post = e_step(rec, random_params(rng, 4, 4), EmConfig(mode="exact"))
+            geometry = center_geometry(rec.proposals)
+            post = e_step(rec, random_params(rng, 4, 4), EmConfig(mode="exact"), geometry)
             expected = np.zeros((9, 4))
             cats = post.config_set.categories
             for w, row in zip(post.weights, post.config_set.centers):
                 expected[np.arange(9), naive_expand(cats, row, rec.proposals)] += w
-            assert np.max(np.abs(soft_labels(post, rec, 4).q - expected)) < 1e-12
+            assert np.max(np.abs(soft_labels(post, rec, 4, geometry).q - expected)) < 1e-12
 
     def test_exact_posterior_memory_is_bounded_by_the_chunk(self):
         # 50 * 49 * 48 configs; an unchunked (B, N, M) key block alone is ~140 MB
         rng = np.random.default_rng(24)
         rec = random_weak_record(rng, "w", num_proposals=50, num_fg=3,
                                  feature_dim=4, num_present=3)
-        post = e_step(rec, random_params(rng, 4, 4), EmConfig(mode="exact"))
+        geometry = center_geometry(rec.proposals)
+        post = e_step(rec, random_params(rng, 4, 4), EmConfig(mode="exact"), geometry)
         assert len(post.config_set) == 50 * 49 * 48
         tracemalloc.start()
         try:
-            q = soft_labels(post, rec, 4).q
+            q = soft_labels(post, rec, 4, geometry).q
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -454,14 +464,14 @@ class TestSoftLabels:
         post = PosteriorTable("w", LatentConfigSet((3,), np.array([[0]])),
                               np.array([1.0]))
         with pytest.raises(ValueError, match="categories exist"):
-            soft_labels(post, rec, 2)
+            soft_labels(post, rec, 2, center_geometry(rec.proposals))
 
     def test_rejects_a_posterior_of_another_image(self):
         rec = isolated_weak_record("w", 3, (1,), dim=3)
         post = PosteriorTable("v", LatentConfigSet((1,), np.array([[0]])),
                               np.array([1.0]))
         with pytest.raises(ValueError, match="image v passed with image w"):
-            soft_labels(post, rec, 2)
+            soft_labels(post, rec, 2, center_geometry(rec.proposals))
 
     def test_rejects_centers_past_the_proposals(self):
         # a posterior built for five proposals, passed with a three-proposal record
@@ -469,7 +479,7 @@ class TestSoftLabels:
         post = PosteriorTable("w", LatentConfigSet((1,), np.array([[1], [4]])),
                               np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="only 3 proposals"):
-            soft_labels(post, rec, 2)
+            soft_labels(post, rec, 2, center_geometry(rec.proposals))
 
 
 class TestSurrogateGradientIdentity:
@@ -486,16 +496,18 @@ class TestSurrogateGradientIdentity:
                                rng.normal(size=(2, 3)), [(gt, 1)])
         dataset = Dataset([weak_a, weak_b, strong])
         anchor = random_params(rng, 3, 3)
-        posteriors = {r.image_id: e_step(r, anchor, EmConfig(mode="exact"))
+        geometries = {r.image_id: center_geometry(r.proposals) for r in dataset if r.is_weak}
+        posteriors = {r.image_id: e_step(r, anchor, EmConfig(mode="exact"),
+                                         geometries[r.image_id])
                       for r in dataset if r.is_weak}
 
         params = random_params(rng, 3, 3)
         analytic = np.zeros_like(params.weights)
         for rec in dataset:
             if rec.is_weak:
-                q = soft_labels(posteriors[rec.image_id], rec, 3).q
+                q = soft_labels(posteriors[rec.image_id], rec, 3, geometries[rec.image_id]).q
             else:
-                q = strong_labels(rec, 3)
+                q = np.eye(3)[strong_label_vector(rec, 3)]
             _, grad = weighted_ce_gradient(params, rec.features, q)
             analytic -= grad
 
@@ -519,9 +531,10 @@ class TestSurrogateGradientIdentity:
                                  feature_dim=3, num_present=1)
         dataset = single_record_dataset(rec)
         params = random_params(rng, 3, 3)
-        posteriors = {"w": e_step(rec, params, EmConfig(mode="exact"))}
+        posteriors = {"w": e_step(rec, params, EmConfig(mode="exact"),
+                                  center_geometry(rec.proposals))}
         assert surrogate_value(dataset, posteriors, params) \
-            <= objective(dataset, params).total + 1e-12
+            <= objective_of(dataset, params).total + 1e-12
 
 
 class TestLearningRateSchedule:
@@ -657,8 +670,9 @@ class TestMStep:
                                  feature_dim=4, num_present=1)
         dataset = single_record_dataset(rec)
         params = ScorerParams.zeros(3, 4)
-        post = e_step(rec, params, EmConfig(mode="exact"))
-        labels = {"w": soft_labels(post, rec, 3).q}
+        geometry = center_geometry(rec.proposals)
+        post = e_step(rec, params, EmConfig(mode="exact"), geometry)
+        labels = {"w": soft_labels(post, rec, 3, geometry).q}
         return dataset, labels, params
 
     def test_zero_steps_leave_params_unchanged(self):
@@ -696,9 +710,12 @@ class TestMStep:
         records.append(strong_record("s", proposals, rng.normal(size=(3, 4)), [(gt, 2)]))
         dataset = Dataset(records)
         anchor = random_params(rng, 3, 4)
-        labels = {r.image_id: soft_labels(e_step(r, anchor, EmConfig(mode="exact")),
-                                          r, 3).q for r in records[:-1]}
-        labels["s"] = strong_labels(records[-1], 3)
+        labels = {}
+        for r in records[:-1]:
+            geometry = center_geometry(r.proposals)
+            post = e_step(r, anchor, EmConfig(mode="exact"), geometry)
+            labels[r.image_id] = soft_labels(post, r, 3, geometry).q
+        labels["s"] = np.eye(3)[strong_label_vector(records[-1], 3)]
         labels["w0"] = np.eye(3)[np.zeros(7, dtype=int)]
         config = EmConfig(sgd_steps_per_m_step=200, lr_drop_step=150, l2=0.3,
                           fg_per_image=4, bg_per_image=5)
@@ -985,7 +1002,7 @@ class TestRunEm:
         # one coverage per weak image, one ground-truth match per strong image
         assert len(calls) == 20
         # equal to an objective that labels the strong images itself
-        assert result.trace[-1] == objective(dataset, result.params)
+        assert result.trace[-1] == objective_of(dataset, result.params)
 
     def test_num_categories_override_widens_the_scorer(self):
         dataset = self.tiny_dataset()
@@ -999,3 +1016,26 @@ class TestInferNumCategories:
         rng = np.random.default_rng(23)
         rec = random_weak_record(rng, "w", num_fg=3, num_present=3)
         assert infer_num_categories(single_record_dataset(rec)) == 4
+
+
+class TestCoverageArguments:
+    """Per-image coverages and strong label vectors are built by the caller, once."""
+
+    @staticmethod
+    def functions():
+        for module in (emdet.latent, emdet.engine):
+            for name, func in inspect.getmembers(module, inspect.isfunction):
+                if func.__module__ == module.__name__:
+                    yield f"{module.__name__}.{name}", inspect.signature(func).parameters
+
+    def test_no_function_builds_a_missing_coverage(self):
+        readers = set()
+        for name, params in self.functions():
+            for arg in ("geometry", "geometries", "strong_vectors"):
+                if arg in params:
+                    readers.add(name)
+                    assert params[arg].default is inspect.Parameter.empty, (name, arg)
+            assert not {"proposals", "geometry"} <= set(params), name
+        assert {"emdet.latent.score_config_set", "emdet.latent.exact_log_partition",
+                "emdet.engine.e_step", "emdet.engine.soft_labels",
+                "emdet.engine.objective"} <= readers

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emdet.latent
+from emdet.engine import PosteriorTable, soft_labels
 from emdet.geometry import Box, boxes_to_array, iou, iou_matrix
 from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
                           ImageLabel, LatentConfigSet, center_geometry,
@@ -160,7 +161,8 @@ class TestLabellingKernel:
             assert np.array_equal(expand(config_set, boxes), naive)
 
             direct = log_probs[np.arange(len(boxes)), naive].sum(axis=1)
-            values = score_config_set(config_set, log_probs, boxes)
+            geometry = center_geometry(boxes)
+            values = score_config_set(config_set, log_probs, geometry)
             assert np.max(np.abs(values - direct)) < 1e-12
 
             weights = rng.random(len(config_set))
@@ -168,13 +170,14 @@ class TestLabellingKernel:
             expected = np.zeros_like(log_probs)
             for w, row in zip(weights, naive):
                 expected[np.arange(len(boxes)), row] += w
-            q = label_marginals(config_set, weights, boxes, log_probs.shape[1])
+            q = label_marginals(config_set, weights, geometry, log_probs.shape[1])
             assert np.max(np.abs(q - expected)) < 1e-12
 
     def test_out_of_range_center_is_rejected(self):
         config_set = one_config((1,), (3,))
         with pytest.raises(ValueError, match="only 3 proposals"):
-            score_config_set(config_set, uniform_log_probs(3, 2), isolated_boxes(3))
+            score_config_set(config_set, uniform_log_probs(3, 2),
+                             center_geometry(isolated_boxes(3)))
 
 
 # Small integer boxes: overlaps of exactly 0.5 and equal keys between slots are common.
@@ -214,10 +217,17 @@ class TestCenterGeometry:
             assert held < 16 * pairs + 32 * B
 
     def test_geometry_of_other_proposals_is_rejected(self):
-        boxes = isolated_boxes(4)
-        with pytest.raises(ValueError, match="covers 3 proposals, not 4"):
-            score_config_set(one_config((1,), (0,)), uniform_log_probs(4, 2), boxes,
-                             center_geometry(boxes[:3]))
+        # scores and a record of four proposals against coverages of three and five
+        boxes = isolated_boxes(5)
+        record = weak_record("w", boxes[:4], np.zeros((4, 3)), (1,))
+        post = PosteriorTable("w", one_config((1,), (0,)), np.array([1.0]))
+        for other in (3, 5):
+            geometry = center_geometry(boxes[:other])
+            for reader in _SCORING_READERS.values():
+                with pytest.raises(ValueError, match=f"4 score rows for {other} proposals"):
+                    reader(geometry, (1,), uniform_log_probs(4, 2))
+            with pytest.raises(ValueError, match=f"covers {other} proposals, not the 4"):
+                soft_labels(post, record, 2, geometry)
 
     @settings(max_examples=300, deadline=None)
     @given(boxes=st.lists(_small_box, min_size=1, max_size=8), data=st.data())
@@ -278,13 +288,13 @@ class TestConfigLogLikelihood:
         boxes = isolated_boxes(3)
         log_probs = uniform_log_probs(3, 2)
         config_set = enumerate_exact(boxes, ImageLabel((1,)))
-        values = score_config_set(config_set, log_probs, boxes)
+        values = score_config_set(config_set, log_probs, center_geometry(boxes))
         assert np.max(np.abs(values - 3 * math.log(0.5))) < 1e-12
 
     def test_isolated_hand_value(self):
         boxes = isolated_boxes(3)
         log_probs = fg_log_probs([0.9, 0.2, 0.1])
-        value = score_config_set(one_config((1,), (0,)), log_probs, boxes)[0]
+        value = score_config_set(one_config((1,), (0,)), log_probs, center_geometry(boxes))[0]
         expected = math.log(0.9) + math.log(0.8) + math.log(0.9)
         assert abs(value - expected) < 1e-12
 
@@ -293,7 +303,7 @@ class TestConfigLogLikelihood:
         log_probs = uniform_log_probs(2, 2)
         log_probs[1, 1] = -np.inf
         with pytest.raises(ValueError):
-            score_config_set(one_config((1,), (0,)), log_probs, boxes)
+            score_config_set(one_config((1,), (0,)), log_probs, center_geometry(boxes))
 
     def test_incremental_matches_direct_sum(self):
         rng = np.random.default_rng(11)
@@ -302,7 +312,7 @@ class TestConfigLogLikelihood:
             config_set = enumerate_exact(boxes, label)
             labels = expand(config_set, boxes)
             direct = log_probs[np.arange(len(boxes)), labels].sum(axis=1)
-            fast = score_config_set(config_set, log_probs, boxes)
+            fast = score_config_set(config_set, log_probs, center_geometry(boxes))
             assert np.max(np.abs(fast - direct)) < 1e-12
 
 
@@ -312,10 +322,11 @@ class TestExactGrid:
         worst = 0.0
         for _ in range(120):
             boxes, label, log_probs = random_instance(rng, max_b=7, max_m=3)
-            grid = exact_log_likelihood_grid(boxes, label, log_probs)
+            geometry = center_geometry(boxes)
+            grid = exact_log_likelihood_grid(geometry, label, log_probs)
             assert grid.shape == (len(boxes),) * len(label)
             config_set = enumerate_exact(boxes, label)
-            slow = score_config_set(config_set, log_probs, boxes)
+            slow = score_config_set(config_set, log_probs, geometry)
             worst = max(worst, np.max(np.abs(grid[tuple(config_set.centers.T)] - slow)))
         assert worst < 1e-12
 
@@ -325,10 +336,11 @@ class TestExactGrid:
         logits = rng.normal(0.0, 1.5, size=(6, 5))
         log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         label = ImageLabel((1, 2, 3, 4))
-        grid = exact_log_likelihood_grid(boxes, label, log_probs)
+        geometry = center_geometry(boxes)
+        grid = exact_log_likelihood_grid(geometry, label, log_probs)
         config_set = enumerate_exact(boxes, label)
         assert np.isfinite(grid).sum() == len(config_set)
-        slow = score_config_set(config_set, log_probs, boxes)
+        slow = score_config_set(config_set, log_probs, geometry)
         assert np.max(np.abs(grid[tuple(config_set.centers.T)] - slow)) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -340,7 +352,8 @@ class TestExactGrid:
             cats = tuple(sorted(rng.choice(np.arange(1, 5), size=m, replace=False).tolist()))
             logits = rng.normal(0.0, 1.5, size=(8, 5))
             log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-            grid = exact_log_likelihood_grid(boxes, ImageLabel(cats), log_probs)
+            grid = exact_log_likelihood_grid(center_geometry(boxes), ImageLabel(cats),
+                                             log_probs)
             for centers in itertools.product(range(8), repeat=m):
                 if len(set(centers)) < m:
                     assert grid[centers] == -np.inf
@@ -355,7 +368,8 @@ class TestExactGrid:
         log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         tracemalloc.start()
         try:
-            grid = exact_log_likelihood_grid(boxes, ImageLabel((1, 2, 3)), log_probs)
+            grid = exact_log_likelihood_grid(center_geometry(boxes), ImageLabel((1, 2, 3)),
+                                             log_probs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -363,30 +377,31 @@ class TestExactGrid:
 
     def test_duplicate_entries_masked(self):
         boxes = isolated_boxes(3)
-        grid = exact_log_likelihood_grid(boxes, ImageLabel((1, 2)),
+        grid = exact_log_likelihood_grid(center_geometry(boxes), ImageLabel((1, 2)),
                                          uniform_log_probs(3, 3))
         for i in range(3):
             assert grid[i, i] == -np.inf
         # three slots: a repeat in the first and last slot is masked too
-        grid = exact_log_likelihood_grid(isolated_boxes(4), ImageLabel((1, 2, 3)),
-                                         uniform_log_probs(4, 4))
+        grid = exact_log_likelihood_grid(center_geometry(isolated_boxes(4)),
+                                         ImageLabel((1, 2, 3)), uniform_log_probs(4, 4))
         assert grid[0, 1, 0] == -np.inf
         assert np.isfinite(grid).sum() == 4 * 3 * 2
 
     def test_exact_config_values_alignment(self):
         rng = np.random.default_rng(31)
         boxes, label, log_probs = random_instance(rng, max_b=6, max_m=2)
-        config_set, values = exact_config_values(boxes, label, log_probs)
+        geometry = center_geometry(boxes)
+        config_set, values = exact_config_values(geometry, label, log_probs)
         reference = enumerate_exact(boxes, label)
         assert np.array_equal(config_set.centers, reference.centers)
-        slow = score_config_set(config_set, log_probs, boxes)
+        slow = score_config_set(config_set, log_probs, geometry)
         assert np.max(np.abs(values - slow)) < 1e-12
 
 
 class TestExactLogPartition:
     @staticmethod
-    def grid_value(boxes, label, log_probs):
-        return logsumexp(exact_log_likelihood_grid(boxes, label, log_probs).reshape(-1))
+    def grid_value(geometry, label, log_probs):
+        return logsumexp(exact_log_likelihood_grid(geometry, label, log_probs).reshape(-1))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_the_grid(self, m):
@@ -394,20 +409,21 @@ class TestExactLogPartition:
         for trial in range(40):
             b = int(rng.integers(max(m, 2), 10))
             boxes = grid_boxes(rng, b) if b >= 6 else random_boxes(rng, b)
+            geometry = center_geometry(boxes)
             label = ImageLabel(tuple(range(1, m + 1)))
             logits = rng.normal(0.0, 1.5, size=(b, m + 2))
             log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-            expected = self.grid_value(boxes, label, log_probs)
-            assert abs(exact_log_partition(boxes, label, log_probs) - expected) <= 1e-12
+            expected = self.grid_value(geometry, label, log_probs)
+            assert abs(exact_log_partition(geometry, label, log_probs) - expected) <= 1e-12
 
     def test_matches_the_grid_at_101_proposals(self):
         rng = np.random.default_rng(61)
-        boxes = random_boxes(rng, 101)
+        geometry = center_geometry(random_boxes(rng, 101))
         logits = rng.normal(0.0, 1.5, size=(101, 4))
         log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         label = ImageLabel((1, 2, 3))
-        expected = self.grid_value(boxes, label, log_probs)
-        assert abs(exact_log_partition(boxes, label, log_probs) - expected) <= 1e-12
+        expected = self.grid_value(geometry, label, log_probs)
+        assert abs(exact_log_partition(geometry, label, log_probs) - expected) <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_clustered_instances_match_grid_and_oracle(self, m):
@@ -419,12 +435,13 @@ class TestExactLogPartition:
         for trial in range(12):
             boxes = clustered_boxes(rng, 8)
             assert np.any((iou_matrix(boxes) >= CENTER_IOU).sum(axis=1) >= 3)
+            geometry = center_geometry(boxes)
             features = rng.normal(size=(8, 3))
             params = random_params(rng, m + 1, 3, scale=[0.3, 1.5, 3.0][trial % 3])
             log_probs = log_prob_matrix(params, features)
             deepest = max(deepest, -log_probs.min())
-            value = exact_log_partition(boxes, cats, log_probs)
-            assert abs(value - self.grid_value(boxes, cats, log_probs)) <= 1e-12
+            value = exact_log_partition(geometry, cats, log_probs)
+            assert abs(value - self.grid_value(geometry, cats, log_probs)) <= 1e-12
             record = weak_record("w", boxes, features, cats)
             assert abs(value - brute_marginal_likelihood(record, params)) <= 1e-12
         assert 20.0 < deepest < 32.0
@@ -435,33 +452,33 @@ class TestExactLogPartition:
         # would underflow every config that no correction touches.
         rng = np.random.default_rng(63)
         for _ in range(3):
-            boxes = clustered_boxes(rng, 10)
+            geometry = center_geometry(clustered_boxes(rng, 10))
             logits = np.column_stack([np.zeros(10), rng.normal(-100.0, 5.0, size=(10, 3))])
             log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-            expected = self.grid_value(boxes, (1, 2, 3), log_probs)
-            value = exact_log_partition(boxes, (1, 2, 3), log_probs)
+            expected = self.grid_value(geometry, (1, 2, 3), log_probs)
+            value = exact_log_partition(geometry, (1, 2, 3), log_probs)
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
     def test_every_config_triple_covered(self):
         # three mutually covering proposals: every config is a triple config
-        boxes = np.array([[0.0, 0.0, 10.0, 10.0], [1.0, 0.0, 11.0, 10.0],
-                          [0.0, 1.0, 10.0, 11.0]])
+        geometry = center_geometry(np.array([[0.0, 0.0, 10.0, 10.0], [1.0, 0.0, 11.0, 10.0],
+                                             [0.0, 1.0, 10.0, 11.0]]))
         rng = np.random.default_rng(62)
         logits = rng.normal(0.0, 1.5, size=(3, 4))
         log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        expected = self.grid_value(boxes, (1, 2, 3), log_probs)
-        assert abs(exact_log_partition(boxes, (1, 2, 3), log_probs) - expected) <= 1e-12
+        expected = self.grid_value(geometry, (1, 2, 3), log_probs)
+        assert abs(exact_log_partition(geometry, (1, 2, 3), log_probs) - expected) <= 1e-12
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4])
     def test_guard_rejects_pair_factors_before_allocating(self, m):
         # 1001 ** 2 configs or pair factors exceed the guard; one (B, B)
         # float matrix is ~8 MB
-        boxes = isolated_boxes(1001)
-        log_probs = uniform_log_probs(1001, 4)
+        geometry = center_geometry(isolated_boxes(1001))
+        log_probs = uniform_log_probs(1001, 5)
         tracemalloc.start()
         try:
             with pytest.raises(GuardError, match="exceed"):
-                exact_log_partition(boxes, tuple(range(1, m + 1)), log_probs)
+                exact_log_partition(geometry, tuple(range(1, m + 1)), log_probs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -469,14 +486,62 @@ class TestExactLogPartition:
 
     def test_one_category_is_guarded_by_its_grid_size(self):
         # 1001 configs are within the guard although 1001 ** 2 is not
-        boxes = isolated_boxes(1001)
+        geometry = center_geometry(isolated_boxes(1001))
         log_probs = uniform_log_probs(1001, 2)
-        expected = self.grid_value(boxes, (1,), log_probs)
-        assert exact_log_partition(boxes, (1,), log_probs) == expected
+        expected = self.grid_value(geometry, (1,), log_probs)
+        assert exact_log_partition(geometry, (1,), log_probs) == expected
 
-    def test_rejects_more_than_three_categories(self):
-        with pytest.raises(ValueError, match="at most 3"):
-            exact_log_partition(isolated_boxes(5), (1, 2, 3, 4), uniform_log_probs(5, 5))
+    def test_four_categories_take_the_log_sum_exp_of_the_grid(self):
+        rng = np.random.default_rng(64)
+        cats = (1, 2, 3, 4)
+        for boxes in (random_boxes(rng, 7), clustered_boxes(rng, 8)):
+            geometry = center_geometry(boxes)
+            features = rng.normal(size=(len(boxes), 3))
+            params = random_params(rng, 5, 3, scale=1.5)
+            log_probs = log_prob_matrix(params, features)
+            value = exact_log_partition(geometry, cats, log_probs)
+            assert value == self.grid_value(geometry, cats, log_probs)
+            record = weak_record("w", boxes, features, cats)
+            assert abs(value - brute_marginal_likelihood(record, params)) <= 1e-12
+        # 32 ** 4 configs exceed the guard although 32 ** 2 pair factors would not
+        with pytest.raises(GuardError, match="exceed"):
+            exact_log_partition(center_geometry(isolated_boxes(32)), cats,
+                                uniform_log_probs(32, 5))
+
+
+# Every reader of a coverage plus log-probabilities, called as
+# reader(geometry, categories, log_probs); score_config_set scores the config
+# with its centers on the first proposals.
+_SCORING_READERS = {
+    "score_config_set": lambda geometry, cats, log_probs: score_config_set(
+        one_config(cats, tuple(range(len(cats)))), log_probs, geometry),
+    "exact_log_likelihood_grid": exact_log_likelihood_grid,
+    "exact_log_partition": exact_log_partition,
+    "exact_config_values": exact_config_values,
+}
+
+
+class TestScoringInputs:
+    @pytest.mark.parametrize("reader", sorted(_SCORING_READERS))
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("defect, message", [
+        ("nan", "must be finite"),
+        ("-inf", "must be finite"),
+        ("fewer rows", "4 score rows for 5 proposals"),
+        ("more rows", "6 score rows for 5 proposals"),
+        ("no column for the last category", "exceed"),
+    ])
+    def test_rejects_log_probs_that_do_not_fit_the_coverage(self, reader, m, defect,
+                                                            message):
+        geometry = center_geometry(clustered_boxes(np.random.default_rng(m), 5))
+        cats = tuple(range(1, m + 1))
+        rows = {"fewer rows": 4, "more rows": 6}.get(defect, 5)
+        columns = m if defect.startswith("no column") else m + 1
+        log_probs = uniform_log_probs(rows, columns)
+        if defect in ("nan", "-inf"):
+            log_probs[3, m] = float(defect)
+        with pytest.raises(ValueError, match=message):
+            _SCORING_READERS[reader](geometry, cats, log_probs)
 
 
 class TestSelectK:

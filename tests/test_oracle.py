@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from emdet.engine import EmConfig, e_step, objective
-from emdet.latent import GuardError
+from emdet.engine import EmConfig, e_step
+from emdet.latent import GuardError, center_geometry
 from emdet.oracle import (
     brute_hard_config,
     brute_marginal_likelihood,
@@ -17,6 +17,7 @@ from emdet.oracle import (
 from emdet.scorer import ScorerParams
 from helpers import (
     isolated_weak_record,
+    objective_of,
     random_params,
     random_weak_record,
     single_record_dataset,
@@ -78,31 +79,31 @@ class TestEngineAgreement:
             rec = random_weak_record(rng, f"w{n}",
                                      num_proposals=int(rng.integers(3, 8)),
                                      num_fg=2, feature_dim=4)
-            yield rec, random_params(rng, 3, 4)
+            yield rec, random_params(rng, 3, 4), center_geometry(rec.proposals)
 
     def test_objective_weak_term(self):
-        for rec, params in self.instances(30, seed=10):
-            fast = objective(single_record_dataset(rec), params).weak_term
+        for rec, params, _ in self.instances(30, seed=10):
+            fast = objective_of(single_record_dataset(rec), params).weak_term
             slow = brute_marginal_likelihood(rec, params)
             assert abs(fast - slow) < 1e-9
 
     def test_exact_posterior_weights(self):
-        for rec, params in self.instances(30, seed=11):
-            fast = as_table(e_step(rec, params, EmConfig(mode="exact")))
+        for rec, params, geometry in self.instances(30, seed=11):
+            fast = as_table(e_step(rec, params, EmConfig(mode="exact"), geometry))
             slow = as_table(brute_posterior(rec, params))
             assert set(fast) == set(slow)
             for row, w in fast.items():
                 assert abs(w - slow[row]) < 1e-12
 
     def test_hard_argmax_config(self):
-        for rec, params in self.instances(30, seed=12):
-            fast = e_step(rec, params, EmConfig(mode="hard"))
+        for rec, params, geometry in self.instances(30, seed=12):
+            fast = e_step(rec, params, EmConfig(mode="hard"), geometry)
             slow = brute_hard_config(rec, params)
             assert tuple(int(v) for v in fast.config_set.centers[0]) == slow
 
     def test_truncated_posterior_weights(self):
-        for rec, params in self.instances(30, seed=13):
-            fast = as_table(e_step(rec, params, EmConfig(mode="k_em", k=4)))
+        for rec, params, geometry in self.instances(30, seed=13):
+            fast = as_table(e_step(rec, params, EmConfig(mode="k_em", k=4), geometry))
             slow = as_table(brute_truncated_posterior(rec, params, k=4))
             assert set(fast) == set(slow)
             for row, w in fast.items():
