@@ -15,9 +15,9 @@ soft proposal labels those posteriors imply.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class EmConfig:
             raise ValueError("em_iterations must be >= 0")
         if self.sgd_steps_per_m_step < 0:
             raise ValueError("sgd_steps_per_m_step must be >= 0")
+        for name in ("fg_per_image", "bg_per_image"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.fg_per_image + self.bg_per_image < 1:
             raise ValueError("mini-batches need at least one proposal per image")
 
@@ -384,90 +387,59 @@ def learning_rate(config: EmConfig, step: int) -> float:
     return config.lr_initial if step < config.lr_drop_step else config.lr_dropped
 
 
-def _sample_rows(rng: np.random.Generator, pool: np.ndarray, count: int) -> np.ndarray:
-    if pool.size == 0 or count == 0:
-        return np.empty(0, dtype=np.int64)
-    if pool.size < count:
-        # The draws and generator state of rng.choice(..., replace=True),
-        # without its per-call checks.
-        return pool[rng.integers(pool.size, size=count)]
-    return rng.choice(pool, size=count, replace=False)
+def _draw_plan(fg_size: int, bg_size: int, config: EmConfig) -> tuple:
+    """The generator calls of one mini-batch, as ``(low, high, size, replace)``
+    over positions in an image's row order (foreground-eligible rows first).
 
-
-def _minibatch_rows(rng: np.random.Generator, fg_pool: np.ndarray, bg_pool: np.ndarray,
-                    config: EmConfig) -> np.ndarray:
-    """Sample row indices for one image: fg_per_image + bg_per_image.
-
-    The pools come from _row_sampler; a pool shorter than its quota is sampled
-    with replacement, an empty pool contributes nothing.
+    A mini-batch draws the foreground quota, the background quota, then both
+    again.  A quota is drawn with replacement only when its pool is shorter
+    than it; an empty pool or a zero quota draws nothing.  A draw without
+    replacement is ``low + rng.choice(high - low, size, replace=False)``,
+    the rows and generator state of ``rng.choice`` on the pool itself.  A
+    draw with replacement takes one bounded word per row from the
+    generator's 32-bit stream, so a run of them is one ``rng.integers``
+    call: with scalar bounds when the run keeps to one pool, per-row bound
+    arrays otherwise.  The plan depends on the pool sizes only.
     """
-    return np.concatenate([
-        _sample_rows(rng, fg_pool, config.fg_per_image),
-        _sample_rows(rng, bg_pool, config.bg_per_image),
-    ])
+    quotas = ((0, fg_size, config.fg_per_image), (fg_size, bg_size, config.bg_per_image))
+    draws = [(start, start + size, count, size < count)
+             for start, size, count in quotas * 2 if size and count]
+    plan = []
+    for replace, run in itertools.groupby(draws, key=lambda draw: draw[3]):
+        run = list(run)
+        if not replace:
+            plan.extend(run)
+        elif len({draw[:2] for draw in run}) == 1:
+            plan.append((*run[0][:2], sum(draw[2] for draw in run), True))
+        else:
+            lows, highs, counts, _ = zip(*run)
+            plan.append((np.repeat(lows, counts), np.repeat(highs, counts), None, True))
+    return tuple(plan)
 
 
-def _one_call_bounds(fg_size: int, bg_size: int,
-                     config: EmConfig) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-draw (low, high) bounds of a mini-batch drawn in one generator call.
-
-    A mini-batch is two _minibatch_rows draws.  When every non-empty quota of
-    both is drawn with replacement, each draw is one bounded integer taken
-    from the generator's 32-bit stream, so ``rng.integers(low, high)`` with
-    these bounds (positions in the row order of _row_sampler) returns the
-    same rows and leaves the same generator state as the four per-pool calls.
-    A quota drawn without replacement goes through rng.choice, whose stream
-    differs, and such pool sizes give None.
-    """
-    quotas = [(start, size, count) for start, size, count in
-              ((0, fg_size, config.fg_per_image), (fg_size, bg_size, config.bg_per_image))
-              if size and count]
-    if not quotas or any(size >= count for _, size, count in quotas):
-        return None
-    low = np.concatenate([np.full(count, start) for start, _, count in quotas] * 2)
-    high = np.concatenate([np.full(count, start + size) for start, size, count in quotas] * 2)
-    return low, high
+def _batch_rows(rng: np.random.Generator, order: np.ndarray, plan: tuple) -> np.ndarray:
+    """One mini-batch of rows: the calls of a _draw_plan in order, then one
+    gather from the row order."""
+    positions = [rng.integers(low, high, size) if replace
+                 else low + rng.choice(high - low, size, replace=False)
+                 for low, high, size, replace in plan]
+    return order.take(np.concatenate(positions))
 
 
-class _RowSampler(NamedTuple):
-    """One image's mini-batch sampling state: a row order, its foreground and
-    background pools as views of it, and their _one_call_bounds."""
-
-    order: np.ndarray
-    fg_pool: np.ndarray
-    bg_pool: np.ndarray
-    bounds: tuple[np.ndarray, np.ndarray] | None
-
-
-def _row_sampler(q: np.ndarray, config: EmConfig, bounds: dict) -> _RowSampler:
-    """The _RowSampler of soft labels q: foreground-eligible rows (argmax not
-    background) first, then the rest.  ``bounds`` shares _one_call_bounds
-    between images by pool sizes, which is all they depend on."""
+def _sgd_image(record: ImageRecord, q: np.ndarray, params: ScorerParams,
+               config: EmConfig, plans: dict) -> tuple:
+    """One image's M-step inputs: features, checked soft labels, the row order
+    (foreground-eligible rows, argmax not background, first), the foreground
+    row count, and the _draw_plan, shared through ``plans`` by pool sizes."""
+    q = np.asarray(q, dtype=np.float64)
+    check_soft_labels(q, record.num_proposals, params.num_categories)
     fg = q.argmax(axis=1) != 0
     fg_rows = np.flatnonzero(fg)
     order = np.concatenate([fg_rows, np.flatnonzero(~fg)])
     sizes = (fg_rows.size, order.size - fg_rows.size)
-    if sizes not in bounds:
-        bounds[sizes] = _one_call_bounds(*sizes, config)
-    return _RowSampler(order, order[:fg_rows.size], order[fg_rows.size:], bounds[sizes])
-
-
-def _batch_rows(rng: np.random.Generator, sampler: _RowSampler,
-                config: EmConfig) -> np.ndarray:
-    """One mini-batch of rows: two _minibatch_rows draws, taken in one
-    generator call when the sampler has bounds for it."""
-    if sampler.bounds is not None:
-        return sampler.order.take(rng.integers(*sampler.bounds))
-    return np.concatenate([_minibatch_rows(rng, sampler.fg_pool, sampler.bg_pool, config),
-                           _minibatch_rows(rng, sampler.fg_pool, sampler.bg_pool, config)])
-
-
-def _sgd_image(record: ImageRecord, q: np.ndarray, params: ScorerParams,
-               config: EmConfig, bounds: dict):
-    """One image's M-step inputs: features, checked soft labels, _row_sampler."""
-    q = np.asarray(q, dtype=np.float64)
-    check_soft_labels(q, record.num_proposals, params.num_categories)
-    return record.features, q, _row_sampler(q, config, bounds)
+    if sizes not in plans:
+        plans[sizes] = _draw_plan(*sizes, config)
+    return record.features, q, order, fg_rows.size, plans[sizes]
 
 
 def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams,
@@ -476,43 +448,35 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
     """Sampled SGD M-step; returns the global step counter after the run.
 
     Each mini-batch takes one uniformly chosen image and samples its
-    foreground and background quotas twice, so one step sees two independent
-    draws of the same image's proposals.  The gradient is the per-sample
-    mean, keeping the learning-rate scale independent of batch size.  Soft
-    labels are checked once per image up front, with the checks of
-    weighted_ce_gradient.  A mini-batch whose quotas are all drawn with
-    replacement takes its rows in one generator call (_one_call_bounds), with
-    the draws and generator state of the per-pool calls.
+    foreground and background quotas twice (_draw_plan), so one step sees
+    two independent draws of the same image's proposals.  The gradient is
+    the per-sample mean, keeping the learning-rate scale independent of
+    batch size.  Soft labels are checked once per image up front, with the
+    checks of weighted_ce_gradient.  An image with nothing to draw still
+    takes its pick but makes no step.
     """
     records = dataset.records
-    bounds: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
-    images = [_sgd_image(r, labels[r.image_id], params, config, bounds) for r in records]
+    plans: dict[tuple[int, int], tuple] = {}
+    images = [_sgd_image(r, labels[r.image_id], params, config, plans) for r in records]
+    background_only = sum(fg_size == 0 for *_, fg_size, _ in images)
+    if background_only and config.fg_per_image > 0:
+        logger.info("%d of %d images have no foreground-eligible proposals "
+                    "and contribute background samples only",
+                    background_only, len(records))
     # Mini-batch rows are gathered into one reused buffer whose last column
     # stays 1, the bias input; per-image augmented copies would raise peak memory.
     batch = np.ones((2 * (config.fg_per_image + config.bg_per_image), params.feature_dim + 1))
-    background_only: set[str] = set()
     for n in range(config.sgd_steps_per_m_step):
         state.learning_rate = learning_rate(config, start_step + n)
-        index = int(rng.integers(len(records)))
-        features, q, sampler = images[index]
-        rows = _batch_rows(rng, sampler, config)
-        if rows.size == 0:
+        features, q, order, _, plan = images[int(rng.integers(len(images)))]
+        if not plan:
             continue
-        image_id = records[index].image_id
-        if config.fg_per_image > 0 and sampler.fg_pool.size == 0 \
-                and image_id not in background_only:
-            logger.debug("image %s has no foreground-eligible proposals; "
-                         "contributing background only", image_id)
-            background_only.add(image_id)
+        rows = _batch_rows(rng, order, plan)
         augmented = batch[:rows.size]
         augmented[:, :-1] = features.take(rows, axis=0)
         _, grad = ce_gradient(params, augmented, q.take(rows, axis=0), config.l2)
         grad /= rows.size
         sgd_step(params, state, grad)
-    if background_only:
-        logger.info("%d of %d images had no foreground-eligible proposals "
-                    "and contributed background samples only",
-                    len(background_only), len(records))
     return start_step + config.sgd_steps_per_m_step
 
 

@@ -166,6 +166,16 @@ class TestTrain:
                    "--config", str(config), "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    def test_negative_quota_in_config_is_rejected(self, bench, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bg_per_image": -3}))
+        out = tmp_path / "x.json"
+        rc = main(["train", "--data", str(bench["train"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert "bg_per_image must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_objective_lines_are_printed(self, bench, tmp_path, capsys):
         out = tmp_path / "again.json"
         rc = main(["train", "--data", str(bench["train"]),

@@ -34,10 +34,8 @@ from emdet.engine import (
     strong_label_vector,
     surrogate_value,
     _batch_rows,
-    _minibatch_rows,
-    _one_call_bounds,
-    _row_sampler,
-    _sample_rows,
+    _draw_plan,
+    _sgd_image,
 )
 from emdet.geometry import Box, boxes_to_array
 from emdet.latent import GuardError, LatentConfigSet, center_geometry
@@ -78,6 +76,12 @@ class TestEmConfigValidation:
     def test_rejects_empty_minibatch(self):
         with pytest.raises(ValueError):
             EmConfig(fg_per_image=0, bg_per_image=0)
+
+    @pytest.mark.parametrize("field, quotas", [("fg_per_image", (-4, 48)),
+                                               ("bg_per_image", (16, -3))])
+    def test_rejects_negative_quotas(self, field, quotas):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            EmConfig(fg_per_image=quotas[0], bg_per_image=quotas[1])
 
 
 class TestPosteriorTable:
@@ -546,71 +550,50 @@ class TestLearningRateSchedule:
         assert learning_rate(config, 10_000) == 0.001
 
 
-class TestMinibatchRows:
-    def test_composition_respects_quotas(self):
-        rng = np.random.default_rng(2)
-        q = np.zeros((10, 3))
-        q[:4, 1] = 1.0
-        q[4:, 0] = 1.0
-        config = EmConfig(fg_per_image=16, bg_per_image=48)
-        sampler = _row_sampler(q, config, {})
-        rows = _minibatch_rows(rng, sampler.fg_pool, sampler.bg_pool, config)
-        assert rows.shape == (64,)
-        assert np.all(q.argmax(axis=1)[rows[:16]] != 0)
-        assert np.all(q.argmax(axis=1)[rows[16:]] == 0)
-
-    def test_all_background_image_contributes_background_only(self):
-        rng = np.random.default_rng(3)
-        q = np.zeros((6, 3))
-        q[:, 0] = 1.0
-        sampler = _row_sampler(q, EmConfig(), {})
-        rows = _minibatch_rows(rng, sampler.fg_pool, sampler.bg_pool, EmConfig())
-        assert rows.shape == (48,)
-        assert set(rows.tolist()) <= set(range(6))
+def per_pool_rows(rng, q, config):
+    """The reference mini-batch: rng.choice on each non-empty pool, foreground
+    then background, twice; a pool shorter than its quota with replacement."""
+    fg = q.argmax(axis=1) != 0
+    rows = []
+    for _ in range(2):
+        for pool, count in ((np.flatnonzero(fg), config.fg_per_image),
+                            (np.flatnonzero(~fg), config.bg_per_image)):
+            if pool.size:
+                rows.append(rng.choice(pool, count, replace=pool.size < count))
+    return np.concatenate(rows)
 
 
-class TestSampleRows:
-    @pytest.mark.parametrize("size", [1, 5, 15, 16, 17, 60])
-    @pytest.mark.parametrize("count", [16, 48])
-    def test_draws_and_generator_state_match_choice(self, size, count):
-        pool = np.arange(size, dtype=np.int64) * 3 + 1
-        for seed in range(5):
-            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            rows = _sample_rows(rng, pool, count)
-            expected = reference.choice(pool, size=count, replace=pool.size < count)
-            assert rows.dtype == expected.dtype
-            assert np.array_equal(rows, expected)
-            assert rng.bit_generator.state == reference.bit_generator.state
+class TestDrawPlan:
+    """The M-step's mini-batch draws against the per-pool rng.choice calls.
 
-
-class TestBatchRows:
-    """The M-step's one-call mini-batch draw against the per-pool calls.
-
-    rng.integers(low, high) with per-draw bounds reproduces successive
-    rng.integers(size, size=count) calls only while numpy takes every bounded
-    draw below 2 ** 32 from the bit generator's shared 32-bit stream.  A numpy
-    release that changes that stream fails here, not by moving the manifest.
+    The plan merges runs of with-replacement draws into one rng.integers
+    call, which reproduces the per-pool calls only while numpy takes every
+    bounded draw below 2 ** 32 from the bit generator's shared 32-bit stream.
+    A numpy release that changes that stream fails here, not by moving the
+    manifest.
     """
 
     @staticmethod
-    def labels(rng, fg_size, bg_size):
-        """Soft labels with fg_size foreground-argmax rows at shuffled positions."""
+    def image(fg_size, bg_size, config, seed, plans=None):
+        """Soft labels with fg_size foreground-argmax rows at shuffled
+        positions, and their _sgd_image inputs."""
+        rng = np.random.default_rng(seed)
         categories = np.concatenate([rng.integers(1, 3, size=fg_size),
                                      np.zeros(bg_size, dtype=np.int64)])
         q = np.full((fg_size + bg_size, 3), 0.1)
         q[np.arange(len(categories)), rng.permutation(categories)] = 0.8
-        return q
+        record = random_weak_record(rng, num_proposals=len(categories), feature_dim=2)
+        return _sgd_image(record, q, ScorerParams.zeros(3, 2), config,
+                          {} if plans is None else plans)
 
     def assert_matches_per_pool_calls(self, fg_size, bg_size, fg_quota, bg_quota, seed):
         config = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota)
-        q = self.labels(np.random.default_rng(seed), fg_size, bg_size)
+        _, q, order, _, plan = self.image(fg_size, bg_size, config, seed)
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        sampler = _row_sampler(q, config, {})
-        pools = sampler.fg_pool, sampler.bg_pool
         for _ in range(3):
-            rows = _batch_rows(rng, sampler, config)
-            expected = np.concatenate([_minibatch_rows(reference, *pools, config),
-                                       _minibatch_rows(reference, *pools, config)])
+            # m_step skips an image with an empty plan before drawing
+            rows = _batch_rows(rng, order, plan) if plan else order[:0]
+            expected = per_pool_rows(reference, q, config)
             context = (f"numpy {np.__version__}: pools ({fg_size}, {bg_size}), "
                        f"quotas ({fg_quota}, {bg_quota}), seed {seed}")
             assert rows.dtype == expected.dtype, context
@@ -618,22 +601,23 @@ class TestBatchRows:
             assert rng.bit_generator.state == reference.bit_generator.state, \
                 f"{context}: generator states differ"
 
-    @pytest.mark.parametrize("fg_size, bg_size, fg_quota, bg_quota, one_call", [
-        (0, 7, 4, 8, True),     # empty foreground pool
-        (5, 0, 8, 4, True),     # empty background pool
-        (3, 7, 4, 8, True),     # both pools shorter than their quotas
-        (1, 1, 4, 8, True),     # one-row pools: draws that take no generator word
-        (4, 7, 4, 8, False),    # a pool exactly its quota: rng.choice without replacement
-        (6, 20, 4, 8, False),   # pools longer than their quotas
-        (3, 20, 4, 8, False),   # one quota with, one without replacement
-        (3, 5, 0, 8, True),     # foreground quota 0
-        (3, 5, 4, 0, True),     # background quota 0
-        (0, 5, 4, 0, False),    # nothing to draw
-    ])
-    def test_one_call_draw_matches_the_per_pool_calls(self, fg_size, bg_size, fg_quota,
-                                                      bg_quota, one_call):
+    @pytest.mark.parametrize("fg_size, bg_size, fg_quota, bg_quota, calls", [
+        (0, 7, 4, 8, 1),     # empty foreground pool
+        (5, 0, 8, 4, 1),     # empty background pool
+        (3, 7, 4, 8, 1),     # both pools shorter than their quotas: per-row bounds
+        (1, 1, 4, 8, 1),     # one-row pools: draws that take no generator word
+        (4, 7, 4, 8, 4),     # a pool exactly its quota: rng.choice without replacement
+        (6, 20, 4, 8, 4),    # pools longer than their quotas
+        (3, 20, 4, 8, 4),    # one quota with, one without replacement
+        (3, 5, 0, 8, 1),     # foreground quota 0
+        (3, 5, 4, 0, 1),     # background quota 0
+        (0, 5, 4, 0, 0),     # nothing to draw
+    ] + [(size, 0, count, 0, 1 if size < count else 2)  # one pool against choice
+         for size in (1, 5, 15, 16, 17, 60) for count in (16, 48)])
+    def test_draws_match_the_per_pool_calls(self, fg_size, bg_size, fg_quota, bg_quota,
+                                            calls):
         config = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota)
-        assert (_one_call_bounds(fg_size, bg_size, config) is not None) == one_call
+        assert len(_draw_plan(fg_size, bg_size, config)) == calls
         for seed in range(20):
             self.assert_matches_per_pool_calls(fg_size, bg_size, fg_quota, bg_quota, seed)
 
@@ -644,23 +628,38 @@ class TestBatchRows:
     def test_any_pools_and_quotas_match_the_per_pool_calls(self, fg_size, bg_size, fg_quota,
                                                            bg_quota, seed):
         assume(fg_quota + bg_quota > 0)  # EmConfig rejects an empty mini-batch
+        assume(fg_size + bg_size > 0)  # an image has at least one proposal
         self.assert_matches_per_pool_calls(fg_size, bg_size, fg_quota, bg_quota, seed)
 
-    def test_pools_are_views_of_one_row_order(self):
-        q = self.labels(np.random.default_rng(4), 5, 9)
-        order, fg_pool, bg_pool, _ = _row_sampler(q, EmConfig(), {})
-        assert fg_pool.base is order and bg_pool.base is order
-        assert np.array_equal(np.sort(order), np.arange(14))
-        assert np.all(q.argmax(axis=1)[fg_pool] != 0)
-        assert np.all(q.argmax(axis=1)[bg_pool] == 0)
+    def test_composition_respects_quotas(self):
+        config = EmConfig(fg_per_image=16, bg_per_image=48)
+        _, q, order, _, plan = self.image(4, 6, config, seed=2)
+        rows = _batch_rows(np.random.default_rng(2), order, plan)
+        assert rows.shape == (128,)
+        is_fg = q.argmax(axis=1)[rows] != 0
+        assert np.all(is_fg[:16]) and not np.any(is_fg[16:64])
+        assert np.all(is_fg[64:80]) and not np.any(is_fg[80:])
 
-    def test_bounds_are_shared_by_pool_sizes(self):
-        rng = np.random.default_rng(6)
-        bounds = {}
-        first = _row_sampler(self.labels(rng, 3, 9), EmConfig(), bounds)
-        second = _row_sampler(self.labels(rng, 3, 9), EmConfig(), bounds)
-        assert first.bounds is second.bounds
-        assert list(bounds) == [(3, 9)]
+    def test_all_background_image_contributes_background_only(self):
+        _, _, order, fg_size, plan = self.image(0, 6, EmConfig(), seed=3)
+        rows = _batch_rows(np.random.default_rng(3), order, plan)
+        assert fg_size == 0
+        assert rows.shape == (96,)
+        assert set(rows.tolist()) <= set(range(6))
+
+    def test_foreground_rows_come_first_in_the_order(self):
+        _, q, order, fg_size, _ = self.image(5, 9, EmConfig(), seed=4)
+        assert fg_size == 5
+        assert np.array_equal(np.sort(order), np.arange(14))
+        assert np.all(q.argmax(axis=1)[order[:5]] != 0)
+        assert np.all(q.argmax(axis=1)[order[5:]] == 0)
+
+    def test_plans_are_shared_by_pool_sizes(self):
+        plans = {}
+        first = self.image(3, 9, EmConfig(), seed=6, plans=plans)[-1]
+        second = self.image(3, 9, EmConfig(), seed=7, plans=plans)[-1]
+        assert first is second
+        assert list(plans) == [(3, 9)]
 
 
 class TestMStep:
@@ -674,6 +673,32 @@ class TestMStep:
         post = e_step(rec, params, EmConfig(mode="exact"), geometry)
         labels = {"w": soft_labels(post, rec, 3, geometry).q}
         return dataset, labels, params
+
+    @staticmethod
+    def assert_matches_a_per_step_loop(records, labels, config, start, seed):
+        """m_step from start_step 5 against a loop of per_pool_rows batches and
+        weighted_ce_gradient steps on the same generator stream."""
+        def run(step_fn):
+            params = start.copy()
+            state = OptimizerState.for_params(params, config.lr_initial,
+                                              config.momentum, config.weight_decay)
+            step_fn(params, state, np.random.default_rng(seed))
+            return params.weights
+
+        def reference(params, state, rng):
+            for n in range(config.sgd_steps_per_m_step):
+                state.learning_rate = learning_rate(config, 5 + n)
+                record = records[int(rng.integers(len(records)))]
+                q = labels[record.image_id]
+                rows = per_pool_rows(rng, q, config)
+                _, grad = weighted_ce_gradient(params, record.features[rows], q[rows],
+                                               config.l2)
+                sgd_step(params, state, grad / rows.size)
+
+        expected = run(reference)
+        actual = run(lambda params, state, rng: m_step(Dataset(records), labels, params,
+                                                       state, config, rng, start_step=5))
+        assert np.array_equal(actual, expected)
 
     def test_zero_steps_leave_params_unchanged(self):
         dataset, labels, params = self.small_setup()
@@ -708,7 +733,6 @@ class TestMStep:
         gt = Box(10, 10, 30, 30)
         proposals = boxes_to_array([gt, Box(12, 10, 31, 30), Box(60, 60, 70, 70)])
         records.append(strong_record("s", proposals, rng.normal(size=(3, 4)), [(gt, 2)]))
-        dataset = Dataset(records)
         anchor = random_params(rng, 3, 4)
         labels = {}
         for r in records[:-1]:
@@ -719,43 +743,13 @@ class TestMStep:
         labels["w0"] = np.eye(3)[np.zeros(7, dtype=int)]
         config = EmConfig(sgd_steps_per_m_step=200, lr_drop_step=150, l2=0.3,
                           fg_per_image=4, bg_per_image=5)
-        start = random_params(rng, 3, 4)
+        self.assert_matches_a_per_step_loop(records, labels, config,
+                                            random_params(rng, 3, 4), seed=9)
 
-        def run(step_fn):
-            params = start.copy()
-            state = OptimizerState.for_params(params, config.lr_initial,
-                                              config.momentum, config.weight_decay)
-            step_fn(params, state, np.random.default_rng(9))
-            return params.weights
-
-        def draw(rng, q):
-            fg = q.argmax(axis=1) != 0
-            out = []
-            for pool, count in ((np.flatnonzero(fg), config.fg_per_image),
-                                (np.flatnonzero(~fg), config.bg_per_image)):
-                if pool.size:
-                    out.append(rng.choice(pool, size=count, replace=pool.size < count))
-            return out
-
-        def reference(params, state, rng):
-            for n in range(config.sgd_steps_per_m_step):
-                state.learning_rate = learning_rate(config, 5 + n)
-                record = records[int(rng.integers(len(records)))]
-                q = labels[record.image_id]
-                rows = np.concatenate(draw(rng, q) + draw(rng, q))
-                _, grad = weighted_ce_gradient(params, record.features[rows], q[rows],
-                                               config.l2)
-                sgd_step(params, state, grad / rows.size)
-
-        expected = run(reference)
-        actual = run(lambda params, state, rng: m_step(dataset, labels, params, state,
-                                                       config, rng, start_step=5))
-        assert np.array_equal(actual, expected)
-
-    def test_matches_a_per_step_gradient_loop_on_both_draw_paths_without_l2(self):
+    def test_matches_a_per_step_gradient_loop_without_l2(self):
         # a background-only image, a foreground pool exactly its quota, pools
-        # shorter than their quotas, and l2 = 0: the one-call and the per-pool
-        # draws, and the gradient without the L2 term
+        # shorter than their quotas, and l2 = 0: plans of one call (scalar
+        # and per-row bounds) and of four, and the gradient without the L2 term
         rng = np.random.default_rng(4)
         sizes = {"bg_only": (0, 4), "exact": (4, 2), "short": (3, 3), "mixed": (2, 5)}
         records, labels = [], {}
@@ -767,43 +761,34 @@ class TestMStep:
             q[fg_size:, 0] += 2.0
             labels[image_id] = q / q.sum(axis=1, keepdims=True)
             records.append(record)
-        dataset = Dataset(records)
         config = EmConfig(sgd_steps_per_m_step=200, lr_drop_step=150, l2=0.0,
                           fg_per_image=4, bg_per_image=5)
-        one_call = [_one_call_bounds(*sizes[r.image_id], config) is not None for r in records]
-        assert one_call == [True, False, True, False]
-        start = random_params(rng, 3, 4)
+        calls = [len(_draw_plan(*sizes[r.image_id], config)) for r in records]
+        assert calls == [1, 4, 1, 4]
+        self.assert_matches_a_per_step_loop(records, labels, config,
+                                            random_params(rng, 3, 4), seed=11)
 
-        def run(step_fn):
-            params = start.copy()
-            state = OptimizerState.for_params(params, config.lr_initial,
-                                              config.momentum, config.weight_decay)
-            step_fn(params, state, np.random.default_rng(11))
-            return params.weights
-
-        def draw(rng, q):
-            fg = q.argmax(axis=1) != 0
-            out = []
-            for pool, count in ((np.flatnonzero(fg), config.fg_per_image),
-                                (np.flatnonzero(~fg), config.bg_per_image)):
-                if pool.size:
-                    out.append(rng.choice(pool, size=count, replace=pool.size < count))
-            return out
-
-        def reference(params, state, rng):
-            for n in range(config.sgd_steps_per_m_step):
-                state.learning_rate = learning_rate(config, 5 + n)
-                record = records[int(rng.integers(len(records)))]
-                q = labels[record.image_id]
-                rows = np.concatenate(draw(rng, q) + draw(rng, q))
-                _, grad = weighted_ce_gradient(params, record.features[rows], q[rows],
-                                               config.l2)
-                sgd_step(params, state, grad / rows.size)
-
-        expected = run(reference)
-        actual = run(lambda params, state, rng: m_step(dataset, labels, params, state,
-                                                       config, rng, start_step=5))
-        assert np.array_equal(actual, expected)
+    @pytest.mark.parametrize("steps, fg_per_image, lines", [(0, 16, 2), (3, 16, 2),
+                                                            (3, 0, 0)])
+    def test_logs_every_background_only_image_once_per_m_step(self, steps, fg_per_image,
+                                                              lines, caplog):
+        # two of three images have no foreground-eligible rows; they are
+        # counted whether or not a step draws them, and not at all when no
+        # foreground rows are asked for
+        rng = np.random.default_rng(5)
+        records = [random_weak_record(rng, f"w{n}", num_proposals=4, feature_dim=4)
+                   for n in range(3)]
+        labels = {r.image_id: np.eye(3)[np.zeros(4, dtype=int)] for r in records}
+        labels["w2"] = np.eye(3)[np.array([0, 1, 2, 0])]
+        config = EmConfig(sgd_steps_per_m_step=steps, fg_per_image=fg_per_image)
+        params = ScorerParams.zeros(3, 4)
+        state = OptimizerState.for_params(params, config.lr_initial)
+        with caplog.at_level(logging.DEBUG, logger="emdet.engine"):
+            for _ in range(2):
+                m_step(Dataset(records), labels, params, state, config, rng)
+        found = [r for r in caplog.records if "foreground-eligible" in r.getMessage()]
+        assert [r.levelno for r in found] == [logging.INFO] * lines
+        assert all(r.getMessage().startswith("2 of 3 images") for r in found)
 
     def test_unnormalized_soft_label_row_is_rejected(self):
         dataset, labels, params = self.small_setup()
