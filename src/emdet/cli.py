@@ -20,7 +20,10 @@ import json
 import logging
 import sys
 import traceback
+import typing
 from pathlib import Path
+
+import numpy as np
 
 from .data import (Dataset, GeneratorConfig, SchemaError, config_hash,
                    generate, load_dataset, load_init_scores, save_dataset,
@@ -28,7 +31,8 @@ from .data import (Dataset, GeneratorConfig, SchemaError, config_hash,
 from .engine import EmConfig, e_step, infer_num_categories, objective, run_em
 from .latent import GuardError, center_geometry
 from .metrics import corloc, detect, evaluate_detections, save_detections
-from .oracle import brute_marginal_likelihood, brute_posterior, reference_posterior
+from .oracle import (brute_marginal_likelihood, brute_posterior, expand,
+                     reference_posterior)
 from .scorer import load_checkpoint, save_checkpoint
 
 OBJECTIVE_TOL = 1e-9
@@ -50,10 +54,35 @@ def _read_json(path: str) -> dict:
     return raw
 
 
+_JSON_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", type(None): "null"}
+
+
+def _has_json_type(value, kind) -> bool:
+    """Whether a parsed JSON value fits a field type; booleans fit only bool,
+    and integers fit float too."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _check_types(raw: dict, cls, path: str) -> None:
+    """Raise SchemaError unless every value in raw has its field's type in cls."""
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if not any(_has_json_type(value, kind) for kind in kinds):
+            expected = " or ".join(_JSON_NAMES[kind] for kind in kinds)
+            raise SchemaError(f"{path}: {key!r} must be {expected}, got {json.dumps(value)}")
+
+
 def _generator_config(raw: dict, path: str) -> GeneratorConfig:
     unknown = sorted(set(raw) - _GEN_FIELDS)
     if unknown:
         raise SchemaError(f"{path}: unknown generator keys {unknown}")
+    _check_types(raw, GeneratorConfig, path)
     return GeneratorConfig(**raw)
 
 
@@ -67,6 +96,7 @@ def _em_config(raw: dict, path: str, args: argparse.Namespace,
     unknown = sorted(set(raw) - _EM_FIELDS)
     if unknown:
         raise SchemaError(f"{path}: unknown config keys {unknown}")
+    _check_types(raw, EmConfig, path)
     for name in ("mode", "k", "em_iterations", "seed"):
         value = getattr(args, name.replace("-", "_"), None)
         if value is not None:
@@ -249,8 +279,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         fast = _table_as_dict(e_step(record, params, cfg, geometry))
         ref = _table_as_dict(reference_posterior(record, params, cfg))
         if args.mode == "hard":
-            if set(fast) != set(ref):
-                mismatches += 1
+            # Label-identical configs tie exactly; rounding decides among them.
+            labels = [expand(record.annotation.label.categories, centers, record.proposals)
+                      for centers in (*fast, *ref)]
+            mismatches += not np.array_equal(*labels)
             continue
         if set(fast) != set(ref):
             print(f"image {record.image_id}: fast path and oracle enumerate "

@@ -353,8 +353,12 @@ def _parse_record(obj: dict, where: str) -> ImageRecord:
         raise SchemaError(f"{where}: {err}") from None
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    records = []
+def read_jsonl(path: str | Path):
+    """Yield (``path:line``, object) for every non-blank line of a JSONL file.
+
+    A line that is not valid JSON, or whose value is not an object, raises
+    SchemaError naming its position.
+    """
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -364,7 +368,13 @@ def load_dataset(path: str | Path) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise SchemaError(f"{where}: invalid JSON: {err}") from None
-            records.append(_parse_record(obj, where))
+            if not isinstance(obj, dict):
+                raise SchemaError(f"{where}: expected a JSON object")
+            yield where, obj
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    records = [_parse_record(obj, where) for where, obj in read_jsonl(path)]
     try:
         return Dataset(records)
     except ValueError as err:
@@ -413,23 +423,15 @@ def save_init_scores(scores: dict[str, np.ndarray], path: str | Path) -> None:
 
 def load_init_scores(path: str | Path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise SchemaError(f"{where}: invalid JSON: {err}") from None
-            if "id" not in obj or "scores" not in obj:
-                raise SchemaError(f"{where}: need keys 'id' and 'scores'")
-            mat = np.asarray(obj["scores"], dtype=np.float64)
-            if mat.ndim != 2:
-                raise SchemaError(f"{where}: scores must be a matrix")
-            if not np.all(np.isfinite(mat)) or np.any(mat < 0):
-                raise SchemaError(f"{where}: scores must be finite and non-negative")
-            if obj["id"] in out:
-                raise SchemaError(f"{where}: duplicate image id {obj['id']!r}")
-            out[str(obj["id"])] = mat
+    for where, obj in read_jsonl(path):
+        if "id" not in obj or "scores" not in obj:
+            raise SchemaError(f"{where}: need keys 'id' and 'scores'")
+        mat = np.asarray(obj["scores"], dtype=np.float64)
+        if mat.ndim != 2:
+            raise SchemaError(f"{where}: scores must be a matrix")
+        if not np.all(np.isfinite(mat)) or np.any(mat < 0):
+            raise SchemaError(f"{where}: scores must be finite and non-negative")
+        if obj["id"] in out:
+            raise SchemaError(f"{where}: duplicate image id {obj['id']!r}")
+        out[str(obj["id"])] = mat
     return out

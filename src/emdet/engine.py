@@ -14,7 +14,6 @@ soft proposal labels those posteriors imply.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -29,10 +28,8 @@ from emdet.latent import (
     CenterGeometry,
     GuardError,
     LatentConfigSet,
-    _reuses_proposal,
     center_geometry,
     enumerate_exact,
-    exact_config_values,
     exact_log_likelihood_grid,
     exact_log_partition,
     label_marginals,
@@ -201,7 +198,10 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig,
     ``geometry`` is the center coverage of the record's proposals
     (latent.center_geometry).
 
-    In "hard" mode the one config kept is the argmax of the exact grid.
+    "exact" weighs enumerate_exact's rows by their entries of the exact
+    grid.  In "hard" mode the one config kept is the argmax of that grid;
+    scorer likelihoods are no product of per-center terms, so the truncation
+    of e_step_from_scores does not apply.
     Configs that label every proposal alike (a center absorbed by another
     center's neighborhood, or duplicate proposals) have equal likelihoods,
     but the grid's inclusion-exclusion sums can differ in the last bits
@@ -221,8 +221,8 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig,
         return PosteriorTable(record.image_id, config_set, _normalized(values))
 
     _check_enumeration_size(record, label)
+    grid = exact_log_likelihood_grid(geometry, label, log_probs)
     if config.mode == "hard":
-        grid = exact_log_likelihood_grid(geometry, label, log_probs)
         flat = int(np.argmax(grid))
         if not np.isfinite(grid.flat[flat]):
             raise ValueError(
@@ -231,7 +231,8 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig,
         config_set = LatentConfigSet(label.categories, centers)
         return PosteriorTable(record.image_id, config_set, np.array([1.0]))
 
-    config_set, values = exact_config_values(geometry, label, log_probs)
+    config_set = enumerate_exact(record.proposals, label)
+    values = grid[tuple(config_set.centers.T)]
     return PosteriorTable(record.image_id, config_set, _normalized(values))
 
 
@@ -239,10 +240,14 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
                        config: EmConfig) -> PosteriorTable:
     """First-round posterior built from external per-proposal scores.
 
-    Config weights are proportional to the product of each center's score for
-    its category; a zero-mass enumeration falls back to uniform weights.  In
-    "hard" mode the one config kept is the highest-weight one, ties going to
-    the first in enumerate_exact's row order.
+    Config weights are proportional to the product of each center's score
+    for its category; a zero-mass set falls back to uniform weights.  "hard"
+    keeps the lexicographically smallest config of largest product, which
+    lies among each category's M best-ranked proposals (select_k at
+    k = M ** M): a center outside them leaves one of them unused, and
+    swapping that one in scores at least as much, with a lower index on a
+    tie.  (Unequal scores whose products round equal may break a tie toward
+    a later config.)  With zero mass all tie, and (0, 1, ..., M - 1) is kept.
     """
     label = _weak_label(record)
     scores = np.asarray(scores, dtype=np.float64)
@@ -259,48 +264,30 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
             f"image {record.image_id}: init scores must be finite and non-negative")
 
     cols = np.array(label.categories) - 1
-    if config.mode == "hard":
+    if config.mode != "k_em":
         _check_enumeration_size(record, label)
-        if record.num_proposals < len(label):
-            raise ValueError(f"image {record.image_id}: need at least {len(label)} "
-                             f"proposals to place {len(label)} centers")
-        # Every config's mass as one (B,) * M product grid.  Its distinct
-        # entries in C order are enumerate_exact's rows, so the sum, the
-        # division and the argmax are those of the row form.
-        mass = functools.reduce(np.multiply.outer, scores[:, cols].T)
-        distinct = ~_reuses_proposal(np.indices(mass.shape, sparse=True))
-        total = _total_mass(record, mass[distinct])
-        if total <= 0.0:
-            flat = np.argmax(distinct)
-        else:
-            flat = np.argmax(np.where(distinct, mass / total, -1.0))
-        centers = np.array(np.unravel_index(flat, mass.shape)).reshape(1, -1)
-        config_set = LatentConfigSet(label.categories, centers)
-        return PosteriorTable(record.image_id, config_set, np.array([1.0]))
-
-    if config.mode == "k_em":
-        # Rank candidates by the external score column instead of the scorer.
-        config_set = select_k(record.proposals, label, _score_log_columns(scores),
-                              config.k)
-    else:
-        _check_enumeration_size(record, label)
+    if config.mode == "exact":
         config_set = enumerate_exact(record.proposals, label)
+    else:
+        k = config.k if config.mode == "k_em" else len(label) ** len(label)
+        config_set = select_k(record.proposals, label, _score_log_columns(scores), k)
     mass = np.prod(scores[config_set.centers, cols[None, :]], axis=1)
-    total = _total_mass(record, mass)
+    total = mass.sum()
+    if total <= 0.0:
+        logger.warning("image %s: init scores give zero mass; using uniform weights",
+                       record.image_id)
+    if config.mode == "hard":
+        if total <= 0.0:
+            best = tuple(range(len(label)))
+        else:
+            best = min(map(tuple, config_set.centers[mass == mass.max()].tolist()))
+        config_set = LatentConfigSet(label.categories, np.array([best]))
+        return PosteriorTable(record.image_id, config_set, np.array([1.0]))
     if total <= 0.0:
         weights = np.full(len(config_set), 1.0 / len(config_set))
     else:
         weights = mass / total
     return PosteriorTable(record.image_id, config_set, weights)
-
-
-def _total_mass(record: ImageRecord, mass: np.ndarray) -> float:
-    """Sum of the config masses; zero mass is logged, and weights go uniform."""
-    total = mass.sum()
-    if total <= 0.0:
-        logger.warning("image %s: init scores give zero mass; using uniform weights",
-                       record.image_id)
-    return total
 
 
 def _score_log_columns(scores: np.ndarray) -> np.ndarray:

@@ -490,15 +490,6 @@ def _axis_shape(M: int, axis: int, B: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
-def exact_config_values(geometry: CenterGeometry, z,
-                        log_probs: np.ndarray) -> tuple[LatentConfigSet, np.ndarray]:
-    """The exact enumeration over the covered proposals plus its
-    log-likelihoods, row-aligned."""
-    config_set = _distinct_configs(geometry.num_proposals, as_label(z))
-    grid = exact_log_likelihood_grid(geometry, config_set.categories, log_probs)
-    return config_set, grid[tuple(config_set.centers.T)]
-
-
 def _integer_root(k: int, m: int) -> int:
     """Largest r >= 1 with r ** m <= k."""
     r = max(1, int(round(k ** (1.0 / m))))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from emdet.data import Dataset, ImageRecord, SchemaError
+from emdet.data import Dataset, ImageRecord, SchemaError, read_jsonl
 from emdet.geometry import Box, ScoredBox, iou, nms
 from emdet.scorer import ScorerParams, log_prob_matrix
 
@@ -240,17 +240,11 @@ def save_detections(detections: list[Detection], path: str | Path) -> None:
 
 def load_detections(path: str | Path) -> list[Detection]:
     out: list[Detection] = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                obj = json.loads(line)
-                box = obj["box"]
-                out.append(Detection(str(obj["id"]), int(obj["category"]),
-                                     Box(*(float(v) for v in box)),
-                                     float(obj["score"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-                raise SchemaError(f"{where}: {err}") from None
+    for where, obj in read_jsonl(path):
+        try:
+            out.append(Detection(str(obj["id"]), int(obj["category"]),
+                                 Box(*(float(v) for v in obj["box"])),
+                                 float(obj["score"])))
+        except (KeyError, TypeError, ValueError) as err:
+            raise SchemaError(f"{where}: {err}") from None
     return out

@@ -180,6 +180,8 @@ def save_checkpoint(params: ScorerParams, path: str | Path, meta: dict | None = 
 def load_checkpoint(path: str | Path) -> tuple[ScorerParams, dict]:
     """Read a checkpoint written by save_checkpoint; returns (params, meta)."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path} must hold a JSON object")
     for key in ("c", "d", "weights"):
         if key not in payload:
             raise ValueError(f"checkpoint {path} is missing key {key!r}")

@@ -10,14 +10,17 @@ import json
 import numpy as np
 import pytest
 
+import emdet.cli
 import emdet.oracle
 from emdet.cli import main
 from emdet.data import (Dataset, GeneratorConfig, generate, load_dataset,
                         make_init_scores, save_dataset, save_init_scores,
                         split_semi)
+from emdet.engine import EmConfig, PosteriorTable, e_step
+from emdet.latent import LatentConfigSet, center_geometry, enumerate_exact
 from emdet.metrics import load_detections
 from emdet.scorer import ScorerParams, load_checkpoint, save_checkpoint
-from helpers import random_weak_record
+from helpers import clustered_boxes, random_params, random_weak_record, weak_record
 
 GEN_SPEC = {"n_train": 12, "n_test": 6, "num_fg_categories": 3,
             "proposals_per_image": 8, "feature_dim": 8,
@@ -101,6 +104,24 @@ class TestGen:
                    "--out-test", str(tmp_path / "b")])
         assert rc == 2
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"n_train": "6"}, "'n_train' must be an integer, got \"6\""),
+        ({"seed": "x"}, "'seed' must be an integer, got \"x\""),
+        ({"proposals_per_image": 8.0}, "'proposals_per_image' must be an integer"),
+        ({"noise_sigma": True}, "'noise_sigma' must be a number, got true"),
+    ])
+    def test_wrongly_typed_spec_value_exits_two(self, tmp_path, capsys, payload, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        rc = main(["gen", "--spec", str(spec),
+                   "--out-train", str(tmp_path / "a"),
+                   "--out-test", str(tmp_path / "b")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{spec}: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "a").exists()
+
 
 class TestTrain:
     def test_checkpoint_carries_config_and_digest(self, bench):
@@ -175,6 +196,51 @@ class TestTrain:
         assert rc == 2
         assert "bg_per_image must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"k": "100"}, "'k' must be an integer, got \"100\""),
+        ({"em_iterations": 1.5}, "'em_iterations' must be an integer, got 1.5"),
+        ({"sgd_steps_per_m_step": True}, "'sgd_steps_per_m_step' must be an integer"),
+        ({"record_trace": "no"}, "'record_trace' must be true or false, got \"no\""),
+        ({"lr_initial": False}, "'lr_initial' must be a number, got false"),
+        ({"mode": 5}, "'mode' must be a string, got 5"),
+        ({"num_categories": "4"}, "'num_categories' must be an integer or null"),
+    ])
+    def test_wrongly_typed_config_value_exits_two(self, bench, tmp_path, capsys,
+                                                  payload, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        rc = main(["train", "--data", str(bench["train"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{config}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_integer_for_a_number_and_null_categories_are_accepted(self, bench, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, "em_iterations": 0, "lr_initial": 1,
+                                      "num_categories": None}))
+        out = tmp_path / "x.json"
+        rc = main(["train", "--data", str(bench["train"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 0
+        assert load_checkpoint(out)[1]["config"]["lr_initial"] == 1
+
+    @pytest.mark.parametrize("source", ["data", "init-scores", "init-ckpt"])
+    def test_input_holding_a_bare_number_exits_two(self, bench, tmp_path, capsys, source):
+        bare = tmp_path / "bare.json"
+        bare.write_text("5\n")
+        inputs = {"data": str(bench["train"]), source: str(bare)}
+        args = [arg for name, path in inputs.items() for arg in (f"--{name}", path)]
+        rc = main(["train", *args, "--config", str(bench["config"]),
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bare) in err
+        assert "Traceback" not in err
 
     def test_objective_lines_are_printed(self, bench, tmp_path, capsys):
         out = tmp_path / "again.json"
@@ -343,6 +409,15 @@ class TestSweep:
         assert rc == 2
         assert "test_data" in capsys.readouterr().err
 
+    def test_wrongly_typed_config_value_exits_two(self, bench, tmp_path, capsys):
+        config = self.sweep_config(bench, tmp_path, k="10")
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--data", str(bench["train"]), "--config", str(config),
+                   "--fractions", "0", "--out", str(out)])
+        assert rc == 2
+        assert f"{config}: 'k' must be an integer, got \"10\"" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_weak_source_is_rejected(self, bench, tmp_path):
         rc = main(["sweep", "--data", str(bench["mixed"]),
                    "--config", str(self.sweep_config(bench, tmp_path)),
@@ -354,6 +429,21 @@ class TestSweep:
                    "--config", str(self.sweep_config(bench, tmp_path)),
                    "--fractions", "0,1.5", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
+
+
+def clustered_oracle_inputs(root):
+    """20 clustered 8-box weak images (M = 1..3) and a random checkpoint, as files."""
+    records = []
+    for n in range(20):
+        rng = np.random.default_rng(1000 + n)
+        boxes = clustered_boxes(rng, 8)
+        records.append(weak_record(f"w{n}", boxes, rng.normal(size=(8, 3)),
+                                   tuple(range(1, 2 + n % 3))))
+    params = random_params(np.random.default_rng(1), 4, 3, scale=1.0)
+    data, ckpt = root / "clustered.jsonl", root / "clustered_ckpt.json"
+    save_dataset(Dataset(records), data)
+    save_checkpoint(params, ckpt)
+    return records, params, data, ckpt
 
 
 class TestOracle:
@@ -379,6 +469,37 @@ class TestOracle:
                    "--ckpt", str(bench["ckpt"]), "--mode", "exact"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_hard_ties_between_label_identical_configs_pass(self, tmp_path, capsys):
+        records, params, data, ckpt = clustered_oracle_inputs(tmp_path)
+        tied = [r for r in records if tuple(
+            e_step(r, params, EmConfig(mode="hard"), center_geometry(r.proposals))
+            .config_set.centers[0]) != emdet.oracle.brute_hard_config(r, params)]
+        assert tied
+        rc = main(["oracle", "--data", str(data), "--ckpt", str(ckpt), "--mode", "hard"])
+        assert rc == 0
+        assert "hard argmax mismatches: 0 of 20 images" in capsys.readouterr().out
+
+    def test_hard_config_with_other_labels_fails(self, tmp_path, capsys, monkeypatch):
+        _, _, data, ckpt = clustered_oracle_inputs(tmp_path)
+
+        def relabelled(record, params, config, geometry):
+            # the first config whose labels differ from the fast path's choice
+            post = e_step(record, params, config, geometry)
+            cats = post.config_set.categories
+            labels = emdet.oracle.expand(cats, post.config_set.centers[0], record.proposals)
+            for row in enumerate_exact(record.proposals, cats).centers:
+                if not np.array_equal(emdet.oracle.expand(cats, row, record.proposals),
+                                      labels):
+                    return PosteriorTable(record.image_id,
+                                          LatentConfigSet(cats, row[None]), np.array([1.0]))
+
+        monkeypatch.setattr(emdet.cli, "e_step", relabelled)
+        rc = main(["oracle", "--data", str(data), "--ckpt", str(ckpt), "--mode", "hard"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "hard argmax mismatches: 20 of 20 images" in out
+        assert "FAIL" in out
 
     def test_small_checkpoint_is_rejected(self, bench, tmp_path, capsys):
         bad = tmp_path / "narrow.json"

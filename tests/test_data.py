@@ -316,6 +316,15 @@ class TestDatasetIo:
         with pytest.raises(SchemaError, match=":2"):
             load_dataset(path)
 
+    def test_non_object_line_reports_line_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"id": "a", "width": 10, "height": 10,
+                           "proposals": [[0, 0, 5, 5]], "features": [[1.0]],
+                           "annotation": {"type": "weak", "z": [1]}})
+        path.write_text(good + "\n\n5\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:3: expected a JSON object")):
+            load_dataset(path)
+
     def test_missing_key_is_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"id": "a", "width": 10, "height": 10,
@@ -407,6 +416,12 @@ class TestInitScores:
         path = tmp_path / "short.jsonl"
         path.write_text(json.dumps({"id": "a"}) + "\n")
         with pytest.raises(SchemaError, match="'scores'"):
+            load_init_scores(path)
+
+    def test_load_rejects_a_non_object_line(self, tmp_path):
+        path = tmp_path / "bare.jsonl"
+        path.write_text(json.dumps({"id": "a", "scores": [[0.5]]}) + "\n5\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: expected a JSON object")):
             load_init_scores(path)
 
     def test_load_rejects_duplicate_ids(self, tmp_path):

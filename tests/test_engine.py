@@ -44,6 +44,7 @@ from emdet.oracle import expand as naive_expand
 from emdet.scorer import (
     OptimizerState,
     ScorerParams,
+    log_prob_matrix,
     sgd_step,
     weighted_ce_gradient,
 )
@@ -188,6 +189,23 @@ class TestEStep:
         post = e_step(rec, ScorerParams.zeros(2, 3), EmConfig(mode="exact"),
                       center_geometry(rec.proposals))
         assert np.allclose(post.weights, 0.2, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_exact_weighs_the_enumeration_by_its_config_scores(self, m):
+        cats = tuple(range(1, m + 1))
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            boxes = clustered_boxes(rng, 7)
+            rec = weak_record("w", boxes, rng.normal(size=(7, 3)), cats)
+            params = random_params(rng, 4, 3, scale=1.0)
+            geometry = center_geometry(boxes)
+            post = e_step(rec, params, EmConfig(mode="exact"), geometry)
+            rows = emdet.latent.enumerate_exact(boxes, cats)
+            assert np.array_equal(post.config_set.centers, rows.centers)
+            values = emdet.latent.score_config_set(
+                rows, log_prob_matrix(params, rec.features), geometry)
+            expected = values - emdet.latent.logsumexp(values)
+            assert np.max(np.abs(np.log(post.weights) - expected)) < 1e-12
 
     def test_hard_matches_argmax_selection(self):
         rng = np.random.default_rng(4)
@@ -347,6 +365,47 @@ class TestEStepFromScores:
             expected = tuple(rows[int(np.argmax(mass / mass.sum()))])
             post = e_step_from_scores(rec, scores, self.config(mode="hard"))
             assert tuple(post.config_set.centers[0]) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_hard_mode_is_the_first_best_product_of_the_enumeration(self, m):
+        # Scores from {0, 1, 2} on clustered boxes tie often, and every 7th
+        # seed zeroes one category, so the whole enumeration has zero mass.
+        cats = tuple(range(1, m + 1))
+        ties = zero_mass = 0
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            boxes = clustered_boxes(rng, 8)
+            rec = weak_record("w", boxes, np.zeros((8, 3)), cats)
+            scores = rng.integers(0, 3, size=(8, m)).astype(np.float64)
+            if seed % 7 == 0:
+                scores[:, rng.integers(m)] = 0.0
+            rows = emdet.latent.enumerate_exact(boxes, cats).centers
+            mass = np.prod(scores[rows, np.arange(m)[None, :]], axis=1)
+            ties += np.sum(mass == mass.max()) > 1
+            zero_mass += mass.max() == 0.0
+            post = e_step_from_scores(rec, scores, self.config(mode="hard"))
+            assert tuple(post.config_set.centers[0]) == tuple(rows[int(np.argmax(mass))])
+        assert ties > 0 and zero_mass > 0
+
+    def test_hard_mode_peak_memory_does_not_grow_with_the_enumeration(self):
+        # the enumeration holds 100 * 99 * 98 rows, ~23 MB; M ** M rows are scored
+        rng = np.random.default_rng(5)
+        rec = random_weak_record(rng, "w", num_proposals=100, num_fg=3,
+                                 num_present=3)
+        scores = rng.uniform(0.1, 1.0, size=(100, 3))
+        tracemalloc.start()
+        try:
+            post = e_step_from_scores(rec, scores, self.config(mode="hard"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(post.config_set) == 1
+        assert peak < 2 ** 20
+
+    def test_hard_mode_needs_a_proposal_per_category(self):
+        rec = isolated_weak_record("w", 2, (1, 2, 3), dim=3)
+        with pytest.raises(ValueError, match="need at least 3 proposals"):
+            e_step_from_scores(rec, np.ones((2, 3)), self.config(mode="hard"))
 
     def test_hard_mode_zero_mass_keeps_the_first_distinct_config(self, caplog):
         rec = isolated_weak_record("w", 4, (1, 2, 3), dim=3)

@@ -13,7 +13,7 @@ from emdet.engine import PosteriorTable, soft_labels
 from emdet.geometry import Box, boxes_to_array, iou, iou_matrix
 from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
                           ImageLabel, LatentConfigSet, center_geometry,
-                          enumerate_exact, exact_config_values, exact_log_likelihood_grid,
+                          enumerate_exact, exact_log_likelihood_grid,
                           exact_log_partition, expand, label_marginals, logsumexp,
                           score_config_set, select_k)
 from emdet.oracle import brute_marginal_likelihood
@@ -387,16 +387,6 @@ class TestExactGrid:
         assert grid[0, 1, 0] == -np.inf
         assert np.isfinite(grid).sum() == 4 * 3 * 2
 
-    def test_exact_config_values_alignment(self):
-        rng = np.random.default_rng(31)
-        boxes, label, log_probs = random_instance(rng, max_b=6, max_m=2)
-        geometry = center_geometry(boxes)
-        config_set, values = exact_config_values(geometry, label, log_probs)
-        reference = enumerate_exact(boxes, label)
-        assert np.array_equal(config_set.centers, reference.centers)
-        slow = score_config_set(config_set, log_probs, geometry)
-        assert np.max(np.abs(values - slow)) < 1e-12
-
 
 class TestExactLogPartition:
     @staticmethod
@@ -517,7 +507,6 @@ _SCORING_READERS = {
         one_config(cats, tuple(range(len(cats)))), log_probs, geometry),
     "exact_log_likelihood_grid": exact_log_likelihood_grid,
     "exact_log_partition": exact_log_partition,
-    "exact_config_values": exact_config_values,
 }
 
 

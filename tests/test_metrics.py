@@ -220,6 +220,12 @@ class TestDetectionIo:
         save_detections(dets, path)
         assert load_detections(path) == dets
 
+    def test_non_object_line_reports_position(self, tmp_path):
+        path = tmp_path / "bare.jsonl"
+        path.write_text("\n5\n")
+        with pytest.raises(SchemaError, match=":2: expected a JSON object"):
+            load_detections(path)
+
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a"}\n')

@@ -363,6 +363,12 @@ class TestCheckpointIo:
         with pytest.raises(ValueError, match="'weights'"):
             load_checkpoint(path)
 
+    def test_non_object_is_rejected(self, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text("5")
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            load_checkpoint(path)
+
     def test_wrong_weight_count_is_rejected(self, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"c": 2, "d": 2, "weights": [0.0] * 5}))
