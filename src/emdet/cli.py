@@ -68,9 +68,8 @@ def _has_json_type(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def _check_types(raw: dict, cls, path: str) -> None:
-    """Raise SchemaError unless every value in raw has its field's type in cls."""
-    hints = typing.get_type_hints(cls)
+def _check_types(raw: dict, hints: dict, path: str) -> None:
+    """Raise SchemaError unless every value in raw has its key's type in hints."""
     for key, value in raw.items():
         kinds = typing.get_args(hints[key]) or (hints[key],)
         if not any(_has_json_type(value, kind) for kind in kinds):
@@ -82,21 +81,22 @@ def _generator_config(raw: dict, path: str) -> GeneratorConfig:
     unknown = sorted(set(raw) - _GEN_FIELDS)
     if unknown:
         raise SchemaError(f"{path}: unknown generator keys {unknown}")
-    _check_types(raw, GeneratorConfig, path)
+    _check_types(raw, typing.get_type_hints(GeneratorConfig), path)
     return GeneratorConfig(**raw)
 
 
 def _em_config(raw: dict, path: str, args: argparse.Namespace,
-               extra_keys: tuple[str, ...] = ()) -> tuple[EmConfig, dict]:
-    """Split a config file into EmConfig fields and command-level extras.
+               extra_types: dict[str, type]) -> tuple[EmConfig, dict]:
+    """Split a config file into EmConfig fields and extras typed by ``extra_types``.
 
     CLI flags override file keys so a single config can drive several runs.
     """
-    extras = {k: raw.pop(k) for k in extra_keys if k in raw}
+    extras = {k: raw.pop(k) for k in extra_types if k in raw}
+    _check_types(extras, extra_types, path)
     unknown = sorted(set(raw) - _EM_FIELDS)
     if unknown:
         raise SchemaError(f"{path}: unknown config keys {unknown}")
-    _check_types(raw, EmConfig, path)
+    _check_types(raw, typing.get_type_hints(EmConfig), path)
     for name in ("mode", "k", "em_iterations", "seed"):
         value = getattr(args, name.replace("-", "_"), None)
         if value is not None:
@@ -141,10 +141,10 @@ def _write_trace(path: str, trace) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     cfg, extras = _em_config(_read_json(args.config), args.config, args,
-                             extra_keys=("strong_fraction", "split_seed"))
+                             {"strong_fraction": float, "split_seed": int})
     if "strong_fraction" in extras:
         dataset = split_semi(dataset, float(extras["strong_fraction"]),
-                             int(extras.get("split_seed", 0)))
+                             extras.get("split_seed", 0))
     init_params = init_scores = None
     if args.init_ckpt is not None:
         init_params, _ = load_checkpoint(args.init_ckpt)
@@ -234,14 +234,14 @@ def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     source = load_dataset(args.data)
     cfg, extras = _em_config(_read_json(args.config), args.config, args,
-                             extra_keys=("test_data", "init_scores", "split_seed"))
+                             {"test_data": str, "init_scores": str, "split_seed": int})
     if "test_data" not in extras:
         raise SchemaError(f"{args.config}: sweep config needs a test_data path")
     test = load_dataset(extras["test_data"])
     init_scores = (load_init_scores(extras["init_scores"])
                    if "init_scores" in extras else None)
     rows = sweep(source, test, cfg, _parse_fractions(args.fractions), init_scores,
-                 int(extras.get("split_seed", 0)))
+                 extras.get("split_seed", 0))
     write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

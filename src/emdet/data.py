@@ -431,7 +431,8 @@ def load_init_scores(path: str | Path) -> dict[str, np.ndarray]:
             raise SchemaError(f"{where}: scores must be a matrix")
         if not np.all(np.isfinite(mat)) or np.any(mat < 0):
             raise SchemaError(f"{where}: scores must be finite and non-negative")
-        if obj["id"] in out:
-            raise SchemaError(f"{where}: duplicate image id {obj['id']!r}")
-        out[str(obj["id"])] = mat
+        image_id = str(obj["id"])
+        if image_id in out:
+            raise SchemaError(f"{where}: duplicate image id {image_id!r}")
+        out[image_id] = mat
     return out

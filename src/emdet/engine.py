@@ -14,6 +14,7 @@ soft proposal labels those posteriors imply.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 from dataclasses import dataclass
@@ -24,11 +25,11 @@ from emdet.data import Dataset, ImageRecord
 from emdet.geometry import boxes_to_array, iou_matrix
 from emdet.latent import (
     CENTER_IOU,
-    OBJECTIVE_GUARD,
     CenterGeometry,
     GuardError,
     LatentConfigSet,
     center_geometry,
+    check_enumeration,
     enumerate_exact,
     exact_log_likelihood_grid,
     exact_log_partition,
@@ -175,13 +176,13 @@ def _weak_label(record: ImageRecord):
     return record.annotation.label
 
 
-def _check_enumeration_size(record: ImageRecord, label) -> None:
-    """Raise GuardError before an exact enumeration would exceed OBJECTIVE_GUARD."""
-    if record.num_proposals ** len(label) > OBJECTIVE_GUARD:
-        raise GuardError(
-            f"image {record.image_id}: {record.num_proposals} proposals with "
-            f"{len(label)} categories exceed the {OBJECTIVE_GUARD} config guard "
-            f"of exact enumeration")
+@contextlib.contextmanager
+def _naming(record: ImageRecord):
+    """Prefix the image id to a GuardError raised inside the block."""
+    try:
+        yield
+    except GuardError as err:
+        raise GuardError(f"image {record.image_id}: {err}") from None
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
@@ -220,7 +221,6 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig,
         values = score_config_set(config_set, log_probs, geometry)
         return PosteriorTable(record.image_id, config_set, _normalized(values))
 
-    _check_enumeration_size(record, label)
     grid = exact_log_likelihood_grid(geometry, label, log_probs)
     if config.mode == "hard":
         flat = int(np.argmax(grid))
@@ -263,15 +263,19 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
         raise ValueError(
             f"image {record.image_id}: init scores must be finite and non-negative")
 
-    cols = np.array(label.categories) - 1
     if config.mode != "k_em":
-        _check_enumeration_size(record, label)
+        with _naming(record):
+            check_enumeration(record.num_proposals, label)
     if config.mode == "exact":
         config_set = enumerate_exact(record.proposals, label)
     else:
         k = config.k if config.mode == "k_em" else len(label) ** len(label)
         config_set = select_k(record.proposals, label, _score_log_columns(scores), k)
-    mass = np.prod(scores[config_set.centers, cols[None, :]], axis=1)
+    # Each label column is scaled by the power of two that puts its top in [0.5, 1):
+    # exact, so ratios and ties keep their bits, and no scale over- or underflows a product.
+    columns = scores[:, np.array(label.categories) - 1]
+    scaled = np.ldexp(columns, -np.frexp(columns.max(axis=0))[1])
+    mass = np.prod(scaled[config_set.centers, np.arange(len(label))], axis=1)
     total = mass.sum()
     if total <= 0.0:
         logger.warning("image %s: init scores give zero mass; using uniform weights",
@@ -283,10 +287,7 @@ def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
             best = min(map(tuple, config_set.centers[mass == mass.max()].tolist()))
         config_set = LatentConfigSet(label.categories, np.array([best]))
         return PosteriorTable(record.image_id, config_set, np.array([1.0]))
-    if total <= 0.0:
-        weights = np.full(len(config_set), 1.0 / len(config_set))
-    else:
-        weights = mass / total
+    weights = mass / total if total > 0.0 else np.full(len(config_set), 1.0 / len(config_set))
     return PosteriorTable(record.image_id, config_set, weights)
 
 
@@ -327,9 +328,8 @@ def objective(dataset: Dataset, params: ScorerParams,
 
     Weak terms are always exact: exact_log_partition sums every config, for
     three categories without building the B ** 3 grid.  The objective has no
-    truncated form, so a three-category image whose pair factors (B ** 2),
-    or any other weak image whose enumeration (B ** M), exceeds
-    OBJECTIVE_GUARD raises a GuardError that names the image.  ``geometries``
+    truncated form, so an image past that function's config guard raises a
+    GuardError that names the image.  ``geometries``
     maps every weak image id to the center coverage of its proposals,
     ``strong_vectors`` every strong image id to its strong_label_vector.
     """
@@ -338,11 +338,9 @@ def objective(dataset: Dataset, params: ScorerParams,
     for record in dataset:
         log_probs = log_prob_matrix(params, record.features)
         if record.is_weak:
-            try:
+            with _naming(record):
                 weak_term += exact_log_partition(geometries[record.image_id],
                                                  _weak_label(record), log_probs)
-            except GuardError as err:
-                raise GuardError(f"image {record.image_id}: {err}") from None
         else:
             labels = strong_vectors[record.image_id]
             strong_term += float(log_probs[np.arange(len(labels)), labels].sum())
@@ -543,7 +541,8 @@ def run_em(dataset: Dataset, config: EmConfig,
     if config.mode != "k_em":
         # Fail before the B x B IoU matrices below are built.
         for record in weak_records:
-            _check_enumeration_size(record, _weak_label(record))
+            with _naming(record):
+                check_enumeration(record.num_proposals, _weak_label(record))
     geometries = {r.image_id: center_geometry(r.proposals) for r in weak_records}
 
     posteriors: dict[str, PosteriorTable] = {}

@@ -20,13 +20,29 @@ from emdet.geometry import iou_matrix
 # IoU at or above which a proposal joins a center's neighborhood.
 CENTER_IOU = 0.5
 
-# Largest number of configs (B ** M for an exact enumeration, r ** M for
-# select_k's candidate product) built for one weak image.
+# Largest config table built for one weak image: the B ** M rows of
+# enumerate_exact or entries of exact_log_likelihood_grid, the B ** 2 pair
+# factors of exact_log_partition for M = 3, and select_k's r ** M candidates.
 OBJECTIVE_GUARD = 10 ** 6
 
 
 class GuardError(RuntimeError):
     """Raised when an enumeration would exceed a configured size guard."""
+
+
+def _check_table(B: int, M: int, entries: int) -> None:
+    """ValueError for B < M proposals, GuardError for more than OBJECTIVE_GUARD entries."""
+    if B < M:
+        raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
+    if entries > OBJECTIVE_GUARD:
+        raise GuardError(f"{B} proposals with {M} categories need {entries} table entries, "
+                         f"which exceed the {OBJECTIVE_GUARD} config guard")
+
+
+def check_enumeration(num_proposals: int, z) -> None:
+    """Raise as enumerate_exact or the exact grid would for label z, building nothing."""
+    M = len(as_label(z))
+    _check_table(num_proposals, M, num_proposals ** M)
 
 
 def logsumexp(values: np.ndarray) -> float:
@@ -211,7 +227,8 @@ def enumerate_exact(proposals: np.ndarray, z) -> LatentConfigSet:
     """Every config with distinct centers, one per category of z.
 
     Rows are ordered lexicographically by center index along ascending
-    categories, so the set has a canonical order for tie-breaking.
+    categories, so the set has a canonical order for tie-breaking.  More
+    than OBJECTIVE_GUARD rows raise GuardError before any is built.
     """
     return _distinct_configs(len(proposals), as_label(z))
 
@@ -219,8 +236,7 @@ def enumerate_exact(proposals: np.ndarray, z) -> LatentConfigSet:
 def _distinct_configs(B: int, label: ImageLabel) -> LatentConfigSet:
     """enumerate_exact's set over B proposals."""
     M = len(label)
-    if B < M:
-        raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
+    _check_table(B, M, B ** M)
     rows = np.argwhere(~_reuses_proposal(np.indices((B,) * M, sparse=True)))
     return LatentConfigSet(label.categories, rows)
 
@@ -289,7 +305,8 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
     score_config_set to float accumulation order.  ``geometry`` is the
     center_geometry of the image's B proposals, and ``log_probs`` holds one
     finite row per proposal.  The hard and exact E-steps read the grid, and
-    so does exact_log_partition for every label but three categories.
+    so does exact_log_partition for every label but three categories.  More
+    than OBJECTIVE_GUARD entries raise GuardError before anything is built.
 
     For M <= 3 the grid is built by inclusion-exclusion over neighborhoods
     (see _overlap_terms).  The dense part is ((base + u[j1]) + v[j2]) + w[j3],
@@ -303,8 +320,7 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
     B, M = geometry.num_proposals, len(label)
-    if B < M:
-        raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
+    _check_table(B, M, B ** M)
     _check_scoring_inputs(label.categories, log_probs, geometry)
 
     if M > 3:
@@ -317,7 +333,8 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
     terms = _overlap_terms(geometry, label.categories, log_probs)
     grid = terms.base
     for m in range(M):
-        grid = grid + terms.per_center[:, m].reshape(_axis_shape(M, m, B))
+        # (B, 1, ..., 1) with M - 1 - m trailing ones broadcasts along axis m.
+        grid = grid + terms.per_center[:, m].reshape((B,) + (1,) * (M - 1 - m))
     for (a, b), pair in terms.pairs.items():
         lines = np.moveaxis(grid, (a, b), (0, 1))
         lines[terms.touched // B, terms.touched % B] -= pair.reshape((-1,) + (1,) * (M - 2))
@@ -430,18 +447,11 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     GuardError before anything is built.
     """
     label = as_label(z)
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    B, M = geometry.num_proposals, len(label)
-    if B < M:
-        raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
-    power = 2 if M == 3 else M
-    if B ** power > OBJECTIVE_GUARD:
-        raise GuardError(
-            f"{B} proposals with {M} categories give {B} ** {power} configs or pair "
-            f"factors, which exceed the {OBJECTIVE_GUARD} config guard")
-    if M != 3:
+    if len(label) != 3:
         return logsumexp(exact_log_likelihood_grid(geometry, label, log_probs).reshape(-1))
-
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    B = geometry.num_proposals
+    _check_table(B, 3, B ** 2)
     _check_scoring_inputs(label.categories, log_probs, geometry)
     terms = _overlap_terms(geometry, label.categories, log_probs)
     # -pairs[(a, b)] on the touched lines, 0 elsewhere, -inf on the diagonal.
@@ -484,12 +494,6 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     return float(terms.base + total)
 
 
-def _axis_shape(M: int, axis: int, B: int) -> tuple[int, ...]:
-    shape = [1] * M
-    shape[axis] = B
-    return tuple(shape)
-
-
 def _integer_root(k: int, m: int) -> int:
     """Largest r >= 1 with r ** m <= k."""
     r = max(1, int(round(k ** (1.0 / m))))
@@ -514,13 +518,8 @@ def select_k(proposals: np.ndarray, z, log_probs: np.ndarray, k: int) -> LatentC
     B, M = len(proposals), len(label)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if B < M:
-        raise ValueError(f"need at least {M} proposals to place {M} centers, got {B}")
     r = min(B, _integer_root(k, M))
-    if r ** M > OBJECTIVE_GUARD:
-        raise GuardError(
-            f"{B} proposals with {M} categories at k={k} give {r} ** {M} candidate "
-            f"configs, which exceed the {OBJECTIVE_GUARD} config guard")
+    _check_table(B, M, r ** M)
     candidates = [np.argsort(-log_probs[:, c], kind="stable")[:r] for c in label.categories]
     rows = np.stack([c.ravel() for c in np.meshgrid(*candidates, indexing="ij")], axis=1)
     keep = ~_reuses_proposal(rows.T)

@@ -219,6 +219,30 @@ class TestTrain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"strong_fraction": True}, "'strong_fraction' must be a number, got true"),
+        ({"strong_fraction": "0.5"}, "'strong_fraction' must be a number, got \"0.5\""),
+        ({"strong_fraction": 0.5, "split_seed": 1.0}, "'split_seed' must be an integer, got 1.0"),
+    ])
+    def test_wrongly_typed_extra_exits_two(self, bench, tmp_path, capsys, payload, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "x.json"
+        rc = main(["train", "--data", str(bench["train"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert f"{config}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_init_scores_with_ids_equal_as_strings_exit_two(self, bench, tmp_path, capsys):
+        scores = tmp_path / "dup.jsonl"
+        scores.write_text(json.dumps({"id": 5, "scores": [[0.5]]}) + "\n"
+                          + json.dumps({"id": 5, "scores": [[0.7]]}) + "\n")
+        rc = main(["train", "--data", str(bench["train"]), "--config", str(bench["config"]),
+                   "--init-scores", str(scores), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert f"{scores}:2: duplicate image id '5'" in capsys.readouterr().err
+
     def test_integer_for_a_number_and_null_categories_are_accepted(self, bench, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**TRAIN_CONFIG, "em_iterations": 0, "lr_initial": 1,
@@ -416,6 +440,21 @@ class TestSweep:
                    "--fractions", "0", "--out", str(out)])
         assert rc == 2
         assert f"{config}: 'k' must be an integer, got \"10\"" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"split_seed": "1"}, "'split_seed' must be an integer, got \"1\""),
+        ({"split_seed": True}, "'split_seed' must be an integer, got true"),
+        ({"init_scores": 5}, "'init_scores' must be a string, got 5"),
+        ({"test_data": None}, "'test_data' must be a string, got null"),
+    ])
+    def test_wrongly_typed_extra_exits_two(self, bench, tmp_path, capsys, extra, message):
+        config = self.sweep_config(bench, tmp_path, **extra)
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--data", str(bench["train"]), "--config", str(config),
+                   "--fractions", "0", "--out", str(out)])
+        assert rc == 2
+        assert f"{config}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_weak_source_is_rejected(self, bench, tmp_path):

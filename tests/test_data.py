@@ -430,3 +430,11 @@ class TestInitScores:
         path.write_text(line + "\n" + line + "\n")
         with pytest.raises(SchemaError, match="duplicate"):
             load_init_scores(path)
+
+    @pytest.mark.parametrize("first, second", [(5, 5), (5, "5")])
+    def test_load_rejects_ids_equal_as_strings(self, tmp_path, first, second):
+        path = tmp_path / "dup.jsonl"
+        path.write_text(json.dumps({"id": first, "scores": [[0.5]]}) + "\n"
+                        + json.dumps({"id": second, "scores": [[0.7]]}) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: duplicate image id '5'")):
+            load_init_scores(path)

@@ -8,6 +8,7 @@ import inspect
 import itertools
 import logging
 import math
+import re
 import time
 import tracemalloc
 
@@ -38,7 +39,15 @@ from emdet.engine import (
     _sgd_image,
 )
 from emdet.geometry import Box, boxes_to_array
-from emdet.latent import GuardError, LatentConfigSet, center_geometry
+from emdet.latent import (
+    GuardError,
+    LatentConfigSet,
+    center_geometry,
+    enumerate_exact,
+    exact_log_likelihood_grid,
+    exact_log_partition,
+    select_k,
+)
 from emdet.oracle import brute_hard_config
 from emdet.oracle import expand as naive_expand
 from emdet.scorer import (
@@ -318,6 +327,25 @@ class TestEStepFromScores:
         assert len(post.config_set) == 1
         assert tuple(post.config_set.centers[0]) == (1,)
         assert post.weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize("mode", ["exact", "hard", "k_em"])
+    @pytest.mark.parametrize("power", [664, -664])
+    def test_extreme_score_scales_keep_the_posterior(self, mode, power):
+        # 2 ** +-664 is about 1e+-200: each config's product of two scores
+        # overflows or underflows unless the columns are scaled first
+        rng = np.random.default_rng(7)
+        rec = isolated_weak_record("w", 5, (1, 2), dim=3)
+        scores = rng.uniform(0.1, 0.5, size=(5, 2))
+        scores[3, 0] = scores[4, 1] = 1.0
+        expected = e_step_from_scores(rec, scores, self.config(mode))
+        assert expected.config_set.centers.tolist()[int(np.argmax(expected.weights))] == [3, 4]
+        exact = e_step_from_scores(rec, np.ldexp(scores, power), self.config(mode))
+        assert np.array_equal(exact.config_set.centers, expected.config_set.centers)
+        assert exact.weights.tobytes() == expected.weights.tobytes()
+        post = e_step_from_scores(rec, scores * 10.0 ** (200 * np.sign(power)),
+                                  self.config(mode))
+        assert np.array_equal(post.config_set.centers, expected.config_set.centers)
+        assert np.allclose(post.weights, expected.weights, rtol=1e-12, atol=0)
 
     def test_hard_posterior_keeps_only_its_row(self):
         # the enumeration it is picked from holds 60 * 59 * 58 rows, ~4.9 MB
@@ -1062,6 +1090,60 @@ class TestInferNumCategories:
         assert infer_num_categories(single_record_dataset(rec)) == 4
 
 
+def _table_builders(record):
+    """Every function that builds a config table, bound to one weak record."""
+    label = record.annotation.label
+    B, M = record.num_proposals, len(label)
+    params = ScorerParams.zeros(M + 1, record.features.shape[1])
+    log_probs = log_prob_matrix(params, record.features)
+    geometry = center_geometry(record.proposals)
+    scores = np.ones((B, M))
+    return {
+        "enumerate_exact": lambda: enumerate_exact(record.proposals, label),
+        "exact_log_likelihood_grid": lambda: exact_log_likelihood_grid(geometry, label,
+                                                                       log_probs),
+        "exact_log_partition": lambda: exact_log_partition(geometry, label, log_probs),
+        "select_k": lambda: select_k(record.proposals, label, log_probs, B ** M),
+        "e_step_exact": lambda: e_step(record, params, EmConfig(mode="exact"), geometry),
+        "e_step_hard": lambda: e_step(record, params, EmConfig(mode="hard"), geometry),
+        "e_step_from_scores_exact": lambda: e_step_from_scores(
+            record, scores, EmConfig(mode="exact")),
+        "e_step_from_scores_hard": lambda: e_step_from_scores(
+            record, scores, EmConfig(mode="hard")),
+    }
+
+
+BUILDERS = sorted(_table_builders(isolated_weak_record("w", 3, (1, 2, 3))))
+
+
+class TestOneTableSizeRule:
+    """Every config-table builder checks latent's one size rule before allocating."""
+
+    @pytest.mark.parametrize("size", [(101, 3), (1001, 2)])
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_past_the_guard_raises_before_allocating(self, builder, size):
+        B, M = size
+        if builder == "exact_log_partition" and M == 3:
+            # three categories build B ** 2 pair factors, not the B ** 3 grid
+            B = 1001
+        call = _table_builders(isolated_weak_record("big", B, tuple(range(1, M + 1))))[builder]
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="exceed the 1000000 config guard"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_too_few_proposals_raise_one_error(self, builder):
+        call = _table_builders(isolated_weak_record("few", 2, (1, 2, 3)))[builder]
+        with pytest.raises(ValueError, match=re.escape(
+                "need at least 3 proposals to place 3 centers, got 2")):
+            call()
+
+
 class TestCoverageArguments:
     """Per-image coverages and strong label vectors are built by the caller, once."""
 
@@ -1083,3 +1165,11 @@ class TestCoverageArguments:
         assert {"emdet.latent.score_config_set", "emdet.latent.exact_log_partition",
                 "emdet.engine.e_step", "emdet.engine.soft_labels",
                 "emdet.engine.objective"} <= readers
+
+    def test_engine_keeps_no_guard_of_its_own(self):
+        # the config-table size rule lives in latent; engine only calls it
+        assert not hasattr(emdet.engine, "OBJECTIVE_GUARD")
+        assert "OBJECTIVE_GUARD" not in inspect.getsource(emdet.engine)
+        for name, _ in self.functions():
+            assert not name.startswith("emdet.engine.") or "guard" not in name.lower(), name
+        assert emdet.engine.check_enumeration is emdet.latent.check_enumeration
