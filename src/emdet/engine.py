@@ -15,9 +15,9 @@ soft proposal labels those posteriors imply.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -380,26 +380,13 @@ def _draw_plan(fg_size: int, bg_size: int, config: EmConfig) -> tuple:
     again.  A quota is drawn with replacement only when its pool is shorter
     than it; an empty pool or a zero quota draws nothing.  A draw without
     replacement is ``low + rng.choice(high - low, size, replace=False)``,
-    the rows and generator state of ``rng.choice`` on the pool itself.  A
-    draw with replacement takes one bounded word per row from the
-    generator's 32-bit stream, so a run of them is one ``rng.integers``
-    call: with scalar bounds when the run keeps to one pool, per-row bound
-    arrays otherwise.  The plan depends on the pool sizes only.
+    one with replacement ``rng.integers(low, high, size)``: the rows and
+    generator state of ``rng.choice`` on the pool itself.  The plan depends
+    on the pool sizes only.
     """
     quotas = ((0, fg_size, config.fg_per_image), (fg_size, bg_size, config.bg_per_image))
-    draws = [(start, start + size, count, size < count)
-             for start, size, count in quotas * 2 if size and count]
-    plan = []
-    for replace, run in itertools.groupby(draws, key=lambda draw: draw[3]):
-        run = list(run)
-        if not replace:
-            plan.extend(run)
-        elif len({draw[:2] for draw in run}) == 1:
-            plan.append((*run[0][:2], sum(draw[2] for draw in run), True))
-        else:
-            lows, highs, counts, _ = zip(*run)
-            plan.append((np.repeat(lows, counts), np.repeat(highs, counts), None, True))
-    return tuple(plan)
+    return tuple((start, start + size, count, size < count)
+                 for start, size, count in quotas * 2 if size and count)
 
 
 def _batch_rows(rng: np.random.Generator, order: np.ndarray, plan: tuple) -> np.ndarray:
@@ -409,6 +396,270 @@ def _batch_rows(rng: np.random.Generator, order: np.ndarray, plan: tuple) -> np.
                  else low + rng.choice(high - low, size, replace=False)
                  for low, high, size, replace in plan]
     return order.take(np.concatenate(positions))
+
+
+# Cells one chunk of pre-drawn M-step steps may fill: each step takes a cell
+# per generator word and per row, and one per four seen flags of its
+# without-replacement draws.  Bounds the row table's memory, as LABEL_CHUNK
+# bounds the labelling kernel's.
+DRAW_CHUNK = 1 << 16
+
+
+class _RowTable(NamedTuple):
+    """Every image's _draw_plan as word records, for drawing many steps at once.
+
+    A record is one draw: ``(first row, first word, low, pool, quota,
+    without replacement)``, its row and word offsets within the step;
+    ``records`` pads each image's records with quota 0.  ``words`` is None
+    for an image whose plan the table does not reproduce.
+    """
+
+    words: list      # per image: generator words of one mini-batch, or None
+    cells: list      # per image: DRAW_CHUNK cells of one step, pick word included
+    rows: np.ndarray  # per image: rows of one mini-batch
+    records: np.ndarray  # (images, most records per plan, 6) int64
+    fetch: int       # words that fill DRAW_CHUNK cells with the most word-heavy plan
+    keys: list       # the (quota, without replacement) pairs of the records
+
+
+def _plan_records(plan: tuple):
+    """One _draw_plan as word records, with the words, rows and seen flags of a
+    step; None when a call leaves Floyd's algorithm.
+
+    A with-replacement draw takes one word per row, none from a one-row pool.
+    ``rng.choice(n, k, replace=False)`` takes Floyd's words for
+    j = n - k, ..., n - 1 (none for j = 0, a pool exactly its quota), then
+    k - 1 Fisher-Yates words; with n > 10,000 and k > n // 50 it shuffles a
+    tail instead, which the table does not reproduce.
+    """
+    records = []
+    row = word = seen = 0
+    for low, high, count, replace in plan:
+        pool = high - low
+        if replace:
+            words = count if pool > 1 else 0
+        elif pool > 10_000 and count > pool // 50:
+            return None
+        else:
+            words = 2 * count - 1 - (pool == count)
+            seen += pool
+        records.append((row, word, low, pool, count, not replace))
+        row += count
+        word += words
+    return records, word, row, seen
+
+
+def _row_table(plans: list) -> _RowTable:
+    """The row table of per-image _draw_plans; images sharing a plan object
+    share its records."""
+    compiled = {}
+    for plan in plans:
+        if id(plan) not in compiled:
+            compiled[id(plan)] = _plan_records(plan)
+    per_image = [compiled[id(plan)] for plan in plans]
+    kept = [c for c in per_image if c is not None]
+    pick = int(len(plans) > 1)
+    records = np.zeros((len(plans), max([len(c[0]) for c in kept] + [1]), 6), dtype=np.int64)
+    words, cells, rows = [], [], []
+    for image, compiled_plan in enumerate(per_image):
+        if compiled_plan is None:
+            words.append(None)
+            cells.append(None)
+            rows.append(0)
+            continue
+        plan_records, plan_words, plan_rows, seen = compiled_plan
+        if plan_records:
+            records[image, :len(plan_records)] = plan_records
+        words.append(plan_words)
+        cells.append(pick + plan_words + plan_rows + seen // 4)
+        rows.append(plan_rows)
+    return _RowTable(words, cells, np.array(rows, dtype=np.int64), records,
+                     fetch=max([DRAW_CHUNK * (pick + w) // c + 1
+                                for w, c in zip(words, cells) if c] + [1]),
+                     keys=sorted({(r[4], r[5]) for c in kept for r in c[0]}))
+
+
+def _lemire(words: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw from 32-bit words: ``(word * bound) >> 32`` in
+    [0, bound), and whether each word is one it rejects and draws again for
+    (Lemire 2019).  A bound of 1 takes no word; any word gives 0 unrejected."""
+    bounds = np.asarray(bounds, dtype=np.int64).view(np.uint64)  # bounds are positive
+    product = words * bounds
+    # The rejection threshold (2 ** 32 - bound) % bound lies below the bound,
+    # so it is computed only where the low half does (rarely).
+    rejected = (product & 0xFFFFFFFF) < bounds
+    if rejected.any():
+        bounds = np.broadcast_to(bounds, product.shape)[rejected]
+        rejected[rejected] = (product[rejected] & 0xFFFFFFFF) < (2 ** 32 - bounds) % bounds
+    product >>= 32
+    return product.view(np.int64), rejected
+
+
+def _with_replacement(words, first, pools, quota):
+    """``rng.integers(pool, size=quota)`` per record, as (quota, records), and
+    whether a record's words hold a rejected one."""
+    values, rejected = _lemire(words.take(first + np.arange(quota)[:, None], mode="clip"),
+                               pools)
+    return values, rejected.any(axis=0)
+
+
+def _without_replacement(words, first, pools, quota):
+    """``rng.choice(pool, quota, replace=False)`` per record, as (quota,
+    records), and whether a record's words hold a rejected one.
+
+    Floyd's picks are deduplicated against per-record seen flags, then
+    shuffled by Fisher-Yates, each one quota position at a time across all
+    records."""
+    position = np.arange(quota)[:, None]
+    skip = (pools == quota).astype(np.int64)  # Floyd's bound j + 1 = 1 takes no word
+    top = pools - quota + position  # Floyd's j at each position
+    picks, rejected = _lemire(words.take(first - skip + position, mode="clip"), top + 1)
+    base = np.cumsum(pools) - pools  # each record's run of seen flags
+    picks += base
+    top += base
+    seen = np.zeros(int(pools.sum()), dtype=bool)
+    for pick, j in zip(picks, top):
+        np.copyto(pick, j, where=seen[pick])
+        seen[pick] = True
+    picks -= base
+    # Fisher-Yates swaps position i with one drawn below i + 1, for i = quota - 1, ..., 1.
+    swaps, late = _lemire(words.take(first + quota - skip + position[:-1], mode="clip"),
+                          quota - position[:-1])
+    swaps *= len(pools)
+    swaps += np.arange(len(pools))
+    flat = picks.reshape(-1)
+    for i, at in zip(range(quota - 1, 0, -1), swaps):
+        held = flat[at]
+        flat[at] = picks[i]
+        picks[i] = held
+    return picks, rejected.any(axis=0) | late.any(axis=0)
+
+
+def _draw_rows(words: np.ndarray, table: _RowTable, steps: int) -> tuple:
+    """Image picks and mini-batch rows of up to ``steps`` M-step steps, read
+    from a generator's 32-bit words as the per-step draws would take them.
+
+    Each step is one pick ``rng.integers(len(images))`` (no word for one
+    image) and the draws of the picked image's plan; a plan's word count is
+    fixed, so one scan over the picks places every step's words.  Returns
+    ``(picks, positions, ends, used, stuck)``: step s of ``picks`` takes
+    positions ``positions[ends[s - 1]:ends[s]]`` in its image's row order;
+    ``used`` counts the words those steps take.  Drawing stops at
+    ``steps``, at DRAW_CHUNK cells, at the end of ``words``, or before a step
+    the table does not reproduce: a rejected word, a plan it leaves to
+    _batch_rows, or one step past DRAW_CHUNK by itself.  In those last cases
+    ``stuck`` is true and that step is the caller's to draw.
+    """
+    images = len(table.words)
+    pick = int(images > 1)
+    threshold = (2 ** 32 - images) % images
+    stream = memoryview(words)  # Python ints at scalar speed
+    picks, starts = [], []
+    pos = filled = 0
+    stuck = False
+    while len(picks) < steps and pos + pick <= len(stream):
+        image = 0
+        if pick:
+            product = stream[pos] * images
+            if (product & 0xFFFFFFFF) < threshold:
+                stuck = True
+                break
+            image = product >> 32
+        need = table.words[image]
+        if need is None:
+            stuck = True
+            break
+        if pos + pick + need > len(stream) or filled + table.cells[image] > DRAW_CHUNK:
+            break
+        picks.append(image)
+        starts.append(pos + pick)
+        pos += pick + need
+        filled += table.cells[image]
+    picks, starts = np.array(picks, dtype=np.int64), np.array(starts, dtype=np.int64)
+    if not picks.size:
+        return picks, np.empty(0, dtype=np.int32), picks, 0, True
+    sizes = table.rows[picks]
+    ends = np.cumsum(sizes)
+    positions = np.empty(int(ends[-1]), dtype=np.int32)
+    step = np.repeat(np.arange(picks.size), table.records.shape[1])
+    records = table.records[picks].reshape(-1, 6)
+    live = records[:, 4] > 0
+    step, records = step[live], records[live]
+    first_row = records[:, 0] + (ends - sizes)[step]
+    first_word = records[:, 1] + starts[step]
+    bad = picks.size  # the first step holding a rejected word
+    for quota, choice in table.keys:
+        group = np.flatnonzero((records[:, 4] == quota) & (records[:, 5] == choice))
+        if not group.size:
+            continue
+        draw = _without_replacement if choice else _with_replacement
+        values, rejected = draw(words, first_word[group], records[group, 3], quota)
+        positions[first_row[group] + np.arange(quota)[:, None]] = records[group, 2] + values
+        if rejected.any():
+            bad = min(bad, int(step[group][rejected].min()))
+    if bad < picks.size:
+        return picks[:bad], positions, ends[:bad], int(starts[bad]) - pick, True
+    return picks, positions, ends, pos, stuck
+
+
+def _next_words(bit_generator: np.random.PCG64, count: int) -> tuple[np.ndarray, dict]:
+    """The generator's next ``count`` or more 32-bit words, and the state they
+    start from.  PCG64 hands out each 64-bit output low half first, and a
+    buffered high half (``has_uint32``) comes before them."""
+    state = bit_generator.state
+    buffered = state["has_uint32"]
+    raw = bit_generator.random_raw(max(count - buffered + 1, 2) // 2)
+    halves = raw.astype("<u8", copy=False).view("<u4").astype(np.uint32, copy=False)
+    if not buffered:
+        return halves, state
+    return np.concatenate([np.array([state["uinteger"]], dtype=np.uint32), halves]), state
+
+
+def _skip_words(bit_generator: np.random.PCG64, state: dict, words: np.ndarray,
+                used: int) -> None:
+    """Leave the generator where its 32-bit draws from ``state`` leave it after
+    taking the first ``used`` of ``words``, buffered half and all."""
+    bit_generator.state = state
+    fresh = used - state["has_uint32"]
+    if fresh > 0:
+        outputs = (fresh + 1) // 2
+        bit_generator.advance(outputs)
+        bit_generator.state = {**bit_generator.state, "has_uint32": fresh % 2,
+                               "uinteger": int(words[used - fresh + 2 * outputs - 1])}
+    elif used:  # the buffered half only
+        bit_generator.state = {**state, "has_uint32": 0}
+
+
+def _minibatches(rng: np.random.Generator, images: list, steps: int):
+    """Yield each step's _sgd_image inputs and mini-batch rows.
+
+    The rows are those of a per-step loop that picks ``rng.integers(len(images))``
+    and draws _batch_rows, and the generator ends in the same state.  With a
+    PCG64 generator they are pre-drawn a chunk of steps at a time
+    (_draw_rows), which the pools allow because they are fixed within an
+    M-step; a step the table does not reproduce goes through _batch_rows.
+    """
+    bit_generator = rng.bit_generator
+    table = (_row_table([plan for *_, plan in images])
+             if images and type(bit_generator) is np.random.PCG64 else None)
+    done = 0
+    while done < steps:
+        stuck = True
+        if table is not None:
+            words, state = _next_words(bit_generator, table.fetch)
+            picks, positions, ends, used, stuck = _draw_rows(words, table, steps - done)
+            _skip_words(bit_generator, state, words, used)
+            start = 0
+            for image, end in zip(picks.tolist(), ends.tolist()):
+                inputs = images[image]
+                yield inputs, inputs[2].take(positions[start:end])
+                start = end
+            done += picks.size
+        if stuck and done < steps:
+            inputs = images[int(rng.integers(len(images)))]
+            plan = inputs[-1]
+            yield inputs, _batch_rows(rng, inputs[2], plan) if plan else inputs[2][:0]
+            done += 1
 
 
 def _sgd_image(record: ImageRecord, q: np.ndarray, params: ScorerParams,
@@ -438,7 +689,9 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
     the per-sample mean, keeping the learning-rate scale independent of
     batch size.  Soft labels are checked once per image up front, with the
     checks of weighted_ce_gradient.  An image with nothing to draw still
-    takes its pick but makes no step.
+    takes its pick but makes no step.  The picks and rows of a chunk of
+    steps are pre-drawn before its first gradient (_minibatches); they are
+    the same as drawing them step by step, and so is the generator state.
     """
     records = dataset.records
     plans: dict[tuple[int, int], tuple] = {}
@@ -451,12 +704,11 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
     # Mini-batch rows are gathered into one reused buffer whose last column
     # stays 1, the bias input; per-image augmented copies would raise peak memory.
     batch = np.ones((2 * (config.fg_per_image + config.bg_per_image), params.feature_dim + 1))
-    for n in range(config.sgd_steps_per_m_step):
+    steps = _minibatches(rng, images, config.sgd_steps_per_m_step)
+    for n, ((features, q, *_), rows) in enumerate(steps):
         state.learning_rate = learning_rate(config, start_step + n)
-        features, q, order, _, plan = images[int(rng.integers(len(images)))]
-        if not plan:
+        if not rows.size:
             continue
-        rows = _batch_rows(rng, order, plan)
         augmented = batch[:rows.size]
         augmented[:, :-1] = features.take(rows, axis=0)
         _, grad = ce_gradient(params, augmented, q.take(rows, axis=0), config.l2)

@@ -36,6 +36,9 @@ from emdet.engine import (
     surrogate_value,
     _batch_rows,
     _draw_plan,
+    _draw_rows,
+    _minibatches,
+    _row_table,
     _sgd_image,
 )
 from emdet.geometry import Box, boxes_to_array
@@ -637,6 +640,14 @@ class TestLearningRateSchedule:
         assert learning_rate(config, 10_000) == 0.001
 
 
+def same_state(first, second):
+    """Whether two bit generator states (dicts, possibly holding arrays) are equal."""
+    if isinstance(first, dict):
+        return first.keys() == second.keys() and all(same_state(first[key], second[key])
+                                                     for key in first)
+    return np.array_equal(first, second)
+
+
 def per_pool_rows(rng, q, config):
     """The reference mini-batch: rng.choice on each non-empty pool, foreground
     then background, twice; a pool shorter than its quota with replacement."""
@@ -653,11 +664,13 @@ def per_pool_rows(rng, q, config):
 class TestDrawPlan:
     """The M-step's mini-batch draws against the per-pool rng.choice calls.
 
-    The plan merges runs of with-replacement draws into one rng.integers
-    call, which reproduces the per-pool calls only while numpy takes every
-    bounded draw below 2 ** 32 from the bit generator's shared 32-bit stream.
-    A numpy release that changes that stream fails here, not by moving the
-    manifest.
+    _batch_rows draws each quota on positions in the image's row order
+    (rng.integers with replacement, rng.choice on the pool size without).
+    The row table (_minibatches with a PCG64 generator) reads the same draws
+    from the raw 32-bit stream: one Lemire-reduced word per bounded draw,
+    Floyd's picks then a Fisher-Yates shuffle for rng.choice without
+    replacement.  A numpy release that changes that stream or choice's
+    algorithm fails here, not by moving the manifest.
     """
 
     @staticmethod
@@ -675,8 +688,11 @@ class TestDrawPlan:
 
     def assert_matches_per_pool_calls(self, fg_size, bg_size, fg_quota, bg_quota, seed):
         config = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota)
-        _, q, order, _, plan = self.image(fg_size, bg_size, config, seed)
+        image = self.image(fg_size, bg_size, config, seed)
+        _, q, order, _, plan = image
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        table_rng = np.random.default_rng(seed)
+        table = _minibatches(table_rng, [image], 3)
         for _ in range(3):
             # m_step skips an image with an empty plan before drawing
             rows = _batch_rows(rng, order, plan) if plan else order[:0]
@@ -687,19 +703,23 @@ class TestDrawPlan:
             assert np.array_equal(rows, expected), f"{context}: rows differ"
             assert rng.bit_generator.state == reference.bit_generator.state, \
                 f"{context}: generator states differ"
+            assert np.array_equal(next(table)[1], expected), f"{context}: table rows differ"
+        assert next(table, None) is None
+        assert table_rng.bit_generator.state == reference.bit_generator.state, \
+            f"{context}: table generator states differ"
 
     @pytest.mark.parametrize("fg_size, bg_size, fg_quota, bg_quota, calls", [
-        (0, 7, 4, 8, 1),     # empty foreground pool
-        (5, 0, 8, 4, 1),     # empty background pool
-        (3, 7, 4, 8, 1),     # both pools shorter than their quotas: per-row bounds
-        (1, 1, 4, 8, 1),     # one-row pools: draws that take no generator word
+        (0, 7, 4, 8, 2),     # empty foreground pool
+        (5, 0, 8, 4, 2),     # empty background pool
+        (3, 7, 4, 8, 4),     # both pools shorter than their quotas
+        (1, 1, 4, 8, 4),     # one-row pools: draws that take no generator word
         (4, 7, 4, 8, 4),     # a pool exactly its quota: rng.choice without replacement
         (6, 20, 4, 8, 4),    # pools longer than their quotas
         (3, 20, 4, 8, 4),    # one quota with, one without replacement
-        (3, 5, 0, 8, 1),     # foreground quota 0
-        (3, 5, 4, 0, 1),     # background quota 0
+        (3, 5, 0, 8, 2),     # foreground quota 0
+        (3, 5, 4, 0, 2),     # background quota 0
         (0, 5, 4, 0, 0),     # nothing to draw
-    ] + [(size, 0, count, 0, 1 if size < count else 2)  # one pool against choice
+    ] + [(size, 0, count, 0, 2)  # one pool against choice
          for size in (1, 5, 15, 16, 17, 60) for count in (16, 48)])
     def test_draws_match_the_per_pool_calls(self, fg_size, bg_size, fg_quota, bg_quota,
                                             calls):
@@ -749,6 +769,176 @@ class TestDrawPlan:
         assert list(plans) == [(3, 9)]
 
 
+class ReferenceStream:
+    """numpy Generator draws in pure Python from a list of 32-bit words, the
+    referee of the row table.  ``log`` holds (word index, role, bound) for
+    every word taken."""
+
+    def __init__(self, words):
+        self.words = [int(word) for word in words]
+        self.at = 0
+        self.log = []
+
+    def bounded(self, bound, role):
+        """rng.integers(bound): Lemire's multiply-shift of one word, drawing
+        again on a rejected one; no word for bound 1."""
+        if bound == 1:
+            return 0
+        while True:
+            product = self.words[self.at] * bound
+            self.log.append((self.at, role, bound))
+            self.at += 1
+            if product & 0xFFFFFFFF >= (2 ** 32 - bound) % bound:
+                return product >> 32
+
+    def choice(self, n, k):
+        """rng.choice(n, k, replace=False) for n <= 10,000: Floyd's picks, then
+        a Fisher-Yates shuffle."""
+        picked = []
+        for j in range(n - k, n):
+            value = self.bounded(j + 1, "floyd")
+            picked.append(j if value in picked else value)
+        for i in range(k - 1, 0, -1):
+            value = self.bounded(i + 1, "shuffle")
+            picked[i], picked[value] = picked[value], picked[i]
+        return picked
+
+    def batch(self, plan):
+        """The positions _batch_rows draws for a _draw_plan."""
+        positions = []
+        for low, high, size, replace in plan:
+            if replace:
+                positions += [low + self.bounded(high - low, "row") for _ in range(size)]
+            else:
+                positions += [low + value for value in self.choice(high - low, size)]
+        return positions
+
+    def steps(self, plans, count):
+        """(pick, positions, first word, end word) of ``count`` M-step steps."""
+        steps = []
+        for _ in range(count):
+            start = self.at
+            image = self.bounded(len(plans), "pick")
+            steps.append((image, self.batch(plans[image]), start, self.at))
+        return steps
+
+
+def next_words(rng, count):
+    """The next ``count`` 32-bit words of a PCG64 generator's bounded draws,
+    read from a copy: a buffered high half first, then each raw output low
+    half first."""
+    state = rng.bit_generator.state
+    copy = np.random.PCG64()
+    copy.state = state
+    words = [state["uinteger"]] if state["has_uint32"] else []
+    for raw in copy.random_raw(count // 2 + 1).tolist():
+        words += [raw & 0xFFFFFFFF, raw >> 32]
+    return words[:count]
+
+
+class TestRowTable:
+    """_draw_rows, the pure reducer behind the M-step's row table, against
+    ReferenceStream, which is itself checked against numpy on real streams."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_the_reference_draws_as_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        rng.integers(3, size=seed % 3)  # odd counts leave a buffered half
+        n = int(rng.integers(1, 60))
+        k = int(rng.integers(1, n + 1))
+        reference = ReferenceStream(next_words(rng, 4 * n + 20))
+        assert rng.choice(n, k, replace=False).tolist() == reference.choice(n, k)
+        assert rng.choice(n, n, replace=False).tolist() == reference.choice(n, n)
+        assert rng.integers(n, size=3).tolist() == [reference.bounded(n, "row")
+                                                     for _ in range(3)]
+        assert int(rng.integers(7)) == reference.bounded(7, "pick")
+        assert next_words(rng, 1) == reference.words[reference.at:reference.at + 1]
+
+    @staticmethod
+    def plans(sizes, fg_quota=4, bg_quota=6):
+        config = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota)
+        return [_draw_plan(fg_size, bg_size, config) for fg_size, bg_size in sizes]
+
+    @staticmethod
+    def assert_draws_the_reference_steps(words, plans, steps, expected, used, stuck):
+        picks, positions, ends, drawn_words, drawn_stuck = _draw_rows(
+            np.array(words, dtype=np.uint32), _row_table(plans), steps)
+        assert picks.tolist() == [image for image, *_ in expected]
+        for (_, rows, *_), start, end in zip(expected, [0, *ends.tolist()], ends.tolist()):
+            assert positions[start:end].tolist() == rows
+        assert (drawn_words, drawn_stuck) == (used, stuck)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 40)),
+                          min_size=1, max_size=5).filter(lambda s: all(map(sum, s))),
+           fg_quota=st.integers(0, 12), bg_quota=st.integers(0, 20),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_draws_the_reference_steps(self, sizes, fg_quota, bg_quota, seed):
+        assume(fg_quota + bg_quota > 0)
+        plans = self.plans(sizes, fg_quota, bg_quota)
+        words = next_words(np.random.default_rng(seed), 3000)
+        expected = ReferenceStream(words).steps(plans, 20)
+        self.assert_draws_the_reference_steps(words, plans, 20, expected,
+                                              expected[-1][3], False)
+
+    @pytest.mark.parametrize("role", ["pick", "row", "floyd", "shuffle"])
+    def test_stops_before_the_step_of_a_rejected_word(self, role):
+        # 0 is rejected under any bound that is no power of two
+        plans = self.plans([(3, 20), (7, 9), (5, 30)])
+        words = next_words(np.random.default_rng(15), 3000)
+        expected = ReferenceStream(words)
+        steps = expected.steps(plans, 12)
+        at = next(at for at, logged, bound in expected.log
+                  if logged == role and at >= steps[2][2] and bound & (bound - 1))
+        stop = next(n for n, (*_, start, end) in enumerate(steps) if start <= at < end)
+        words[at] = 0
+        self.assert_draws_the_reference_steps(words, plans, 12, steps[:stop],
+                                              steps[stop][2], True)
+        assert ReferenceStream(words).steps(plans, stop + 1)[-1][3] > steps[stop][3]
+
+    def test_draws_that_take_no_word(self):
+        # one image: no pick word; a one-row pool drawn with replacement and a
+        # pool exactly its quota (Floyd's first bound is 0) take none either
+        words = next_words(np.random.default_rng(16), 200)
+        for sizes, step_words in [((1, 1), 0), ((1, 6), 20), ((4, 1), 12)]:
+            plans = self.plans([sizes])
+            assert _row_table(plans).words == [step_words]
+            expected = ReferenceStream(words).steps(plans, 5)
+            assert expected[-1][3] == 5 * step_words
+            self.assert_draws_the_reference_steps(words, plans, 5, expected,
+                                                  5 * step_words, False)
+
+    def test_leaves_a_choice_beyond_floyd_to_batch_rows(self):
+        # rng.choice(n, k, replace=False) leaves Floyd's algorithm for
+        # n > 10,000 and k > n // 50
+        floyd, tail = self.plans([(3, 12_000)], bg_quota=240) + self.plans([(3, 12_000)],
+                                                                          bg_quota=241)
+        assert _row_table([floyd]).words[0] is not None
+        assert _row_table([tail]).words[0] is None
+        words = next_words(np.random.default_rng(23), 20_000)
+        reference, expected = ReferenceStream(words), []
+        while True:
+            start = reference.at
+            if reference.bounded(2, "pick"):
+                break
+            expected.append((0, reference.batch(floyd), start, reference.at))
+        assert expected
+        self.assert_draws_the_reference_steps(words, [floyd, tail], 10, expected, start, True)
+
+    def test_stops_at_the_chunk(self, monkeypatch):
+        monkeypatch.setattr(emdet.engine, "DRAW_CHUNK", 100)
+        plans = self.plans([(3, 20), (7, 9)])
+        cells = _row_table(plans).cells
+        words = next_words(np.random.default_rng(18), 3000)
+        expected = ReferenceStream(words).steps(plans, 40)
+        filled = list(itertools.accumulate(cells[image] for image, *_ in expected))
+        stop = next(n for n, total in enumerate(filled) if total > 100)
+        self.assert_draws_the_reference_steps(words, plans, 40, expected[:stop],
+                                              expected[stop][2], False)
+        monkeypatch.setattr(emdet.engine, "DRAW_CHUNK", min(cells) - 1)
+        self.assert_draws_the_reference_steps(words, plans, 40, [], 0, True)
+
+
 class TestMStep:
     def small_setup(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -762,18 +952,21 @@ class TestMStep:
         return dataset, labels, params
 
     @staticmethod
-    def assert_matches_a_per_step_loop(records, labels, config, start, seed):
-        """m_step from start_step 5 against a loop of per_pool_rows batches and
-        weighted_ce_gradient steps on the same generator stream."""
+    def assert_matches_a_per_step_loop(records, labels, config, start, seed, m_steps=1,
+                                       bit_generator=np.random.PCG64):
+        """m_step from start_step 5, ``m_steps`` times on one generator, against
+        a loop of per_pool_rows batches and weighted_ce_gradient steps on the
+        same generator stream: equal weights and equal generator states."""
         def run(step_fn):
             params = start.copy()
             state = OptimizerState.for_params(params, config.lr_initial,
                                               config.momentum, config.weight_decay)
-            step_fn(params, state, np.random.default_rng(seed))
-            return params.weights
+            rng = np.random.Generator(bit_generator(seed))
+            step_fn(params, state, rng)
+            return params.weights, rng.bit_generator.state
 
         def reference(params, state, rng):
-            for n in range(config.sgd_steps_per_m_step):
+            for n in range(m_steps * config.sgd_steps_per_m_step):
                 state.learning_rate = learning_rate(config, 5 + n)
                 record = records[int(rng.integers(len(records)))]
                 q = labels[record.image_id]
@@ -782,10 +975,15 @@ class TestMStep:
                                                config.l2)
                 sgd_step(params, state, grad / rows.size)
 
-        expected = run(reference)
-        actual = run(lambda params, state, rng: m_step(Dataset(records), labels, params,
-                                                       state, config, rng, start_step=5))
-        assert np.array_equal(actual, expected)
+        def m_steps_on_one_generator(params, state, rng):
+            step = 5
+            for _ in range(m_steps):
+                step = m_step(Dataset(records), labels, params, state, config, rng, step)
+
+        expected_weights, expected_state = run(reference)
+        weights, generator_state = run(m_steps_on_one_generator)
+        assert np.array_equal(weights, expected_weights)
+        assert same_state(generator_state, expected_state)
 
     def test_zero_steps_leave_params_unchanged(self):
         dataset, labels, params = self.small_setup()
@@ -835,10 +1033,22 @@ class TestMStep:
 
     def test_matches_a_per_step_gradient_loop_without_l2(self):
         # a background-only image, a foreground pool exactly its quota, pools
-        # shorter than their quotas, and l2 = 0: plans of one call (scalar
-        # and per-row bounds) and of four, and the gradient without the L2 term
+        # shorter than their quotas, and l2 = 0: plans of two draws and of
+        # four, and the gradient without the L2 term
         rng = np.random.default_rng(4)
         sizes = {"bg_only": (0, 4), "exact": (4, 2), "short": (3, 3), "mixed": (2, 5)}
+        records, labels = self.pooled_images(rng, sizes)
+        config = EmConfig(sgd_steps_per_m_step=200, lr_drop_step=150, l2=0.0,
+                          fg_per_image=4, bg_per_image=5)
+        calls = [len(_draw_plan(*sizes[r.image_id], config)) for r in records]
+        assert calls == [2, 4, 4, 4]
+        self.assert_matches_a_per_step_loop(records, labels, config,
+                                            random_params(rng, 3, 4), seed=11)
+
+    @staticmethod
+    def pooled_images(rng, sizes):
+        """Weak records and soft labels with the given (foreground, background)
+        pool sizes, foreground-argmax rows first."""
         records, labels = [], {}
         for image_id, (fg_size, bg_size) in sizes.items():
             record = random_weak_record(rng, image_id, num_proposals=fg_size + bg_size,
@@ -848,12 +1058,94 @@ class TestMStep:
             q[fg_size:, 0] += 2.0
             labels[image_id] = q / q.sum(axis=1, keepdims=True)
             records.append(record)
-        config = EmConfig(sgd_steps_per_m_step=200, lr_drop_step=150, l2=0.0,
-                          fg_per_image=4, bg_per_image=5)
-        calls = [len(_draw_plan(*sizes[r.image_id], config)) for r in records]
-        assert calls == [1, 4, 1, 4]
+        return records, labels
+
+    @staticmethod
+    def count_batch_rows(monkeypatch):
+        """Patch _batch_rows to record the row-order length of every call."""
+        calls = []
+        batch_rows = emdet.engine._batch_rows
+
+        def counting(rng, order, plan):
+            calls.append(order.size)
+            return batch_rows(rng, order, plan)
+
+        monkeypatch.setattr(emdet.engine, "_batch_rows", counting)
+        return calls
+
+    def test_back_to_back_m_steps_carry_the_generator_between_chunks(self, monkeypatch):
+        # two m_step calls on one generator, 157 steps each (a multiple of no
+        # chunk), in chunks small enough that some end on an odd 32-bit word:
+        # the buffered half carries into the next chunk and the next m_step
+        chunk_ends = []
+        skip_words = emdet.engine._skip_words
+
+        def recording(bit_generator, *args):
+            skip_words(bit_generator, *args)
+            chunk_ends.append(bit_generator.state["has_uint32"])
+
+        monkeypatch.setattr(emdet.engine, "DRAW_CHUNK", 300)
+        monkeypatch.setattr(emdet.engine, "_skip_words", recording)
+        rng = np.random.default_rng(6)
+        sizes = {"bg_only": (0, 4), "exact": (4, 5), "short": (3, 3), "long": (9, 14)}
+        records, labels = self.pooled_images(rng, sizes)
+        config = EmConfig(sgd_steps_per_m_step=157, lr_drop_step=200, fg_per_image=4,
+                          bg_per_image=5)
         self.assert_matches_a_per_step_loop(records, labels, config,
-                                            random_params(rng, 3, 4), seed=11)
+                                            random_params(rng, 3, 4), seed=12, m_steps=2)
+        assert len(chunk_ends) > 4
+        assert set(chunk_ends) == {0, 1}
+
+    def test_other_bit_generators_draw_each_step_through_batch_rows(self, monkeypatch):
+        calls = self.count_batch_rows(monkeypatch)
+        rng = np.random.default_rng(7)
+        records, labels = self.pooled_images(rng, {"exact": (4, 5), "long": (9, 14)})
+        config = EmConfig(sgd_steps_per_m_step=60, fg_per_image=4, bg_per_image=5)
+        self.assert_matches_a_per_step_loop(records, labels, config, random_params(rng, 3, 4),
+                                            seed=0, bit_generator=np.random.MT19937)
+        assert len(calls) == 60
+
+    def test_a_pool_where_choice_leaves_floyd_is_drawn_through_batch_rows(self, monkeypatch):
+        # rng.choice(12000, 300, replace=False) shuffles a tail (300 > 12000 // 50);
+        # the table draws every step of the small image and none of the large one
+        calls = self.count_batch_rows(monkeypatch)
+        batch_sizes = []
+        ce = emdet.engine.ce_gradient
+
+        def recording(params, features, q, l2):
+            batch_sizes.append(len(features))
+            return ce(params, features, q, l2)
+
+        monkeypatch.setattr(emdet.engine, "ce_gradient", recording)
+        rng = np.random.default_rng(8)
+        records, labels = self.pooled_images(rng, {"large": (5, 12_000), "small": (0, 7)})
+        config = EmConfig(sgd_steps_per_m_step=30, fg_per_image=4, bg_per_image=300)
+        self.assert_matches_a_per_step_loop(records, labels, config,
+                                            random_params(rng, 3, 4), seed=13)
+        large_steps = batch_sizes.count(2 * (4 + 300))
+        assert 0 < large_steps < 30
+        assert calls == [12_005] * large_steps
+
+    def test_a_step_the_table_stops_before_is_drawn_through_batch_rows(self, monkeypatch):
+        # as if the fourth step of every chunk held a rejected word
+        draw_rows = emdet.engine._draw_rows
+
+        def rejecting(words, table, steps):
+            picks, positions, ends, used, stuck = draw_rows(words, table, steps)
+            if picks.size <= 3:
+                return picks, positions, ends, used, stuck
+            used = sum(1 + table.words[image] for image in picks[:3].tolist())
+            return picks[:3], positions, ends[:3], used, True
+
+        monkeypatch.setattr(emdet.engine, "_draw_rows", rejecting)
+        calls = self.count_batch_rows(monkeypatch)
+        rng = np.random.default_rng(9)
+        records, labels = self.pooled_images(rng, {"exact": (4, 5), "short": (3, 3),
+                                                   "long": (9, 14)})
+        config = EmConfig(sgd_steps_per_m_step=50, fg_per_image=4, bg_per_image=5)
+        self.assert_matches_a_per_step_loop(records, labels, config,
+                                            random_params(rng, 3, 4), seed=14)
+        assert len(calls) == 50 // 4
 
     @pytest.mark.parametrize("steps, fg_per_image, lines", [(0, 16, 2), (3, 16, 2),
                                                             (3, 0, 0)])
@@ -876,6 +1168,13 @@ class TestMStep:
         found = [r for r in caplog.records if "foreground-eligible" in r.getMessage()]
         assert [r.levelno for r in found] == [logging.INFO] * lines
         assert all(r.getMessage().startswith("2 of 3 images") for r in found)
+
+    def test_an_empty_dataset_has_no_image_to_pick(self):
+        params = ScorerParams.zeros(3, 4)
+        state = OptimizerState.for_params(params, 0.01)
+        with pytest.raises(ValueError, match="high <= 0"):
+            m_step(Dataset([]), {}, params, state, EmConfig(sgd_steps_per_m_step=3),
+                   np.random.default_rng(0))
 
     def test_unnormalized_soft_label_row_is_rejected(self):
         dataset, labels, params = self.small_setup()
