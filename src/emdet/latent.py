@@ -10,7 +10,7 @@ or truncated per category for larger instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -134,8 +134,9 @@ class LatentConfigSet:
 LABEL_CHUNK = 1024
 
 
-class CenterGeometry(NamedTuple):
-    """The center coverage of one image's proposals, as sparse member lists.
+@dataclass(eq=False, slots=True)
+class CenterGeometry:
+    """The center coverage of one image's proposals, and its co-coverage plan.
 
     Center i covers ``members[offsets[i]:offsets[i + 1]]``: the proposals
     whose IoU with it reaches CENTER_IOU, in ascending index order, itself
@@ -143,17 +144,39 @@ class CenterGeometry(NamedTuple):
     each member's IoU, plus 2 where the member is the center itself, so a
     center outranks every other center on its own proposal.  Coverage is
     symmetric, so the list of center i also names the centers covering
-    proposal i.  The form holds 12 bytes per covered pair plus the B + 1
+    proposal i.  The lists hold 12 bytes per covered pair plus the B + 1
     offsets; nothing B x B outlives center_geometry.
+
+    The plan is the index work of the inclusion-exclusion terms that depends
+    on coverage alone, never on a label or on scores: pair_plan for two or
+    more categories, triple_plan for three.  Each is built on first use and
+    then kept, so one geometry per image per run builds each at most once.
+    The pair plan holds 9 bytes per co-covered (i, j, k) entry and 8 per
+    touched (j, k) line; the triple plan 9 per triple-covered entry, 16 per
+    config and 8 per line.
     """
 
     offsets: np.ndarray
     members: np.ndarray
     keys: np.ndarray
+    _pairs: _PairPlan | None = field(default=None, init=False, repr=False)
+    _triples: _TriplePlan | None = field(default=None, init=False, repr=False)
 
     @property
     def num_proposals(self) -> int:
         return len(self.offsets) - 1
+
+    def pair_plan(self) -> _PairPlan:
+        """The co-covered pair entries, built on the first call."""
+        if self._pairs is None:
+            self._pairs = _build_pair_plan(self)
+        return self._pairs
+
+    def triple_plan(self) -> _TriplePlan:
+        """The triple-covered entries and their configs, built on the first call."""
+        if self._triples is None:
+            self._triples = _build_triple_plan(self)
+        return self._triples
 
 
 def center_geometry(proposals: np.ndarray) -> CenterGeometry:
@@ -335,31 +358,120 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
     for m in range(M):
         # (B, 1, ..., 1) with M - 1 - m trailing ones broadcasts along axis m.
         grid = grid + terms.per_center[:, m].reshape((B,) + (1,) * (M - 1 - m))
-    for (a, b), pair in terms.pairs.items():
-        lines = np.moveaxis(grid, (a, b), (0, 1))
-        lines[terms.touched // B, terms.touched % B] -= pair.reshape((-1,) + (1,) * (M - 2))
+    if M >= 2:
+        pairs = geometry.pair_plan()
+        for (a, b), pair in terms.pairs.items():
+            lines = np.moveaxis(grid, (a, b), (0, 1))
+            lines[pairs.line_j, pairs.line_k] -= pair.reshape((-1,) + (1,) * (M - 2))
     if M == 3:
-        j, k, l, add = terms.triples
-        np.add.at(grid, (j, k, l), add)
-    grid[_reuses_proposal(np.indices(grid.shape, sparse=True))] = -np.inf
+        triples = geometry.triple_plan()
+        # The grid is a fresh C-ordered array, so its flat view takes one
+        # index per entry: far cheaper for np.add.at than three.
+        flat = (triples.j.astype(np.int64) * B + triples.k) * B + triples.l
+        np.add.at(grid.reshape(-1), flat[triples.config], terms.add)
+    # No config reuses a proposal: -inf wherever two slots share an index.
+    same = np.arange(B)
+    for a in range(M):
+        for b in range(a + 1, M):
+            np.moveaxis(grid, (a, b), (0, 1))[same, same] = -np.inf
     return grid
+
+
+class _PairPlan(NamedTuple):
+    """Every (i, j, k) where distinct centers j and k both cover proposal i.
+
+    Entries are listed by i, then j, then k.  ``first_wins`` is True where
+    j's key on i is at least k's, and ``line`` indexes the entry's (j, k)
+    line in ``line_j``/``line_k``: the touched lines, unique and ascending.
+    """
+
+    i: np.ndarray
+    first_wins: np.ndarray
+    line: np.ndarray
+    line_j: np.ndarray
+    line_k: np.ndarray
+
+
+class _TriplePlan(NamedTuple):
+    """Every (i, j, k, l) where distinct centers j, k and l all cover proposal i.
+
+    Entries are listed by i, then j, k and l.  ``bottom`` names the slot,
+    0, 1 or 2, whose center ranks last on i by key, ties to the earlier slot
+    winning, and ``config`` indexes the entry's (j, k, l) config.  Configs
+    are unique and in ascending (j, k, l) order; ``line`` indexes each
+    config's (j, k) line in ``line_j``/``line_k``, also unique and ascending.
+    """
+
+    i: np.ndarray
+    bottom: np.ndarray
+    config: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    l: np.ndarray
+    line: np.ndarray
+    line_j: np.ndarray
+    line_k: np.ndarray
+
+
+def _co_covered(geometry: CenterGeometry):
+    """(i, position of (i, j), position of (i, k)) for distinct covering j and k.
+
+    Listed by i, then j, then k.  Positions index the member lists, which by
+    symmetry name the centers covering proposal i.
+    """
+    rows = np.repeat(np.arange(geometry.num_proposals), np.diff(geometry.offsets))
+    at_j, at_k = _member_positions(geometry.offsets, rows)
+    keep = geometry.members[at_j] != geometry.members[at_k]
+    at_j, at_k = at_j[keep], at_k[keep]
+    return rows[at_j], at_j, at_k
+
+
+def _build_pair_plan(geometry: CenterGeometry) -> _PairPlan:
+    """CenterGeometry.pair_plan, held as int32 indices and bool flags."""
+    B = geometry.num_proposals
+    i, at_j, at_k = _co_covered(geometry)
+    j = geometry.members[at_j].astype(np.int64)
+    lines, line = np.unique(j * B + geometry.members[at_k], return_inverse=True)
+    line_j, line_k = np.divmod(lines, B)
+    return _PairPlan(i.astype(np.int32), geometry.keys[at_j] >= geometry.keys[at_k],
+                     *(a.astype(np.int32) for a in (line, line_j, line_k)))
+
+
+def _build_triple_plan(geometry: CenterGeometry) -> _TriplePlan:
+    """CenterGeometry.triple_plan, held as int32 indices and int8 slots."""
+    B = geometry.num_proposals
+    members, keys = geometry.members, geometry.keys
+    i, at_j, at_k = _co_covered(geometry)
+    entry, at_l = _member_positions(geometry.offsets, i)
+    j, k, l = members[at_j][entry], members[at_k][entry], members[at_l]
+    keep = (l != j) & (l != k)
+    entry, at_l, j, k, l = entry[keep], at_l[keep], j[keep], k[keep], l[keep]
+    ka, kb, kc = keys[at_j[entry]], keys[at_k[entry]], keys[at_l]
+    third_c = (ka >= kc) & (kb >= kc)
+    third_b = (ka >= kb) & ~(kb >= kc)
+    bottom = np.where(third_c, 2, np.where(third_b, 1, 0)).astype(np.int8)
+    flat, config = np.unique(np.ravel_multi_index((j, k, l), (B, B, B)), return_inverse=True)
+    j, k, l = np.unravel_index(flat, (B, B, B))
+    lines, line = np.unique(j * B + k, return_inverse=True)
+    line_j, line_k = np.divmod(lines, B)
+    return _TriplePlan(i[entry].astype(np.int32), bottom,
+                       *(a.astype(np.int32) for a in (config, j, k, l, line, line_j, line_k)))
 
 
 class _Overlaps(NamedTuple):
     """One image's inclusion-exclusion terms for M <= 3 category slots.
 
     The config with slot m's center at proposal j_m scores ``base`` plus
-    ``per_center[j_m, m]`` for every slot, minus ``pairs[(a, b)]`` on line
-    j_a * B + j_b of ``touched`` for every slot pair, plus, for M = 3, the
-    ``delta`` of every ``triples`` entry (j, k, l, delta) it matches.
-    ``touched`` is None for M = 1 and ``triples`` for M < 3.
+    ``per_center[j_m, m]`` for every slot, minus ``pairs[(a, b)]`` on the
+    line (j_a, j_b) of the geometry's pair_plan for every slot pair, plus,
+    for M = 3, the ``add`` of every entry of its triple_plan with config
+    (j_0, j_1, j_2).  ``add`` is None for M < 3.
     """
 
     base: float
     per_center: np.ndarray
-    touched: np.ndarray | None
     pairs: dict[tuple[int, int], np.ndarray]
-    triples: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+    add: np.ndarray | None
 
 
 def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) -> _Overlaps:
@@ -368,57 +480,38 @@ def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) 
     ``base`` is the all-background sum and ``per_center`` each center's
     foreground deltas over the proposals it covers.  Where two neighborhoods
     share a proposal the plain sum counts both categories, so each slot pair
-    subtracts the losing slot's delta.  Only the (i, j, k) entries where
-    distinct centers j and k both cover proposal i contribute, listed by i,
-    then j, then k; the losers are summed per (j, k) line in that order.
-    For M = 3 a proposal covered by all three chosen centers lost one delta
-    too many, so its bottom-ranked slot's delta comes back as one
-    ``triples`` entry, in order of i.
+    subtracts the losing slot's delta, summed per (j, k) line over the
+    entries of the pair plan in their order.  For M = 3 a proposal covered
+    by all three chosen centers lost one delta too many, so its bottom slot's
+    delta comes back once per entry of the triple plan.
 
-    Cover entries and keys are read from the member lists of ``geometry``:
-    by symmetry, the list of proposal i names the centers covering it.
-    Only ``per_center``, one matrix product, rebuilds a dense coverage.
+    The plans hold every index; this reads only the log-probs.  Only
+    ``per_center``, one matrix product, rebuilds a dense coverage.
     """
     B, M = geometry.num_proposals, len(categories)
     cats = np.array(categories, dtype=np.int64)
-    offsets, keys = geometry.offsets, geometry.keys
-    rows = np.repeat(np.arange(B), np.diff(offsets))
-    cols = geometry.members.astype(np.int64)
     base = log_probs[:, 0].sum()
     delta = log_probs[:, cats] - log_probs[:, [0]]
     cover = np.zeros((B, B))
-    cover[rows, cols] = 1.0
+    cover[np.repeat(np.arange(B), np.diff(geometry.offsets)), geometry.members] = 1.0
     per_center = cover.T @ delta  # (B, M)
     del cover
-    touched = triples = None
     pairs: dict[tuple[int, int], np.ndarray] = {}
+    add = None
 
     if M >= 2:
-        # Positions in the member lists of (i, j) and (i, k).
-        at_j, at_k = _member_positions(offsets, rows)
-        keep = cols[at_j] != cols[at_k]
-        at_j, at_k = at_j[keep], at_k[keep]
-        i, j, k = rows[at_j], cols[at_j], cols[at_k]
-        line = j * B + k
-        touched = np.flatnonzero(np.bincount(line, minlength=B * B))
-        first_wins = keys[at_j] >= keys[at_k]
+        plan = geometry.pair_plan()
+        covered = delta.take(plan.i, axis=0)
         for a in range(M):
             for b in range(a + 1, M):
-                loser = np.where(first_wins, delta[i, b], delta[i, a])
-                pairs[(a, b)] = np.bincount(line, weights=loser, minlength=B * B)[touched]
+                loser = np.where(plan.first_wins, covered[:, b], covered[:, a])
+                pairs[(a, b)] = np.bincount(plan.line, weights=loser,
+                                             minlength=plan.line_j.size)
 
     if M == 3:
-        entry, at_l = _member_positions(offsets, i)
-        l = cols[at_l]
-        keep = (l != j[entry]) & (l != k[entry])
-        entry, at_l, l = entry[keep], at_l[keep], l[keep]
-        i, j, k = i[entry], j[entry], k[entry]
-        ka, kb, kc = keys[at_j[entry]], keys[at_k[entry]], keys[at_l]
-        third_c = (ka >= kc) & (kb >= kc)
-        third_b = (ka >= kb) & ~(kb >= kc)
-        add = np.where(third_c, delta[i, 2], np.where(third_b, delta[i, 1], delta[i, 0]))
-        triples = (j, k, l, add)
-    return _Overlaps(base, per_center, touched, pairs, triples)
+        plan = geometry.triple_plan()
+        add = delta[plan.i, plan.bottom]
+    return _Overlaps(base, per_center, pairs, add)
 
 
 def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> float:
@@ -454,11 +547,12 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     _check_table(B, 3, B ** 2)
     _check_scoring_inputs(label.categories, log_probs, geometry)
     terms = _overlap_terms(geometry, label.categories, log_probs)
+    pairs, triples = geometry.pair_plan(), geometry.triple_plan()
     # -pairs[(a, b)] on the touched lines, 0 elsewhere, -inf on the diagonal.
     minus = {}
     for pair, loser in terms.pairs.items():
         values = np.zeros((B, B))
-        values.flat[terms.touched] = -loser
+        values[pairs.line_j, pairs.line_k] = -loser
         np.fill_diagonal(values, -np.inf)
         minus[pair] = values
     u, v = terms.per_center[:, 0], terms.per_center[:, 1]
@@ -474,20 +568,16 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     inner = near @ far.T
     # Each triple config's corrections are summed once; its (j, k) line of
     # inner is recomputed without it, and its exact value is kept apart.
-    j, k, l, add = terms.triples
-    flat, at = np.unique(np.ravel_multi_index((j, k, l), (B, B, B)), return_inverse=True)
-    bonus = np.bincount(at, weights=add, minlength=flat.size)
-    j, k, l = np.unravel_index(flat, (B, B, B))
-    lines, line = np.unique(j * B + k, return_inverse=True)
-    lj, lk = np.unravel_index(lines, (B, B))
-    kept = near[lj] * far[lk]
-    kept[line, l] = 0.0
-    inner[lj, lk] = kept.sum(axis=1)
+    bonus = np.bincount(triples.config, weights=terms.add, minlength=triples.j.size)
+    kept = near[triples.line_j] * far[triples.line_k]
+    kept[triples.line, triples.l] = 0.0
+    inner[triples.line_j, triples.line_k] = kept.sum(axis=1)
     with np.errstate(divide="ignore"):
         # A line whose every config is triple-covered sums to 0.
         dense = outer + near_top[:, None] + far_top[None, :] + np.log(inner)
     total = logsumexp(dense)
-    if flat.size:
+    if triples.j.size:
+        j, k, l = triples.j, triples.k, triples.l
         exact = (outer[j, k] + terms.per_center[l, 2] + minus[(0, 2)][j, l]
                  + minus[(1, 2)][k, l] + bonus)
         total = np.logaddexp(total, logsumexp(exact))
@@ -505,13 +595,16 @@ def _integer_root(k: int, m: int) -> int:
 
 
 def select_k(proposals: np.ndarray, z, log_probs: np.ndarray, k: int) -> LatentConfigSet:
-    """Truncated config set with at most k entries.
+    """Truncated config set of at most k distinct configs.
 
-    Each category keeps its min(B, floor(k ** (1/M))) highest-scoring
-    proposals as candidate centers, ties to the lower index; the set is the
-    Cartesian product of the candidate lists minus configs that reuse a
-    proposal.  A product of more than OBJECTIVE_GUARD rows raises GuardError
-    before anything is built.
+    With r = min(B, floor(k ** (1/M))), each category keeps its max(r, M)
+    highest-scoring proposals as candidate centers, ties to the lower index;
+    the set is the Cartesian product of the candidate lists minus configs
+    that reuse a proposal.  M candidates per category always leave a
+    distinct config.  When r < M the product may exceed k, and only its k
+    rows of highest summed log-score are kept, ties to the earlier row, in
+    product order.  A product of more than OBJECTIVE_GUARD rows raises
+    GuardError before anything is built.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
@@ -519,11 +612,12 @@ def select_k(proposals: np.ndarray, z, log_probs: np.ndarray, k: int) -> LatentC
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     r = min(B, _integer_root(k, M))
-    _check_table(B, M, r ** M)
-    candidates = [np.argsort(-log_probs[:, c], kind="stable")[:r] for c in label.categories]
+    width = max(r, M)
+    _check_table(B, M, width ** M)
+    candidates = [np.argsort(-log_probs[:, c], kind="stable")[:width] for c in label.categories]
     rows = np.stack([c.ravel() for c in np.meshgrid(*candidates, indexing="ij")], axis=1)
-    keep = ~_reuses_proposal(rows.T)
-    if not np.any(keep):
-        raise ValueError(
-            f"all {rows.shape[0]} candidate combinations reuse a proposal; increase k={k}")
-    return LatentConfigSet(label.categories, rows[keep])
+    rows = rows[~_reuses_proposal(rows.T)]
+    if len(rows) > k:
+        score = log_probs[rows, np.array(label.categories)].sum(axis=1)
+        rows = rows[np.sort(np.argsort(-score, kind="stable")[:k])]
+    return LatentConfigSet(label.categories, rows)

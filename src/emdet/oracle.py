@@ -120,9 +120,12 @@ def brute_truncated_posterior(record: ImageRecord, params: ScorerParams,
                               k: int) -> PosteriorTable:
     """Reference for the truncated E-step.
 
-    Candidate centers per category are the top floor(k ** (1/M)) proposals by
-    that category's probability (ties to the lower index); weights are the
-    naive config likelihoods renormalized over the surviving subset.
+    Candidate centers per category are the top max(r, M) proposals by that
+    category's probability (ties to the lower index), r = floor(k ** (1/M)).
+    When more than k distinct configs remain, the k of highest summed
+    log-probability are kept (ties to the earlier one) in their product
+    order.  Weights are the naive config likelihoods renormalized over the
+    surviving subset.
     """
     cats = _weak_label(record)
     B, M = record.num_proposals, len(cats)
@@ -138,11 +141,16 @@ def brute_truncated_posterior(record: ImageRecord, params: ScorerParams,
     candidates = []
     for c in cats:
         order = sorted(range(B), key=lambda i: (-log_probs[i, c], i))
-        candidates.append(order[:r])
+        candidates.append(order[:max(r, M)])
     enumeration = [centers for centers in itertools.product(*candidates)
                    if len(set(centers)) == M]
     if not enumeration:
         raise ValueError(f"truncation at k={k} leaves no valid config")
+    if len(enumeration) > k:
+        def rank(n):
+            return -sum(log_probs[i, c] for i, c in zip(enumeration[n], cats)), n
+        best = sorted(sorted(range(len(enumeration)), key=rank)[:k])
+        enumeration = [enumeration[n] for n in best]
     values = _config_values(record, enumeration, log_probs)
     total = _logsumexp(values)
     weights = np.array([math.exp(v - total) for v in values])

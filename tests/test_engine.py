@@ -4,6 +4,7 @@ The gradient identity between the surrogate and the soft-label cross entropy
 is checked numerically; posterior values are checked against hand products.
 """
 
+import collections
 import inspect
 import itertools
 import logging
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import emdet.engine
 import emdet.geometry
 import emdet.latent
-from emdet.data import Dataset, GeneratorConfig, generate, split_semi
+from emdet.data import Dataset, GeneratorConfig, generate, make_init_scores, split_semi
 from emdet.engine import (
     EmConfig,
     PosteriorTable,
@@ -1374,6 +1375,54 @@ class TestRunEm:
         assert len(calls) == 20
         # equal to an objective that labels the strong images itself
         assert result.trace[-1] == objective_of(dataset, result.params)
+
+    @staticmethod
+    def count_plans(monkeypatch):
+        """Count the co-coverage plans built, by (level, geometry id)."""
+        built = collections.Counter()
+        for level in ("pair", "triple"):
+            original = getattr(emdet.latent, f"_build_{level}_plan")
+
+            def counting(geometry, original=original, level=level):
+                built[level, id(geometry)] += 1
+                return original(geometry)
+
+            monkeypatch.setattr(emdet.latent, f"_build_{level}_plan", counting)
+        return built
+
+    @pytest.mark.parametrize("mode", ["k_em", "hard"])
+    def test_each_geometry_builds_its_plan_at_most_once_per_run(self, mode, monkeypatch):
+        train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))
+        dataset = split_semi(train, 0.0, seed=4)
+        sizes = [len(r.annotation.label) for r in dataset]
+        assert {1, 2, 3} <= set(sizes)
+        built = self.count_plans(monkeypatch)
+        config = EmConfig(mode=mode, em_iterations=3, sgd_steps_per_m_step=20)
+        assert config.record_trace
+        run_em(dataset, config)
+        assert set(built.values()) == {1}
+        assert sum(level == "pair" for level, _ in built) == sum(m >= 2 for m in sizes)
+        assert sum(level == "triple" for level, _ in built) == sizes.count(3)
+
+    def test_k_em_without_trace_builds_no_plan(self, monkeypatch):
+        train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))
+        dataset = split_semi(train, 0.0, seed=4)
+        built = self.count_plans(monkeypatch)
+        run_em(dataset, EmConfig(em_iterations=3, sgd_steps_per_m_step=20,
+                                 record_trace=False))
+        assert not built
+
+    @pytest.mark.parametrize("with_scores", [False, True])
+    def test_k_em_trains_with_more_categories_than_candidates(self, with_scores):
+        # k = 100 keeps floor(100 ** (1/M)) < M candidates for M = 4 and 5
+        train, _ = generate(GeneratorConfig(n_train=12, n_test=1, num_fg_categories=5,
+                                            max_objects_per_image=5, seed=1))
+        dataset = split_semi(train, 0.0, seed=1)
+        assert max(len(r.annotation.label) for r in dataset) >= 4
+        scores = make_init_scores(train, seed=2) if with_scores else None
+        config = EmConfig(em_iterations=2, sgd_steps_per_m_step=20, record_trace=False)
+        result = run_em(dataset, config, init_scores=scores)
+        assert np.all(np.isfinite(result.params.weights))
 
     def test_num_categories_override_widens_the_scorer(self):
         dataset = self.tiny_dataset()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emdet.latent
+from emdet.data import GeneratorConfig, generate
 from emdet.engine import PosteriorTable, soft_labels
 from emdet.geometry import Box, boxes_to_array, iou, iou_matrix
 from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
@@ -215,6 +216,41 @@ class TestCenterGeometry:
             assert pairs > B
             assert 16 * pairs + 32 * B < B * B
             assert held < 16 * pairs + 32 * B
+
+    def test_reused_geometry_matches_fresh_ones(self):
+        # the plan is coverage only: no label or scores of an earlier call leak into a later one
+        rng = np.random.default_rng(7)
+        labels = [(1, 2, 3), (2,), (1, 3), (2, 3, 4), (4,), (3, 4)]
+        for n, boxes in enumerate((random_boxes(rng, 30), clustered_boxes(rng, 30),
+                                   grid_boxes(rng, 20))):
+            geometry = center_geometry(boxes)
+            for cats in labels[n:] + labels[:n]:
+                logits = rng.normal(0.0, 2.0, size=(len(boxes), 5))
+                log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+                for reader in (exact_log_partition, exact_log_likelihood_grid):
+                    reused = np.asarray(reader(geometry, cats, log_probs))
+                    fresh = np.asarray(reader(center_geometry(boxes), cats, log_probs))
+                    assert reused.tobytes() == fresh.tobytes()
+
+    def test_plan_is_built_once_in_compact_dtypes(self):
+        train, _ = generate(GeneratorConfig(n_train=20, n_test=1, seed=0))
+        record = max(train, key=lambda r: len(center_geometry(r.proposals).members))
+        geometry = center_geometry(record.proposals)
+        tracemalloc.start()
+        try:
+            pairs, triples = geometry.pair_plan(), geometry.triple_plan()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert geometry.pair_plan() is pairs and geometry.triple_plan() is triples
+        # int32 indices and one-byte flags and slots: 9 bytes per entry, 8 per
+        # touched line, 16 per triple config
+        size = (9 * len(pairs.i) + 8 * len(pairs.line_j) + 9 * len(triples.i)
+                + 16 * len(triples.j) + 8 * len(triples.line_j))
+        assert sum(a.nbytes for a in (*pairs, *triples)) == size
+        assert len(triples.i) > len(pairs.i) > len(geometry.members)
+        # nothing else is kept beyond the array and tuple headers
+        assert held < size + 8192
 
     def test_geometry_of_other_proposals_is_rejected(self):
         # scores and a record of four proposals against coverages of three and five
@@ -567,27 +603,39 @@ class TestSelectK:
             exact = {tuple(r) for r in enumerate_exact(boxes, label).centers}
             previous: set = set()
             for k in (1, 2, 4, 9, 16, 100):
-                try:
-                    chosen = {tuple(r) for r in
-                              select_k(boxes, label, log_probs, k).centers}
-                except ValueError:
-                    # tiny K can leave only duplicate-center combinations
-                    assert k <= len(label)
-                    continue
+                chosen = {tuple(r) for r in select_k(boxes, label, log_probs, k).centers}
                 assert chosen <= exact
                 assert previous <= chosen
                 previous = chosen
 
-    def test_degenerate_k_raises_with_advice(self):
-        # both categories rank the same proposal first, K=1 keeps only it
+    def test_degenerate_k_keeps_the_best_distinct_config(self):
+        # both categories rank proposal 0 first; at k = 1 each keeps two
+        # candidates, leaving (0, 1) and (1, 0), which tie, so the earlier is kept
         boxes = isolated_boxes(3)
         log_probs = np.log(np.array([
             [0.2, 0.6, 0.6],
             [0.4, 0.3, 0.3],
             [0.4, 0.1, 0.1],
         ]))
-        with pytest.raises(ValueError, match="increase k"):
-            select_k(boxes, ImageLabel((1, 2)), log_probs, 1)
+        config_set = select_k(boxes, ImageLabel((1, 2)), log_probs, 1)
+        assert config_set.centers.tolist() == [[0, 1]]
+
+    def test_fewer_candidates_than_categories_keep_the_k_best_distinct_rows(self):
+        rng = np.random.default_rng(73)
+        for _ in range(30):
+            boxes, label, log_probs = random_instance(rng, max_b=7, max_m=4, max_fg=5)
+            M = len(label)
+            top = [set(np.argsort(-log_probs[:, c], kind="stable")[:M].tolist())
+                   for c in label]
+            product = [row for row in itertools.product(*top) if len(set(row)) == M]
+            score = {row: sum(log_probs[j, c] for j, c in zip(row, label)) for row in product}
+            for k in range(1, 2 ** M):  # floor(k ** (1/M)) = 1 candidate
+                rows = [tuple(r) for r in select_k(boxes, label, log_probs, k).centers.tolist()]
+                assert len(rows) == min(k, len(product)) == len(set(rows))
+                assert set(rows) <= set(product)
+                dropped = set(product) - set(rows)
+                if dropped:
+                    assert min(score[r] for r in rows) >= max(score[r] for r in dropped)
 
 
     def test_guard_rejects_oversized_candidate_product_up_front(self):

@@ -65,9 +65,13 @@ class TestBrutePosterior:
         assert abs(post.weights.sum() - 1.0) < 1e-12
 
     def test_truncation_guard_and_empty_truncation(self):
-        rec = isolated_weak_record("w", 2, (1, 2), dim=3)
+        # one proposal cannot hold two centers; two can at any k
+        rec = isolated_weak_record("w", 1, (1, 2), dim=3)
         with pytest.raises(ValueError, match="no valid config"):
             brute_truncated_posterior(rec, ScorerParams.zeros(3, 3), k=1)
+        rec = isolated_weak_record("w", 2, (1, 2), dim=3)
+        post = brute_truncated_posterior(rec, ScorerParams.zeros(3, 3), k=1)
+        assert post.config_set.centers.tolist() == [[0, 1]]
 
 
 class TestEngineAgreement:
@@ -108,6 +112,24 @@ class TestEngineAgreement:
             assert set(fast) == set(slow)
             for row, w in fast.items():
                 assert abs(w - slow[row]) < 1e-9
+
+    def test_truncated_posterior_below_one_candidate_per_category(self):
+        # k < 2 ** M: one candidate per category would reuse proposals, so each
+        # category keeps M and the k best distinct configs remain; M candidates
+        # per category leave at least M! of them
+        rng = np.random.default_rng(15)
+        for n in range(20):
+            rec = random_weak_record(rng, f"w{n}", num_proposals=int(rng.integers(3, 7)),
+                                     num_fg=3, feature_dim=4, num_present=3)
+            params = random_params(rng, 4, 4)
+            geometry = center_geometry(rec.proposals)
+            for k in (1, 3, 6):
+                fast = as_table(e_step(rec, params, EmConfig(mode="k_em", k=k), geometry))
+                slow = as_table(brute_truncated_posterior(rec, params, k=k))
+                assert len(fast) == k
+                assert set(fast) == set(slow)
+                for row, w in fast.items():
+                    assert abs(w - slow[row]) < 1e-9
 
     def test_reference_posterior_dispatch(self):
         rng = np.random.default_rng(14)
