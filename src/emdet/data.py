@@ -163,6 +163,13 @@ class GeneratorConfig:
     max_objects_per_image: int = 3
 
     def __post_init__(self):
+        for name in ("n_train", "n_test", "jitters_per_object"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        sizes = (self.canvas_width, self.canvas_height,
+                 self.min_object_size, self.max_object_size)
+        if not all(math.isfinite(v) for v in sizes):
+            raise ValueError(f"canvas and object sizes must be finite, got {sizes}")
         if self.num_fg_categories < 1:
             raise ValueError("need at least one foreground category")
         if self.proposals_per_image < 4:
@@ -185,52 +192,68 @@ def config_hash(config: GeneratorConfig) -> str:
         json.dumps(asdict(config), sort_keys=True).encode()).hexdigest()
 
 
-def _random_box(rng: np.random.Generator, cfg: GeneratorConfig) -> Box:
-    w = rng.uniform(cfg.min_object_size, cfg.max_object_size)
-    h = rng.uniform(cfg.min_object_size, cfg.max_object_size)
-    x1 = rng.uniform(0.0, cfg.canvas_width - w)
-    y1 = rng.uniform(0.0, cfg.canvas_height - h)
-    return Box(x1, y1, x1 + w, y1 + h)
+def _uniform(low, high, u: np.ndarray) -> np.ndarray:
+    """Generator.uniform(low, high) on draws u of Generator.random, bit for bit:
+    the scalar call computes low + (high - low) * u from the same double."""
+    return low + (high - low) * u
 
 
-def _jittered_box(rng: np.random.Generator, gt: Box, magnitude: float,
-                  cfg: GeneratorConfig) -> Box:
-    """Shift and rescale a ground-truth box; IoU falls as magnitude grows."""
-    w, h = gt.x2 - gt.x1, gt.y2 - gt.y1
-    dx = rng.uniform(-magnitude, magnitude) * w
-    dy = rng.uniform(-magnitude, magnitude) * h
-    sw = w * (1.0 + rng.uniform(-magnitude, magnitude) * 0.5)
-    sh = h * (1.0 + rng.uniform(-magnitude, magnitude) * 0.5)
-    cx, cy = (gt.x1 + gt.x2) / 2 + dx, (gt.y1 + gt.y2) / 2 + dy
-    x1 = np.clip(cx - sw / 2, 0.0, cfg.canvas_width - 2.0)
-    y1 = np.clip(cy - sh / 2, 0.0, cfg.canvas_height - 2.0)
-    x2 = np.clip(cx + sw / 2, x1 + 1.0, cfg.canvas_width)
-    y2 = np.clip(cy + sh / 2, y1 + 1.0, cfg.canvas_height)
-    return Box(float(x1), float(y1), float(x2), float(y2))
+def _random_boxes(u: np.ndarray, cfg: GeneratorConfig) -> np.ndarray:
+    """(n, 4) boxes from (n, 4) uniforms, one (w, h, x1, y1) row per box."""
+    lo, hi = float(cfg.min_object_size), float(cfg.max_object_size)
+    w, h = _uniform(lo, hi, u[:, 0]), _uniform(lo, hi, u[:, 1])
+    x1 = _uniform(0.0, float(cfg.canvas_width) - w, u[:, 2])
+    y1 = _uniform(0.0, float(cfg.canvas_height) - h, u[:, 3])
+    return np.stack([x1, y1, x1 + w, y1 + h], axis=-1)
+
+
+def _jittered_boxes(u: np.ndarray, gt: np.ndarray, cfg: GeneratorConfig) -> np.ndarray:
+    """(m, J, 4) boxes from (m, J, 4) uniforms, one (dx, dy, sw, sh) row each.
+
+    Jitter j of a ground-truth box shifts and rescales it at magnitude
+    0.03 + 0.55 * j / max(J - 1, 1), from near-copies to loose context
+    boxes; IoU falls as the magnitude grows.
+    """
+    J = u.shape[1]
+    magnitude = 0.03 + 0.55 * (np.arange(J) / max(J - 1, 1))
+    gx1, gy1, gx2, gy2 = (gt[:, c, None] for c in range(4))
+    w, h = gx2 - gx1, gy2 - gy1
+    dx = _uniform(-magnitude, magnitude, u[..., 0]) * w
+    dy = _uniform(-magnitude, magnitude, u[..., 1]) * h
+    sw = w * (1.0 + _uniform(-magnitude, magnitude, u[..., 2]) * 0.5)
+    sh = h * (1.0 + _uniform(-magnitude, magnitude, u[..., 3]) * 0.5)
+    cx, cy = (gx1 + gx2) / 2 + dx, (gy1 + gy2) / 2 + dy
+    width, height = float(cfg.canvas_width), float(cfg.canvas_height)
+    # np.clip(a, lo, hi) is min(max(a, lo), hi), written out so x2 and y2 can
+    # take the clipped x1 + 1 and y1 + 1 as their floor.
+    x1 = np.minimum(np.maximum(cx - sw / 2, 0.0), width - 2.0)
+    y1 = np.minimum(np.maximum(cy - sh / 2, 0.0), height - 2.0)
+    x2 = np.minimum(np.maximum(cx + sw / 2, x1 + 1.0), width)
+    y2 = np.minimum(np.maximum(cy + sh / 2, y1 + 1.0), height)
+    return np.stack([x1, y1, x2, y2], axis=-1)
 
 
 def _synthesize_image(rng: np.random.Generator, cfg: GeneratorConfig,
                       image_id: str, prototypes: np.ndarray) -> ImageRecord:
     m = int(rng.integers(1, min(cfg.max_objects_per_image, cfg.num_fg_categories) + 1))
     cats = np.sort(rng.choice(cfg.num_fg_categories, size=m, replace=False) + 1)
-    objects = tuple(GroundTruth(_random_box(rng, cfg), int(c)) for c in cats)
+    B, J = cfg.proposals_per_image, cfg.jitters_per_object
+    # One block holds every box's uniforms in the order of a box-by-box
+    # generator: each object's (w, h, x1, y1), each jitter's (dx, dy, sw, sh),
+    # then each fill box's (w, h, x1, y1).  Jitters past B are drawn and dropped.
+    u = rng.random(4 * (m + m * J + max(B - m * J, 0)))
+    gt = _random_boxes(u[:4 * m].reshape(m, 4), cfg)
+    jittered = _jittered_boxes(u[4 * m:4 * m * (1 + J)].reshape(m, J, 4), gt, cfg)
+    fill = _random_boxes(u[4 * m * (1 + J):].reshape(-1, 4), cfg)
+    proposals = np.concatenate([jittered.reshape(-1, 4)[:B], fill])
+    objects = tuple(GroundTruth(Box(*row), int(c)) for row, c in zip(gt.tolist(), cats))
 
-    boxes: list[Box] = []
-    for gt in objects:
-        for j in range(cfg.jitters_per_object):
-            # Magnitudes from near-copies to loose context boxes.
-            frac = j / max(cfg.jitters_per_object - 1, 1)
-            boxes.append(_jittered_box(rng, gt.box, 0.03 + 0.55 * frac, cfg))
-    while len(boxes) < cfg.proposals_per_image:
-        boxes.append(_random_box(rng, cfg))
-    proposals = boxes_to_array(boxes[:cfg.proposals_per_image])
-
-    overlap = iou_matrix(proposals, boxes_to_array([g.box for g in objects]))
+    overlap = iou_matrix(proposals, gt)
     features = rng.normal(0.0, cfg.noise_sigma,
                           size=(len(proposals), cfg.feature_dim))
-    for col, gt in enumerate(objects):
+    for col, g in enumerate(objects):
         strong = overlap[:, col] >= CENTER_IOU
-        features[strong] += overlap[strong, col:col + 1] * prototypes[gt.category - 1]
+        features[strong] += overlap[strong, col:col + 1] * prototypes[g.category - 1]
 
     return ImageRecord(image_id, cfg.canvas_width, cfg.canvas_height,
                        proposals, features, StrongAnnotation(objects))
@@ -298,7 +321,7 @@ def _record_to_json(record: ImageRecord) -> dict:
         "width": record.width,
         "height": record.height,
         "proposals": record.proposals.tolist(),
-        "features": [[float(v) for v in row] for row in record.features],
+        "features": record.features.tolist(),
         "annotation": ann,
     }
 
@@ -417,7 +440,7 @@ def save_init_scores(scores: dict[str, np.ndarray], path: str | Path) -> None:
     with open(path, "w") as fh:
         for image_id, mat in scores.items():
             obj = {"id": image_id,
-                   "scores": [[float(v) for v in row] for row in np.asarray(mat)]}
+                   "scores": np.asarray(mat, dtype=np.float64).tolist()}
             fh.write(json.dumps(obj) + "\n")
 
 

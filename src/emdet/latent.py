@@ -510,7 +510,7 @@ def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) 
 
     if M == 3:
         plan = geometry.triple_plan()
-        add = delta[plan.i, plan.bottom]
+        add = delta.take(plan.i * M + plan.bottom)
     return _Overlaps(base, per_center, pairs, add)
 
 
@@ -548,11 +548,15 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     _check_scoring_inputs(label.categories, log_probs, geometry)
     terms = _overlap_terms(geometry, label.categories, log_probs)
     pairs, triples = geometry.pair_plan(), geometry.triple_plan()
+    # One row-major flat index per entry gathers and scatters far faster than
+    # a pair of indexes.  B ** 2 is within the guard, so B <= 1000 and no int32
+    # flat index (below B ** 3, for kept) overflows.
     # -pairs[(a, b)] on the touched lines, 0 elsewhere, -inf on the diagonal.
     minus = {}
+    touched = pairs.line_j * B + pairs.line_k
     for pair, loser in terms.pairs.items():
         values = np.zeros((B, B))
-        values[pairs.line_j, pairs.line_k] = -loser
+        values.put(touched, -loser)
         np.fill_diagonal(values, -np.inf)
         minus[pair] = values
     u, v = terms.per_center[:, 0], terms.per_center[:, 1]
@@ -570,16 +574,16 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     # inner is recomputed without it, and its exact value is kept apart.
     bonus = np.bincount(triples.config, weights=terms.add, minlength=triples.j.size)
     kept = near[triples.line_j] * far[triples.line_k]
-    kept[triples.line, triples.l] = 0.0
-    inner[triples.line_j, triples.line_k] = kept.sum(axis=1)
+    kept.put(triples.line * B + triples.l, 0.0)
+    inner.put(triples.line_j * B + triples.line_k, kept.sum(axis=1))
     with np.errstate(divide="ignore"):
         # A line whose every config is triple-covered sums to 0.
         dense = outer + near_top[:, None] + far_top[None, :] + np.log(inner)
     total = logsumexp(dense)
     if triples.j.size:
         j, k, l = triples.j, triples.k, triples.l
-        exact = (outer[j, k] + terms.per_center[l, 2] + minus[(0, 2)][j, l]
-                 + minus[(1, 2)][k, l] + bonus)
+        exact = (outer.take(j * B + k) + terms.per_center[l, 2]
+                 + minus[(0, 2)].take(j * B + l) + minus[(1, 2)].take(k * B + l) + bonus)
         total = np.logaddexp(total, logsumexp(exact))
     return float(terms.base + total)
 

@@ -3,7 +3,9 @@
 Everything here enumerates configs directly with itertools and scores each
 one with a plain per-proposal sum, no baseline-plus-delta shortcuts, so
 agreement with the engine is meaningful evidence of correctness.  Sizes are
-guarded: these run on small instances only.
+guarded: these run on small instances only.  naive_generate builds the
+synthetic benchmark box by box, one scalar uniform per coordinate, as the
+referee for data.generate's block draws.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import math
 
 import numpy as np
 
-from emdet.data import ImageRecord
+from emdet.data import (Dataset, GeneratorConfig, GroundTruth, ImageRecord,
+                        StrongAnnotation)
 from emdet.engine import EmConfig, PosteriorTable
-from emdet.geometry import Box, iou
+from emdet.geometry import Box, boxes_to_array, iou, iou_matrix
 from emdet.latent import CENTER_IOU, GuardError, LatentConfigSet
 from emdet.scorer import ScorerParams, log_prob_matrix
 
@@ -168,3 +171,66 @@ def reference_posterior(record: ImageRecord, params: ScorerParams,
         config_set = LatentConfigSet(_weak_label(record), np.array([centers]))
         return PosteriorTable(record.image_id, config_set, np.array([1.0]))
     return brute_truncated_posterior(record, params, config.k)
+
+
+def _random_box(rng: np.random.Generator, cfg: GeneratorConfig) -> Box:
+    w = rng.uniform(cfg.min_object_size, cfg.max_object_size)
+    h = rng.uniform(cfg.min_object_size, cfg.max_object_size)
+    x1 = rng.uniform(0.0, cfg.canvas_width - w)
+    y1 = rng.uniform(0.0, cfg.canvas_height - h)
+    return Box(x1, y1, x1 + w, y1 + h)
+
+
+def _jittered_box(rng: np.random.Generator, gt: Box, magnitude: float,
+                  cfg: GeneratorConfig) -> Box:
+    """Shift and rescale a ground-truth box; IoU falls as magnitude grows."""
+    w, h = gt.x2 - gt.x1, gt.y2 - gt.y1
+    dx = rng.uniform(-magnitude, magnitude) * w
+    dy = rng.uniform(-magnitude, magnitude) * h
+    sw = w * (1.0 + rng.uniform(-magnitude, magnitude) * 0.5)
+    sh = h * (1.0 + rng.uniform(-magnitude, magnitude) * 0.5)
+    cx, cy = (gt.x1 + gt.x2) / 2 + dx, (gt.y1 + gt.y2) / 2 + dy
+    x1 = np.clip(cx - sw / 2, 0.0, cfg.canvas_width - 2.0)
+    y1 = np.clip(cy - sh / 2, 0.0, cfg.canvas_height - 2.0)
+    x2 = np.clip(cx + sw / 2, x1 + 1.0, cfg.canvas_width)
+    y2 = np.clip(cy + sh / 2, y1 + 1.0, cfg.canvas_height)
+    return Box(float(x1), float(y1), float(x2), float(y2))
+
+
+def naive_image(rng: np.random.Generator, cfg: GeneratorConfig,
+                image_id: str, prototypes: np.ndarray) -> ImageRecord:
+    """One synthetic image drawn box by box with scalar uniforms."""
+    m = int(rng.integers(1, min(cfg.max_objects_per_image, cfg.num_fg_categories) + 1))
+    cats = np.sort(rng.choice(cfg.num_fg_categories, size=m, replace=False) + 1)
+    objects = tuple(GroundTruth(_random_box(rng, cfg), int(c)) for c in cats)
+
+    boxes: list[Box] = []
+    for gt in objects:
+        for j in range(cfg.jitters_per_object):
+            # Magnitudes from near-copies to loose context boxes.
+            frac = j / max(cfg.jitters_per_object - 1, 1)
+            boxes.append(_jittered_box(rng, gt.box, 0.03 + 0.55 * frac, cfg))
+    while len(boxes) < cfg.proposals_per_image:
+        boxes.append(_random_box(rng, cfg))
+    proposals = boxes_to_array(boxes[:cfg.proposals_per_image])
+
+    overlap = iou_matrix(proposals, boxes_to_array([g.box for g in objects]))
+    features = rng.normal(0.0, cfg.noise_sigma,
+                          size=(len(proposals), cfg.feature_dim))
+    for col, gt in enumerate(objects):
+        strong = overlap[:, col] >= CENTER_IOU
+        features[strong] += overlap[strong, col:col + 1] * prototypes[gt.category - 1]
+
+    return ImageRecord(image_id, cfg.canvas_width, cfg.canvas_height,
+                       proposals, features, StrongAnnotation(objects))
+
+
+def naive_generate(cfg: GeneratorConfig) -> tuple[Dataset, Dataset]:
+    """Reference for data.generate: every image from naive_image, in the same order."""
+    rng = np.random.default_rng(cfg.seed)
+    prototypes = np.eye(cfg.num_fg_categories, cfg.feature_dim)
+    train = [naive_image(rng, cfg, f"train_{n:04d}", prototypes)
+             for n in range(cfg.n_train)]
+    test = [naive_image(rng, cfg, f"test_{n:04d}", prototypes)
+            for n in range(cfg.n_test)]
+    return Dataset(train), Dataset(test)

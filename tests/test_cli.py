@@ -105,6 +105,24 @@ class TestGen:
         assert rc == 2
 
     @pytest.mark.parametrize("payload, message", [
+        ({"n_train": -3}, "n_train must be >= 0, got -3"),
+        ({"n_test": -1}, "n_test must be >= 0, got -1"),
+        ({"jitters_per_object": -1}, "jitters_per_object must be >= 0, got -1"),
+        ({"canvas_width": float("inf")}, "canvas and object sizes must be finite"),
+    ])
+    def test_invalid_size_in_spec_exits_two(self, tmp_path, capsys, payload, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        rc = main(["gen", "--spec", str(spec),
+                   "--out-train", str(tmp_path / "a"),
+                   "--out-test", str(tmp_path / "b")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("payload, message", [
         ({"n_train": "6"}, "'n_train' must be an integer, got \"6\""),
         ({"seed": "x"}, "'seed' must be an integer, got \"x\""),
         ({"proposals_per_image": 8.0}, "'proposals_per_image' must be an integer"),

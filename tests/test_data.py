@@ -5,7 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import emdet.data
+import emdet.oracle
 from emdet.data import (
     Dataset,
     GeneratorConfig,
@@ -26,6 +30,7 @@ from emdet.data import (
 )
 from emdet.geometry import Box, boxes_to_array, iou_matrix
 from emdet.latent import CENTER_IOU, ImageLabel
+from emdet.oracle import naive_generate
 from helpers import isolated_boxes, random_weak_record, strong_record
 
 SMALL = GeneratorConfig(n_train=12, n_test=5, num_fg_categories=3,
@@ -142,6 +147,19 @@ class TestGeneratorConfigValidation:
         with pytest.raises(ValueError):
             GeneratorConfig(max_object_size=200.0)
 
+    @pytest.mark.parametrize("field", ["n_train", "n_test", "jitters_per_object"])
+    def test_negative_counts_are_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            GeneratorConfig(**{field: -1})
+
+    @pytest.mark.parametrize("sizes", [
+        {"canvas_width": float("inf")},
+        {"canvas_height": float("nan")},
+    ])
+    def test_non_finite_sizes_are_rejected(self, sizes):
+        with pytest.raises(ValueError, match="must be finite"):
+            GeneratorConfig(**sizes)
+
     def test_config_hash_tracks_content(self):
         assert config_hash(GeneratorConfig()) == config_hash(GeneratorConfig())
         assert config_hash(GeneratorConfig()) != config_hash(GeneratorConfig(seed=1))
@@ -192,6 +210,88 @@ class TestGenerate:
             assert np.all(rec.features[~covered] == 0.0)
             assert np.all(rec.features[:, 1:] == 0.0)
             assert covered.any()
+
+
+def _generate_with_states(generate_fn, image_fn_owner, image_fn_name, cfg):
+    """generate_fn(cfg), plus the generator state after each of its images."""
+    states = []
+    original = getattr(image_fn_owner, image_fn_name)
+
+    def image(rng, *args):
+        record = original(rng, *args)
+        states.append(rng.bit_generator.state)
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(image_fn_owner, image_fn_name, image)
+        datasets = generate_fn(cfg)
+    return datasets, states
+
+
+def _record_bytes(record):
+    gt = record.annotation.objects
+    return (record.image_id, record.width, record.height, record.proposals.tobytes(),
+            record.features.tobytes(), boxes_to_array([g.box for g in gt]).tobytes(),
+            tuple(g.category for g in gt))
+
+
+def assert_generate_matches_referee(cfg):
+    fast, fast_states = _generate_with_states(generate, emdet.data, "_synthesize_image", cfg)
+    naive, naive_states = _generate_with_states(naive_generate, emdet.oracle, "naive_image", cfg)
+    assert len(fast_states) == cfg.n_train + cfg.n_test
+    for n, (a, b) in enumerate(zip(fast_states, naive_states, strict=True)):
+        assert a == b, f"generator state differs after image {n}"
+    for fast_set, naive_set in zip(fast, naive):
+        assert [_record_bytes(r) for r in fast_set] == [_record_bytes(r) for r in naive_set]
+
+
+REFEREE_CASES = {
+    "default": {},
+    "large_kem": {"n_train": 100, "n_test": 50, "proposals_per_image": 200},
+    # B = 6 < J = 8, so every image draws jitters past B and drops them.
+    "truncated_jitters": {"n_train": 20, "n_test": 10, "proposals_per_image": 6},
+    "no_jitters": {"n_train": 20, "n_test": 10, "jitters_per_object": 0},
+    "one_jitter": {"n_train": 20, "n_test": 10, "jitters_per_object": 1},
+    "wide_canvas": {"n_train": 20, "n_test": 10, "canvas_width": 160.0, "canvas_height": 70.0},
+    "integer_sizes": {"n_train": 20, "n_test": 10, "canvas_width": 100, "canvas_height": 90,
+                      "min_object_size": 15, "max_object_size": 40},
+    "five_categories": {"n_train": 20, "n_test": 10, "num_fg_categories": 5,
+                        "max_objects_per_image": 4},
+}
+
+
+@st.composite
+def generator_configs(draw):
+    categories = draw(st.integers(1, 6))
+    width = draw(st.one_of(st.integers(1, 300), st.floats(1.0, 300.0)))
+    height = draw(st.one_of(st.integers(1, 300), st.floats(1.0, 300.0)))
+    largest = min(width, height) * draw(st.floats(0.01, 1.0))
+    return GeneratorConfig(
+        n_train=draw(st.integers(0, 4)), n_test=draw(st.integers(0, 3)),
+        num_fg_categories=categories,
+        proposals_per_image=draw(st.integers(4, 40)),
+        feature_dim=categories + 1 + draw(st.integers(0, 3)),
+        noise_sigma=draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 2 ** 32)),
+        canvas_width=width, canvas_height=height,
+        min_object_size=largest * draw(st.floats(0.01, 1.0)), max_object_size=largest,
+        jitters_per_object=draw(st.integers(0, 12)),
+        max_objects_per_image=draw(st.integers(1, 6)))
+
+
+class TestGenerateReferee:
+    """generate draws every box from one uniform block; oracle.naive_generate
+    draws them one scalar at a time.  Both must give the same bytes and leave
+    the generator in the same state after every image."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", REFEREE_CASES)
+    def test_matches_naive_generate(self, case, seed):
+        assert_generate_matches_referee(GeneratorConfig(seed=seed, **REFEREE_CASES[case]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_configs())
+    def test_matches_naive_generate_on_any_config(self, cfg):
+        assert_generate_matches_referee(cfg)
 
 
 class TestSplitSemi:
