@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned box with strictly positive width and height."""
 
@@ -36,7 +36,7 @@ class Box:
         return [self.x1, self.y1, self.x2, self.y2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredBox:
     """A box with a foreground category id (>= 1) and a score in (0, 1]."""
 

@@ -10,6 +10,7 @@ or truncated per category for larger instances.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,7 +23,8 @@ CENTER_IOU = 0.5
 
 # Largest config table built for one weak image: the B ** M rows of
 # enumerate_exact or entries of exact_log_likelihood_grid, the B ** 2 pair
-# factors of exact_log_partition for M = 3, and select_k's r ** M candidates.
+# factors of exact_log_partition for M = 3, and select_k's max(r, M) ** M
+# candidates.  Co-coverage plans are built only for B ** 2 within it.
 OBJECTIVE_GUARD = 10 ** 6
 
 
@@ -151,9 +153,11 @@ class CenterGeometry:
     on coverage alone, never on a label or on scores: pair_plan for two or
     more categories, triple_plan for three.  Each is built on first use and
     then kept, so one geometry per image per run builds each at most once.
-    The pair plan holds 9 bytes per co-covered (i, j, k) entry and 8 per
-    touched (j, k) line; the triple plan 9 per triple-covered entry, 16 per
-    config and 8 per line.
+    Both hold each co-covering pair and triple of centers once, not once per
+    slot order, and the readers expand them to every slot order per call.
+    The pair plan holds 3 bytes per co-covered (i, j < k) entry and 6 per
+    touched (j, k) line; the triple plan 3 per triple-covered (i, j < k < l)
+    entry and 8 per (j, k, l) config.
     """
 
     offsets: np.ndarray
@@ -359,16 +363,19 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
         # (B, 1, ..., 1) with M - 1 - m trailing ones broadcasts along axis m.
         grid = grid + terms.per_center[:, m].reshape((B,) + (1,) * (M - 1 - m))
     if M >= 2:
-        pairs = geometry.pair_plan()
+        line_j, line_k = _slot_orders(geometry.pair_plan().lines)
         for (a, b), pair in terms.pairs.items():
             lines = np.moveaxis(grid, (a, b), (0, 1))
-            lines[pairs.line_j, pairs.line_k] -= pair.reshape((-1,) + (1,) * (M - 2))
+            lines[line_j, line_k] -= pair.reshape((-1,) + (1,) * (M - 2))
     if M == 3:
         triples = geometry.triple_plan()
         # The grid is a fresh C-ordered array, so its flat view takes one
-        # index per entry: far cheaper for np.add.at than three.
-        flat = (triples.j.astype(np.int64) * B + triples.k) * B + triples.l
-        np.add.at(grid.reshape(-1), flat[triples.config], terms.add)
+        # index per entry: far cheaper for np.add.at than three.  Each slot
+        # order of a config is its own cell, and takes the config's entries
+        # in ascending i.
+        j, k, l = _slot_orders(triples.configs)
+        flat = np.repeat(((j * B + k) * B + l).reshape(6, -1), triples.count, axis=1)
+        np.add.at(grid.reshape(-1), flat.reshape(-1), terms.add.reshape(-1))
     # No config reuses a proposal: -inf wherever two slots share an index.
     same = np.arange(B)
     for a in range(M):
@@ -378,84 +385,153 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
 
 
 class _PairPlan(NamedTuple):
-    """Every (i, j, k) where distinct centers j and k both cover proposal i.
+    """Every (i, j, k) where centers j < k both cover proposal i, each pair once.
 
-    Entries are listed by i, then j, then k.  ``first_wins`` is True where
-    j's key on i is at least k's, and ``line`` indexes the entry's (j, k)
-    line in ``line_j``/``line_k``: the touched lines, unique and ascending.
+    Entries are grouped by their (j, k) line: the touched ``lines``, unique
+    and ascending columns (j, k), hold ``count`` entries each, in ascending
+    i.  ``code`` compares j's key on i with k's (see _order_code).
     """
 
     i: np.ndarray
-    first_wins: np.ndarray
-    line: np.ndarray
-    line_j: np.ndarray
-    line_k: np.ndarray
+    code: np.ndarray
+    lines: np.ndarray
+    count: np.ndarray
 
 
 class _TriplePlan(NamedTuple):
-    """Every (i, j, k, l) where distinct centers j, k and l all cover proposal i.
+    """Every (i, j, k, l) where centers j < k < l all cover proposal i, each triple once.
 
-    Entries are listed by i, then j, k and l.  ``bottom`` names the slot,
-    0, 1 or 2, whose center ranks last on i by key, ties to the earlier slot
-    winning, and ``config`` indexes the entry's (j, k, l) config.  Configs
-    are unique and in ascending (j, k, l) order; ``line`` indexes each
-    config's (j, k) line in ``line_j``/``line_k``, also unique and ascending.
+    Entries are grouped by their (j, k, l) config: the ``configs``, unique
+    and ascending columns (j, k, l), hold ``count`` entries each, in
+    ascending i.  ``code`` orders the three centers' keys on i, ties
+    included (see _order_code).
     """
 
     i: np.ndarray
-    bottom: np.ndarray
-    config: np.ndarray
-    j: np.ndarray
-    k: np.ndarray
-    l: np.ndarray
-    line: np.ndarray
-    line_j: np.ndarray
-    line_k: np.ndarray
+    code: np.ndarray
+    configs: np.ndarray
+    count: np.ndarray
+
+
+def _order_code(keys: np.ndarray) -> np.ndarray:
+    """How the keys of n centers on one proposal compare, ties included, as int8.
+
+    ``keys`` stacks one row per center, in ascending center order.  Each
+    pair a < b of rows gives a base-3 digit, 0 where a's key is above b's, 1
+    where they are equal and 2 where it is below; the first pair is the most
+    significant digit.
+    """
+    code = np.zeros(keys.shape[1:], dtype=np.int8)
+    for a, b in itertools.combinations(range(len(keys)), 2):
+        code = code * 3 + (keys[a] <= keys[b]) + (keys[a] < keys[b])
+    return code
+
+
+def _bottom_slot(ka, kb, kc):
+    """The slot, 0, 1 or 2, whose key ranks last, ties to the earlier slot winning."""
+    third_c = (ka >= kc) & (kb >= kc)
+    third_b = (ka >= kb) & ~(kb >= kc)
+    return np.where(third_c, 2, np.where(third_b, 1, 0))
+
+
+# The slot orders of a plan's pair (j < k) or triple (j < k < l) of centers:
+# order p of n = 2 or 3 centers puts the plan's center _ORDERS[n][p][s]
+# (0 for j, 1 for k, 2 for l) in slot s.
+_ORDERS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 3)}
+# The plan's center in slot s of order p is its row _SLOT_ROWS[n][s * orders + p].
+_SLOT_ROWS = {n: orders.T.reshape(-1) for n, orders in _ORDERS.items()}
+
+
+def _order_table(n: int, rule, dtype) -> np.ndarray:
+    """rule(*slot keys) for every slot order (rows) and _order_code of n centers (columns).
+
+    Keys drawn from range(n) take every order code, ties included.
+    """
+    keys = np.array(list(itertools.product(range(n), repeat=n))).T
+    code = _order_code(keys)
+    table = np.zeros((len(_ORDERS[n]), 3 ** (n * (n - 1) // 2)), dtype=dtype)
+    for p, order in enumerate(_ORDERS[n]):
+        table[p, code] = rule(*keys[order])
+    return table
+
+
+# _FIRST_WINS[p, code] is True where slot 0's key is at least slot 1's;
+# _BOTTOM[p, code] is the slot that ranks last.  Ties go to the earlier slot,
+# so both depend on the slot order.
+_FIRST_WINS = _order_table(2, lambda ka, kb: ka >= kb, bool)
+_BOTTOM = _order_table(3, _bottom_slot, np.intp)
+
+
+def _slot_orders(centers: np.ndarray) -> np.ndarray:
+    """The plan's lines or configs in every slot order, one row per slot.
+
+    ``centers`` holds the plan's n centers of each line or config, one row
+    per center.  Column p * groups + g of the result puts group g's centers
+    in slot order p of _ORDERS[n].
+    """
+    rows = _SLOT_ROWS[len(centers)]
+    return centers.astype(np.intp).take(rows, axis=0).reshape(len(centers), -1)
+
+
+def _group_bins(count: np.ndarray, orders: int) -> np.ndarray:
+    """(orders, entries) bins, p * groups + g for an entry of group g in slot order p.
+
+    Bins match the columns of _slot_orders, and each bin's entries keep
+    their order in the plan.
+    """
+    return np.repeat(np.arange(orders * count.size).reshape(orders, -1), count, axis=1)
 
 
 def _co_covered(geometry: CenterGeometry):
-    """(i, position of (i, j), position of (i, k)) for distinct covering j and k.
+    """(i, position of (i, j), position of (i, k)) for covering centers j < k.
 
     Listed by i, then j, then k.  Positions index the member lists, which by
-    symmetry name the centers covering proposal i.
+    symmetry name the centers covering proposal i.  Plans are read only
+    behind the B ** 2 <= OBJECTIVE_GUARD rule, so B <= 1000 and int16 holds
+    every proposal and count; more raise GuardError before anything is built.
     """
-    rows = np.repeat(np.arange(geometry.num_proposals), np.diff(geometry.offsets))
+    B = geometry.num_proposals
+    if B ** 2 > OBJECTIVE_GUARD:
+        raise GuardError(f"co-coverage plans over {B} proposals exceed the "
+                         f"{OBJECTIVE_GUARD} config guard")
+    rows = np.repeat(np.arange(B), np.diff(geometry.offsets))
     at_j, at_k = _member_positions(geometry.offsets, rows)
-    keep = geometry.members[at_j] != geometry.members[at_k]
+    keep = geometry.members[at_j] < geometry.members[at_k]
     at_j, at_k = at_j[keep], at_k[keep]
     return rows[at_j], at_j, at_k
 
 
+def _grouped(i: np.ndarray, at: np.ndarray, geometry: CenterGeometry):
+    """Entries grouped by their centers, in ascending i within each group.
+
+    ``at`` stacks the member positions of each entry's centers, and entries
+    come in ascending i.  Returns the entries' i and order code, the groups'
+    centers (one row per slot) and the entries per group, all int16 but the
+    int8 codes.
+    """
+    shape = (geometry.num_proposals,) * len(at)
+    flat = np.ravel_multi_index(geometry.members[at], shape)
+    order = np.argsort(flat, kind="stable")
+    groups, count = np.unique(flat, return_counts=True)
+    centers = np.stack(np.unravel_index(groups, shape))
+    return (i[order].astype(np.int16), _order_code(geometry.keys[at])[order],
+            centers.astype(np.int16), count.astype(np.int16))
+
+
 def _build_pair_plan(geometry: CenterGeometry) -> _PairPlan:
-    """CenterGeometry.pair_plan, held as int32 indices and bool flags."""
-    B = geometry.num_proposals
+    """CenterGeometry.pair_plan: 3 bytes per entry and 6 per line."""
     i, at_j, at_k = _co_covered(geometry)
-    j = geometry.members[at_j].astype(np.int64)
-    lines, line = np.unique(j * B + geometry.members[at_k], return_inverse=True)
-    line_j, line_k = np.divmod(lines, B)
-    return _PairPlan(i.astype(np.int32), geometry.keys[at_j] >= geometry.keys[at_k],
-                     *(a.astype(np.int32) for a in (line, line_j, line_k)))
+    return _PairPlan(*_grouped(i, np.stack([at_j, at_k]), geometry))
 
 
 def _build_triple_plan(geometry: CenterGeometry) -> _TriplePlan:
-    """CenterGeometry.triple_plan, held as int32 indices and int8 slots."""
-    B = geometry.num_proposals
-    members, keys = geometry.members, geometry.keys
+    """CenterGeometry.triple_plan: 3 bytes per entry and 8 per config."""
     i, at_j, at_k = _co_covered(geometry)
     entry, at_l = _member_positions(geometry.offsets, i)
-    j, k, l = members[at_j][entry], members[at_k][entry], members[at_l]
-    keep = (l != j) & (l != k)
-    entry, at_l, j, k, l = entry[keep], at_l[keep], j[keep], k[keep], l[keep]
-    ka, kb, kc = keys[at_j[entry]], keys[at_k[entry]], keys[at_l]
-    third_c = (ka >= kc) & (kb >= kc)
-    third_b = (ka >= kb) & ~(kb >= kc)
-    bottom = np.where(third_c, 2, np.where(third_b, 1, 0)).astype(np.int8)
-    flat, config = np.unique(np.ravel_multi_index((j, k, l), (B, B, B)), return_inverse=True)
-    j, k, l = np.unravel_index(flat, (B, B, B))
-    lines, line = np.unique(j * B + k, return_inverse=True)
-    line_j, line_k = np.divmod(lines, B)
-    return _TriplePlan(i[entry].astype(np.int32), bottom,
-                       *(a.astype(np.int32) for a in (config, j, k, l, line, line_j, line_k)))
+    keep = geometry.members[at_l] > geometry.members[at_k[entry]]
+    entry, at_l = entry[keep], at_l[keep]
+    return _TriplePlan(*_grouped(i[entry], np.stack([at_j[entry], at_k[entry], at_l]),
+                                 geometry))
 
 
 class _Overlaps(NamedTuple):
@@ -463,9 +539,10 @@ class _Overlaps(NamedTuple):
 
     The config with slot m's center at proposal j_m scores ``base`` plus
     ``per_center[j_m, m]`` for every slot, minus ``pairs[(a, b)]`` on the
-    line (j_a, j_b) of the geometry's pair_plan for every slot pair, plus,
-    for M = 3, the ``add`` of every entry of its triple_plan with config
-    (j_0, j_1, j_2).  ``add`` is None for M < 3.
+    line (j_a, j_b) of _slot_orders(pair_plan().lines) for every slot pair,
+    plus, for M = 3, ``add[p, e]`` for every entry e of the triple_plan whose
+    config, in slot order p of _slot_orders, is (j_0, j_1, j_2).  ``add`` is
+    None for M < 3.
     """
 
     base: float
@@ -480,10 +557,10 @@ def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) 
     ``base`` is the all-background sum and ``per_center`` each center's
     foreground deltas over the proposals it covers.  Where two neighborhoods
     share a proposal the plain sum counts both categories, so each slot pair
-    subtracts the losing slot's delta, summed per (j, k) line over the
-    entries of the pair plan in their order.  For M = 3 a proposal covered
+    subtracts the losing slot's delta, summed per ordered line over the
+    entries of the pair plan in ascending i.  For M = 3 a proposal covered
     by all three chosen centers lost one delta too many, so its bottom slot's
-    delta comes back once per entry of the triple plan.
+    delta comes back once per entry of the triple plan and slot order.
 
     The plans hold every index; this reads only the log-probs.  Only
     ``per_center``, one matrix product, rebuilds a dense coverage.
@@ -502,16 +579,38 @@ def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) 
     if M >= 2:
         plan = geometry.pair_plan()
         covered = delta.take(plan.i, axis=0)
+        # The loser sums of the lines in both slot orders, as _slot_orders
+        # lists them, each in ascending i.
+        line = _group_bins(plan.count, 2).reshape(-1)
+        first_wins = _FIRST_WINS.take(plan.code, axis=1)
         for a in range(M):
             for b in range(a + 1, M):
-                loser = np.where(plan.first_wins, covered[:, b], covered[:, a])
-                pairs[(a, b)] = np.bincount(plan.line, weights=loser,
-                                             minlength=plan.line_j.size)
+                loser = np.where(first_wins, covered[:, b], covered[:, a])
+                pairs[(a, b)] = np.bincount(line, weights=loser.reshape(-1),
+                                             minlength=2 * plan.count.size)
 
     if M == 3:
         plan = geometry.triple_plan()
-        add = delta.take(plan.i * M + plan.bottom)
+        bottom = _BOTTOM.take(plan.code, axis=1)
+        bottom += M * plan.i  # i < 1000 (see _co_covered), so M * i fits int16
+        add = delta.take(bottom)
     return _Overlaps(base, per_center, pairs, add)
+
+
+def _ordered_configs(plan: _TriplePlan, add: np.ndarray, B: int):
+    """Every slot order of every triple config over B proposals, ascending by (j, k, l).
+
+    Returns their j, k and l, and each one's ``add`` summed over its
+    entries in ascending i.
+    """
+    bonus = np.bincount(_group_bins(plan.count, 6).reshape(-1), weights=add.reshape(-1),
+                        minlength=6 * plan.count.size)
+    centers = _slot_orders(plan.configs)
+    j, k, l = centers
+    # Sorting (flat index, position) pairs packed into one int64 is far
+    # faster than an argsort; flat indexes stay below B ** 3 <= 2 ** 30.
+    order = np.sort(((j * B + k) * B + l) << 32 | np.arange(j.size)) & 0xFFFFFFFF
+    return (*centers.take(order, axis=1), bonus.take(order))
 
 
 def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> float:
@@ -547,13 +646,12 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     _check_table(B, 3, B ** 2)
     _check_scoring_inputs(label.categories, log_probs, geometry)
     terms = _overlap_terms(geometry, label.categories, log_probs)
-    pairs, triples = geometry.pair_plan(), geometry.triple_plan()
     # One row-major flat index per entry gathers and scatters far faster than
-    # a pair of indexes.  B ** 2 is within the guard, so B <= 1000 and no int32
-    # flat index (below B ** 3, for kept) overflows.
+    # a pair of indexes.
     # -pairs[(a, b)] on the touched lines, 0 elsewhere, -inf on the diagonal.
     minus = {}
-    touched = pairs.line_j * B + pairs.line_k
+    line_j, line_k = _slot_orders(geometry.pair_plan().lines)
+    touched = line_j * B + line_k
     for pair, loser in terms.pairs.items():
         values = np.zeros((B, B))
         values.put(touched, -loser)
@@ -572,17 +670,21 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     inner = near @ far.T
     # Each triple config's corrections are summed once; its (j, k) line of
     # inner is recomputed without it, and its exact value is kept apart.
-    bonus = np.bincount(triples.config, weights=terms.add, minlength=triples.j.size)
-    kept = near[triples.line_j] * far[triples.line_k]
-    kept.put(triples.line * B + triples.l, 0.0)
-    inner.put(triples.line_j * B + triples.line_k, kept.sum(axis=1))
+    j, k, l, bonus = _ordered_configs(geometry.triple_plan(), terms.add, B)
+    # Sorted configs of one (j, k) line are contiguous; starts marks the first.
+    line = j * B + k
+    starts = np.ones(line.size, dtype=bool)
+    np.not_equal(line[1:], line[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    kept = near.take(j.take(first), axis=0) * far.take(k.take(first), axis=0)
+    kept[np.cumsum(starts) - 1, l] = 0.0
+    inner.put(line.take(first), kept.sum(axis=1))
     with np.errstate(divide="ignore"):
         # A line whose every config is triple-covered sums to 0.
         dense = outer + near_top[:, None] + far_top[None, :] + np.log(inner)
     total = logsumexp(dense)
-    if triples.j.size:
-        j, k, l = triples.j, triples.k, triples.l
-        exact = (outer.take(j * B + k) + terms.per_center[l, 2]
+    if bonus.size:
+        exact = (outer.take(line) + terms.per_center[l, 2]
                  + minus[(0, 2)].take(j * B + l) + minus[(1, 2)].take(k * B + l) + bonus)
         total = np.logaddexp(total, logsumexp(exact))
     return float(terms.base + total)

@@ -19,7 +19,7 @@ DEFAULT_NMS_IOU = 0.4
 MATCH_IOU = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     image_id: str
     category: int

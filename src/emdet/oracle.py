@@ -5,13 +5,17 @@ one with a plain per-proposal sum, no baseline-plus-delta shortcuts, so
 agreement with the engine is meaningful evidence of correctness.  Sizes are
 guarded: these run on small instances only.  naive_generate builds the
 synthetic benchmark box by box, one scalar uniform per coordinate, as the
-referee for data.generate's block draws.
+referee for data.generate's block draws.  ordered_pair_plan and
+ordered_triple_plan list every co-covering pair and triple of centers once
+per slot order, as the referee for the plans a CenterGeometry holds once
+per unordered pair and triple.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +23,8 @@ from emdet.data import (Dataset, GeneratorConfig, GroundTruth, ImageRecord,
                         StrongAnnotation)
 from emdet.engine import EmConfig, PosteriorTable
 from emdet.geometry import Box, boxes_to_array, iou, iou_matrix
-from emdet.latent import CENTER_IOU, GuardError, LatentConfigSet
+from emdet.latent import (CENTER_IOU, CenterGeometry, GuardError, LatentConfigSet,
+                          _member_positions)
 from emdet.scorer import ScorerParams, log_prob_matrix
 
 # Largest B ** M these references will enumerate.
@@ -234,3 +239,85 @@ def naive_generate(cfg: GeneratorConfig) -> tuple[Dataset, Dataset]:
     test = [naive_image(rng, cfg, f"test_{n:04d}", prototypes)
             for n in range(cfg.n_test)]
     return Dataset(train), Dataset(test)
+
+
+class OrderedPairPlan(NamedTuple):
+    """Every (i, j, k) where distinct centers j and k both cover proposal i.
+
+    Entries are listed by i, then j, then k.  ``first_wins`` is True where
+    j's key on i is at least k's, and ``line`` indexes the entry's (j, k)
+    line in ``line_j``/``line_k``: the touched lines, unique and ascending.
+    """
+
+    i: np.ndarray
+    first_wins: np.ndarray
+    line: np.ndarray
+    line_j: np.ndarray
+    line_k: np.ndarray
+
+
+class OrderedTriplePlan(NamedTuple):
+    """Every (i, j, k, l) where distinct centers j, k and l all cover proposal i.
+
+    Entries are listed by i, then j, k and l.  ``bottom`` names the slot,
+    0, 1 or 2, whose center ranks last on i by key, ties to the earlier slot
+    winning, and ``config`` indexes the entry's (j, k, l) config.  Configs
+    are unique and in ascending (j, k, l) order; ``line`` indexes each
+    config's (j, k) line in ``line_j``/``line_k``, also unique and ascending.
+    """
+
+    i: np.ndarray
+    bottom: np.ndarray
+    config: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    l: np.ndarray
+    line: np.ndarray
+    line_j: np.ndarray
+    line_k: np.ndarray
+
+
+def _co_covered(geometry: CenterGeometry):
+    """(i, position of (i, j), position of (i, k)) for distinct covering j and k.
+
+    Listed by i, then j, then k.  Positions index the member lists, which by
+    symmetry name the centers covering proposal i.
+    """
+    rows = np.repeat(np.arange(geometry.num_proposals), np.diff(geometry.offsets))
+    at_j, at_k = _member_positions(geometry.offsets, rows)
+    keep = geometry.members[at_j] != geometry.members[at_k]
+    at_j, at_k = at_j[keep], at_k[keep]
+    return rows[at_j], at_j, at_k
+
+
+def ordered_pair_plan(geometry: CenterGeometry) -> OrderedPairPlan:
+    """The pair plan in every slot order, held as int32 indices and bool flags."""
+    B = geometry.num_proposals
+    i, at_j, at_k = _co_covered(geometry)
+    j = geometry.members[at_j].astype(np.int64)
+    lines, line = np.unique(j * B + geometry.members[at_k], return_inverse=True)
+    line_j, line_k = np.divmod(lines, B)
+    return OrderedPairPlan(i.astype(np.int32), geometry.keys[at_j] >= geometry.keys[at_k],
+                           *(a.astype(np.int32) for a in (line, line_j, line_k)))
+
+
+def ordered_triple_plan(geometry: CenterGeometry) -> OrderedTriplePlan:
+    """The triple plan in every slot order, held as int32 indices and int8 slots."""
+    B = geometry.num_proposals
+    members, keys = geometry.members, geometry.keys
+    i, at_j, at_k = _co_covered(geometry)
+    entry, at_l = _member_positions(geometry.offsets, i)
+    j, k, l = members[at_j][entry], members[at_k][entry], members[at_l]
+    keep = (l != j) & (l != k)
+    entry, at_l, j, k, l = entry[keep], at_l[keep], j[keep], k[keep], l[keep]
+    ka, kb, kc = keys[at_j[entry]], keys[at_k[entry]], keys[at_l]
+    third_c = (ka >= kc) & (kb >= kc)
+    third_b = (ka >= kb) & ~(kb >= kc)
+    bottom = np.where(third_c, 2, np.where(third_b, 1, 0)).astype(np.int8)
+    flat, config = np.unique(np.ravel_multi_index((j, k, l), (B, B, B)), return_inverse=True)
+    j, k, l = np.unravel_index(flat, (B, B, B))
+    lines, line = np.unique(j * B + k, return_inverse=True)
+    line_j, line_k = np.divmod(lines, B)
+    return OrderedTriplePlan(i[entry].astype(np.int32), bottom,
+                             *(a.astype(np.int32) for a in (config, j, k, l, line, line_j,
+                                                            line_k)))

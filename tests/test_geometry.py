@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from emdet.geometry import (Box, ScoredBox, boxes_to_array, iou,
                             iou_matrix, nms)
+from emdet.metrics import Detection
 
 
 def box_strategy(max_coord=50.0):
@@ -50,6 +53,37 @@ class TestIou:
         assert value == iou(b, a)
         mat = iou_matrix(boxes_to_array([a]), boxes_to_array([b]))
         assert mat[0, 0] == value
+
+
+def _values():
+    """A value, an equal one and a different one of each type built per proposal or detection."""
+    box = Box(0.0, 0.0, 2.0, 3.0)
+    return {
+        "Box": (box, Box(0.0, 0.0, 2.0, 3.0), Box(0.0, 0.0, 2.0, 4.0)),
+        "ScoredBox": (ScoredBox(box, 1, 0.5), ScoredBox(Box(0.0, 0.0, 2.0, 3.0), 1, 0.5),
+                      ScoredBox(box, 2, 0.5)),
+        "Detection": (Detection("img", 1, box, 0.5), Detection("img", 1, box, 0.5),
+                      Detection("img", 1, box, 0.25)),
+    }
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("name", sorted(_values()))
+    def test_slotted_frozen_values(self, name):
+        value, equal, other = _values()[name]
+        assert not hasattr(value, "__dict__")
+        first = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, getattr(other, first))
+        # a name that is no field is refused too; with slots, CPython's
+        # frozen __setattr__ raises TypeError for it
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            value.extra = 1
+        # field-wise equality and the hash of the field tuple, as a frozen dataclass has
+        assert value == equal and value != other
+        fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+        assert hash(value) == hash(equal) == hash(fields)
+        assert len({value, equal, other}) == 2
 
 
 class TestBoxValidation:

@@ -19,6 +19,7 @@ from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
                           score_config_set, select_k)
 from emdet.oracle import brute_marginal_likelihood
 from emdet.oracle import expand as naive_expand
+from emdet.oracle import ordered_pair_plan, ordered_triple_plan
 from emdet.scorer import log_prob_matrix
 from helpers import (clustered_boxes, fg_log_probs, isolated_boxes, random_boxes,
                      random_params, weak_record)
@@ -243,12 +244,14 @@ class TestCenterGeometry:
         finally:
             tracemalloc.stop()
         assert geometry.pair_plan() is pairs and geometry.triple_plan() is triples
-        # int32 indices and one-byte flags and slots: 9 bytes per entry, 8 per
-        # touched line, 16 per triple config
-        size = (9 * len(pairs.i) + 8 * len(pairs.line_j) + 9 * len(triples.i)
-                + 16 * len(triples.j) + 8 * len(triples.line_j))
+        # int16 proposals and counts and one-byte codes: 3 bytes per entry, 6
+        # per touched line and 8 per triple config
+        size = (3 * len(pairs.i) + 6 * len(pairs.count) + 3 * len(triples.i)
+                + 8 * len(triples.count))
         assert sum(a.nbytes for a in (*pairs, *triples)) == size
-        assert len(triples.i) > len(pairs.i) > len(geometry.members)
+        # each co-covering pair and triple of centers once, not once per slot order
+        assert 2 * len(pairs.i) == len(ordered_pair_plan(geometry).i) > len(geometry.members)
+        assert 6 * len(triples.i) == len(ordered_triple_plan(geometry).i) > len(pairs.i)
         # nothing else is kept beyond the array and tuple headers
         assert held < size + 8192
 
@@ -282,6 +285,162 @@ class TestCenterGeometry:
         config_set = LatentConfigSet(categories, np.array(rows))
         naive = np.array([naive_expand(categories, row, proposals) for row in rows])
         assert np.array_equal(expand(config_set, proposals), naive)
+
+
+def expanded_pairs(plan):
+    """{(j, k): [(i, first_wins), ...]} of a pair plan in both slot orders."""
+    line_j, line_k = emdet.latent._slot_orders(plan.lines)
+    bins = emdet.latent._group_bins(plan.count, 2)
+    first_wins = emdet.latent._FIRST_WINS[:, plan.code]
+    lines = {}
+    for p in range(2):
+        for e, n in enumerate(bins[p]):
+            lines.setdefault((line_j[n], line_k[n]), []).append((plan.i[e], first_wins[p, e]))
+    return lines
+
+
+def referee_pairs(plan):
+    """expanded_pairs of the oracle's ordered pair plan, listed as it holds them."""
+    lines = {}
+    for i, first_wins, n in zip(plan.i, plan.first_wins, plan.line):
+        lines.setdefault((plan.line_j[n], plan.line_k[n]), []).append((i, first_wins))
+    return lines
+
+
+def expanded_triples(plan):
+    """{(j, k, l): [(i, bottom slot), ...]} of a triple plan in all six slot orders."""
+    j, k, l = emdet.latent._slot_orders(plan.configs)
+    bins = emdet.latent._group_bins(plan.count, 6)
+    bottom = emdet.latent._BOTTOM[:, plan.code]
+    configs = {}
+    for p in range(6):
+        for e, n in enumerate(bins[p]):
+            configs.setdefault((j[n], k[n], l[n]), []).append((plan.i[e], bottom[p, e]))
+    return configs
+
+
+def referee_triples(plan):
+    """expanded_triples of the oracle's ordered triple plan, listed as it holds them."""
+    configs = {}
+    for i, bottom, n in zip(plan.i, plan.bottom, plan.config):
+        configs.setdefault((plan.j[n], plan.k[n], plan.l[n]), []).append((i, bottom))
+    return configs
+
+
+def referee_grid(geometry, categories, log_probs):
+    """exact_log_likelihood_grid with its corrections read from the ordered referee plans."""
+    B, M = geometry.num_proposals, len(categories)
+    terms = emdet.latent._overlap_terms(geometry, categories, log_probs)
+    delta = log_probs[:, list(categories)] - log_probs[:, [0]]
+    grid = terms.base
+    for m in range(M):
+        grid = grid + terms.per_center[:, m].reshape((B,) + (1,) * (M - 1 - m))
+    pairs = ordered_pair_plan(geometry)
+    covered = delta.take(pairs.i, axis=0)
+    for a, b in itertools.combinations(range(M), 2):
+        loser = np.where(pairs.first_wins, covered[:, b], covered[:, a])
+        sums = np.bincount(pairs.line, weights=loser, minlength=pairs.line_j.size)
+        np.moveaxis(grid, (a, b), (0, 1))[pairs.line_j, pairs.line_k] -= sums.reshape(
+            (-1,) + (1,) * (M - 2))
+    if M == 3:
+        triples = ordered_triple_plan(geometry)
+        flat = (triples.j.astype(np.int64) * B + triples.k) * B + triples.l
+        np.add.at(grid.reshape(-1), flat[triples.config],
+                  delta.take(triples.i * M + triples.bottom))
+    for a, b in itertools.combinations(range(M), 2):
+        np.moveaxis(grid, (a, b), (0, 1))[np.arange(B), np.arange(B)] = -np.inf
+    return grid
+
+
+def random_log_probs(rng, num_proposals, num_categories=4):
+    logits = rng.normal(0.0, 1.5, size=(num_proposals, num_categories))
+    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
+class TestCoCoveragePlans:
+    """The plans hold each co-covering pair and triple of centers once; expanded to
+    every slot order they list the oracle's ordered plans entry for entry."""
+
+    @staticmethod
+    def check_against_referee(boxes):
+        geometry = center_geometry(boxes)
+        pairs, triples = geometry.pair_plan(), geometry.triple_plan()
+        assert np.all(pairs.lines[0] < pairs.lines[1])
+        assert np.all(triples.configs[0] < triples.configs[1])
+        assert np.all(triples.configs[1] < triples.configs[2])
+        # same entries, flags and bottom slots, in the same order by i on every line and config
+        assert expanded_pairs(pairs) == referee_pairs(ordered_pair_plan(geometry))
+        assert expanded_triples(triples) == referee_triples(ordered_triple_plan(geometry))
+        return geometry
+
+    @pytest.mark.parametrize("kind", ["clustered", "grid", "random"])
+    def test_expansion_lists_the_ordered_referee(self, kind):
+        rng = np.random.default_rng(80)
+        make = {"clustered": clustered_boxes, "grid": grid_boxes, "random": random_boxes}[kind]
+        for count in (6, 9, 16, 30):
+            geometry = self.check_against_referee(make(rng, count))
+            if kind == "clustered":
+                assert len(geometry.triple_plan().i) > 0
+
+    def test_duplicate_boxes_tie_in_every_slot_order(self):
+        # Three copies of one box and a shifted box all cover proposal 3 with
+        # equal keys, so every slot order ranks its last slot bottom.
+        copy = Box(0.0, 0.0, 10.0, 10.0)
+        boxes = boxes_to_array([copy, copy, copy, Box(1.0, 0.0, 11.0, 10.0)])
+        geometry = self.check_against_referee(boxes)
+        configs = expanded_triples(geometry.triple_plan())
+        for order in itertools.permutations((0, 1, 2)):
+            assert dict(configs[order])[3] == 2
+        lines = expanded_pairs(geometry.pair_plan())
+        assert dict(lines[(0, 1)])[3] and dict(lines[(1, 0)])[3]
+
+    def test_iou_exactly_half_ties_in_every_slot_order(self):
+        # Proposal 0 overlaps each of the other three at IoU exactly 0.5.
+        boxes = [Box(0, 0, 2, 2), Box(0, 0, 4, 2), Box(0, 0, 2, 4), Box(-2, 0, 2, 2)]
+        assert all(iou(boxes[0], box) == 0.5 for box in boxes[1:])
+        proposals = boxes_to_array(boxes)
+        geometry = self.check_against_referee(proposals)
+        configs = expanded_triples(geometry.triple_plan())
+        assert all(configs[order] == [(0, 2)] for order in itertools.permutations((1, 2, 3)))
+        for m in (2, 3):
+            log_probs = random_log_probs(np.random.default_rng(m), 4)
+            cats = tuple(range(1, m + 1))
+            grid = exact_log_likelihood_grid(geometry, cats, log_probs)
+            assert grid.tobytes() == referee_grid(geometry, cats, log_probs).tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_grid_bytes_equal_the_referee_grid(self, m):
+        rng = np.random.default_rng(81 + m)
+        train, _ = generate(GeneratorConfig(n_train=6, n_test=1, seed=m))
+        instances = [clustered_boxes(rng, 12), grid_boxes(rng, 12), random_boxes(rng, 20),
+                     *(r.proposals for r in train)]
+        for boxes in instances:
+            geometry = center_geometry(boxes)
+            cats = tuple(sorted(rng.choice(np.arange(1, 4), size=m, replace=False).tolist()))
+            log_probs = random_log_probs(rng, len(boxes))
+            grid = exact_log_likelihood_grid(geometry, cats, log_probs)
+            assert grid.tobytes() == referee_grid(geometry, cats, log_probs).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes=st.lists(_small_box, min_size=2, max_size=8), data=st.data())
+    def test_expansion_and_grid_match_the_referee(self, boxes, data):
+        # Repeats give equal keys between slots on every proposal they cover.
+        repeats = data.draw(st.lists(st.integers(0, len(boxes) - 1), max_size=3))
+        boxes = boxes + [boxes[i] for i in repeats]
+        proposals = np.array([[x, y, x + w, y + h] for x, y, w, h in boxes], dtype=np.float64)
+        geometry = self.check_against_referee(proposals)
+        m = data.draw(st.integers(2, min(3, len(boxes))))
+        log_probs = random_log_probs(np.random.default_rng(data.draw(st.integers(0, 99))),
+                                     len(boxes))
+        cats = tuple(range(1, m + 1))
+        grid = exact_log_likelihood_grid(geometry, cats, log_probs)
+        assert grid.tobytes() == referee_grid(geometry, cats, log_probs).tobytes()
+
+    def test_plans_past_the_guard_raise_before_building(self):
+        geometry = center_geometry(isolated_boxes(1001))
+        for build in (geometry.pair_plan, geometry.triple_plan):
+            with pytest.raises(GuardError, match="exceed the 1000000 config guard"):
+                build()
 
 
 class TestEnumerateExact:
