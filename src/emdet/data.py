@@ -11,14 +11,17 @@ orthogonal prototype per category so a linear scorer can succeed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from emdet.geometry import Box, boxes_to_array, iou_matrix
+from emdet.geometry import Box, iou_matrix
 from emdet.latent import CENTER_IOU, ImageLabel, as_label
 
 
@@ -184,6 +187,8 @@ class GeneratorConfig:
             raise ValueError("objects cannot exceed the canvas")
         if self.max_objects_per_image < 1:
             raise ValueError("need at least one object per image")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def config_hash(config: GeneratorConfig) -> str:
@@ -199,24 +204,25 @@ def _uniform(low, high, u: np.ndarray) -> np.ndarray:
 
 
 def _random_boxes(u: np.ndarray, cfg: GeneratorConfig) -> np.ndarray:
-    """(n, 4) boxes from (n, 4) uniforms, one (w, h, x1, y1) row per box."""
+    """(..., 4) boxes from (..., 4) uniforms, one (w, h, x1, y1) row per box."""
     lo, hi = float(cfg.min_object_size), float(cfg.max_object_size)
-    w, h = _uniform(lo, hi, u[:, 0]), _uniform(lo, hi, u[:, 1])
-    x1 = _uniform(0.0, float(cfg.canvas_width) - w, u[:, 2])
-    y1 = _uniform(0.0, float(cfg.canvas_height) - h, u[:, 3])
+    w, h = _uniform(lo, hi, u[..., 0]), _uniform(lo, hi, u[..., 1])
+    x1 = _uniform(0.0, float(cfg.canvas_width) - w, u[..., 2])
+    y1 = _uniform(0.0, float(cfg.canvas_height) - h, u[..., 3])
     return np.stack([x1, y1, x1 + w, y1 + h], axis=-1)
 
 
 def _jittered_boxes(u: np.ndarray, gt: np.ndarray, cfg: GeneratorConfig) -> np.ndarray:
-    """(m, J, 4) boxes from (m, J, 4) uniforms, one (dx, dy, sw, sh) row each.
+    """(..., m, J, 4) boxes from (..., m, J, 4) uniforms, one (dx, dy, sw, sh)
+    row each, around the (..., m, 4) ground-truth boxes.
 
     Jitter j of a ground-truth box shifts and rescales it at magnitude
     0.03 + 0.55 * j / max(J - 1, 1), from near-copies to loose context
     boxes; IoU falls as the magnitude grows.
     """
-    J = u.shape[1]
+    J = u.shape[-2]
     magnitude = 0.03 + 0.55 * (np.arange(J) / max(J - 1, 1))
-    gx1, gy1, gx2, gy2 = (gt[:, c, None] for c in range(4))
+    gx1, gy1, gx2, gy2 = (gt[..., c, None] for c in range(4))
     w, h = gx2 - gx1, gy2 - gy1
     dx = _uniform(-magnitude, magnitude, u[..., 0]) * w
     dy = _uniform(-magnitude, magnitude, u[..., 1]) * h
@@ -233,8 +239,25 @@ def _jittered_boxes(u: np.ndarray, gt: np.ndarray, cfg: GeneratorConfig) -> np.n
     return np.stack([x1, y1, x2, y2], axis=-1)
 
 
+# Box rows that generate and make_init_scores build at once: proposals, and
+# in generate also the ground truth and the jitters drawn past B.  Bounds the
+# chunk's stacked draws, boxes, overlaps, features and scores, so their
+# memory does not grow with the dataset.
+IMAGE_CHUNK = 4096
+
+
+class _ImageDraws(NamedTuple):
+    """Every random number one synthetic image takes, in draw order."""
+
+    image_id: str
+    categories: np.ndarray  # (m,) sorted foreground ids
+    uniforms: np.ndarray  # every box's uniforms, as laid out by _synthesize_image
+    noise: np.ndarray  # (B, feature_dim) feature noise
+
+
 def _synthesize_image(rng: np.random.Generator, cfg: GeneratorConfig,
-                      image_id: str, prototypes: np.ndarray) -> ImageRecord:
+                      image_id: str) -> _ImageDraws:
+    """Draw one image; _build_images turns a chunk of draws into records."""
     m = int(rng.integers(1, min(cfg.max_objects_per_image, cfg.num_fg_categories) + 1))
     cats = np.sort(rng.choice(cfg.num_fg_categories, size=m, replace=False) + 1)
     B, J = cfg.proposals_per_image, cfg.jitters_per_object
@@ -242,33 +265,70 @@ def _synthesize_image(rng: np.random.Generator, cfg: GeneratorConfig,
     # generator: each object's (w, h, x1, y1), each jitter's (dx, dy, sw, sh),
     # then each fill box's (w, h, x1, y1).  Jitters past B are drawn and dropped.
     u = rng.random(4 * (m + m * J + max(B - m * J, 0)))
-    gt = _random_boxes(u[:4 * m].reshape(m, 4), cfg)
-    jittered = _jittered_boxes(u[4 * m:4 * m * (1 + J)].reshape(m, J, 4), gt, cfg)
-    fill = _random_boxes(u[4 * m * (1 + J):].reshape(-1, 4), cfg)
-    proposals = np.concatenate([jittered.reshape(-1, 4)[:B], fill])
-    objects = tuple(GroundTruth(Box(*row), int(c)) for row, c in zip(gt.tolist(), cats))
+    noise = rng.normal(0.0, cfg.noise_sigma, size=(B, cfg.feature_dim))
+    return _ImageDraws(image_id, cats, u, noise)
 
-    overlap = iou_matrix(proposals, gt)
-    features = rng.normal(0.0, cfg.noise_sigma,
-                          size=(len(proposals), cfg.feature_dim))
-    for col, g in enumerate(objects):
-        strong = overlap[:, col] >= CENTER_IOU
-        features[strong] += overlap[strong, col:col + 1] * prototypes[g.category - 1]
 
-    return ImageRecord(image_id, cfg.canvas_width, cfg.canvas_height,
-                       proposals, features, StrongAnnotation(objects))
+def _build_images(cfg: GeneratorConfig, draws: list[_ImageDraws],
+                  prototypes: np.ndarray) -> list[ImageRecord]:
+    """The records of a chunk of drawn images, in draw order.
+
+    Images with the same object count m share a uniform layout, so each
+    such group computes its boxes, overlaps and prototype offsets on
+    stacked arrays.  Proposals covered by a ground-truth box at IoU >=
+    CENTER_IOU get that IoU times the box's category prototype added to
+    their noise, one object at a time.
+    """
+    B, J = cfg.proposals_per_image, cfg.jitters_per_object
+    groups: dict[int, list[int]] = defaultdict(list)
+    for n, d in enumerate(draws):
+        groups[len(d.categories)].append(n)
+    records: list[ImageRecord | None] = [None] * len(draws)
+    for m, members in groups.items():
+        g = len(members)
+        u = np.stack([draws[n].uniforms for n in members])
+        cats = np.stack([draws[n].categories for n in members])
+        gt = _random_boxes(u[:, :4 * m].reshape(g, m, 4), cfg)
+        jittered = _jittered_boxes(u[:, 4 * m:4 * m * (1 + J)].reshape(g, m, J, 4), gt, cfg)
+        fill = _random_boxes(u[:, 4 * m * (1 + J):].reshape(g, -1, 4), cfg)
+        proposals = np.concatenate([jittered.reshape(g, -1, 4)[:, :B], fill], axis=1)
+        overlap = iou_matrix(proposals, gt)
+        features = np.stack([draws[n].noise for n in members])
+        for col in range(m):
+            offset = overlap[:, :, col, None] * prototypes[cats[:, col] - 1][:, None, :]
+            np.add(features, offset, out=features,
+                   where=overlap[:, :, col, None] >= CENTER_IOU)
+        for n, boxes, image_cats, props, feats in zip(
+                members, gt.tolist(), cats.tolist(), proposals, features):
+            objects = tuple(GroundTruth(Box(*row), c) for row, c in zip(boxes, image_cats))
+            records[n] = ImageRecord(draws[n].image_id, cfg.canvas_width, cfg.canvas_height,
+                                     props.copy(), feats.copy(), StrongAnnotation(objects))
+    return records
 
 
 def generate(cfg: GeneratorConfig) -> tuple[Dataset, Dataset]:
-    """Deterministic synthetic benchmark: (train, test), both fully strong."""
+    """Deterministic synthetic benchmark: (train, test), both fully strong.
+
+    Images are drawn one at a time, in order, and built IMAGE_CHUNK box
+    rows at a time.
+    """
     rng = np.random.default_rng(cfg.seed)
     # Orthogonal category prototypes: scaled standard basis vectors.
     prototypes = np.eye(cfg.num_fg_categories, cfg.feature_dim)
-    train = [_synthesize_image(rng, cfg, f"train_{n:04d}", prototypes)
-             for n in range(cfg.n_train)]
-    test = [_synthesize_image(rng, cfg, f"test_{n:04d}", prototypes)
-            for n in range(cfg.n_test)]
-    return Dataset(train), Dataset(test)
+    # The most boxes one image draws: its objects, then its jitters or B.
+    M = min(cfg.max_objects_per_image, cfg.num_fg_categories)
+    per_chunk = max(1, IMAGE_CHUNK // (M + max(M * cfg.jitters_per_object,
+                                              cfg.proposals_per_image)))
+    splits = []
+    for prefix, count in (("train", cfg.n_train), ("test", cfg.n_test)):
+        records: list[ImageRecord] = []
+        for start in range(0, count, per_chunk):
+            draws = [_synthesize_image(rng, cfg, f"{prefix}_{n:04d}")
+                     for n in range(start, min(start + per_chunk, count))]
+            records += _build_images(cfg, draws, prototypes)
+        splits.append(Dataset(records))
+    train, test = splits
+    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -414,26 +474,63 @@ def make_init_scores(dataset: Dataset, noise_sigma: float = 0.4,
 
     Each score is the proposal's best IoU with a ground-truth box of that
     category plus Gaussian noise, clipped at zero.  Requires strong
-    annotations, so synthesize scores before demoting images.
+    annotations, so synthesize scores before demoting images.  Images are
+    scored IMAGE_CHUNK proposal rows at a time, with one noise draw per
+    chunk: the same stream, in record order, as one draw per image.
     """
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if num_fg_categories is None:
         num_fg_categories = dataset.max_category()
-    rng = np.random.default_rng(seed)
-    out: dict[str, np.ndarray] = {}
+    if num_fg_categories < 1:
+        raise ValueError(f"num_fg_categories must be >= 1, got {num_fg_categories}")
     for record in dataset:
         if record.is_weak:
             raise ValueError(
                 f"image {record.image_id} lacks ground truth for score synthesis")
-        base = np.zeros((record.num_proposals, num_fg_categories))
-        objects = record.annotation.objects
-        if objects:
-            overlap = iou_matrix(record.proposals, boxes_to_array([g.box for g in objects]))
-            for col, gt in enumerate(objects):
-                cat = gt.category - 1
-                base[:, cat] = np.maximum(base[:, cat], overlap[:, col])
-        noisy = base + rng.normal(0.0, noise_sigma, size=base.shape)
-        out[record.image_id] = np.clip(noisy, 0.0, None)
+        for g in record.annotation.objects:
+            if g.category > num_fg_categories:
+                raise ValueError(
+                    f"image {record.image_id}: ground-truth category {g.category} "
+                    f"exceeds num_fg_categories={num_fg_categories}")
+    rng = np.random.default_rng(seed)
+    out: dict[str, np.ndarray] = {}
+    for chunk in _row_chunks(dataset.records):
+        rows = [0, *itertools.accumulate(r.num_proposals for r in chunk)]
+        noise = rng.normal(0.0, noise_sigma, size=(rows[-1], num_fg_categories))
+        base = np.zeros_like(noise)
+        groups: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for n, record in enumerate(chunk):
+            if record.annotation.objects:
+                groups[record.num_proposals, len(record.annotation.objects)].append(n)
+        for (B, m), members in groups.items():
+            gts = [chunk[n].annotation.objects for n in members]
+            overlap = iou_matrix(np.stack([chunk[n].proposals for n in members]),
+                                 np.array([[g.box.to_list() for g in gt] for gt in gts]))
+            cats = np.array([[g.category - 1 for g in gt] for gt in gts])
+            at = np.array([rows[n] for n in members])[:, None] + np.arange(B)
+            for col in range(m):
+                cat = cats[:, col, None]
+                base[at, cat] = np.maximum(base[at, cat], overlap[:, :, col])
+        noisy = np.clip(base + noise, 0.0, None)
+        for n, record in enumerate(chunk):
+            out[record.image_id] = noisy[rows[n]:rows[n + 1]]
     return out
+
+
+def _row_chunks(records: list[ImageRecord]):
+    """Consecutive runs of records with at most IMAGE_CHUNK proposal rows,
+    or one record alone where it holds more."""
+    chunk: list[ImageRecord] = []
+    rows = 0
+    for record in records:
+        if chunk and rows + record.num_proposals > IMAGE_CHUNK:
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(record)
+        rows += record.num_proposals
+    if chunk:
+        yield chunk
 
 
 def save_init_scores(scores: dict[str, np.ndarray], path: str | Path) -> None:

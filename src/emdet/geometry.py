@@ -67,15 +67,21 @@ def boxes_to_array(boxes: list[Box]) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise IoU between two (n, 4) coordinate arrays; (n, n) with b=None."""
+    """Pairwise IoU between (..., n, 4) and (..., m, 4) coordinate arrays.
+
+    Leading dimensions broadcast, so a stack of images gives one (..., n, m)
+    matrix per image, each equal bit for bit to its own 2-D call.  With
+    b=None the result is (..., n, n).
+    """
     if b is None:
         b = a
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter / (area_a + area_b - inter)
 
 
 def nms(dets: list[ScoredBox], threshold: float) -> list[ScoredBox]:

@@ -5,10 +5,11 @@ one with a plain per-proposal sum, no baseline-plus-delta shortcuts, so
 agreement with the engine is meaningful evidence of correctness.  Sizes are
 guarded: these run on small instances only.  naive_generate builds the
 synthetic benchmark box by box, one scalar uniform per coordinate, as the
-referee for data.generate's block draws.  ordered_pair_plan and
-ordered_triple_plan list every co-covering pair and triple of centers once
-per slot order, as the referee for the plans a CenterGeometry holds once
-per unordered pair and triple.
+referee for data.generate's block draws, and naive_init_scores scores one
+image at a time as the referee for data.make_init_scores' chunks.
+ordered_pair_plan and ordered_triple_plan list every co-covering pair and
+triple of centers once per slot order, as the referee for the plans a
+CenterGeometry holds once per unordered pair and triple.
 """
 
 from __future__ import annotations
@@ -239,6 +240,29 @@ def naive_generate(cfg: GeneratorConfig) -> tuple[Dataset, Dataset]:
     test = [naive_image(rng, cfg, f"test_{n:04d}", prototypes)
             for n in range(cfg.n_test)]
     return Dataset(train), Dataset(test)
+
+
+def naive_init_scores(dataset: Dataset, noise_sigma: float = 0.4,
+                      seed: int = 1, num_fg_categories: int | None = None) -> dict[str, np.ndarray]:
+    """Reference for data.make_init_scores: one IoU matrix and one noise draw per image."""
+    if num_fg_categories is None:
+        num_fg_categories = dataset.max_category()
+    rng = np.random.default_rng(seed)
+    out: dict[str, np.ndarray] = {}
+    for record in dataset:
+        if record.is_weak:
+            raise ValueError(
+                f"image {record.image_id} lacks ground truth for score synthesis")
+        base = np.zeros((record.num_proposals, num_fg_categories))
+        objects = record.annotation.objects
+        if objects:
+            overlap = iou_matrix(record.proposals, boxes_to_array([g.box for g in objects]))
+            for col, gt in enumerate(objects):
+                cat = gt.category - 1
+                base[:, cat] = np.maximum(base[:, cat], overlap[:, col])
+        noisy = base + rng.normal(0.0, noise_sigma, size=base.shape)
+        out[record.image_id] = np.clip(noisy, 0.0, None)
+    return out
 
 
 class OrderedPairPlan(NamedTuple):

@@ -109,6 +109,8 @@ class TestGen:
         ({"n_test": -1}, "n_test must be >= 0, got -1"),
         ({"jitters_per_object": -1}, "jitters_per_object must be >= 0, got -1"),
         ({"canvas_width": float("inf")}, "canvas and object sizes must be finite"),
+        ({"noise_sigma": -0.1}, "noise_sigma must be finite and >= 0, got -0.1"),
+        ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0, got nan"),
     ])
     def test_invalid_size_in_spec_exits_two(self, tmp_path, capsys, payload, message):
         spec = tmp_path / "spec.json"

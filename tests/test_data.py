@@ -1,5 +1,6 @@
 """Tests for dataset records, the synthetic generator, splits, and IO."""
 
+import hashlib
 import json
 import re
 
@@ -30,8 +31,9 @@ from emdet.data import (
 )
 from emdet.geometry import Box, boxes_to_array, iou_matrix
 from emdet.latent import CENTER_IOU, ImageLabel
-from emdet.oracle import naive_generate
-from helpers import isolated_boxes, random_weak_record, strong_record
+from emdet.oracle import naive_generate, naive_init_scores
+from helpers import (isolated_boxes, random_box, random_boxes, random_weak_record,
+                     strong_record)
 
 SMALL = GeneratorConfig(n_train=12, n_test=5, num_fg_categories=3,
                         proposals_per_image=20, feature_dim=8, seed=3)
@@ -159,6 +161,12 @@ class TestGeneratorConfigValidation:
     def test_non_finite_sizes_are_rejected(self, sizes):
         with pytest.raises(ValueError, match="must be finite"):
             GeneratorConfig(**sizes)
+
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_sigma_is_rejected(self, sigma):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"noise_sigma must be finite and >= 0, got {sigma}")):
+            GeneratorConfig(noise_sigma=sigma)
 
     def test_config_hash_tracks_content(self):
         assert config_hash(GeneratorConfig()) == config_hash(GeneratorConfig())
@@ -292,6 +300,51 @@ class TestGenerateReferee:
     @given(generator_configs())
     def test_matches_naive_generate_on_any_config(self, cfg):
         assert_generate_matches_referee(cfg)
+
+
+class TestGenerateChunks:
+    """generate builds its images IMAGE_CHUNK box rows at a time; any chunk
+    size gives the referee's bytes and generator states."""
+
+    @pytest.mark.parametrize("chunk", [1, 100, 777])
+    @pytest.mark.parametrize("case", ["default", "truncated_jitters", "five_categories"])
+    def test_any_chunk_size_matches_naive_generate(self, monkeypatch, case, chunk):
+        monkeypatch.setattr(emdet.data, "IMAGE_CHUNK", chunk)
+        assert_generate_matches_referee(GeneratorConfig(seed=1, **REFEREE_CASES[case]))
+
+
+def generation_digest(cfg):
+    """sha256 of generate's records and the init scores of both splits."""
+    digest = hashlib.sha256()
+    train, test = generate(cfg)
+    for offset, dataset in enumerate((train, test), start=1):
+        for record in dataset:
+            gt = record.annotation.objects
+            digest.update(record.image_id.encode())
+            digest.update(np.array([record.width, record.height]).tobytes())
+            for array in (record.proposals, record.features,
+                          np.array([g.box.to_list() for g in gt]),
+                          np.array([g.category for g in gt], dtype=np.int64)):
+                digest.update(repr(array.shape).encode())
+                digest.update(array.tobytes())
+        for image_id, scores in make_init_scores(dataset, seed=cfg.seed + offset).items():
+            digest.update(image_id.encode())
+            digest.update(repr(scores.shape).encode())
+            digest.update(scores.tobytes())
+    return digest.hexdigest()
+
+
+class TestGenerationDigest:
+    """Generation is byte-identical for a given config.  The referees compare
+    each fast path with its naive twin, so a change to both would pass them;
+    these pinned digests would not."""
+
+    @pytest.mark.parametrize("case, expected", [
+        ("default", "2c5b0f20ce6a73ff0ab6fee8ee2399e5fbee0d17e0f2fdaad42cd9b9522cd9ed"),
+        ("large_kem", "42ff1d51e55fd6df207c9d21a9d760bbee64ceddd3875e3b54ffdb9f1030cc35"),
+    ])
+    def test_seed_zero_digest_is_pinned(self, case, expected):
+        assert generation_digest(GeneratorConfig(seed=0, **REFEREE_CASES[case])) == expected
 
 
 class TestSplitSemi:
@@ -496,6 +549,30 @@ class TestInitScores:
         with pytest.raises(ValueError, match="ground truth"):
             make_init_scores(Dataset([rec]))
 
+    def test_rejects_a_category_past_num_fg_categories_before_any_draw(self, monkeypatch):
+        box = Box(0, 0, 10, 10)
+        proposals = boxes_to_array([box, Box(0, 0, 10, 5)])
+        ds = Dataset([strong_record("a", proposals, np.zeros((2, 4)), [(box, 1)]),
+                      strong_record("b", proposals, np.zeros((2, 4)), [(box, 2), (box, 4)])])
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match=re.escape(
+                "image b: ground-truth category 4 exceeds num_fg_categories=2")):
+            make_init_scores(ds, num_fg_categories=2)
+
+    def test_rejects_fewer_than_one_category_before_any_draw(self, monkeypatch):
+        train, _ = generate(SMALL)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match="num_fg_categories must be >= 1, got 0"):
+            make_init_scores(train, num_fg_categories=0)
+
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+    def test_rejects_a_bad_noise_sigma_before_any_draw(self, monkeypatch, sigma):
+        train, _ = generate(SMALL)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"noise_sigma must be finite and >= 0, got {sigma}")):
+            make_init_scores(train, noise_sigma=sigma)
+
     def test_round_trip(self, tmp_path):
         train, _ = generate(SMALL)
         scores = make_init_scores(train, seed=2)
@@ -538,3 +615,91 @@ class TestInitScores:
                         + json.dumps({"id": second, "scores": [[0.7]]}) + "\n")
         with pytest.raises(SchemaError, match=re.escape(f"{path}:2: duplicate image id '5'")):
             load_init_scores(path)
+
+
+def _scores_with_state(score_fn, dataset, **kwargs):
+    """score_fn(dataset, **kwargs), plus the state its generator ends in."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording_rng)
+        scores = score_fn(dataset, **kwargs)
+    (rng,) = made
+    return scores, rng.bit_generator.state
+
+
+def assert_init_scores_match_referee(dataset, **kwargs):
+    fast, fast_state = _scores_with_state(make_init_scores, dataset, **kwargs)
+    naive, naive_state = _scores_with_state(naive_init_scores, dataset, **kwargs)
+    assert list(fast) == list(naive)
+    for image_id, expected in naive.items():
+        assert fast[image_id].shape == expected.shape
+        assert fast[image_id].tobytes() == expected.tobytes(), image_id
+    assert fast_state == naive_state
+
+
+@st.composite
+def strong_datasets(draw):
+    """Strong datasets of 1 to 6 images, each with its own proposal count and
+    0 to 3 objects; boxes sit on a coarse grid, and objects are often exact
+    copies of proposals, so overlaps cover 0, the CENTER_IOU edge and 1."""
+    num_categories = draw(st.integers(1, 4))
+    grid = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 4), st.integers(1, 4))
+    records = []
+    for n in range(draw(st.integers(1, 6))):
+        boxes = [Box(x, y, x + w, y + h)
+                 for x, y, w, h in draw(st.lists(grid, min_size=1, max_size=9))]
+        objects = [(draw(st.one_of(st.sampled_from(boxes), grid.map(
+                        lambda r: Box(r[0], r[1], r[0] + r[2], r[1] + r[3])))),
+                    draw(st.integers(1, num_categories)))
+                   for _ in range(draw(st.integers(0, 3)))]
+        records.append(strong_record(f"img_{n}", boxes_to_array(boxes),
+                                     np.zeros((len(boxes), 2)), objects))
+    return Dataset(records), num_categories
+
+
+class TestInitScoresReferee:
+    """make_init_scores scores a chunk of images at a time with one noise draw;
+    oracle.naive_init_scores scores one image at a time.  Both must give the
+    same keys in the same order, the same bytes, and the same final generator
+    state."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", REFEREE_CASES)
+    def test_matches_naive_init_scores(self, monkeypatch, case, seed):
+        train, test = generate(GeneratorConfig(seed=seed, **REFEREE_CASES[case]))
+        for chunk in (emdet.data.IMAGE_CHUNK, 64):
+            monkeypatch.setattr(emdet.data, "IMAGE_CHUNK", chunk)
+            for offset, dataset in enumerate((train, test), start=1):
+                assert_init_scores_match_referee(dataset, seed=seed + offset)
+
+    @pytest.mark.parametrize("chunk", [1, 13, 4096])
+    def test_matches_on_a_loaded_mixed_dataset(self, monkeypatch, tmp_path, chunk):
+        rng = np.random.default_rng(11)
+        records = []
+        for n, (count, cats) in enumerate([(5, (1,)), (8, (2, 3)), (5, ()), (12, (1, 2, 3)),
+                                           (8, (3,)), (5, (2, 1)), (12, (3, 3))]):
+            proposals = random_boxes(rng, count)
+            # The first object is one of the proposals, the rest fall anywhere.
+            boxes = [Box(*proposals[0]), *(random_box(rng) for _ in cats[1:])]
+            records.append(strong_record(f"img_{n}", proposals, rng.normal(size=(count, 3)),
+                                         list(zip(boxes, cats))))
+        path = tmp_path / "mixed.jsonl"
+        save_dataset(Dataset(records), path)
+        monkeypatch.setattr(emdet.data, "IMAGE_CHUNK", chunk)
+        assert_init_scores_match_referee(load_dataset(path), noise_sigma=0.4, seed=5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(strong_datasets(), st.floats(0.0, 2.0), st.integers(0, 2 ** 32),
+           st.sampled_from([1, 7, 20, 4096]), st.integers(0, 2))
+    def test_matches_naive_init_scores_on_any_dataset(self, case, sigma, seed, chunk, extra):
+        dataset, num_categories = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(emdet.data, "IMAGE_CHUNK", chunk)
+            assert_init_scores_match_referee(dataset, noise_sigma=sigma, seed=seed,
+                                             num_fg_categories=num_categories + extra)

@@ -55,6 +55,48 @@ class TestIou:
         assert mat[0, 0] == value
 
 
+@st.composite
+def box_stacks(draw):
+    """(n, B, 4) and (n, m, 4) boxes on a coarse integer grid, so disjoint,
+    touching and overlapping pairs all occur, and each b stack copies some
+    of its a boxes exactly."""
+    n, B, m = draw(st.integers(0, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    corners = st.integers(0, 6)
+    sizes = st.integers(1, 4)
+
+    def stack(rows):
+        raw = np.array(draw(st.lists(st.tuples(corners, corners, sizes, sizes),
+                                     min_size=n * rows, max_size=n * rows)),
+                       dtype=np.float64).reshape(n, rows, 4)
+        return np.concatenate([raw[..., :2], raw[..., :2] + raw[..., 2:]], axis=-1)
+
+    a, b = stack(B), stack(m)
+    copies = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, B - 1)),
+                           max_size=m, unique_by=lambda t: t[0]))
+    for dst, src in copies:
+        b[:, dst] = a[:, src]
+    return a, b
+
+
+class TestBatchedIouMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(box_stacks())
+    def test_stacked_call_equals_per_slice_calls(self, stacks):
+        a, b = stacks
+        batched = iou_matrix(a, b)
+        assert batched.shape == (a.shape[0], a.shape[1], b.shape[1])
+        for n in range(a.shape[0]):
+            assert batched[n].tobytes() == iou_matrix(a[n], b[n]).tobytes()
+        square = iou_matrix(a)
+        for n in range(a.shape[0]):
+            assert square[n].tobytes() == iou_matrix(a[n]).tobytes()
+
+    def test_disjoint_touching_and_identical_slices(self):
+        a = np.array([[[0, 0, 2, 2]], [[0, 0, 2, 2]], [[0, 0, 2, 2]]], dtype=np.float64)
+        b = np.array([[[5, 5, 6, 6]], [[2, 0, 4, 2]], [[0, 0, 2, 2]]], dtype=np.float64)
+        assert iou_matrix(a, b).tolist() == [[[0.0]], [[0.0]], [[1.0]]]
+
+
 def _values():
     """A value, an equal one and a different one of each type built per proposal or detection."""
     box = Box(0.0, 0.0, 2.0, 3.0)
