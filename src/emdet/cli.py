@@ -33,7 +33,7 @@ from .latent import GuardError, center_geometry
 from .metrics import corloc, detect, evaluate_detections, save_detections
 from .oracle import (brute_marginal_likelihood, brute_posterior, expand,
                      reference_posterior)
-from .scorer import load_checkpoint, save_checkpoint
+from .scorer import load_checkpoint, log_prob_matrix, save_checkpoint
 
 OBJECTIVE_TOL = 1e-9
 POSTERIOR_TOL = 1e-12
@@ -273,10 +273,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     min_captured = 1.0
     for record in weak:
         geometry = center_geometry(record.proposals)
+        log_probs = {record.image_id: log_prob_matrix(params, record.features)}
         objective_dev = max(objective_dev, abs(
-            objective(Dataset([record]), params, {record.image_id: geometry}, {}).weak_term
+            objective(Dataset([record]), log_probs, {record.image_id: geometry}, {}).weak_term
             - brute_marginal_likelihood(record, params)))
-        fast = _table_as_dict(e_step(record, params, cfg, geometry))
+        fast = _table_as_dict(e_step(record, log_probs[record.image_id], cfg, geometry))
         ref = _table_as_dict(reference_posterior(record, params, cfg))
         if args.mode == "hard":
             # Label-identical configs tie exactly; rounding decides among them.

@@ -10,6 +10,7 @@ orthogonal prototype per category so a linear scorer can succeed.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -343,9 +344,9 @@ def demote(record: ImageRecord) -> ImageRecord:
     if not cats:
         raise ValueError(
             f"image {record.image_id} has no objects; cannot form a weak label")
-    return ImageRecord(record.image_id, record.width, record.height,
-                       record.proposals, record.features,
-                       WeakAnnotation(as_label(cats)))
+    weak = copy.copy(record)  # shares the arrays, which were checked when record was built
+    weak.annotation = WeakAnnotation(as_label(cats))
+    return weak
 
 
 def split_semi(dataset: Dataset, fraction: float, seed: int) -> Dataset:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from emdet.data import Dataset, ImageRecord
+from emdet.data import Dataset, ImageRecord, positive_categories
 from emdet.geometry import boxes_to_array, iou_matrix
 from emdet.latent import (
     CENTER_IOU,
@@ -87,6 +87,8 @@ class EmConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.num_categories is not None and self.num_categories < 2:
+            raise ValueError(f"num_categories must be >= 2 or None, got {self.num_categories}")
         if self.em_iterations < 0:
             raise ValueError("em_iterations must be >= 0")
         if self.sgd_steps_per_m_step < 0:
@@ -192,12 +194,12 @@ def _normalized(values: np.ndarray) -> np.ndarray:
     return np.exp(values - total)
 
 
-def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig,
+def e_step(record: ImageRecord, log_probs: np.ndarray, config: EmConfig,
            geometry: CenterGeometry) -> PosteriorTable:
     """Posterior over latent configs for one weak image under the scorer.
 
-    ``geometry`` is the center coverage of the record's proposals
-    (latent.center_geometry).
+    ``log_probs`` is the scorer's log_prob_matrix of the record's features,
+    ``geometry`` the center_geometry of its proposals; the caller builds both.
 
     "exact" weighs enumerate_exact's rows by their entries of the exact
     grid.  In "hard" mode the one config kept is the argmax of that grid;
@@ -210,11 +212,10 @@ def e_step(record: ImageRecord, params: ScorerParams, config: EmConfig,
     labels, and so training, do not depend on which tied config is kept.
     """
     label = _weak_label(record)
-    log_probs = log_prob_matrix(params, record.features)
-    if max(label.categories) >= params.num_categories:
+    if max(label.categories) >= log_probs.shape[1]:
         raise ValueError(
             f"image {record.image_id} mentions category {max(label.categories)} but "
-            f"the scorer only covers {params.num_categories} categories")
+            f"the scorer only covers {log_probs.shape[1]} categories")
 
     if config.mode == "k_em":
         config_set = select_k(record.proposals, label, log_probs, config.k)
@@ -321,7 +322,7 @@ def soft_labels(post: PosteriorTable, record: ImageRecord, num_categories: int,
     return SoftLabels(record.image_id, q)
 
 
-def objective(dataset: Dataset, params: ScorerParams,
+def objective(dataset: Dataset, log_probs: dict[str, np.ndarray],
               geometries: dict[str, CenterGeometry],
               strong_vectors: dict[str, np.ndarray]) -> ObjectiveValue:
     """The true mixed-supervision log-likelihood J at the given scorer.
@@ -329,21 +330,21 @@ def objective(dataset: Dataset, params: ScorerParams,
     Weak terms are always exact: exact_log_partition sums every config, for
     three categories without building the B ** 3 grid.  The objective has no
     truncated form, so an image past that function's config guard raises a
-    GuardError that names the image.  ``geometries``
-    maps every weak image id to the center coverage of its proposals,
-    ``strong_vectors`` every strong image id to its strong_label_vector.
+    GuardError that names the image.  ``log_probs``, ``geometries`` and
+    ``strong_vectors`` map image ids to their log_prob_matrix, weak center
+    coverage and strong_label_vector; the caller builds all three.
     """
     strong_term = 0.0
     weak_term = 0.0
     for record in dataset:
-        log_probs = log_prob_matrix(params, record.features)
+        values = log_probs[record.image_id]
         if record.is_weak:
             with _naming(record):
                 weak_term += exact_log_partition(geometries[record.image_id],
-                                                 _weak_label(record), log_probs)
+                                                 _weak_label(record), values)
         else:
             labels = strong_vectors[record.image_id]
-            strong_term += float(log_probs[np.arange(len(labels)), labels].sum())
+            strong_term += float(values[np.arange(len(labels)), labels].sum())
     return ObjectiveValue(strong_term, weak_term)
 
 
@@ -762,7 +763,9 @@ def run_em(dataset: Dataset, config: EmConfig,
     scores that seed the first posteriors (parameters start at zero), or
     nothing (zero parameters, so the first posteriors are uniform over the
     enumerated sets).  The trace holds the objective at initialization and
-    after every M-step.
+    after every M-step.  Each of the em_iterations + 1 passes runs an M-step
+    (but the first), scores once every image that the trace or a following
+    E-step reads, and turns each posterior into soft labels at once.
 
     Each weak image's center coverage is built once per run, after the
     exact and hard enumeration guards have passed, and read by every E-step,
@@ -772,6 +775,9 @@ def run_em(dataset: Dataset, config: EmConfig,
     if init_params is not None and init_scores is not None:
         raise ValueError("pass at most one of init_params and init_scores")
     num_categories = config.num_categories or infer_num_categories(dataset)
+    top = max((c for r in dataset for c in positive_categories(r)), default=0)
+    if top >= num_categories:
+        raise ValueError(f"config covers {num_categories} categories, dataset needs {top + 1}")
     if init_params is not None:
         if init_params.feature_dim != dataset.feature_dim:
             raise ValueError(
@@ -786,10 +792,11 @@ def run_em(dataset: Dataset, config: EmConfig,
         params = ScorerParams.zeros(num_categories, dataset.feature_dim)
 
     weak_records = [r for r in dataset if r.is_weak]
+    for record in (weak_records if init_scores is not None else ()):
+        if record.image_id not in init_scores:
+            raise ValueError(f"no init scores for image {record.image_id}")
     strong_vectors = {r.image_id: strong_label_vector(r, params.num_categories)
                       for r in dataset if not r.is_weak}
-    strong_rows = {image_id: np.eye(params.num_categories)[labels]
-                   for image_id, labels in strong_vectors.items()}
     if config.mode != "k_em":
         # Fail before the B x B IoU matrices below are built.
         for record in weak_records:
@@ -797,39 +804,29 @@ def run_em(dataset: Dataset, config: EmConfig,
                 check_enumeration(record.num_proposals, _weak_label(record))
     geometries = {r.image_id: center_geometry(r.proposals) for r in weak_records}
 
-    posteriors: dict[str, PosteriorTable] = {}
-    for record in weak_records:
-        if init_scores is not None:
-            if record.image_id not in init_scores:
-                raise ValueError(f"no init scores for image {record.image_id}")
-            posteriors[record.image_id] = e_step_from_scores(
-                record, init_scores[record.image_id], config)
-        else:
-            posteriors[record.image_id] = e_step(record, params, config,
-                                                 geometries[record.image_id])
-
+    labels = {image_id: np.eye(params.num_categories)[vector]
+              for image_id, vector in strong_vectors.items()}
     trace: list[ObjectiveValue] = []
-    if config.record_trace:
-        trace.append(objective(dataset, params, geometries, strong_vectors))
-
     state = OptimizerState.for_params(params, config.lr_initial,
                                       config.momentum, config.weight_decay)
     rng = np.random.default_rng(config.seed)
     step = 0
-    for it in range(config.em_iterations):
-        labels = dict(strong_rows)
-        for record in weak_records:
-            labels[record.image_id] = soft_labels(
-                posteriors[record.image_id], record, params.num_categories,
-                geometries[record.image_id]).q
-        if config.full_batch:
+    for it in range(config.em_iterations + 1):
+        if it and config.full_batch:
             full_batch_m_step(dataset, labels, params, config)
-        else:
+        elif it:
             step = m_step(dataset, labels, params, state, config, rng, step)
+        last = it == config.em_iterations
+        from_scores = it == 0 and init_scores is not None
+        log_probs = {r.image_id: log_prob_matrix(params, r.features) for r in dataset
+                     if config.record_trace or (r.is_weak and not (last or from_scores))}
         if config.record_trace:
-            trace.append(objective(dataset, params, geometries, strong_vectors))
-        if it + 1 < config.em_iterations:
-            for record in weak_records:
-                posteriors[record.image_id] = e_step(record, params, config,
-                                                     geometries[record.image_id])
+            trace.append(objective(dataset, log_probs, geometries, strong_vectors))
+        if last:
+            break
+        for record in weak_records:
+            image, geometry = record.image_id, geometries[record.image_id]
+            post = (e_step_from_scores(record, init_scores[image], config) if from_scores
+                    else e_step(record, log_probs[image], config, geometry))
+            labels[image] = soft_labels(post, record, params.num_categories, geometry).q
     return EmResult(params, trace)

@@ -7,7 +7,7 @@ from emdet.data import (Dataset, GroundTruth, ImageRecord, StrongAnnotation,
 from emdet.engine import objective, strong_label_vector
 from emdet.geometry import Box, boxes_to_array
 from emdet.latent import ImageLabel, center_geometry
-from emdet.scorer import ScorerParams
+from emdet.scorer import ScorerParams, log_prob_matrix
 
 
 def random_box(rng, canvas=100.0, min_size=4.0, max_size=40.0):
@@ -77,11 +77,13 @@ def single_record_dataset(record):
 
 
 def objective_of(dataset, params):
-    """engine.objective with every weak coverage and strong label vector built here."""
+    """engine.objective with every log-prob matrix, weak coverage and strong label
+    vector built here."""
+    log_probs = {r.image_id: log_prob_matrix(params, r.features) for r in dataset}
     geometries = {r.image_id: center_geometry(r.proposals) for r in dataset if r.is_weak}
     strong = {r.image_id: strong_label_vector(r, params.num_categories)
               for r in dataset if not r.is_weak}
-    return objective(dataset, params, geometries, strong)
+    return objective(dataset, log_probs, geometries, strong)
 
 
 def weak_record(image_id, boxes, features, categories):

@@ -49,6 +49,7 @@ from emdet.oracle import (
 )
 from emdet.scorer import (
     ScorerParams,
+    log_prob_matrix,
     weighted_ce_gradient,
 )
 from helpers import objective_of, random_params, random_weak_record, strong_record
@@ -121,7 +122,8 @@ def test_ac1_oracle_equivalence():
         params = random_params(rng, num_fg + 1, d)
         geometry = center_geometry(rec.proposals)
 
-        exact = as_table(e_step(rec, params, EmConfig(mode="exact"), geometry))
+        exact = as_table(e_step(rec, log_prob_matrix(params, rec.features),
+                                EmConfig(mode="exact"), geometry))
         ref = as_table(brute_posterior(rec, params))
         assert set(exact) == set(ref)
         max_posterior_dev = max(max_posterior_dev, max(
@@ -131,12 +133,14 @@ def test_ac1_oracle_equivalence():
         max_objective_dev = max(max_objective_dev, abs(
             fast_weak - brute_marginal_likelihood(rec, params)))
 
-        hard = e_step(rec, params, EmConfig(mode="hard"), geometry)
+        hard = e_step(rec, log_prob_matrix(params, rec.features), EmConfig(mode="hard"),
+                      geometry)
         if tuple(int(v) for v in hard.config_set.centers[0]) \
                 != brute_hard_config(rec, params):
             hard_agreed = False
 
-        trunc = as_table(e_step(rec, params, EmConfig(mode="k_em", k=b ** m), geometry))
+        trunc = as_table(e_step(rec, log_prob_matrix(params, rec.features),
+                                EmConfig(mode="k_em", k=b ** m), geometry))
         assert set(trunc) == set(ref)
         scale = max(ref.values())
         max_truncated_rel = max(max_truncated_rel, max(
@@ -200,7 +204,8 @@ def test_ac3_em_monotonicity_exact_full_batch():
         params = ScorerParams.zeros(3, 4)
         geometries = {r.image_id: center_geometry(r.proposals) for r in dataset}
         for _ in range(cfg.em_iterations):
-            posteriors = {r.image_id: e_step(r, params, cfg, geometries[r.image_id])
+            posteriors = {r.image_id: e_step(r, log_prob_matrix(params, r.features), cfg,
+                                             geometries[r.image_id])
                           for r in dataset}
             labels = {r.image_id: soft_labels(posteriors[r.image_id], r, 3,
                                               geometries[r.image_id]).q

@@ -19,7 +19,7 @@ from emdet.data import (Dataset, GeneratorConfig, generate, load_dataset,
 from emdet.engine import EmConfig, PosteriorTable, e_step
 from emdet.latent import LatentConfigSet, center_geometry, enumerate_exact
 from emdet.metrics import load_detections
-from emdet.scorer import ScorerParams, load_checkpoint, save_checkpoint
+from emdet.scorer import ScorerParams, load_checkpoint, log_prob_matrix, save_checkpoint
 from helpers import clustered_boxes, random_params, random_weak_record, weak_record
 
 GEN_SPEC = {"n_train": 12, "n_test": 6, "num_fg_categories": 3,
@@ -199,6 +199,17 @@ class TestTrain:
                    "--config", str(config), "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert "velocity" in capsys.readouterr().err
+
+    def test_num_categories_zero_in_config_exits_two(self, bench, tmp_path, capsys):
+        # zero used to mean "infer"; null is the only way to ask for that
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, "num_categories": 0}))
+        out = tmp_path / "x.json"
+        rc = main(["train", "--data", str(bench["train"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert "num_categories must be >= 2 or None, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_mode_in_config_is_rejected(self, bench, tmp_path):
         config = tmp_path / "config.json"
@@ -532,7 +543,8 @@ class TestOracle:
     def test_hard_ties_between_label_identical_configs_pass(self, tmp_path, capsys):
         records, params, data, ckpt = clustered_oracle_inputs(tmp_path)
         tied = [r for r in records if tuple(
-            e_step(r, params, EmConfig(mode="hard"), center_geometry(r.proposals))
+            e_step(r, log_prob_matrix(params, r.features), EmConfig(mode="hard"),
+                   center_geometry(r.proposals))
             .config_set.centers[0]) != emdet.oracle.brute_hard_config(r, params)]
         assert tied
         rc = main(["oracle", "--data", str(data), "--ckpt", str(ckpt), "--mode", "hard"])
@@ -542,9 +554,9 @@ class TestOracle:
     def test_hard_config_with_other_labels_fails(self, tmp_path, capsys, monkeypatch):
         _, _, data, ckpt = clustered_oracle_inputs(tmp_path)
 
-        def relabelled(record, params, config, geometry):
+        def relabelled(record, log_probs, config, geometry):
             # the first config whose labels differ from the fast path's choice
-            post = e_step(record, params, config, geometry)
+            post = e_step(record, log_probs, config, geometry)
             cats = post.config_set.categories
             labels = emdet.oracle.expand(cats, post.config_set.centers[0], record.proposals)
             for row in enumerate_exact(record.proposals, cats).centers:

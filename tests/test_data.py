@@ -386,7 +386,33 @@ class TestSplitSemi:
             assert np.array_equal(after.features, before.features)
 
 
+def split_digest(dataset):
+    """sha256 of every record's id, size, annotation kind, categories and arrays."""
+    digest = hashlib.sha256()
+    for record in dataset:
+        digest.update(repr((record.image_id, record.width, record.height, record.is_weak,
+                            positive_categories(record))).encode())
+        digest.update(record.proposals.tobytes())
+        digest.update(record.features.tobytes())
+    return digest.hexdigest()
+
+
 class TestDemote:
+    @pytest.mark.parametrize("fraction, expected", [
+        (0.0, "95db8ddde9754444ee7bfe3e005f969bfd8d5d1797110e761440d0a32a90814f"),
+        (0.5, "22b320ebffe312801a1a32f6a1de0c0dcce9f7708fb6eab3bd41a5f96ff6e6e7"),
+    ])
+    def test_split_digest_is_pinned(self, fraction, expected):
+        train, _ = generate(SMALL)
+        assert split_digest(split_semi(train, fraction, seed=0)) == expected
+
+    def test_demoted_records_share_the_source_arrays(self):
+        train, _ = generate(SMALL)
+        for before, after in zip(train, split_semi(train, 0.0, seed=0)):
+            assert after.proposals is before.proposals
+            assert after.features is before.features
+            assert after.is_weak and not before.is_weak
+
     def test_weak_input_rejected(self):
         rec = random_weak_record(np.random.default_rng(5))
         with pytest.raises(ValueError, match="already weak"):

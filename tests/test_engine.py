@@ -5,6 +5,7 @@ is checked numerically; posterior values are checked against hand products.
 """
 
 import collections
+import hashlib
 import inspect
 import itertools
 import logging
@@ -90,6 +91,11 @@ class TestEmConfigValidation:
     def test_rejects_empty_minibatch(self):
         with pytest.raises(ValueError):
             EmConfig(fg_per_image=0, bg_per_image=0)
+
+    @pytest.mark.parametrize("count", [1, 0, -3])
+    def test_rejects_fewer_than_two_categories(self, count):
+        with pytest.raises(ValueError, match=f"num_categories must be >= 2 or None, got {count}"):
+            EmConfig(num_categories=count)
 
     @pytest.mark.parametrize("field, quotas", [("fg_per_image", (-4, 48)),
                                                ("bg_per_image", (16, -3))])
@@ -199,8 +205,8 @@ class TestObjective:
 class TestEStep:
     def test_exact_uniform_posterior(self):
         rec = isolated_weak_record("w", 5, (1,), dim=3)
-        post = e_step(rec, ScorerParams.zeros(2, 3), EmConfig(mode="exact"),
-                      center_geometry(rec.proposals))
+        post = e_step(rec, log_prob_matrix(ScorerParams.zeros(2, 3), rec.features),
+                      EmConfig(mode="exact"), center_geometry(rec.proposals))
         assert np.allclose(post.weights, 0.2, atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -212,7 +218,8 @@ class TestEStep:
             rec = weak_record("w", boxes, rng.normal(size=(7, 3)), cats)
             params = random_params(rng, 4, 3, scale=1.0)
             geometry = center_geometry(boxes)
-            post = e_step(rec, params, EmConfig(mode="exact"), geometry)
+            post = e_step(rec, log_prob_matrix(params, rec.features), EmConfig(mode="exact"),
+                          geometry)
             rows = emdet.latent.enumerate_exact(boxes, cats)
             assert np.array_equal(post.config_set.centers, rows.centers)
             values = emdet.latent.score_config_set(
@@ -225,15 +232,16 @@ class TestEStep:
         rec = random_weak_record(rng, "w", num_proposals=7, num_fg=2,
                                  feature_dim=4, num_present=2)
         params = random_params(rng, 3, 4)
-        post = e_step(rec, params, EmConfig(mode="hard"), center_geometry(rec.proposals))
+        post = e_step(rec, log_prob_matrix(params, rec.features), EmConfig(mode="hard"),
+                      center_geometry(rec.proposals))
         assert len(post.config_set) == 1
         assert tuple(post.config_set.centers[0]) == brute_hard_config(rec, params)
         assert post.weights.tolist() == [1.0]
 
     def test_hard_tie_picks_lexicographically_smallest(self):
         rec = isolated_weak_record("w", 4, (1, 2), dim=3)
-        post = e_step(rec, ScorerParams.zeros(3, 3), EmConfig(mode="hard"),
-                      center_geometry(rec.proposals))
+        post = e_step(rec, log_prob_matrix(ScorerParams.zeros(3, 3), rec.features),
+                      EmConfig(mode="hard"), center_geometry(rec.proposals))
         assert tuple(post.config_set.centers[0]) == (0, 1)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -245,7 +253,8 @@ class TestEStep:
             boxes = clustered_boxes(rng, 8)
             rec = weak_record("w", boxes, rng.normal(size=(8, 3)), cats)
             params = random_params(rng, 4, 3, scale=1.0)
-            post = e_step(rec, params, EmConfig(mode="hard"), center_geometry(boxes))
+            post = e_step(rec, log_prob_matrix(params, rec.features), EmConfig(mode="hard"),
+                          center_geometry(boxes))
             centers = tuple(post.config_set.centers[0])
             best = brute_hard_config(rec, params)
             # Configs with identical labels tie exactly; the grid's rounding,
@@ -265,8 +274,8 @@ class TestEStep:
         weights = np.zeros((3, 4))
         weights[1, 0] = np.nan
         with pytest.raises(ValueError, match="log probabilities must be finite"):
-            e_step(rec, ScorerParams(weights), EmConfig(mode="hard"),
-                   center_geometry(rec.proposals))
+            e_step(rec, log_prob_matrix(ScorerParams(weights), rec.features),
+                   EmConfig(mode="hard"), center_geometry(rec.proposals))
 
     def test_truncated_with_full_budget_matches_exact(self):
         rng = np.random.default_rng(9)
@@ -275,8 +284,10 @@ class TestEStep:
                                      num_fg=2, feature_dim=4, num_present=2)
             params = random_params(rng, 3, 4)
             geometry = center_geometry(rec.proposals)
-            exact = e_step(rec, params, EmConfig(mode="exact"), geometry)
-            trunc = e_step(rec, params, EmConfig(mode="k_em", k=25), geometry)
+            exact = e_step(rec, log_prob_matrix(params, rec.features), EmConfig(mode="exact"),
+                           geometry)
+            trunc = e_step(rec, log_prob_matrix(params, rec.features),
+                           EmConfig(mode="k_em", k=25), geometry)
             expected = {tuple(row): w for row, w
                         in zip(exact.config_set.centers, exact.weights)}
             got = {tuple(row): w for row, w
@@ -288,8 +299,8 @@ class TestEStep:
     def test_rejects_labels_beyond_scorer(self):
         rec = isolated_weak_record("w", 3, (4,), dim=3)
         with pytest.raises(ValueError, match="only covers"):
-            e_step(rec, ScorerParams.zeros(3, 3), EmConfig(mode="exact"),
-                   center_geometry(rec.proposals))
+            e_step(rec, log_prob_matrix(ScorerParams.zeros(3, 3), rec.features),
+                   EmConfig(mode="exact"), center_geometry(rec.proposals))
 
     @pytest.mark.parametrize("mode", ["exact", "hard"])
     def test_guard_rejects_oversized_enumeration_up_front(self, mode):
@@ -299,8 +310,8 @@ class TestEStep:
                                  num_present=3)
         start = time.monotonic()
         with pytest.raises(GuardError, match="exceed"):
-            e_step(rec, ScorerParams.zeros(4, 5), EmConfig(mode=mode),
-                   center_geometry(rec.proposals))
+            e_step(rec, log_prob_matrix(ScorerParams.zeros(4, 5), rec.features),
+                   EmConfig(mode=mode), center_geometry(rec.proposals))
         with pytest.raises(GuardError, match="exceed"):
             e_step_from_scores(rec, np.ones((200, 3)), EmConfig(mode=mode))
         assert time.monotonic() - start < 1.0
@@ -519,7 +530,8 @@ class TestSoftLabels:
                                      num_fg=3, feature_dim=4)
             params = random_params(rng, 4, 4)
             geometry = center_geometry(rec.proposals)
-            post = e_step(rec, params, EmConfig(mode="exact"), geometry)
+            post = e_step(rec, log_prob_matrix(params, rec.features), EmConfig(mode="exact"),
+                          geometry)
             q = soft_labels(post, rec, 4, geometry).q
             assert np.allclose(q.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(q >= 0)
@@ -530,7 +542,8 @@ class TestSoftLabels:
             rec = random_weak_record(rng, f"w{trial}", num_proposals=9,
                                      num_fg=3, feature_dim=4)
             geometry = center_geometry(rec.proposals)
-            post = e_step(rec, random_params(rng, 4, 4), EmConfig(mode="exact"), geometry)
+            post = e_step(rec, log_prob_matrix(random_params(rng, 4, 4), rec.features),
+                          EmConfig(mode="exact"), geometry)
             expected = np.zeros((9, 4))
             cats = post.config_set.categories
             for w, row in zip(post.weights, post.config_set.centers):
@@ -543,7 +556,8 @@ class TestSoftLabels:
         rec = random_weak_record(rng, "w", num_proposals=50, num_fg=3,
                                  feature_dim=4, num_present=3)
         geometry = center_geometry(rec.proposals)
-        post = e_step(rec, random_params(rng, 4, 4), EmConfig(mode="exact"), geometry)
+        post = e_step(rec, log_prob_matrix(random_params(rng, 4, 4), rec.features),
+                      EmConfig(mode="exact"), geometry)
         assert len(post.config_set) == 50 * 49 * 48
         tracemalloc.start()
         try:
@@ -592,8 +606,8 @@ class TestSurrogateGradientIdentity:
         dataset = Dataset([weak_a, weak_b, strong])
         anchor = random_params(rng, 3, 3)
         geometries = {r.image_id: center_geometry(r.proposals) for r in dataset if r.is_weak}
-        posteriors = {r.image_id: e_step(r, anchor, EmConfig(mode="exact"),
-                                         geometries[r.image_id])
+        posteriors = {r.image_id: e_step(r, log_prob_matrix(anchor, r.features),
+                                         EmConfig(mode="exact"), geometries[r.image_id])
                       for r in dataset if r.is_weak}
 
         params = random_params(rng, 3, 3)
@@ -626,8 +640,8 @@ class TestSurrogateGradientIdentity:
                                  feature_dim=3, num_present=1)
         dataset = single_record_dataset(rec)
         params = random_params(rng, 3, 3)
-        posteriors = {"w": e_step(rec, params, EmConfig(mode="exact"),
-                                  center_geometry(rec.proposals))}
+        posteriors = {"w": e_step(rec, log_prob_matrix(params, rec.features),
+                                  EmConfig(mode="exact"), center_geometry(rec.proposals))}
         assert surrogate_value(dataset, posteriors, params) \
             <= objective_of(dataset, params).total + 1e-12
 
@@ -948,7 +962,8 @@ class TestMStep:
         dataset = single_record_dataset(rec)
         params = ScorerParams.zeros(3, 4)
         geometry = center_geometry(rec.proposals)
-        post = e_step(rec, params, EmConfig(mode="exact"), geometry)
+        post = e_step(rec, log_prob_matrix(params, rec.features), EmConfig(mode="exact"),
+                      geometry)
         labels = {"w": soft_labels(post, rec, 3, geometry).q}
         return dataset, labels, params
 
@@ -1023,7 +1038,8 @@ class TestMStep:
         labels = {}
         for r in records[:-1]:
             geometry = center_geometry(r.proposals)
-            post = e_step(r, anchor, EmConfig(mode="exact"), geometry)
+            post = e_step(r, log_prob_matrix(anchor, r.features), EmConfig(mode="exact"),
+                          geometry)
             labels[r.image_id] = soft_labels(post, r, 3, geometry).q
         labels["s"] = np.eye(3)[strong_label_vector(records[-1], 3)]
         labels["w0"] = np.eye(3)[np.zeros(7, dtype=int)]
@@ -1430,6 +1446,111 @@ class TestRunEm:
         result = run_em(dataset, config)
         assert result.params.weights.shape == (6, 5)
 
+    @staticmethod
+    def mixed_dataset():
+        train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))
+        dataset = split_semi(train, 0.5, seed=4)
+        assert 0 < sum(r.is_weak for r in dataset) < len(dataset)
+        return train, dataset
+
+    @pytest.mark.parametrize("count, mode", [(2, "k_em"), (3, "hard"), (4, "exact")])
+    def test_too_few_config_categories_fail_before_any_iou_matrix(self, count, mode,
+                                                                  monkeypatch):
+        _, dataset = self.mixed_dataset()
+        assert infer_num_categories(dataset) == 5
+        calls = self.count_iou_matrices(monkeypatch)
+        with pytest.raises(ValueError, match=f"config covers {count} categories, "
+                                             f"dataset needs 5"):
+            run_em(dataset, EmConfig(mode=mode, num_categories=count))
+        assert calls == []
+
+    def test_missing_init_scores_fail_before_any_iou_matrix(self, monkeypatch):
+        train, dataset = self.mixed_dataset()
+        scores = make_init_scores(train, seed=5)
+        missing = [r.image_id for r in dataset if r.is_weak][-1]
+        del scores[missing]
+        calls = self.count_iou_matrices(monkeypatch)
+        with pytest.raises(ValueError, match=f"no init scores for image {missing}"):
+            run_em(dataset, EmConfig(em_iterations=1), init_scores=scores)
+        assert calls == []
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    @pytest.mark.parametrize("with_scores", [False, True])
+    @pytest.mark.parametrize("mode", ["k_em", "hard"])
+    def test_each_pass_scores_each_image_it_reads_once(self, mode, with_scores, record_trace,
+                                                       monkeypatch):
+        train, dataset = self.mixed_dataset()
+        scored = []
+        original = emdet.engine.log_prob_matrix
+
+        def counting(params, features):
+            scored.append(id(features))
+            return original(params, features)
+
+        monkeypatch.setattr(emdet.engine, "log_prob_matrix", counting)
+        config = EmConfig(mode=mode, em_iterations=3, sgd_steps_per_m_step=20,
+                          record_trace=record_trace)
+        run_em(dataset, config, init_scores=make_init_scores(train, seed=5) if with_scores
+               else None)
+        # the trace reads every image in every pass; otherwise only the
+        # E-steps of the first em_iterations passes read, the weak images
+        if record_trace:
+            expected = {id(r.features): config.em_iterations + 1 for r in dataset}
+        else:
+            expected = {id(r.features): config.em_iterations - with_scores
+                        for r in dataset if r.is_weak}
+        assert collections.Counter(scored) == expected
+
+    def test_exact_mode_holds_one_posterior_table_at_a_time(self):
+        # 30 * 29 * 28 configs per three-category image; only soft labels
+        # outlive an E-step, so four times the images cost no more memory
+        def peak(count):
+            rng = np.random.default_rng(37)
+            dataset = Dataset([random_weak_record(rng, f"w{n}", num_proposals=30, num_fg=3,
+                                                  feature_dim=4, num_present=3)
+                               for n in range(count)])
+            config = EmConfig(mode="exact", em_iterations=2, sgd_steps_per_m_step=20,
+                              record_trace=False)
+            tracemalloc.start()
+            try:
+                run_em(dataset, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) - peak(2) < 0.5 * 2 ** 20
+
+
+def run_digest(result):
+    """sha256 of the trained weights and every (strong, weak) trace term."""
+    digest = hashlib.sha256(result.params.weights.tobytes())
+    for value in result.trace:
+        digest.update(np.array([value.strong_term, value.weak_term]).tobytes())
+    return digest.hexdigest()
+
+
+class TestRunEmDigest:
+    """run_em is byte-identical for a given input and config.  The other run_em
+    tests compare runs of the same code with each other, so a change that
+    moved every run alike would pass them; these pinned digests would not."""
+
+    @pytest.mark.parametrize("mode, with_scores, expected", [
+        ("exact", False, "fe0bad8cdb6bff332e25da4efe206f571619b6249d15f594967d51fba66ee7db"),
+        ("exact", True, "d6ebcb97cf960cbad83af363673833d864fce7cdbd52a16ae38c15f7c8ebae9f"),
+        ("hard", False, "dbd6727727ad80f1b13875f90bbf5e40975c9bd57503393e34fe7362dc05a2b7"),
+        ("hard", True, "d26c505e8d12d5fc2e7f107c85a2244c479a3214aff418d721640989c116bf4c"),
+        ("k_em", False, "185d3bf804114aca55d84ef8d78aaa656dee67f06af580be4169c6d2950153fe"),
+        ("k_em", True, "b37a498343592a832705c5303b75e48478d210d9bcfc2204bdd0605ea4215bab"),
+    ])
+    def test_mixed_run_digest_is_pinned(self, mode, with_scores, expected):
+        train, _ = generate(GeneratorConfig(n_train=14, n_test=1, proposals_per_image=20,
+                                            seed=4))
+        dataset = split_semi(train, 0.3, seed=4)
+        scores = make_init_scores(train, seed=5) if with_scores else None
+        config = EmConfig(mode=mode, k=20, em_iterations=3, sgd_steps_per_m_step=60, seed=1)
+        assert config.record_trace
+        assert run_digest(run_em(dataset, config, init_scores=scores)) == expected
+
 
 class TestInferNumCategories:
     def test_counts_background(self):
@@ -1452,8 +1573,8 @@ def _table_builders(record):
                                                                        log_probs),
         "exact_log_partition": lambda: exact_log_partition(geometry, label, log_probs),
         "select_k": lambda: select_k(record.proposals, label, log_probs, B ** M),
-        "e_step_exact": lambda: e_step(record, params, EmConfig(mode="exact"), geometry),
-        "e_step_hard": lambda: e_step(record, params, EmConfig(mode="hard"), geometry),
+        "e_step_exact": lambda: e_step(record, log_probs, EmConfig(mode="exact"), geometry),
+        "e_step_hard": lambda: e_step(record, log_probs, EmConfig(mode="hard"), geometry),
         "e_step_from_scores_exact": lambda: e_step_from_scores(
             record, scores, EmConfig(mode="exact")),
         "e_step_from_scores_hard": lambda: e_step_from_scores(
@@ -1493,7 +1614,8 @@ class TestOneTableSizeRule:
 
 
 class TestCoverageArguments:
-    """Per-image coverages and strong label vectors are built by the caller, once."""
+    """Per-image coverages, log-prob matrices and strong label vectors are built
+    by the caller, once."""
 
     @staticmethod
     def functions():
@@ -1513,6 +1635,16 @@ class TestCoverageArguments:
         assert {"emdet.latent.score_config_set", "emdet.latent.exact_log_partition",
                 "emdet.engine.e_step", "emdet.engine.soft_labels",
                 "emdet.engine.objective"} <= readers
+
+    def test_no_function_scores_images_it_is_handed_log_probs_for(self):
+        readers = set()
+        for name, params in self.functions():
+            if "log_probs" in params:
+                readers.add(name)
+                assert params["log_probs"].default is inspect.Parameter.empty, name
+            assert not (name.startswith("emdet.engine.")
+                        and {"params", "log_probs"} <= set(params)), name
+        assert {"emdet.engine.e_step", "emdet.engine.objective"} <= readers
 
     def test_engine_keeps_no_guard_of_its_own(self):
         # the config-table size rule lives in latent; engine only calls it

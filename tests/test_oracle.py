@@ -14,7 +14,7 @@ from emdet.oracle import (
     brute_truncated_posterior,
     reference_posterior,
 )
-from emdet.scorer import ScorerParams
+from emdet.scorer import ScorerParams, log_prob_matrix
 from helpers import (
     isolated_weak_record,
     objective_of,
@@ -93,7 +93,8 @@ class TestEngineAgreement:
 
     def test_exact_posterior_weights(self):
         for rec, params, geometry in self.instances(30, seed=11):
-            fast = as_table(e_step(rec, params, EmConfig(mode="exact"), geometry))
+            fast = as_table(e_step(rec, log_prob_matrix(params, rec.features),
+                                   EmConfig(mode="exact"), geometry))
             slow = as_table(brute_posterior(rec, params))
             assert set(fast) == set(slow)
             for row, w in fast.items():
@@ -101,13 +102,15 @@ class TestEngineAgreement:
 
     def test_hard_argmax_config(self):
         for rec, params, geometry in self.instances(30, seed=12):
-            fast = e_step(rec, params, EmConfig(mode="hard"), geometry)
+            fast = e_step(rec, log_prob_matrix(params, rec.features), EmConfig(mode="hard"),
+                          geometry)
             slow = brute_hard_config(rec, params)
             assert tuple(int(v) for v in fast.config_set.centers[0]) == slow
 
     def test_truncated_posterior_weights(self):
         for rec, params, geometry in self.instances(30, seed=13):
-            fast = as_table(e_step(rec, params, EmConfig(mode="k_em", k=4), geometry))
+            fast = as_table(e_step(rec, log_prob_matrix(params, rec.features),
+                                   EmConfig(mode="k_em", k=4), geometry))
             slow = as_table(brute_truncated_posterior(rec, params, k=4))
             assert set(fast) == set(slow)
             for row, w in fast.items():
@@ -124,7 +127,8 @@ class TestEngineAgreement:
             params = random_params(rng, 4, 4)
             geometry = center_geometry(rec.proposals)
             for k in (1, 3, 6):
-                fast = as_table(e_step(rec, params, EmConfig(mode="k_em", k=k), geometry))
+                fast = as_table(e_step(rec, log_prob_matrix(params, rec.features),
+                                       EmConfig(mode="k_em", k=k), geometry))
                 slow = as_table(brute_truncated_posterior(rec, params, k=k))
                 assert len(fast) == k
                 assert set(fast) == set(slow)
