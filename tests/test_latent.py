@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -693,6 +694,64 @@ class TestExactLogPartition:
         with pytest.raises(GuardError, match="exceed"):
             exact_log_partition(center_geometry(isolated_boxes(32)), cats,
                                 uniform_log_probs(32, 5))
+
+
+def pinned_instances(kind):
+    """The proposals of one family of instances whose exact values are pinned."""
+    if kind.startswith("desk"):
+        seed, proposals = {"desk_s0_b50": (0, 50), "desk_s3_b50": (3, 50),
+                           "desk_s0_b200": (0, 200)}[kind]
+        train, _ = generate(GeneratorConfig(n_train=12, n_test=1,
+                                            proposals_per_image=proposals, seed=seed))
+        return [r.proposals for r in train]
+    rng = np.random.default_rng(90)
+    make = {"clustered": clustered_boxes, "grid": grid_boxes, "random": random_boxes}[kind]
+    return [make(rng, count) for count in (6, 9, 16, 24)]
+
+
+PINNED_DIGESTS = {
+    "desk_s0_b50": "515c753eea5c296a415026545cb4d377c55522f155b93c70324bcce22f97e244",
+    "desk_s3_b50": "f28d7eb8ff4f23e60a76e00b1725e3d77ea498eb6350061cfcf123ef31b2de3c",
+    "desk_s0_b200": "a674e6494bd1f885af07141fe37d8ecbfc900fca2f772d9165796e72617d1e69",
+    "clustered": "da38472a4e7c71359c9a72dbde1cae20de59d8ce5a7f36740fc605daea818636",
+    "grid": "c2b4354e279ad6d5981288d1d3c5ccb85b2d459b57cca48a5b2e8e49967670d8",
+    "random": "d6c0bd665a89e22032464aa0cda175671e555471f79f9c74e046b33875e1887f",
+}
+
+
+def pinned_digest(kind):
+    """sha256 of the exact log-partition for M = 1..4 and the exact grid for M <= 2.
+
+    Every instance of the family is scored under a shallow and a deep scorer
+    (log-probabilities down to about -2 and -60), skipping label sizes whose
+    table the guard rejects.
+    """
+    rng = np.random.default_rng(91)
+    digest = hashlib.sha256()
+    for boxes in pinned_instances(kind):
+        geometry = center_geometry(boxes)
+        B = len(boxes)
+        for scale in (1.5, 30.0):
+            logits = rng.normal(0.0, scale, size=(B, 5))
+            log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            for m in range(1, 5):
+                cats = tuple(range(1, m + 1))
+                if B < m or B ** (2 if m == 3 else m) > OBJECTIVE_GUARD:
+                    continue
+                digest.update(np.float64(exact_log_partition(geometry, cats,
+                                                             log_probs)).tobytes())
+                if m <= 2:
+                    digest.update(exact_log_likelihood_grid(geometry, cats, log_probs).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedExactValues:
+    """sha256 of the exact log-partition (M = 1..4) and the exact grid (M <= 2),
+    recorded before both were built from one set of pair factors."""
+
+    @pytest.mark.parametrize("kind, expected", list(PINNED_DIGESTS.items()))
+    def test_digest_is_pinned(self, kind, expected):
+        assert pinned_digest(kind) == expected
 
 
 # Every reader of a coverage plus log-probabilities, called as
