@@ -207,9 +207,9 @@ def e_step(record: ImageRecord, log_probs: np.ndarray, config: EmConfig,
     of e_step_from_scores does not apply.
     Configs that label every proposal alike (a center absorbed by another
     center's neighborhood, or duplicate proposals) have equal likelihoods,
-    but the grid's inclusion-exclusion sums can differ in the last bits
-    between them, so such ties go by rounding, not by index order.  The
-    labels, and so training, do not depend on which tied config is kept.
+    but the grid's factor sums can differ in the last bits between them,
+    so such ties go by rounding, not by index order.  The labels, and so
+    training, do not depend on which tied config is kept.
     """
     label = _weak_label(record)
     if max(label.categories) >= log_probs.shape[1]:

@@ -24,7 +24,9 @@ CENTER_IOU = 0.5
 # Largest config table built for one weak image: the B ** M rows of
 # enumerate_exact or entries of exact_log_likelihood_grid, the B ** 2 pair
 # factors of exact_log_partition for M = 3, and select_k's max(r, M) ** M
-# candidates.  Co-coverage plans are built only for B ** 2 within it.
+# candidates.  Co-coverage plans are built only for B ** 2 within it.  Not
+# bounded by it: the partition's arrays of every slot order of every triple
+# config (_ordered_configs), which grow with the triple plan.
 OBJECTIVE_GUARD = 10 ** 6
 
 
@@ -131,8 +133,9 @@ class LatentConfigSet:
         return self.centers.shape[0]
 
 
-# Config rows labelled per kernel pass; bounds the (rows, B) label and key
-# buffers so kernel memory does not grow with the size of the config set.
+# Config rows labelled per kernel pass, and (j, k) lines of triple configs
+# that exact_log_partition recomputes per pass; bounds the (rows, B) buffers
+# so neither grows with the size of the config set.
 LABEL_CHUNK = 1024
 
 
@@ -335,14 +338,12 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
     so does exact_log_partition for every label but three categories.  More
     than OBJECTIVE_GUARD entries raise GuardError before anything is built.
 
-    For M <= 3 the grid is built by inclusion-exclusion over neighborhoods
-    (see _overlap_terms).  The dense part is ((base + u[j1]) + v[j2]) + w[j3],
-    where base is the all-background sum and u, v, w each center's
-    foreground deltas over the proposals it covers.  Each slot pair's loser
-    sums are subtracted only on the (j, k) lines they touch, and for M = 3
-    each proposal covered by all three centers gets its bottom-ranked slot's
-    delta added back, in order of the proposal.  Entries never touched by a
-    correction cost no work beyond the dense part.
+    For M <= 3 the grid materializes the factors of _overlap_terms, with u,
+    v, w the per-center terms and P01, P02, P12 the pair factors:
+    base + u for M = 1, G = ((base + u[j]) + v[k]) + P01[j, k] for M = 2,
+    and for M = 3 (G[j, k] + (w[l] + P02[j, l])) + P12[k, l], plus the bonus
+    of each triple config.  The pair factors' -inf diagonals mask every
+    entry that repeats an index.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
@@ -358,29 +359,16 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
         return grid
 
     terms = _overlap_terms(geometry, label.categories, log_probs)
-    grid = terms.base
-    for m in range(M):
-        # (B, 1, ..., 1) with M - 1 - m trailing ones broadcasts along axis m.
-        grid = grid + terms.per_center[:, m].reshape((B,) + (1,) * (M - 1 - m))
-    if M >= 2:
-        line_j, line_k = _slot_orders(geometry.pair_plan().lines)
-        for (a, b), pair in terms.pairs.items():
-            lines = np.moveaxis(grid, (a, b), (0, 1))
-            lines[line_j, line_k] -= pair.reshape((-1,) + (1,) * (M - 2))
+    grid = terms.base + terms.per_center[:, 0]
+    if M == 1:
+        return grid
+    grid = (grid[:, None] + terms.per_center[:, 1]) + terms.minus[(0, 1)]
     if M == 3:
-        triples = geometry.triple_plan()
-        # The grid is a fresh C-ordered array, so its flat view takes one
-        # index per entry: far cheaper for np.add.at than three.  Each slot
-        # order of a config is its own cell, and takes the config's entries
-        # in ascending i.
-        j, k, l = _slot_orders(triples.configs)
-        flat = np.repeat(((j * B + k) * B + l).reshape(6, -1), triples.count, axis=1)
-        np.add.at(grid.reshape(-1), flat.reshape(-1), terms.add.reshape(-1))
-    # No config reuses a proposal: -inf wherever two slots share an index.
-    same = np.arange(B)
-    for a in range(M):
-        for b in range(a + 1, M):
-            np.moveaxis(grid, (a, b), (0, 1))[same, same] = -np.inf
+        grid = grid[:, :, None] + (terms.per_center[:, 2] + terms.minus[(0, 2)])[:, None, :]
+        grid += terms.minus[(1, 2)]
+        # Each slot order of a triple config is its own cell of the fresh grid.
+        j, k, l, bonus = terms.triples
+        grid.reshape(-1)[(j * B + k) * B + l] += bonus
     return grid
 
 
@@ -535,32 +523,33 @@ def _build_triple_plan(geometry: CenterGeometry) -> _TriplePlan:
 
 
 class _Overlaps(NamedTuple):
-    """One image's inclusion-exclusion terms for M <= 3 category slots.
+    """One image's config log-likelihoods for M <= 3 category slots, as factors.
 
     The config with slot m's center at proposal j_m scores ``base`` plus
-    ``per_center[j_m, m]`` for every slot, minus ``pairs[(a, b)]`` on the
-    line (j_a, j_b) of _slot_orders(pair_plan().lines) for every slot pair,
-    plus, for M = 3, ``add[p, e]`` for every entry e of the triple_plan whose
-    config, in slot order p of _slot_orders, is (j_0, j_1, j_2).  ``add`` is
-    None for M < 3.
+    ``per_center[j_m, m]`` for every slot plus ``minus[(a, b)][j_a, j_b]``
+    for every slot pair a < b, plus for M = 3 the ``bonus`` of its
+    (j_0, j_1, j_2) where that is one of the ``triples`` (j, k, l, bonus) of
+    _ordered_configs.  Each (B, B) pair factor is 0 off the lines the pair
+    plan touches and -inf on its diagonal, so no config reuses a proposal.
+    ``minus`` is empty for M = 1 and ``triples`` None for M < 3.
     """
 
     base: float
     per_center: np.ndarray
-    pairs: dict[tuple[int, int], np.ndarray]
-    add: np.ndarray | None
+    minus: dict[tuple[int, int], np.ndarray]
+    triples: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
 
 
 def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) -> _Overlaps:
-    """The dense and sparse terms of the config log-likelihoods of one image.
+    """The inclusion-exclusion factors of the config log-likelihoods of one image.
 
     ``base`` is the all-background sum and ``per_center`` each center's
     foreground deltas over the proposals it covers.  Where two neighborhoods
-    share a proposal the plain sum counts both categories, so each slot pair
-    subtracts the losing slot's delta, summed per ordered line over the
-    entries of the pair plan in ascending i.  For M = 3 a proposal covered
-    by all three chosen centers lost one delta too many, so its bottom slot's
-    delta comes back once per entry of the triple plan and slot order.
+    share a proposal the plain sum counts both categories, so each slot
+    pair's factor holds the losing slot's delta, summed per ordered line
+    over the entries of the pair plan in ascending i, and negated.  For M = 3
+    a proposal covered by all three chosen centers lost one delta too many,
+    so its bottom slot's delta comes back in its config's bonus.
 
     The plans hold every index; this reads only the log-probs.  Only
     ``per_center``, one matrix product, rebuilds a dense coverage.
@@ -573,8 +562,8 @@ def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) 
     cover[np.repeat(np.arange(B), np.diff(geometry.offsets)), geometry.members] = 1.0
     per_center = cover.T @ delta  # (B, M)
     del cover
-    pairs: dict[tuple[int, int], np.ndarray] = {}
-    add = None
+    minus: dict[tuple[int, int], np.ndarray] = {}
+    triples = None
 
     if M >= 2:
         plan = geometry.pair_plan()
@@ -583,25 +572,29 @@ def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) 
         # lists them, each in ascending i.
         line = _group_bins(plan.count, 2).reshape(-1)
         first_wins = _FIRST_WINS.take(plan.code, axis=1)
-        for a in range(M):
-            for b in range(a + 1, M):
-                loser = np.where(first_wins, covered[:, b], covered[:, a])
-                pairs[(a, b)] = np.bincount(line, weights=loser.reshape(-1),
-                                             minlength=2 * plan.count.size)
+        line_j, line_k = _slot_orders(plan.lines)
+        touched = line_j * B + line_k
+        for a, b in itertools.combinations(range(M), 2):
+            loser = np.where(first_wins, covered[:, b], covered[:, a])
+            sums = np.bincount(line, weights=loser.reshape(-1), minlength=2 * plan.count.size)
+            factor = np.zeros((B, B))
+            factor.put(touched, -sums)
+            np.fill_diagonal(factor, -np.inf)
+            minus[(a, b)] = factor
 
     if M == 3:
         plan = geometry.triple_plan()
         bottom = _BOTTOM.take(plan.code, axis=1)
         bottom += M * plan.i  # i < 1000 (see _co_covered), so M * i fits int16
-        add = delta.take(bottom)
-    return _Overlaps(base, per_center, pairs, add)
+        triples = _ordered_configs(plan, delta.take(bottom), B)
+    return _Overlaps(base, per_center, minus, triples)
 
 
 def _ordered_configs(plan: _TriplePlan, add: np.ndarray, B: int):
     """Every slot order of every triple config over B proposals, ascending by (j, k, l).
 
-    Returns their j, k and l, and each one's ``add`` summed over its
-    entries in ascending i.
+    Returns their j, k and l, and each one's bonus: the deltas ``add`` gives
+    back to it, summed over its entries in ascending i.
     """
     bonus = np.bincount(_group_bins(plan.count, 6).reshape(-1), weights=add.reshape(-1),
                         minlength=6 * plan.count.size)
@@ -620,23 +613,23 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     ``log_probs`` holds one finite row per proposal.  For every M but 3 this
     is logsumexp(exact_log_likelihood_grid(...)), a table of B ** M entries.
     For M = 3 it equals the grid's log-sum-exp up to float rounding, but
-    sums the terms of _overlap_terms over a pairwise factor graph instead of
-    building the B ** 3 grid (variable elimination).  With u, v, w the
-    per-center terms and P_ab a slot pair's loser sums (0 off its touched
-    lines, +inf on the diagonal, so no config reuses a proposal),
+    sums the factors of _overlap_terms, which the grid materializes, over
+    the pairwise factor graph instead (variable elimination).  With u, v, w
+    the per-center terms and P01, P02, P12 the pair factors,
 
         log Z = base + logsumexp over (j, k) of
-                u_j + v_k - P01[j, k] + log inner[j, k],
-        inner[j, k] = sum over l of exp(w_l - P02[j, l] - P12[k, l]),
+                u_j + v_k + P01[j, k] + log inner[j, k],
+        inner[j, k] = sum over l of exp(w_l + P02[j, l] + P12[k, l]),
 
     where inner is one (B, B) matrix product of two factors exponentiated
     with each row shifted by its own max: no exp overflows, and corrections
     hundreds of nats apart do not underflow every config, as one shift per
     factor would.  Configs with a triple-covered proposal are left out of
     inner on their (j, k) lines and added with their exact values, so only
-    positive terms are summed.  The largest table built has B ** 2 entries
-    for M = 3 and B ** M otherwise: more than OBJECTIVE_GUARD raise
-    GuardError before anything is built.
+    positive terms are summed; those lines are recomputed LABEL_CHUNK at a
+    time.  The largest table built has B ** 2 entries for M = 3 and B ** M
+    otherwise: more than OBJECTIVE_GUARD raise GuardError before anything is
+    built.
     """
     label = as_label(z)
     if len(label) != 3:
@@ -646,45 +639,43 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     _check_table(B, 3, B ** 2)
     _check_scoring_inputs(label.categories, log_probs, geometry)
     terms = _overlap_terms(geometry, label.categories, log_probs)
-    # One row-major flat index per entry gathers and scatters far faster than
-    # a pair of indexes.
-    # -pairs[(a, b)] on the touched lines, 0 elsewhere, -inf on the diagonal.
-    minus = {}
-    line_j, line_k = _slot_orders(geometry.pair_plan().lines)
-    touched = line_j * B + line_k
-    for pair, loser in terms.pairs.items():
-        values = np.zeros((B, B))
-        values.put(touched, -loser)
-        np.fill_diagonal(values, -np.inf)
-        minus[pair] = values
-    u, v = terms.per_center[:, 0], terms.per_center[:, 1]
+    minus, (u, v, w) = terms.minus, terms.per_center.T
     outer = u[:, None] + v[None, :] + minus[(0, 1)]
 
-    # inner[j, k] = sum over l of exp(w_l - P02[j, l] - P12[k, l]), with each
+    # inner[j, k] = sum over l of exp(w_l + P02[j, l] + P12[k, l]), with each
     # row of the two factors shifted by its own max.
-    near = terms.per_center[:, 2] + minus[(0, 2)]
+    near = w + minus[(0, 2)]
     far = minus[(1, 2)]
     near_top, far_top = near.max(axis=1), far.max(axis=1)
     near = np.exp(near - near_top[:, None])
     far = np.exp(far - far_top[:, None])
     inner = near @ far.T
-    # Each triple config's corrections are summed once; its (j, k) line of
-    # inner is recomputed without it, and its exact value is kept apart.
-    j, k, l, bonus = _ordered_configs(geometry.triple_plan(), terms.add, B)
-    # Sorted configs of one (j, k) line are contiguous; starts marks the first.
+    # Each triple config's bonus is summed once; its (j, k) line of inner is
+    # recomputed without it, and its exact value is kept apart.  One
+    # row-major flat index per entry gathers and scatters far faster than a
+    # pair of indexes.
+    j, k, l, bonus = terms.triples
+    # Sorted configs of one (j, k) line are contiguous; starts marks the
+    # first, and the configs of the n-th line are bounds[n]:bounds[n + 1].
     line = j * B + k
     starts = np.ones(line.size, dtype=bool)
     np.not_equal(line[1:], line[:-1], out=starts[1:])
+    row = np.cumsum(starts) - 1
     first = np.flatnonzero(starts)
-    kept = near.take(j.take(first), axis=0) * far.take(k.take(first), axis=0)
-    kept[np.cumsum(starts) - 1, l] = 0.0
-    inner.put(line.take(first), kept.sum(axis=1))
+    bounds = np.append(first, line.size)
+    for s in range(0, first.size, LABEL_CHUNK):
+        lines = first[s:s + LABEL_CHUNK]
+        kept = near.take(j.take(lines), axis=0)
+        kept *= far.take(k.take(lines), axis=0)
+        configs = slice(bounds[s], bounds[s + lines.size])
+        kept[row[configs] - s, l[configs]] = 0.0
+        inner.put(line.take(lines), kept.sum(axis=1))
     with np.errstate(divide="ignore"):
         # A line whose every config is triple-covered sums to 0.
         dense = outer + near_top[:, None] + far_top[None, :] + np.log(inner)
     total = logsumexp(dense)
     if bonus.size:
-        exact = (outer.take(line) + terms.per_center[l, 2]
+        exact = (outer.take(line) + w.take(l)
                  + minus[(0, 2)].take(j * B + l) + minus[(1, 2)].take(k * B + l) + bonus)
         total = np.logaddexp(total, logsumexp(exact))
     return float(terms.base + total)

@@ -1535,8 +1535,8 @@ class TestRunEmDigest:
     moved every run alike would pass them; these pinned digests would not."""
 
     @pytest.mark.parametrize("mode, with_scores, expected", [
-        ("exact", False, "fe0bad8cdb6bff332e25da4efe206f571619b6249d15f594967d51fba66ee7db"),
-        ("exact", True, "d6ebcb97cf960cbad83af363673833d864fce7cdbd52a16ae38c15f7c8ebae9f"),
+        ("exact", False, "260c3a93a06f263a4a641d97a5800cac31c527540d1f0923f0fa0686e298c1e2"),
+        ("exact", True, "5d56ba0f87aee624e9d759f2ffb117c43cc39df6d2a674d113f1a15911e67ff9"),
         ("hard", False, "dbd6727727ad80f1b13875f90bbf5e40975c9bd57503393e34fe7362dc05a2b7"),
         ("hard", True, "d26c505e8d12d5fc2e7f107c85a2244c479a3214aff418d721640989c116bf4c"),
         ("k_em", False, "185d3bf804114aca55d84ef8d78aaa656dee67f06af580be4169c6d2950153fe"),

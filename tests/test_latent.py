@@ -329,27 +329,28 @@ def referee_triples(plan):
 
 
 def referee_grid(geometry, categories, log_probs):
-    """exact_log_likelihood_grid with its corrections read from the ordered referee plans."""
+    """exact_log_likelihood_grid for M = 2, 3 from factors of the ordered referee plans."""
     B, M = geometry.num_proposals, len(categories)
     terms = emdet.latent._overlap_terms(geometry, categories, log_probs)
     delta = log_probs[:, list(categories)] - log_probs[:, [0]]
-    grid = terms.base
-    for m in range(M):
-        grid = grid + terms.per_center[:, m].reshape((B,) + (1,) * (M - 1 - m))
     pairs = ordered_pair_plan(geometry)
     covered = delta.take(pairs.i, axis=0)
+    minus = {}
     for a, b in itertools.combinations(range(M), 2):
         loser = np.where(pairs.first_wins, covered[:, b], covered[:, a])
-        sums = np.bincount(pairs.line, weights=loser, minlength=pairs.line_j.size)
-        np.moveaxis(grid, (a, b), (0, 1))[pairs.line_j, pairs.line_k] -= sums.reshape(
-            (-1,) + (1,) * (M - 2))
+        minus[(a, b)] = np.zeros((B, B))
+        minus[(a, b)][pairs.line_j, pairs.line_k] = -np.bincount(
+            pairs.line, weights=loser, minlength=pairs.line_j.size)
+        np.fill_diagonal(minus[(a, b)], -np.inf)
+    per_center = terms.per_center
+    grid = ((terms.base + per_center[:, 0])[:, None] + per_center[:, 1]) + minus[(0, 1)]
     if M == 3:
         triples = ordered_triple_plan(geometry)
-        flat = (triples.j.astype(np.int64) * B + triples.k) * B + triples.l
-        np.add.at(grid.reshape(-1), flat[triples.config],
-                  delta.take(triples.i * M + triples.bottom))
-    for a, b in itertools.combinations(range(M), 2):
-        np.moveaxis(grid, (a, b), (0, 1))[np.arange(B), np.arange(B)] = -np.inf
+        bonus = np.bincount(triples.config, weights=delta.take(triples.i * M + triples.bottom),
+                            minlength=triples.j.size)
+        grid = grid[:, :, None] + (per_center[:, 2] + minus[(0, 2)])[:, None, :]
+        grid += minus[(1, 2)]
+        grid[triples.j, triples.k, triples.l] += bonus
     return grid
 
 
@@ -656,6 +657,25 @@ class TestExactLogPartition:
         expected = self.grid_value(geometry, (1, 2, 3), log_probs)
         assert abs(exact_log_partition(geometry, (1, 2, 3), log_probs) - expected) <= 1e-12
 
+    def test_triple_lines_are_recomputed_a_chunk_at_a_time(self):
+        # 40 clusters of 12 mutually covering proposals: 5,280 (j, k) lines of
+        # triple configs, each a row of B floats, which the call must not hold
+        # all at once.  The plans are built before the measured call.
+        boxes = np.array([[50.0 * g + 0.25 * s, 0.0, 50.0 * g + 0.25 * s + 10.0, 10.0]
+                          for g in range(40) for s in range(12)])
+        B = len(boxes)
+        geometry = center_geometry(boxes)
+        log_probs = random_log_probs(np.random.default_rng(65), B)
+        expected = exact_log_partition(geometry, (1, 2, 3), log_probs)
+        tracemalloc.start()
+        try:
+            assert exact_log_partition(geometry, (1, 2, 3), log_probs) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dozen (B, B) tables and two chunks of lines
+        assert peak < (12 * B + 2 * LABEL_CHUNK) * B * 8
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_guard_rejects_pair_factors_before_allocating(self, m):
         # 1001 ** 2 configs or pair factors exceed the guard; one (B, B)
@@ -752,6 +772,14 @@ class TestPinnedExactValues:
     @pytest.mark.parametrize("kind, expected", list(PINNED_DIGESTS.items()))
     def test_digest_is_pinned(self, kind, expected):
         assert pinned_digest(kind) == expected
+
+    # The desk images hold up to thousands of (j, k) lines of triple configs;
+    # the other families would run the M = 4 labelling kernel one row a time.
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("kind", ["desk_s0_b50", "desk_s3_b50", "desk_s0_b200"])
+    def test_digest_holds_a_few_triple_lines_at_a_time(self, kind, chunk, monkeypatch):
+        monkeypatch.setattr(emdet.latent, "LABEL_CHUNK", chunk)
+        assert pinned_digest(kind) == PINNED_DIGESTS[kind]
 
 
 # Every reader of a coverage plus log-probabilities, called as
