@@ -4,10 +4,13 @@ The AP worked example is computed by hand in the comments; the perfect-scorer
 case is constructed so every metric must come out exactly 1.0.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from emdet.data import Dataset, SchemaError
+from emdet.data import Dataset, GeneratorConfig, SchemaError, generate, make_init_scores
 from emdet.geometry import Box, boxes_to_array
 from emdet.metrics import (
     Detection,
@@ -231,3 +234,60 @@ class TestDetectionIo:
         path.write_text('{"id": "a"}\n')
         with pytest.raises(SchemaError, match=":1"):
             load_detections(path)
+
+
+PINNED_RUNS = {"desk_s0": (0, {}), "desk_s3": (3, {}),
+               "large_s0": (0, {"n_train": 100, "n_test": 50, "proposals_per_image": 200})}
+
+PINNED_EVAL_DIGESTS = {
+    "desk_s0": ("450d720d373bf235b596c50e182b75258a5261f0d8f7750ae20ec3a742449737",
+                "a2746855a1fc0e46f706c00f15660e51ea9c46617e15876aaf118434024aa35e"),
+    "desk_s3": ("5565b99a10acb5f110cdc869c02e21471d11ffdab397f96088e5d7f9871194aa",
+                "0af87249dfb657a302467b6efb4d0fc60b9aff682b903e154b1d7e2fd0fe47df"),
+    "large_s0": ("ef01396c4bb006d5c59f8b0d406ae8fd48648035595ec6935aea63d203e5473c",
+                 "ff6b8105a04e404318650f45e7f320cc0658724f20b12326d2c12fa358cd1f63"),
+}
+
+
+def evaluation_digest(test, train, detections, corloc_result):
+    """sha256 of the detections, their evaluation JSON and the CorLoc table."""
+    digest = hashlib.sha256()
+    for det in detections:
+        digest.update(json.dumps([det.image_id, det.category, det.box.to_list(),
+                                  det.score]).encode())
+    report = evaluate_detections(test, detections).to_json_dict()
+    digest.update(json.dumps(report, sort_keys=True).encode())
+    table, mean = corloc_result
+    digest.update(json.dumps([sorted(table.items()), mean]).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedEvaluation:
+    """sha256 of detect, evaluate_detections and CorLoc under a fixed scorer, and of
+    the init-score baselines, on generated benchmark data, recorded while NMS,
+    AP matching and CorLoc still called a scalar IoU.  The other tests check
+    hand cases; these pin every byte of the full evaluation."""
+
+    @pytest.fixture(scope="class", params=sorted(PINNED_RUNS))
+    def run(self, request):
+        seed, sizes = PINNED_RUNS[request.param]
+        train, test = generate(GeneratorConfig(seed=seed, **sizes))
+        # prototype-aligned weights plus noise: a scorer that localizes, not perfectly
+        rng = np.random.default_rng(11)
+        weights = rng.normal(0.0, 0.5, size=(5, train.feature_dim + 1))
+        weights[1:, :4] += 6.0 * np.eye(4)
+        return request.param, train, test, ScorerParams(weights)
+
+    def test_scorer_digest_is_pinned(self, run):
+        name, train, test, params = run
+        digest = evaluation_digest(test, train, detect(test, params), corloc(train, params))
+        assert digest == PINNED_EVAL_DIGESTS[name][0]
+
+    def test_init_score_baseline_digest_is_pinned(self, run):
+        name, train, test, _ = run
+        seed = PINNED_RUNS[name][0]
+        detections = detections_from_scores(test, make_init_scores(test, seed=seed + 2))
+        digest = evaluation_digest(
+            test, train, detections,
+            corloc_from_scores(train, make_init_scores(train, seed=seed + 1)))
+        assert digest == PINNED_EVAL_DIGESTS[name][1]
