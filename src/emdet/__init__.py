@@ -7,7 +7,7 @@ over weak images assigns one center proposal per present category and labels
 every proposal near a center with that center's category.
 """
 
-from emdet.geometry import Box, ScoredBox, iou, nms
+from emdet.geometry import Box, ScoredBox, nms
 from emdet.latent import (
     ImageLabel,
     LatentConfigSet,
@@ -27,7 +27,6 @@ from emdet.scorer import (
 __all__ = [
     "Box",
     "ScoredBox",
-    "iou",
     "nms",
     "ImageLabel",
     "LatentConfigSet",

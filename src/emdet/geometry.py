@@ -1,7 +1,8 @@
-"""Boxes, overlap measures, and greedy non-maximum suppression.
+"""Boxes, the one IoU rule, and greedy non-maximum suppression.
 
 Coordinates are continuous: a box (x1, y1, x2, y2) has width x2 - x1, with no
-pixel-grid +1 correction anywhere.
+pixel-grid +1 correction anywhere.  Every overlap in the package is read from
+iou_matrix; the scalar iou in oracle is its referee.
 """
 
 from __future__ import annotations
@@ -51,16 +52,6 @@ class ScoredBox:
             raise ValueError(f"score must be in (0, 1], got {self.score}")
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0 when they are disjoint."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
-
-
 def boxes_to_array(boxes: list[Box]) -> np.ndarray:
     """Stack boxes into an (n, 4) float64 array."""
     return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64).reshape(-1, 4)
@@ -90,7 +81,9 @@ def nms(dets: list[ScoredBox], threshold: float) -> list[ScoredBox]:
     Detections are visited in descending score order (ties broken by lower
     input index); each kept detection suppresses later ones whose IoU with it
     is strictly greater than the threshold.  The kept list preserves that
-    visiting order.
+    visiting order.  Each call builds the (n, n) IoU matrix of its n boxes;
+    detection passes n <= B per image and category, and center_geometry
+    already builds a B x B one per weak image.
     """
     if not dets:
         return []
@@ -98,8 +91,11 @@ def nms(dets: list[ScoredBox], threshold: float) -> list[ScoredBox]:
     if len(cats) > 1:
         raise ValueError(f"nms input mixes categories {sorted(cats)}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    overlap = iou_matrix(boxes_to_array([dets[i].box for i in order]))
+    suppressed = np.zeros(len(order), dtype=bool)
     kept: list[ScoredBox] = []
-    for i in order:
-        if all(iou(dets[i].box, k.box) <= threshold for k in kept):
+    for n, i in enumerate(order):
+        if not suppressed[n]:
             kept.append(dets[i])
+            suppressed[n + 1:] |= overlap[n, n + 1:] > threshold
     return kept

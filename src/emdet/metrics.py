@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from emdet.data import Dataset, ImageRecord, SchemaError, read_jsonl
-from emdet.geometry import Box, ScoredBox, iou, nms
+from emdet.geometry import Box, ScoredBox, boxes_to_array, iou_matrix, nms
 from emdet.scorer import ScorerParams, log_prob_matrix
 
 DEFAULT_SCORE_THRESHOLD = 0.01
@@ -84,44 +84,37 @@ def detect(dataset: Dataset, params: ScorerParams,
     return detections
 
 
-def _category_ground_truth(dataset: Dataset, category: int) -> dict[str, list[Box]]:
-    table: dict[str, list[Box]] = {}
-    for record in dataset:
-        if record.is_weak:
-            continue
-        boxes = [g.box for g in record.annotation.objects if g.category == category]
-        if boxes:
-            table[record.image_id] = boxes
-    return table
-
-
 def _match_category(dataset: Dataset, detections: list[Detection], category: int,
                     iou_threshold: float) -> tuple[np.ndarray, int]:
     """Greedy matching flags for one category, detections in rank order.
 
     Detections are ranked by descending score, ties by lower image id then
-    input order; each claims the unmatched ground-truth box of its image
-    with the highest IoU when that IoU reaches the threshold.
+    input order.  Per image, from one IoU matrix of its ranked detections
+    against its ground truth, each claims the first unclaimed box of highest
+    IoU when that IoU is positive and reaches the threshold.  IoUs below the
+    threshold are zeroed first: the highest IoU reaches it exactly when the
+    highest qualifying one does, and ties at it qualify together.
     """
-    gt = _category_ground_truth(dataset, category)
-    num_gt = sum(len(v) for v in gt.values())
+    gt = {r.image_id: boxes_to_array([g.box for g in r.annotation.objects
+                                      if g.category == category])
+          for r in dataset if not r.is_weak}
+    num_gt = sum(len(boxes) for boxes in gt.values())
     dets = [d for d in detections if d.category == category]
     dets.sort(key=lambda d: (-d.score, d.image_id))
-    matched = {image_id: np.zeros(len(boxes), dtype=bool)
-               for image_id, boxes in gt.items()}
-    flags = np.zeros(len(dets), dtype=bool)
+    ranks: dict[str, list[int]] = {}
     for n, det in enumerate(dets):
-        boxes = gt.get(det.image_id, [])
-        best, best_iou = -1, 0.0
-        for g, box in enumerate(boxes):
-            if matched[det.image_id][g]:
-                continue
-            value = iou(det.box, box)
-            if value > best_iou:
-                best, best_iou = g, value
-        if best >= 0 and best_iou >= iou_threshold:
-            matched[det.image_id][best] = True
-            flags[n] = True
+        ranks.setdefault(det.image_id, []).append(n)
+    flags = np.zeros(len(dets), dtype=bool)
+    for image_id, rows in ranks.items():
+        if not len(gt.get(image_id, ())):
+            continue
+        overlap = iou_matrix(boxes_to_array([dets[n].box for n in rows]), gt[image_id])
+        overlap[overlap < iou_threshold] = 0.0
+        for r in np.flatnonzero(overlap.any(axis=1)):
+            best = int(np.argmax(overlap[r]))
+            if overlap[r, best] > 0.0:
+                flags[rows[r]] = True
+                overlap[:, best] = 0.0  # claimed: no later row can pick it
     return flags, num_gt
 
 
@@ -173,6 +166,18 @@ def corloc(dataset: Dataset, params: ScorerParams,
     return corloc_from_scores(dataset, probs, iou_threshold)
 
 
+def _check_score_map(dataset: Dataset, score_map: dict[str, np.ndarray],
+                     num_categories: int = 0) -> None:
+    """Reject a score map without a (B, >= num_categories) matrix for every image."""
+    for record in dataset:
+        mat = score_map.get(record.image_id)
+        if mat is None:
+            raise ValueError(f"no scores for image {record.image_id}")
+        if mat.ndim != 2 or mat.shape[0] != record.num_proposals or mat.shape[1] < num_categories:
+            raise ValueError(f"image {record.image_id}: score shape {mat.shape} does not cover "
+                             f"{record.num_proposals} proposals and {num_categories} categories")
+
+
 def corloc_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],
                        iou_threshold: float = MATCH_IOU) -> tuple[dict[int, float | None], float | None]:
     """CorLoc of per-image (B, C - 1) foreground scores; column c - 1 scores category c.
@@ -183,24 +188,23 @@ def corloc_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],
         raise ValueError("correct-localization scoring needs ground truth for "
                          "every image; pass the strong variant of the dataset")
     categories = sorted({g.category for r in dataset for g in r.annotation.objects})
-    result: dict[int, float | None] = {}
-    for category in categories:
-        positives = 0
-        correct = 0
-        for record in dataset:
-            gt_boxes = [g.box for g in record.annotation.objects
-                        if g.category == category]
-            if not gt_boxes:
-                continue
-            positives += 1
-            # ties to the lower index
-            top = int(np.argmax(score_map[record.image_id][:, category - 1]))
-            proposal = Box(*record.proposals[top].tolist())
-            if max(iou(proposal, g) for g in gt_boxes) >= iou_threshold:
-                correct += 1
-        result[category] = correct / positives if positives else None
-    defined = [v for v in result.values() if v is not None]
-    mean = float(np.mean(defined)) if defined else None
+    _check_score_map(dataset, score_map, max(categories, default=0))
+    positives = dict.fromkeys(categories, 0)
+    correct = dict.fromkeys(categories, 0)
+    for record in dataset:
+        objects = record.annotation.objects
+        if not objects:
+            continue
+        present = np.array([g.category for g in objects])
+        cats = sorted(set(present.tolist()))
+        # each present category's top proposal, ties to the lower index
+        tops = np.argmax(score_map[record.image_id][:, np.array(cats) - 1], axis=0)
+        overlap = iou_matrix(record.proposals[tops], boxes_to_array([g.box for g in objects]))
+        for category, row in zip(cats, overlap):
+            positives[category] += 1
+            correct[category] += bool(row[present == category].max() >= iou_threshold)
+    result: dict[int, float | None] = {c: correct[c] / positives[c] for c in categories}
+    mean = float(np.mean(list(result.values()))) if result else None
     return result, mean
 
 
@@ -212,14 +216,13 @@ def detections_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],
     Scores are scaled per category by their global maximum so they behave
     like probabilities in (0, 1]; ranking within a category is unchanged.
     """
+    _check_score_map(dataset, score_map)
     num_cats = min(mat.shape[1] for mat in score_map.values())
     peaks = np.zeros(num_cats)
     for mat in score_map.values():
         peaks = np.maximum(peaks, mat[:, :num_cats].max(axis=0))
     detections: list[Detection] = []
     for record in dataset:
-        if record.image_id not in score_map:
-            raise ValueError(f"no scores for image {record.image_id}")
         mat = score_map[record.image_id]
         for category in range(1, num_cats + 1):
             if peaks[category - 1] <= 0:

@@ -9,7 +9,10 @@ referee for data.generate's block draws, and naive_init_scores scores one
 image at a time as the referee for data.make_init_scores' chunks.
 ordered_pair_plan and ordered_triple_plan list every co-covering pair and
 triple of centers once per slot order, as the referee for the plans a
-CenterGeometry holds once per unordered pair and triple.
+CenterGeometry holds once per unordered pair and triple.  iou is the scalar
+overlap of two boxes, the referee for geometry.iou_matrix; naive_nms and
+naive_match_category scan boxes pair by pair with it, as the referees for
+geometry.nms and metrics' AP matching.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import numpy as np
 from emdet.data import (Dataset, GeneratorConfig, GroundTruth, ImageRecord,
                         StrongAnnotation)
 from emdet.engine import EmConfig, PosteriorTable
-from emdet.geometry import Box, boxes_to_array, iou, iou_matrix
+from emdet.geometry import Box, ScoredBox, boxes_to_array, iou_matrix
 from emdet.latent import (CENTER_IOU, CenterGeometry, GuardError, LatentConfigSet,
                           _member_positions)
+from emdet.metrics import Detection
 from emdet.scorer import ScorerParams, log_prob_matrix
 
 # Largest B ** M these references will enumerate.
@@ -54,6 +58,52 @@ def _guarded_enumeration(record: ImageRecord) -> list[tuple[int, ...]]:
             f"the oracle guard of {ORACLE_GUARD} configs")
     return [centers for centers in itertools.product(range(B), repeat=M)
             if len(set(centers)) == M]
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union of two boxes; 0 when they are disjoint."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.area + b.area - inter)
+
+
+def naive_nms(dets: list[ScoredBox], threshold: float) -> list[ScoredBox]:
+    """Reference for geometry.nms: each detection, in score order with ties to the
+    lower index, is kept unless its IoU with a kept one exceeds the threshold."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    kept: list[ScoredBox] = []
+    for i in order:
+        if all(iou(dets[i].box, k.box) <= threshold for k in kept):
+            kept.append(dets[i])
+    return kept
+
+
+def naive_match_category(dataset: Dataset, detections: list[Detection], category: int,
+                         iou_threshold: float) -> tuple[np.ndarray, int]:
+    """Reference for metrics' AP matching: each ranked detection scans the
+    unclaimed ground-truth boxes of its image and claims the first of highest
+    positive IoU that reaches the threshold."""
+    gt = {r.image_id: [g.box for g in r.annotation.objects if g.category == category]
+          for r in dataset if not r.is_weak}
+    claimed = {image_id: [False] * len(boxes) for image_id, boxes in gt.items()}
+    dets = sorted((d for d in detections if d.category == category),
+                  key=lambda d: (-d.score, d.image_id))
+    flags = np.zeros(len(dets), dtype=bool)
+    for n, det in enumerate(dets):
+        best, best_iou = -1, 0.0
+        for g, box in enumerate(gt.get(det.image_id, [])):
+            if claimed[det.image_id][g]:
+                continue
+            value = iou(det.box, box)
+            if value > best_iou:
+                best, best_iou = g, value
+        if best >= 0 and best_iou >= iou_threshold:
+            claimed[det.image_id][best] = True
+            flags[n] = True
+    return flags, sum(len(boxes) for boxes in gt.values())
 
 
 def expand(categories: tuple[int, ...], centers: tuple[int, ...], proposals) -> np.ndarray:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emdet.geometry import (Box, ScoredBox, boxes_to_array, iou,
-                            iou_matrix, nms)
+from emdet.geometry import Box, ScoredBox, boxes_to_array, iou_matrix, nms
 from emdet.metrics import Detection
+from emdet.oracle import iou, naive_nms
+from helpers import clustered_boxes
 
 
 def box_strategy(max_coord=50.0):
@@ -166,7 +167,8 @@ class TestNms:
 
     def test_single_detection_survives(self):
         det = ScoredBox(Box(0, 0, 5, 5), 2, 0.3)
-        assert nms([det], 0.4) == [det]
+        for threshold in (0.0, 0.4, 1.0):
+            assert nms([det], threshold) == naive_nms([det], threshold) == [det]
 
     def test_threshold_one_keeps_everything(self):
         dets = self.worked_example()
@@ -179,7 +181,8 @@ class TestNms:
             nms(dets, 0.4)
 
     def test_empty_input(self):
-        assert nms([], 0.4) == []
+        for threshold in (0.0, 0.4, 1.0):
+            assert nms([], threshold) == naive_nms([], threshold) == []
 
     @settings(max_examples=60)
     @given(st.lists(st.tuples(box_strategy(), st.floats(0.01, 1.0)),
@@ -194,3 +197,58 @@ class TestNms:
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
                 assert iou(a.box, b.box) <= threshold
+
+
+def ids(dets):
+    return [id(d) for d in dets]
+
+
+class TestNmsAgainstReferee:
+    """geometry.nms reads one IoU matrix per call; oracle.naive_nms is the
+    scalar loop it replaced.  The kept lists must hold the same objects in the
+    same order, so duplicates that compare equal still count by position."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 4),
+                              st.integers(1, 4), st.sampled_from([0.25, 0.5, 1.0])),
+                    max_size=12),
+           st.sampled_from([0.0, 0.2, 0.4, 0.5, 1.0]))
+    def test_matches_the_scalar_loop_on_grid_boxes(self, raw, threshold):
+        # a coarse grid and three scores: duplicates, touching edges, exact
+        # ratios and score ties all occur
+        dets = [ScoredBox(Box(x, y, x + w, y + h), 1, s) for x, y, w, h, s in raw]
+        assert ids(nms(dets, threshold)) == ids(naive_nms(dets, threshold))
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.4, 0.5, 0.7, 1.0])
+    def test_matches_the_scalar_loop_on_clustered_boxes(self, threshold):
+        rng = np.random.default_rng(5)
+        for count in (3, 8, 20, 40):
+            boxes = clustered_boxes(rng, count)
+            scores = rng.choice([0.2, 0.6, 0.9], size=count)
+            dets = [ScoredBox(Box(*row), 3, float(s)) for row, s in zip(boxes.tolist(), scores)]
+            assert ids(nms(dets, threshold)) == ids(naive_nms(dets, threshold))
+
+    def test_duplicates_and_score_ties_keep_the_lower_index(self):
+        box = Box(0, 0, 10, 10)
+        dets = [ScoredBox(Box(30, 30, 40, 40), 1, 0.5), ScoredBox(box, 1, 0.5),
+                ScoredBox(box, 1, 0.5), ScoredBox(box, 1, 0.9)]
+        kept = nms(dets, 0.4)
+        assert ids(kept) == ids([dets[3], dets[0]])
+        assert ids(kept) == ids(naive_nms(dets, 0.4))
+
+    def test_iou_at_the_threshold_does_not_suppress(self):
+        a, b = Box(0, 0, 10, 10), Box(0, 0, 10, 4)
+        # 40 / 100 is exactly 0.4 on both IoU paths
+        assert iou(a, b) == 0.4
+        assert iou_matrix(boxes_to_array([a, b]))[0, 1] == 0.4
+        dets = [ScoredBox(a, 1, 0.9), ScoredBox(b, 1, 0.8)]
+        assert ids(nms(dets, 0.4)) == ids(dets) == ids(naive_nms(dets, 0.4))
+        assert ids(nms(dets, 0.39)) == ids(dets[:1]) == ids(naive_nms(dets, 0.39))
+
+    def test_threshold_zero_suppresses_any_overlap_and_one_none(self):
+        dets = [ScoredBox(Box(0, 0, 10, 10), 1, 0.9), ScoredBox(Box(9, 9, 19, 19), 1, 0.8),
+                ScoredBox(Box(10, 0, 20, 10), 1, 0.7), ScoredBox(Box(0, 0, 10, 10), 1, 0.6)]
+        # the box touching the first overlaps only a suppressed one, so it survives 0
+        assert ids(nms(dets, 0.0)) == ids([dets[0], dets[2]]) == ids(naive_nms(dets, 0.0))
+        # an exact duplicate has IoU 1.0, which is not above 1.0
+        assert ids(nms(dets, 1.0)) == ids(dets) == ids(naive_nms(dets, 1.0))

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 import emdet.latent
 from emdet.data import GeneratorConfig, generate
 from emdet.engine import PosteriorTable, soft_labels
-from emdet.geometry import Box, boxes_to_array, iou, iou_matrix
+from emdet.geometry import Box, boxes_to_array, iou_matrix
 from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
                           ImageLabel, LatentConfigSet, center_geometry,
                           enumerate_exact, exact_log_likelihood_grid,
                           exact_log_partition, expand, label_marginals, logsumexp,
                           score_config_set, select_k)
-from emdet.oracle import brute_marginal_likelihood
+from emdet.oracle import brute_marginal_likelihood, iou
 from emdet.oracle import expand as naive_expand
 from emdet.oracle import ordered_pair_plan, ordered_triple_plan
 from emdet.scorer import log_prob_matrix

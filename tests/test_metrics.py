@@ -10,11 +10,14 @@ import json
 import numpy as np
 import pytest
 
+import emdet.metrics
 from emdet.data import Dataset, GeneratorConfig, SchemaError, generate, make_init_scores
 from emdet.geometry import Box, boxes_to_array
 from emdet.metrics import (
+    MATCH_IOU,
     Detection,
     MetricsReport,
+    _match_category,
     corloc,
     corloc_from_scores,
     detect,
@@ -24,8 +27,9 @@ from emdet.metrics import (
     load_detections,
     save_detections,
 )
+from emdet.oracle import naive_match_category
 from emdet.scorer import ScorerParams
-from helpers import isolated_boxes, random_weak_record, strong_record
+from helpers import isolated_boxes, random_weak_record, strong_record, weak_record
 
 GT_BOX = Box(0.0, 0.0, 10.0, 10.0)
 FAR_BOX = Box(50.0, 50.0, 60.0, 60.0)
@@ -198,6 +202,14 @@ class TestCorloc:
         assert table == {1: 0.5}
         assert mean == 0.5
 
+    def test_iou_at_the_threshold_is_correct(self):
+        # the top proposal covers the top half of the ground truth: IoU 50/100 == 0.5
+        rec = strong_record("edge", boxes_to_array([Box(0, 0, 10, 5), FAR_BOX]),
+                            np.zeros((2, 2)), [(GT_BOX, 1)])
+        scores = {"edge": np.array([[0.9], [0.1]])}
+        assert corloc_from_scores(Dataset([rec]), scores) == ({1: 1.0}, 1.0)
+        assert corloc_from_scores(Dataset([rec]), scores, 0.51) == ({1: 0.0}, 0.0)
+
     def test_perfect_scorer_localizes_everything(self):
         dataset, params = saturated_setup()
         table, mean = corloc(dataset, params)
@@ -214,6 +226,140 @@ class TestCorloc:
         table, mean = corloc_from_scores(Dataset([rec]), {"empty": np.ones((2, 1))})
         assert table == {}
         assert mean is None
+
+
+def grid_box(rng):
+    x, y = rng.integers(0, 10, size=2)
+    w, h = rng.integers(2, 7, size=2)
+    return Box(float(x), float(y), float(x + w), float(y + h))
+
+
+def matching_case(rng):
+    """Five strong images and one weak one on an integer grid, with detections
+    that copy, shift or miss their ground truth and share three scores."""
+    records, detections = [], []
+    for n in range(6):
+        image_id = f"img_{(n * 7) % 6}"
+        objects = [(grid_box(rng), int(c)) for c in rng.integers(1, 3, size=rng.integers(0, 4))]
+        if n == 5:
+            records.append(weak_record(image_id, isolated_boxes(2), np.zeros((2, 2)), (1,)))
+        else:
+            records.append(strong_record(image_id, isolated_boxes(2), np.zeros((2, 2)), objects))
+        for _ in range(int(rng.integers(0, 7))):
+            if objects and rng.random() < 0.7:
+                gt, category = objects[int(rng.integers(len(objects)))]
+                dx, dy = rng.integers(-1, 2, size=2)
+                box = Box(gt.x1 + dx, gt.y1 + dy, gt.x2 + dx, gt.y2 + dy)
+            else:
+                box, category = grid_box(rng), int(rng.integers(1, 3))
+            detections.append(Detection(image_id, category, box,
+                                        float(rng.choice([0.3, 0.6, 0.9]))))
+    rng.shuffle(detections)
+    return Dataset(records), detections
+
+
+class TestMatchingAgainstReferee:
+    """_match_category reads one IoU matrix per image; oracle.naive_match_category
+    is the scalar loop it replaced."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_flags_and_counts_match_the_scalar_loop(self, threshold):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            dataset, detections = matching_case(rng)
+            for category in (1, 2, 3):
+                flags, num_gt = _match_category(dataset, detections, category, threshold)
+                expected, expected_gt = naive_match_category(dataset, detections, category,
+                                                             threshold)
+                assert flags.tolist() == expected.tolist()
+                assert num_gt == expected_gt
+
+    def match(self, objects, detections, threshold=MATCH_IOU):
+        record = strong_record("img", isolated_boxes(2), np.zeros((2, 2)), objects)
+        flags, num_gt = _match_category(Dataset([record]), detections, 1, threshold)
+        expected, expected_gt = naive_match_category(Dataset([record]), detections, 1,
+                                                     threshold)
+        assert flags.tolist() == expected.tolist() and num_gt == expected_gt
+        return flags.tolist()
+
+    def test_equal_iou_goes_to_the_first_ground_truth(self):
+        # the first detection overlaps both boxes at 75/125 == 0.6; the second
+        # is the first box, and meets the second at only 50/150
+        first, second = Box(0, 0, 10, 10), Box(5, 0, 15, 10)
+        dets = [Detection("img", 1, Box(2.5, 0, 12.5, 10), 0.9),
+                Detection("img", 1, first, 0.8)]
+        assert self.match([(first, 1), (second, 1)], dets) == [True, False]
+        assert self.match([(second, 1), (first, 1)], dets) == [True, True]
+
+    def test_iou_at_the_threshold_matches(self):
+        dets = [Detection("img", 1, Box(0, 0, 10, 5), 0.9)]
+        assert self.match([(GT_BOX, 1)], dets) == [True]
+        assert self.match([(GT_BOX, 1)], dets, 0.51) == [False]
+
+    def test_zero_iou_never_matches(self):
+        dets = [Detection("img", 1, FAR_BOX, 0.9), Detection("img", 1, Box(10, 0, 20, 10), 0.8)]
+        assert self.match([(GT_BOX, 1)], dets, 0.0) == [False, False]
+
+    def test_image_without_ground_truth_of_the_category(self):
+        dets = [Detection("img", 1, GT_BOX, 0.9)]
+        assert self.match([(GT_BOX, 2)], dets, 0.0) == [False]
+
+    def test_score_ties_rank_by_image_id(self):
+        records = [strong_record(name, isolated_boxes(2), np.zeros((2, 2)), [(GT_BOX, 1)])
+                   for name in ("b", "a")]
+        dets = [Detection("b", 1, FAR_BOX, 0.5), Detection("a", 1, GT_BOX, 0.5),
+                Detection("a", 1, GT_BOX, 0.5)]
+        flags, num_gt = _match_category(Dataset(records), dets, 1, MATCH_IOU)
+        expected, _ = naive_match_category(Dataset(records), dets, 1, MATCH_IOU)
+        assert flags.tolist() == expected.tolist() == [True, False, False]
+        assert num_gt == 2
+
+
+def refuse_iou(*args, **kwargs):
+    raise AssertionError("an IoU was built before the score map was checked")
+
+
+class TestScoreMapValidation:
+    """Both score-map baselines check every image's matrix before any IoU."""
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        monkeypatch.setattr(emdet.metrics, "iou_matrix", refuse_iou)
+        monkeypatch.setattr(emdet.metrics, "nms", refuse_iou)
+        train, _ = generate(GeneratorConfig(n_train=4, n_test=1, seed=0))
+        return train, make_init_scores(train, seed=1)
+
+    BASELINES = [detections_from_scores, corloc_from_scores]
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_missing_image_is_named(self, case, baseline):
+        train, scores = case
+        del scores["train_0003"]
+        with pytest.raises(ValueError, match="no scores for image train_0003"):
+            baseline(train, scores)
+
+    @pytest.mark.parametrize("rows", [53, 10])
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_wrong_row_count_is_named(self, case, baseline, rows):
+        train, scores = case
+        mat = scores["train_0003"]
+        scores["train_0003"] = np.resize(mat, (rows, mat.shape[1]))
+        with pytest.raises(ValueError, match=f"image train_0003: score shape \\({rows}, 4\\) "
+                                             f"does not cover 50 proposals"):
+            baseline(train, scores)
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_one_dimensional_scores_are_named(self, case, baseline):
+        train, scores = case
+        scores["train_0003"] = scores["train_0003"][:, 0]
+        with pytest.raises(ValueError, match="image train_0003: score shape \\(50,\\)"):
+            baseline(train, scores)
+
+    def test_too_few_columns_for_corloc_are_named(self, case):
+        train, scores = case
+        scores["train_0003"] = scores["train_0003"][:, :2]
+        with pytest.raises(ValueError, match="image train_0003: .* and 4 categories"):
+            corloc_from_scores(train, scores)
 
 
 class TestDetectionIo:
