@@ -17,9 +17,9 @@ from __future__ import annotations
 import contextlib
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from emdet.data import Dataset, ImageRecord, positive_categories
 from emdet.geometry import boxes_to_array, iou_matrix
@@ -117,14 +117,6 @@ class PosteriorTable:
             raise ValueError("posterior weights must be finite and non-negative")
         if not abs(self.weights.sum() - 1.0) <= 1e-9:
             raise ValueError(f"posterior weights sum to {self.weights.sum()}, not 1")
-
-
-@dataclass
-class SoftLabels:
-    """Per-proposal category distribution implied by a posterior, (B, C)."""
-
-    image_id: str
-    q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -300,8 +292,8 @@ def _score_log_columns(scores: np.ndarray) -> np.ndarray:
 
 
 def soft_labels(post: PosteriorTable, record: ImageRecord, num_categories: int,
-                geometry: CenterGeometry) -> SoftLabels:
-    """Marginal per-proposal label distribution under a config posterior.
+                geometry: CenterGeometry) -> np.ndarray:
+    """Marginal per-proposal label distribution under a config posterior, (B, C).
 
     ``geometry`` is the center coverage of the record's proposals.  A
     posterior of another image, one whose centers lie past the record's
@@ -318,8 +310,7 @@ def soft_labels(post: PosteriorTable, record: ImageRecord, num_categories: int,
         raise ValueError(
             f"posterior mentions category {top} but only "
             f"{num_categories} categories exist")
-    q = label_marginals(post.config_set, post.weights, geometry, num_categories)
-    return SoftLabels(record.image_id, q)
+    return label_marginals(post.config_set, post.weights, geometry, num_categories)
 
 
 def objective(dataset: Dataset, log_probs: dict[str, np.ndarray],
@@ -361,7 +352,7 @@ def surrogate_value(dataset: Dataset, posteriors: dict[str, PosteriorTable],
         log_probs = log_prob_matrix(params, record.features)
         if record.is_weak:
             q = soft_labels(posteriors[record.image_id], record, params.num_categories,
-                            center_geometry(record.proposals)).q
+                            center_geometry(record.proposals))
             total += float((q * log_probs).sum())
         else:
             labels = strong_label_vector(record, params.num_categories)
@@ -399,133 +390,53 @@ def _batch_rows(rng: np.random.Generator, order: np.ndarray, plan: tuple) -> np.
     return order.take(np.concatenate(positions))
 
 
-# Cells one chunk of pre-drawn M-step steps may fill: each step takes a cell
-# per generator word and per row, and one per four seen flags of its
-# without-replacement draws.  Bounds the row table's memory, as LABEL_CHUNK
-# bounds the labelling kernel's.
+# Draws per M-step chunk (one generator call), plus an eighth per seen flag of
+# its without-replacement calls: bounds a chunk's memory, as LABEL_CHUNK bounds
+# the labelling kernel's.  A chunk holds at least one step, however large.
 DRAW_CHUNK = 1 << 16
 
 
-class _RowTable(NamedTuple):
-    """Every image's _draw_plan as word records, for drawing many steps at once.
-
-    A record is one draw: ``(first row, first word, low, pool, quota,
-    without replacement)``, its row and word offsets within the step;
-    ``records`` pads each image's records with quota 0.  ``words`` is None
-    for an image whose plan the table does not reproduce.
+def _step_draws(plan: tuple, images: int):
+    """The bounds of a step's draws, in numpy's order: the pick below
+    ``images``, then ``plan``'s calls.  ``rng.integers(low, high, size)``
+    draws ``size`` times below the pool size; ``rng.choice(n, k,
+    replace=False)`` below j + 1 for j = n - k, ..., n - 1 (Floyd), then
+    below i + 1 for i = k - 1, ..., 1 (Fisher-Yates).  A draw below 1 takes
+    no word.  Also returns the calls as ``(first draw, first row, low, pool,
+    quota, without replacement)`` and the step's size against DRAW_CHUNK;
+    None when ``rng.choice`` shuffles a tail instead (n > 10,000, k > n // 50).
     """
-
-    words: list      # per image: generator words of one mini-batch, or None
-    cells: list      # per image: DRAW_CHUNK cells of one step, pick word included
-    rows: np.ndarray  # per image: rows of one mini-batch
-    records: np.ndarray  # (images, most records per plan, 6) int64
-    fetch: int       # words that fill DRAW_CHUNK cells with the most word-heavy plan
-    keys: list       # the (quota, without replacement) pairs of the records
-
-
-def _plan_records(plan: tuple):
-    """One _draw_plan as word records, with the words, rows and seen flags of a
-    step; None when a call leaves Floyd's algorithm.
-
-    A with-replacement draw takes one word per row, none from a one-row pool.
-    ``rng.choice(n, k, replace=False)`` takes Floyd's words for
-    j = n - k, ..., n - 1 (none for j = 0, a pool exactly its quota), then
-    k - 1 Fisher-Yates words; with n > 10,000 and k > n // 50 it shuffles a
-    tail instead, which the table does not reproduce.
-    """
-    records = []
-    row = word = seen = 0
-    for low, high, count, replace in plan:
+    bounds, calls, rows, seen = [images], [], 0, 0
+    for low, high, quota, replace in plan:
         pool = high - low
+        calls.append((len(bounds), rows, low, pool, quota, not replace))
         if replace:
-            words = count if pool > 1 else 0
-        elif pool > 10_000 and count > pool // 50:
+            bounds += [pool] * quota
+        elif pool > 10_000 and quota > pool // 50:
             return None
         else:
-            words = 2 * count - 1 - (pool == count)
+            bounds += [*range(pool - quota + 1, pool + 1), *range(quota, 1, -1)]
             seen += pool
-        records.append((row, word, low, pool, count, not replace))
-        row += count
-        word += words
-    return records, word, row, seen
+        rows += quota
+    return np.array(bounds, dtype=np.int64), calls, len(bounds) + seen // 8
 
 
-def _row_table(plans: list) -> _RowTable:
-    """The row table of per-image _draw_plans; images sharing a plan object
-    share its records."""
-    compiled = {}
-    for plan in plans:
-        if id(plan) not in compiled:
-            compiled[id(plan)] = _plan_records(plan)
-    per_image = [compiled[id(plan)] for plan in plans]
-    kept = [c for c in per_image if c is not None]
-    pick = int(len(plans) > 1)
-    records = np.zeros((len(plans), max([len(c[0]) for c in kept] + [1]), 6), dtype=np.int64)
-    words, cells, rows = [], [], []
-    for image, compiled_plan in enumerate(per_image):
-        if compiled_plan is None:
-            words.append(None)
-            cells.append(None)
-            rows.append(0)
-            continue
-        plan_records, plan_words, plan_rows, seen = compiled_plan
-        if plan_records:
-            records[image, :len(plan_records)] = plan_records
-        words.append(plan_words)
-        cells.append(pick + plan_words + plan_rows + seen // 4)
-        rows.append(plan_rows)
-    return _RowTable(words, cells, np.array(rows, dtype=np.int64), records,
-                     fetch=max([DRAW_CHUNK * (pick + w) // c + 1
-                                for w, c in zip(words, cells) if c] + [1]),
-                     keys=sorted({(r[4], r[5]) for c in kept for r in c[0]}))
-
-
-def _lemire(words: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw from 32-bit words: ``(word * bound) >> 32`` in
-    [0, bound), and whether each word is one it rejects and draws again for
-    (Lemire 2019).  A bound of 1 takes no word; any word gives 0 unrejected."""
-    bounds = np.asarray(bounds, dtype=np.int64).view(np.uint64)  # bounds are positive
-    product = words * bounds
-    # The rejection threshold (2 ** 32 - bound) % bound lies below the bound,
-    # so it is computed only where the low half does (rarely).
-    rejected = (product & 0xFFFFFFFF) < bounds
-    if rejected.any():
-        bounds = np.broadcast_to(bounds, product.shape)[rejected]
-        rejected[rejected] = (product[rejected] & 0xFFFFFFFF) < (2 ** 32 - bounds) % bounds
-    product >>= 32
-    return product.view(np.int64), rejected
-
-
-def _with_replacement(words, first, pools, quota):
-    """``rng.integers(pool, size=quota)`` per record, as (quota, records), and
-    whether a record's words hold a rejected one."""
-    values, rejected = _lemire(words.take(first + np.arange(quota)[:, None], mode="clip"),
-                               pools)
-    return values, rejected.any(axis=0)
-
-
-def _without_replacement(words, first, pools, quota):
-    """``rng.choice(pool, quota, replace=False)`` per record, as (quota,
-    records), and whether a record's words hold a rejected one.
-
-    Floyd's picks are deduplicated against per-record seen flags, then
-    shuffled by Fisher-Yates, each one quota position at a time across all
-    records."""
-    position = np.arange(quota)[:, None]
-    skip = (pools == quota).astype(np.int64)  # Floyd's bound j + 1 = 1 takes no word
-    top = pools - quota + position  # Floyd's j at each position
-    picks, rejected = _lemire(words.take(first - skip + position, mode="clip"), top + 1)
-    base = np.cumsum(pools) - pools  # each record's run of seen flags
+def _without_replacement(values, first, pools, quota):
+    """``rng.choice(pool, quota, replace=False)`` per call, as (quota, calls),
+    from the values numpy drew for it from ``first`` on: Floyd's picks
+    deduplicated against per-call seen flags, then shuffled by Fisher-Yates,
+    each one quota position at a time across all calls."""
+    draws = np.ascontiguousarray(sliding_window_view(values, 2 * quota - 1)[first].T)
+    picks, swaps = draws[:quota], draws[quota:]
+    base = np.cumsum(pools) - pools  # each call's run of seen flags
+    top = base + pools - quota + np.arange(quota)[:, None]  # Floyd's j at each position
     picks += base
-    top += base
     seen = np.zeros(int(pools.sum()), dtype=bool)
     for pick, j in zip(picks, top):
         np.copyto(pick, j, where=seen[pick])
         seen[pick] = True
     picks -= base
     # Fisher-Yates swaps position i with one drawn below i + 1, for i = quota - 1, ..., 1.
-    swaps, late = _lemire(words.take(first + quota - skip + position[:-1], mode="clip"),
-                          quota - position[:-1])
     swaps *= len(pools)
     swaps += np.arange(len(pools))
     flat = picks.reshape(-1)
@@ -533,133 +444,112 @@ def _without_replacement(words, first, pools, quota):
         held = flat[at]
         flat[at] = picks[i]
         picks[i] = held
-    return picks, rejected.any(axis=0) | late.any(axis=0)
+    return picks
 
 
-def _draw_rows(words: np.ndarray, table: _RowTable, steps: int) -> tuple:
-    """Image picks and mini-batch rows of up to ``steps`` M-step steps, read
-    from a generator's 32-bit words as the per-step draws would take them.
+def _read_ahead(rng: np.random.Generator, count: int) -> tuple[np.ndarray, dict]:
+    """The generator's next ``count`` 32-bit words, read in place, and its state."""
+    state = rng.bit_generator.state
+    words = rng.integers(0, 2 ** 32, count, dtype=np.uint32)
+    rng.bit_generator.state = state
+    return words, state
 
-    Each step is one pick ``rng.integers(len(images))`` (no word for one
-    image) and the draws of the picked image's plan; a plan's word count is
-    fixed, so one scan over the picks places every step's words.  Returns
-    ``(picks, positions, ends, used, stuck)``: step s of ``picks`` takes
-    positions ``positions[ends[s - 1]:ends[s]]`` in its image's row order;
-    ``used`` counts the words those steps take.  Drawing stops at
-    ``steps``, at DRAW_CHUNK cells, at the end of ``words``, or before a step
-    the table does not reproduce: a rejected word, a plan it leaves to
-    _batch_rows, or one step past DRAW_CHUNK by itself.  In those last cases
-    ``stuck`` is true and that step is the caller's to draw.
-    """
-    images = len(table.words)
-    pick = int(images > 1)
-    threshold = (2 ** 32 - images) % images
-    stream = memoryview(words)  # Python ints at scalar speed
-    picks, starts = [], []
-    pos = filled = 0
-    stuck = False
-    while len(picks) < steps and pos + pick <= len(stream):
-        image = 0
-        if pick:
-            product = stream[pos] * images
-            if (product & 0xFFFFFFFF) < threshold:
-                stuck = True
+
+class _Chunks:
+    """The M-step's images as fixed runs of bounded draws, one run per step
+    once its pick is known, for drawing a chunk of steps in one call."""
+
+    def __init__(self, images: list):
+        compiled = {plan: _step_draws(plan, len(images)) for plan in {i[-1] for i in images}}
+        steps = [compiled[plan] for *_, plan in images]
+        self.bounds = [step and step[0] for step in steps]
+        # the words of each image's run when numpy rejects none; None for a run left out
+        self.words = [step and int(np.count_nonzero(step[0] > 1)) for step in steps]
+        self.sizes = [step and step[2] for step in steps]
+        # one row order for all images, each call's low moved into its image's part
+        orders = [order for _, _, order, *_ in images]
+        self.order = np.concatenate(orders + [np.empty(0, dtype=np.int64)])
+        self.calls = np.array([((step[1] if step else []) + [(0,) * 6] * 4)[:4]
+                               for step in steps], dtype=np.int64).reshape(-1, 4, 6)
+        self.calls[..., 2] += np.cumsum([0] + list(map(len, orders)))[:-1, None]
+        self.rows = self.calls[..., 4].sum(axis=1)
+        self.keys = sorted({(quota, choice) for quota, choice
+                            in self.calls[..., 4:].reshape(-1, 2).tolist() if quota})
+
+    def draw(self, rng: np.random.Generator, steps: int):
+        """Picks and mini-batch rows of up to ``steps`` steps, from one
+        ``rng.integers(0, bounds)`` call over the picked runs; no step when
+        the first is left to the caller.  Step s of ``picks`` takes
+        ``rows[ends[s - 1]:ends[s]]``.
+
+        Each pick is read ahead as ``word * images >> 32``, the bounded draw
+        of a word numpy does not reject, past each picked run's words, up to
+        DRAW_CHUNK draws or a run left out.  The call's own pick values are
+        checked against them: the runs before the first that differs are
+        the per-step loop's, so their steps are kept and the generator is
+        set back and made to draw those runs alone.
+        """
+        ahead, state = _read_ahead(rng, DRAW_CHUNK)
+        ahead = memoryview(ahead)  # Python ints at scalar speed
+        picks, starts = [], []
+        pos = drawn = filled = 0
+        while len(picks) < steps and pos < len(ahead):
+            image = ahead[pos] * len(self.words) >> 32  # 0 for one image, whose pick takes no word
+            if self.words[image] is None or (picks and filled + self.sizes[image] > DRAW_CHUNK):
                 break
-            image = product >> 32
-        need = table.words[image]
-        if need is None:
-            stuck = True
-            break
-        if pos + pick + need > len(stream) or filled + table.cells[image] > DRAW_CHUNK:
-            break
-        picks.append(image)
-        starts.append(pos + pick)
-        pos += pick + need
-        filled += table.cells[image]
-    picks, starts = np.array(picks, dtype=np.int64), np.array(starts, dtype=np.int64)
-    if not picks.size:
-        return picks, np.empty(0, dtype=np.int32), picks, 0, True
-    sizes = table.rows[picks]
-    ends = np.cumsum(sizes)
-    positions = np.empty(int(ends[-1]), dtype=np.int32)
-    step = np.repeat(np.arange(picks.size), table.records.shape[1])
-    records = table.records[picks].reshape(-1, 6)
-    live = records[:, 4] > 0
-    step, records = step[live], records[live]
-    first_row = records[:, 0] + (ends - sizes)[step]
-    first_word = records[:, 1] + starts[step]
-    bad = picks.size  # the first step holding a rejected word
-    for quota, choice in table.keys:
-        group = np.flatnonzero((records[:, 4] == quota) & (records[:, 5] == choice))
-        if not group.size:
-            continue
-        draw = _without_replacement if choice else _with_replacement
-        values, rejected = draw(words, first_word[group], records[group, 3], quota)
-        positions[first_row[group] + np.arange(quota)[:, None]] = records[group, 2] + values
-        if rejected.any():
-            bad = min(bad, int(step[group][rejected].min()))
-    if bad < picks.size:
-        return picks[:bad], positions, ends[:bad], int(starts[bad]) - pick, True
-    return picks, positions, ends, pos, stuck
-
-
-def _next_words(bit_generator: np.random.PCG64, count: int) -> tuple[np.ndarray, dict]:
-    """The generator's next ``count`` or more 32-bit words, and the state they
-    start from.  PCG64 hands out each 64-bit output low half first, and a
-    buffered high half (``has_uint32``) comes before them."""
-    state = bit_generator.state
-    buffered = state["has_uint32"]
-    raw = bit_generator.random_raw(max(count - buffered + 1, 2) // 2)
-    halves = raw.astype("<u8", copy=False).view("<u4").astype(np.uint32, copy=False)
-    if not buffered:
-        return halves, state
-    return np.concatenate([np.array([state["uinteger"]], dtype=np.uint32), halves]), state
-
-
-def _skip_words(bit_generator: np.random.PCG64, state: dict, words: np.ndarray,
-                used: int) -> None:
-    """Leave the generator where its 32-bit draws from ``state`` leave it after
-    taking the first ``used`` of ``words``, buffered half and all."""
-    bit_generator.state = state
-    fresh = used - state["has_uint32"]
-    if fresh > 0:
-        outputs = (fresh + 1) // 2
-        bit_generator.advance(outputs)
-        bit_generator.state = {**bit_generator.state, "has_uint32": fresh % 2,
-                               "uinteger": int(words[used - fresh + 2 * outputs - 1])}
-    elif used:  # the buffered half only
-        bit_generator.state = {**state, "has_uint32": 0}
+            picks.append(image)
+            starts.append(drawn)
+            pos += self.words[image]
+            drawn += len(self.bounds[image])
+            filled += self.sizes[image]
+        del ahead
+        if not picks:
+            return [], None, []
+        bounds = np.concatenate([self.bounds[image] for image in picks])
+        values = rng.integers(0, bounds)
+        picks, starts = np.array(picks), np.array(starts)
+        wrong = np.flatnonzero(values[starts] != picks)
+        if wrong.size:
+            rng.bit_generator.state = state
+            rng.integers(0, bounds[:starts[wrong[0]]])
+            picks, starts = picks[:wrong[0]], starts[:wrong[0]]
+        del bounds
+        sizes = self.rows[picks]
+        ends = np.cumsum(sizes)
+        positions = np.empty(int(sizes.sum()), dtype=np.int64)
+        chunk = self.calls[picks]
+        chunk[..., 0] += starts[:, None]
+        chunk[..., 1] += (ends - sizes)[:, None]
+        chunk = chunk.reshape(-1, 6)
+        for quota, choice in self.keys:
+            first, row, low, pools = chunk[(chunk[:, 4] == quota) & (chunk[:, 5] == choice), :4].T
+            if first.size:  # a window of each call's draws and of its rows
+                chosen = (_without_replacement(values, first, pools, quota).T if choice
+                          else sliding_window_view(values, quota)[first])
+                sliding_window_view(positions, quota, writeable=True)[row] = chosen + low[:, None]
+        return picks.tolist(), self.order.take(positions), ends.tolist()
 
 
 def _minibatches(rng: np.random.Generator, images: list, steps: int):
     """Yield each step's _sgd_image inputs and mini-batch rows.
 
     The rows are those of a per-step loop that picks ``rng.integers(len(images))``
-    and draws _batch_rows, and the generator ends in the same state.  With a
-    PCG64 generator they are pre-drawn a chunk of steps at a time
-    (_draw_rows), which the pools allow because they are fixed within an
-    M-step; a step the table does not reproduce goes through _batch_rows.
+    and draws _batch_rows, and the generator ends in the same state, for any
+    bit generator.  The pools are fixed within an M-step, so once its pick
+    is known a step is a fixed run of numpy's bounded draws, and a chunk of
+    steps is drawn in one checked call (_Chunks.draw).  A step the chunk
+    leaves out goes through _batch_rows.
     """
-    bit_generator = rng.bit_generator
-    table = (_row_table([plan for *_, plan in images])
-             if images and type(bit_generator) is np.random.PCG64 else None)
+    chunks = _Chunks(images)
     done = 0
     while done < steps:
-        stuck = True
-        if table is not None:
-            words, state = _next_words(bit_generator, table.fetch)
-            picks, positions, ends, used, stuck = _draw_rows(words, table, steps - done)
-            _skip_words(bit_generator, state, words, used)
-            start = 0
-            for image, end in zip(picks.tolist(), ends.tolist()):
-                inputs = images[image]
-                yield inputs, inputs[2].take(positions[start:end])
-                start = end
-            done += picks.size
-        if stuck and done < steps:
+        picks, rows, ends = chunks.draw(rng, steps - done) if images else ([], None, [])
+        for image, start, end in zip(picks, [0] + ends, ends):
+            yield images[image], rows[start:end]
+        done += len(picks)
+        if not picks:
             inputs = images[int(rng.integers(len(images)))]
-            plan = inputs[-1]
-            yield inputs, _batch_rows(rng, inputs[2], plan) if plan else inputs[2][:0]
+            yield inputs, _batch_rows(rng, inputs[2], inputs[-1]) if inputs[-1] else inputs[2][:0]
             done += 1
 
 
@@ -690,9 +580,9 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
     the per-sample mean, keeping the learning-rate scale independent of
     batch size.  Soft labels are checked once per image up front, with the
     checks of weighted_ce_gradient.  An image with nothing to draw still
-    takes its pick but makes no step.  The picks and rows of a chunk of
-    steps are pre-drawn before its first gradient (_minibatches); they are
-    the same as drawing them step by step, and so is the generator state.
+    takes its pick but makes no step.  A chunk of steps draws its picks and
+    rows in one checked call before its first gradient (_minibatches); they
+    and the generator state are those of drawing step by step.
     """
     records = dataset.records
     plans: dict[tuple[int, int], tuple] = {}
@@ -828,5 +718,5 @@ def run_em(dataset: Dataset, config: EmConfig,
             image, geometry = record.image_id, geometries[record.image_id]
             post = (e_step_from_scores(record, init_scores[image], config) if from_scores
                     else e_step(record, log_probs[image], config, geometry))
-            labels[image] = soft_labels(post, record, params.num_categories, geometry).q
+            labels[image] = soft_labels(post, record, params.num_categories, geometry)
     return EmResult(params, trace)

@@ -84,20 +84,29 @@ def detect(dataset: Dataset, params: ScorerParams,
     return detections
 
 
-def _match_category(dataset: Dataset, detections: list[Detection], category: int,
-                    iou_threshold: float) -> tuple[np.ndarray, int]:
+def _ground_truth(dataset: Dataset) -> dict[int, dict[str, np.ndarray]]:
+    """Per category, each strong image's boxes of it, (n, 4), in annotation order."""
+    boxes: dict[int, dict[str, list[Box]]] = {}
+    for record in dataset:
+        for g in () if record.is_weak else record.annotation.objects:
+            boxes.setdefault(g.category, {}).setdefault(record.image_id, []).append(g.box)
+    return {category: {image_id: boxes_to_array(b) for image_id, b in per_image.items()}
+            for category, per_image in boxes.items()}
+
+
+def _match_category(truth: dict[int, dict[str, np.ndarray]], detections: list[Detection],
+                    category: int, iou_threshold: float) -> tuple[np.ndarray, int]:
     """Greedy matching flags for one category, detections in rank order.
 
-    Detections are ranked by descending score, ties by lower image id then
-    input order.  Per image, from one IoU matrix of its ranked detections
-    against its ground truth, each claims the first unclaimed box of highest
-    IoU when that IoU is positive and reaches the threshold.  IoUs below the
+    ``truth`` is the _ground_truth of the evaluated images.  Detections are
+    ranked by descending score, ties by lower image id then input order.
+    Per image, from one IoU matrix of its ranked detections against its
+    ground truth, each claims the first unclaimed box of highest IoU when
+    that IoU is positive and reaches the threshold.  IoUs below the
     threshold are zeroed first: the highest IoU reaches it exactly when the
     highest qualifying one does, and ties at it qualify together.
     """
-    gt = {r.image_id: boxes_to_array([g.box for g in r.annotation.objects
-                                      if g.category == category])
-          for r in dataset if not r.is_weak}
+    gt = truth.get(category, {})
     num_gt = sum(len(boxes) for boxes in gt.values())
     dets = [d for d in detections if d.category == category]
     dets.sort(key=lambda d: (-d.score, d.image_id))
@@ -133,14 +142,13 @@ def evaluate_detections(dataset: Dataset, detections: list[Detection],
                         categories: list[int] | None = None,
                         iou_threshold: float = MATCH_IOU) -> MetricsReport:
     """AP per category plus match counts; mean over categories with ground truth."""
+    truth = _ground_truth(dataset)
     if categories is None:
-        with_gt = {g.category for r in dataset if not r.is_weak
-                   for g in r.annotation.objects}
-        categories = sorted(with_gt | {d.category for d in detections})
+        categories = sorted(set(truth) | {d.category for d in detections})
     ap: dict[int, float | None] = {}
     counts: dict[int, dict[str, int]] = {}
     for category in categories:
-        flags, num_gt = _match_category(dataset, detections, category, iou_threshold)
+        flags, num_gt = _match_category(truth, detections, category, iou_threshold)
         counts[category] = {"tp": int(flags.sum()),
                             "fp": int((~flags).sum()),
                             "gt": num_gt}
@@ -213,13 +221,15 @@ def detections_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],
                            nms_threshold: float = DEFAULT_NMS_IOU) -> list[Detection]:
     """Detections ranked by external scores, the init-score detection baseline.
 
-    Scores are scaled per category by their global maximum so they behave
-    like probabilities in (0, 1]; ranking within a category is unchanged.
+    Scores are scaled per category by their maximum over the dataset's images
+    so they behave like probabilities in (0, 1]; ranking within a category is
+    unchanged.  Entries of ``score_map`` for other images are not read.
     """
     _check_score_map(dataset, score_map)
-    num_cats = min(mat.shape[1] for mat in score_map.values())
+    mats = [score_map[record.image_id] for record in dataset]
+    num_cats = min((mat.shape[1] for mat in mats), default=0)
     peaks = np.zeros(num_cats)
-    for mat in score_map.values():
+    for mat in mats:
         peaks = np.maximum(peaks, mat[:, :num_cats].max(axis=0))
     detections: list[Detection] = []
     for record in dataset:

@@ -208,7 +208,7 @@ def test_ac3_em_monotonicity_exact_full_batch():
                                              geometries[r.image_id])
                           for r in dataset}
             labels = {r.image_id: soft_labels(posteriors[r.image_id], r, 3,
-                                              geometries[r.image_id]).q
+                                              geometries[r.image_id])
                       for r in dataset}
             j_before = objective_of(dataset, params).total
             q_before = surrogate_value(dataset, posteriors, params)

@@ -37,11 +37,12 @@ from emdet.engine import (
     strong_label_vector,
     surrogate_value,
     _batch_rows,
+    _Chunks,
     _draw_plan,
-    _draw_rows,
     _minibatches,
-    _row_table,
+    _read_ahead,
     _sgd_image,
+    _step_draws,
 )
 from emdet.geometry import Box, boxes_to_array
 from emdet.latent import (
@@ -503,7 +504,7 @@ class TestSoftLabels:
         rec = isolated_weak_record("w", 3, (1,), dim=3)
         post = PosteriorTable("w", LatentConfigSet((1,), np.array([[0]])),
                               np.array([1.0]))
-        q = soft_labels(post, rec, 2, center_geometry(rec.proposals)).q
+        q = soft_labels(post, rec, 2, center_geometry(rec.proposals))
         assert np.array_equal(q, np.array([[0, 1], [1, 0], [1, 0]], dtype=float))
 
     def test_split_posterior_splits_the_marginals(self):
@@ -511,7 +512,7 @@ class TestSoftLabels:
         post = PosteriorTable("w",
                               LatentConfigSet((1,), np.array([[0], [1]])),
                               np.array([0.5, 0.5]))
-        q = soft_labels(post, rec, 2, center_geometry(rec.proposals)).q
+        q = soft_labels(post, rec, 2, center_geometry(rec.proposals))
         assert np.allclose(q, np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]))
 
     def test_covered_neighbor_inherits_center_category(self):
@@ -520,7 +521,7 @@ class TestSoftLabels:
         rec = weak_record("w", boxes, np.zeros((3, 3)), (1,))
         post = PosteriorTable("w", LatentConfigSet((1,), np.array([[0]])),
                               np.array([1.0]))
-        q = soft_labels(post, rec, 2, center_geometry(rec.proposals)).q
+        q = soft_labels(post, rec, 2, center_geometry(rec.proposals))
         assert np.array_equal(q, np.array([[0, 1], [0, 1], [1, 0]], dtype=float))
 
     def test_rows_always_sum_to_one(self):
@@ -532,7 +533,7 @@ class TestSoftLabels:
             geometry = center_geometry(rec.proposals)
             post = e_step(rec, log_prob_matrix(params, rec.features), EmConfig(mode="exact"),
                           geometry)
-            q = soft_labels(post, rec, 4, geometry).q
+            q = soft_labels(post, rec, 4, geometry)
             assert np.allclose(q.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(q >= 0)
 
@@ -548,7 +549,7 @@ class TestSoftLabels:
             cats = post.config_set.categories
             for w, row in zip(post.weights, post.config_set.centers):
                 expected[np.arange(9), naive_expand(cats, row, rec.proposals)] += w
-            assert np.max(np.abs(soft_labels(post, rec, 4, geometry).q - expected)) < 1e-12
+            assert np.max(np.abs(soft_labels(post, rec, 4, geometry) - expected)) < 1e-12
 
     def test_exact_posterior_memory_is_bounded_by_the_chunk(self):
         # 50 * 49 * 48 configs; an unchunked (B, N, M) key block alone is ~140 MB
@@ -561,7 +562,7 @@ class TestSoftLabels:
         assert len(post.config_set) == 50 * 49 * 48
         tracemalloc.start()
         try:
-            q = soft_labels(post, rec, 4, geometry).q
+            q = soft_labels(post, rec, 4, geometry)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -614,7 +615,7 @@ class TestSurrogateGradientIdentity:
         analytic = np.zeros_like(params.weights)
         for rec in dataset:
             if rec.is_weak:
-                q = soft_labels(posteriors[rec.image_id], rec, 3, geometries[rec.image_id]).q
+                q = soft_labels(posteriors[rec.image_id], rec, 3, geometries[rec.image_id])
             else:
                 q = np.eye(3)[strong_label_vector(rec, 3)]
             _, grad = weighted_ce_gradient(params, rec.features, q)
@@ -681,10 +682,9 @@ class TestDrawPlan:
 
     _batch_rows draws each quota on positions in the image's row order
     (rng.integers with replacement, rng.choice on the pool size without).
-    The row table (_minibatches with a PCG64 generator) reads the same draws
-    from the raw 32-bit stream: one Lemire-reduced word per bounded draw,
-    Floyd's picks then a Fisher-Yates shuffle for rng.choice without
-    replacement.  A numpy release that changes that stream or choice's
+    _minibatches makes the same draws in one rng.integers call over their
+    bounds: one per row with replacement, Floyd's picks then a Fisher-Yates
+    shuffle for rng.choice without.  A numpy release that changes choice's
     algorithm fails here, not by moving the manifest.
     """
 
@@ -851,9 +851,55 @@ def next_words(rng, count):
     return words[:count]
 
 
-class TestRowTable:
-    """_draw_rows, the pure reducer behind the M-step's row table, against
-    ReferenceStream, which is itself checked against numpy on real streams."""
+def per_step_minibatches(rng, images, steps):
+    """The per-step loop _minibatches reproduces: a pick below the image
+    count, then the picked image's _batch_rows."""
+    for _ in range(steps):
+        inputs = images[int(rng.integers(len(images)))]
+        plan = inputs[-1]
+        yield inputs, _batch_rows(rng, inputs[2], plan) if plan else inputs[2][:0]
+
+
+def assert_matches_the_per_step_loop(images, steps, seed, bit_generator=np.random.PCG64):
+    """_minibatches against per_step_minibatches on one stream: the same image
+    and rows at every step, and the same generator state after the last.
+    Returns the steps drawn."""
+    rng, reference = np.random.Generator(bit_generator(seed)), np.random.Generator(
+        bit_generator(seed))
+    drawn = list(_minibatches(rng, images, steps))
+    expected = list(per_step_minibatches(reference, images, steps))
+    assert len(drawn) == steps
+    for (inputs, rows), (expected_inputs, expected_rows) in zip(drawn, expected):
+        assert inputs is expected_inputs
+        assert rows.tolist() == expected_rows.tolist()
+    assert same_state(rng.bit_generator.state, reference.bit_generator.state)
+    return drawn
+
+
+def pick_word(image, images):
+    """A 32-bit word whose bounded draw below ``images`` is ``image``."""
+    return -(-image * 2 ** 32 // images)
+
+
+def spy_read_ahead(monkeypatch, change=lambda n, words: words):
+    """Patch _read_ahead to pass the n-th read's words through ``change``;
+    returns the list of reads, each its generator's has_uint32 flag."""
+    reads = []
+    read_ahead = emdet.engine._read_ahead
+
+    def spying(rng, count):
+        reads.append(rng.bit_generator.state.get("has_uint32"))
+        words, state = read_ahead(rng, count)
+        return change(len(reads) - 1, words), state
+
+    monkeypatch.setattr(emdet.engine, "_read_ahead", spying)
+    return reads
+
+
+class TestChunkedDraws:
+    """_minibatches, which draws a chunk of M-step steps in one checked
+    generator call, against the per-step loop; ReferenceStream, itself
+    checked against numpy on real streams, tells which draw takes which word."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_the_reference_draws_as_numpy(self, seed):
@@ -869,89 +915,143 @@ class TestRowTable:
         assert int(rng.integers(7)) == reference.bounded(7, "pick")
         assert next_words(rng, 1) == reference.words[reference.at:reference.at + 1]
 
-    @staticmethod
-    def plans(sizes, fg_quota=4, bg_quota=6):
-        config = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota)
-        return [_draw_plan(fg_size, bg_size, config) for fg_size, bg_size in sizes]
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_read_ahead_reads_the_reference_words_in_place(self, seed):
+        rng = np.random.default_rng(seed)
+        rng.integers(3, size=seed)  # odd counts leave a buffered half
+        before = rng.bit_generator.state
+        words, state = _read_ahead(rng, 101)
+        assert words.tolist() == next_words(rng, 101)
+        assert state == before == rng.bit_generator.state
 
     @staticmethod
-    def assert_draws_the_reference_steps(words, plans, steps, expected, used, stuck):
-        picks, positions, ends, drawn_words, drawn_stuck = _draw_rows(
-            np.array(words, dtype=np.uint32), _row_table(plans), steps)
-        assert picks.tolist() == [image for image, *_ in expected]
-        for (_, rows, *_), start, end in zip(expected, [0, *ends.tolist()], ends.tolist()):
-            assert positions[start:end].tolist() == rows
-        assert (drawn_words, drawn_stuck) == (used, stuck)
+    def images(sizes, fg_quota=4, bg_quota=6):
+        config, plans = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota), {}
+        return [TestDrawPlan.image(fg_size, bg_size, config, seed, plans)
+                for seed, (fg_size, bg_size) in enumerate(sizes)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(fg_size=st.integers(0, 30), bg_size=st.integers(0, 40),
+           fg_quota=st.integers(0, 12), bg_quota=st.integers(0, 20),
+           images=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_run_draws_the_reference_bounds(self, fg_size, bg_size, fg_quota,
+                                                 bg_quota, images, seed):
+        assume(fg_quota + bg_quota > 0)
+        plan = _draw_plan(fg_size, bg_size,
+                          EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota))
+        bounds = _step_draws(plan, images)[0]
+        reference = ReferenceStream(next_words(np.random.default_rng(seed), 2000))
+        reference.bounded(images, "pick")
+        reference.batch(plan)
+        assert [bound for bound in bounds.tolist() if bound > 1] == \
+            [bound for _, _, bound in reference.log]
 
     @settings(max_examples=60, deadline=None)
     @given(sizes=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 40)),
                           min_size=1, max_size=5).filter(lambda s: all(map(sum, s))),
            fg_quota=st.integers(0, 12), bg_quota=st.integers(0, 20),
+           chunk=st.sampled_from([1, 7, 100, 333, 1 << 16]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_draws_the_reference_steps(self, sizes, fg_quota, bg_quota, seed):
+    def test_draws_the_per_step_loop(self, sizes, fg_quota, bg_quota, chunk, seed):
         assume(fg_quota + bg_quota > 0)
-        plans = self.plans(sizes, fg_quota, bg_quota)
-        words = next_words(np.random.default_rng(seed), 3000)
-        expected = ReferenceStream(words).steps(plans, 20)
-        self.assert_draws_the_reference_steps(words, plans, 20, expected,
-                                              expected[-1][3], False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(emdet.engine, "DRAW_CHUNK", chunk)
+            assert_matches_the_per_step_loop(self.images(sizes, fg_quota, bg_quota), 20, seed)
 
     @pytest.mark.parametrize("role", ["pick", "row", "floyd", "shuffle"])
-    def test_stops_before_the_step_of_a_rejected_word(self, role):
-        # 0 is rejected under any bound that is no power of two
-        plans = self.plans([(3, 20), (7, 9), (5, 30)])
-        words = next_words(np.random.default_rng(15), 3000)
-        expected = ReferenceStream(words)
-        steps = expected.steps(plans, 12)
-        at = next(at for at, logged, bound in expected.log
-                  if logged == role and at >= steps[2][2] and bound & (bound - 1))
-        stop = next(n for n, (*_, start, end) in enumerate(steps) if start <= at < end)
-        words[at] = 0
-        self.assert_draws_the_reference_steps(words, plans, 12, steps[:stop],
-                                              steps[stop][2], True)
-        assert ReferenceStream(words).steps(plans, stop + 1)[-1][3] > steps[stop][3]
+    def test_a_read_ahead_off_by_a_word_keeps_the_steps_before(self, role, monkeypatch):
+        # as if numpy rejected a word of the role in the third step or later:
+        # the read-ahead runs one word off from there, and the chunk's call
+        # shows a wrong pick at the next step; a wrong pick word is wrong at once
+        images = self.images([(3, 20), (7, 9), (5, 30)])
+        reference = ReferenceStream(next_words(np.random.default_rng(15), 3000))
+        steps = reference.steps([plan for *_, plan in images], 12)
+        at = next(at for at, logged, _ in reference.log if logged == role and at >= steps[2][2])
+        image = next((image for image, _, start, _ in steps if start == at), 0)
+        inserted = pick_word((image + 1) % 3, 3)
 
-    def test_draws_that_take_no_word(self):
-        # one image: no pick word; a one-row pool drawn with replacement and a
-        # pool exactly its quota (Floyd's first bound is 0) take none either
-        words = next_words(np.random.default_rng(16), 200)
-        for sizes, step_words in [((1, 1), 0), ((1, 6), 20), ((4, 1), 12)]:
-            plans = self.plans([sizes])
-            assert _row_table(plans).words == [step_words]
-            expected = ReferenceStream(words).steps(plans, 5)
-            assert expected[-1][3] == 5 * step_words
-            self.assert_draws_the_reference_steps(words, plans, 5, expected,
-                                                  5 * step_words, False)
+        def off_by_a_word(n, words):
+            return np.insert(words, at, inserted)[:len(words)] if n == 0 else words
 
-    def test_leaves_a_choice_beyond_floyd_to_batch_rows(self):
+        reads = spy_read_ahead(monkeypatch, off_by_a_word)
+        calls = TestMStep.count_batch_rows(monkeypatch)
+        assert_matches_the_per_step_loop(images, 12, seed=15)
+        assert len(reads) == 2  # the second chunk starts at the first wrong pick
+        assert calls == []
+
+    def test_a_wrong_first_pick_draws_that_step_alone(self, monkeypatch):
+        # every other read-ahead mispredicts its chunk's first pick
+        monkeypatch.setattr(emdet.engine, "DRAW_CHUNK", 300)
+        images = self.images([(3, 20), (7, 9), (5, 30)])
+
+        def wrong_first(n, words):
+            if n % 2 == 0:
+                words = words.copy()
+                words[0] = pick_word(((int(words[0]) * 3 >> 32) + 1) % 3, 3)
+            return words
+
+        reads = spy_read_ahead(monkeypatch, wrong_first)
+        calls = TestMStep.count_batch_rows(monkeypatch)
+        assert_matches_the_per_step_loop(images, 40, seed=17)
+        assert len(calls) == (len(reads) + 1) // 2 > 3
+
+    @pytest.mark.parametrize("sizes, step_words", [
+        ([(1, 1)], 0),  # one image and one-row pools: no word at all
+        ([(1, 6)], 20),  # a pool exactly its quota: Floyd's first bound is 1
+        ([(4, 1)], 12),
+        ([(1, 1), (1, 1)], 1),  # two images: the pick takes a word
+    ])
+    def test_draws_that_take_no_word(self, sizes, step_words, monkeypatch):
+        images = self.images(sizes)
+        assert set(_Chunks(images).words) == {step_words}
+        calls = TestMStep.count_batch_rows(monkeypatch)
+        assert_matches_the_per_step_loop(images, 30, seed=16)
+        assert calls == []
+
+    def test_leaves_a_choice_beyond_floyd_to_batch_rows(self, monkeypatch):
         # rng.choice(n, k, replace=False) leaves Floyd's algorithm for
         # n > 10,000 and k > n // 50
-        floyd, tail = self.plans([(3, 12_000)], bg_quota=240) + self.plans([(3, 12_000)],
-                                                                          bg_quota=241)
-        assert _row_table([floyd]).words[0] is not None
-        assert _row_table([tail]).words[0] is None
-        words = next_words(np.random.default_rng(23), 20_000)
-        reference, expected = ReferenceStream(words), []
-        while True:
-            start = reference.at
-            if reference.bounded(2, "pick"):
-                break
-            expected.append((0, reference.batch(floyd), start, reference.at))
-        assert expected
-        self.assert_draws_the_reference_steps(words, [floyd, tail], 10, expected, start, True)
+        floyd, tail = self.images([(3, 12_000)], bg_quota=240) + self.images(
+            [(3, 12_000)], bg_quota=241)
+        assert _step_draws(floyd[-1], 2) is not None
+        assert _step_draws(tail[-1], 2) is None
+        calls = TestMStep.count_batch_rows(monkeypatch)
+        drawn = assert_matches_the_per_step_loop([floyd, tail], 10, seed=23)
+        assert len(calls) == sum(inputs is tail for inputs, _ in drawn) > 0
 
-    def test_stops_at_the_chunk(self, monkeypatch):
-        monkeypatch.setattr(emdet.engine, "DRAW_CHUNK", 100)
-        plans = self.plans([(3, 20), (7, 9)])
-        cells = _row_table(plans).cells
-        words = next_words(np.random.default_rng(18), 3000)
-        expected = ReferenceStream(words).steps(plans, 40)
-        filled = list(itertools.accumulate(cells[image] for image, *_ in expected))
-        stop = next(n for n, total in enumerate(filled) if total > 100)
-        self.assert_draws_the_reference_steps(words, plans, 40, expected[:stop],
-                                              expected[stop][2], False)
-        monkeypatch.setattr(emdet.engine, "DRAW_CHUNK", min(cells) - 1)
-        self.assert_draws_the_reference_steps(words, plans, 40, [], 0, True)
+    @pytest.mark.parametrize("chunk", [1, 7, 100, 333])
+    def test_a_chunk_holds_the_most_steps_that_fit(self, chunk, monkeypatch):
+        monkeypatch.setattr(emdet.engine, "DRAW_CHUNK", chunk)
+        chunks = []
+        draw = _Chunks.draw
+
+        def recording(self, rng, steps):
+            picks, rows, ends = draw(self, rng, steps)
+            chunks.append(picks)
+            return picks, rows, ends
+
+        monkeypatch.setattr(_Chunks, "draw", recording)
+        images = self.images([(3, 20), (7, 9)])
+        assert_matches_the_per_step_loop(images, 40, seed=18)
+        sizes = _Chunks(images).sizes
+        assert sizes == [31 + 2 * 20 // 8, 37 + 2 * (7 + 9) // 8]  # draws, seen flags / 8
+        assert all(chunks) and sum(map(len, chunks)) == 40
+        for picks, following in zip(chunks, chunks[1:]):
+            filled = sum(sizes[image] for image in picks)
+            assert filled <= chunk or len(picks) == 1
+            assert filled + sizes[following[0]] > chunk
+
+    def test_a_chunk_bounds_its_seen_flags(self):
+        # quota 1 of a 5,000-row pool: three draws but 10,000 seen flags a step
+        config, plans = EmConfig(fg_per_image=0, bg_per_image=1), {}
+        images = [TestDrawPlan.image(0, 5000, config, seed, plans) for seed in range(2)]
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in _minibatches(np.random.default_rng(1), images, 4000)) == 4000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestMStep:
@@ -964,7 +1064,7 @@ class TestMStep:
         geometry = center_geometry(rec.proposals)
         post = e_step(rec, log_prob_matrix(params, rec.features), EmConfig(mode="exact"),
                       geometry)
-        labels = {"w": soft_labels(post, rec, 3, geometry).q}
+        labels = {"w": soft_labels(post, rec, 3, geometry)}
         return dataset, labels, params
 
     @staticmethod
@@ -1040,7 +1140,7 @@ class TestMStep:
             geometry = center_geometry(r.proposals)
             post = e_step(r, log_prob_matrix(anchor, r.features), EmConfig(mode="exact"),
                           geometry)
-            labels[r.image_id] = soft_labels(post, r, 3, geometry).q
+            labels[r.image_id] = soft_labels(post, r, 3, geometry)
         labels["s"] = np.eye(3)[strong_label_vector(records[-1], 3)]
         labels["w0"] = np.eye(3)[np.zeros(7, dtype=int)]
         config = EmConfig(sgd_steps_per_m_step=200, lr_drop_step=150, l2=0.3,
@@ -1094,15 +1194,8 @@ class TestMStep:
         # two m_step calls on one generator, 157 steps each (a multiple of no
         # chunk), in chunks small enough that some end on an odd 32-bit word:
         # the buffered half carries into the next chunk and the next m_step
-        chunk_ends = []
-        skip_words = emdet.engine._skip_words
-
-        def recording(bit_generator, *args):
-            skip_words(bit_generator, *args)
-            chunk_ends.append(bit_generator.state["has_uint32"])
-
         monkeypatch.setattr(emdet.engine, "DRAW_CHUNK", 300)
-        monkeypatch.setattr(emdet.engine, "_skip_words", recording)
+        chunk_starts = spy_read_ahead(monkeypatch)
         rng = np.random.default_rng(6)
         sizes = {"bg_only": (0, 4), "exact": (4, 5), "short": (3, 3), "long": (9, 14)}
         records, labels = self.pooled_images(rng, sizes)
@@ -1110,21 +1203,23 @@ class TestMStep:
                           bg_per_image=5)
         self.assert_matches_a_per_step_loop(records, labels, config,
                                             random_params(rng, 3, 4), seed=12, m_steps=2)
-        assert len(chunk_ends) > 4
-        assert set(chunk_ends) == {0, 1}
+        assert len(chunk_starts) > 4
+        assert set(chunk_starts) == {0, 1}
 
-    def test_other_bit_generators_draw_each_step_through_batch_rows(self, monkeypatch):
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                               np.random.SFC64])
+    def test_other_bit_generators_take_the_chunk_path(self, bit_generator, monkeypatch):
         calls = self.count_batch_rows(monkeypatch)
         rng = np.random.default_rng(7)
         records, labels = self.pooled_images(rng, {"exact": (4, 5), "long": (9, 14)})
         config = EmConfig(sgd_steps_per_m_step=60, fg_per_image=4, bg_per_image=5)
         self.assert_matches_a_per_step_loop(records, labels, config, random_params(rng, 3, 4),
-                                            seed=0, bit_generator=np.random.MT19937)
-        assert len(calls) == 60
+                                            seed=0, bit_generator=bit_generator)
+        assert calls == []
 
     def test_a_pool_where_choice_leaves_floyd_is_drawn_through_batch_rows(self, monkeypatch):
         # rng.choice(12000, 300, replace=False) shuffles a tail (300 > 12000 // 50);
-        # the table draws every step of the small image and none of the large one
+        # chunks draw every step of the small image and none of the large one
         calls = self.count_batch_rows(monkeypatch)
         batch_sizes = []
         ce = emdet.engine.ce_gradient
@@ -1143,18 +1238,16 @@ class TestMStep:
         assert 0 < large_steps < 30
         assert calls == [12_005] * large_steps
 
-    def test_a_step_the_table_stops_before_is_drawn_through_batch_rows(self, monkeypatch):
-        # as if the fourth step of every chunk held a rejected word
-        draw_rows = emdet.engine._draw_rows
+    def test_a_wrong_first_pick_is_drawn_through_batch_rows(self, monkeypatch):
+        # as if every third chunk's first pick word were one numpy rejects
+        def wrong_first(n, words):
+            if n % 3 == 0:
+                words = words.copy()
+                words[0] = pick_word(((int(words[0]) * 3 >> 32) + 1) % 3, 3)
+            return words
 
-        def rejecting(words, table, steps):
-            picks, positions, ends, used, stuck = draw_rows(words, table, steps)
-            if picks.size <= 3:
-                return picks, positions, ends, used, stuck
-            used = sum(1 + table.words[image] for image in picks[:3].tolist())
-            return picks[:3], positions, ends[:3], used, True
-
-        monkeypatch.setattr(emdet.engine, "_draw_rows", rejecting)
+        monkeypatch.setattr(emdet.engine, "DRAW_CHUNK", 200)
+        reads = spy_read_ahead(monkeypatch, wrong_first)
         calls = self.count_batch_rows(monkeypatch)
         rng = np.random.default_rng(9)
         records, labels = self.pooled_images(rng, {"exact": (4, 5), "short": (3, 3),
@@ -1162,7 +1255,7 @@ class TestMStep:
         config = EmConfig(sgd_steps_per_m_step=50, fg_per_image=4, bg_per_image=5)
         self.assert_matches_a_per_step_loop(records, labels, config,
                                             random_params(rng, 3, 4), seed=14)
-        assert len(calls) == 50 // 4
+        assert len(calls) == (len(reads) + 2) // 3 > 2
 
     @pytest.mark.parametrize("steps, fg_per_image, lines", [(0, 16, 2), (3, 16, 2),
                                                             (3, 0, 0)])

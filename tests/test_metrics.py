@@ -17,6 +17,7 @@ from emdet.metrics import (
     MATCH_IOU,
     Detection,
     MetricsReport,
+    _ground_truth,
     _match_category,
     corloc,
     corloc_from_scores,
@@ -188,6 +189,15 @@ class TestDetectionsFromScores:
         with pytest.raises(ValueError, match="no scores for image"):
             detections_from_scores(Dataset(records), {"other": np.ones((1, 1))})
 
+    @pytest.mark.parametrize("other", [np.zeros((3, 1)), np.full((3, 4), 100.0)])
+    def test_entries_for_other_images_change_nothing(self, other):
+        # a narrower matrix must not cut the categories, a larger score not the peaks
+        _, test = generate(GeneratorConfig(n_train=1, n_test=5, seed=0))
+        scores = make_init_scores(test, seed=2)
+        expected = detections_from_scores(test, scores)
+        assert len(expected) > 0
+        assert detections_from_scores(test, {**scores, "other": other}) == expected
+
 
 class TestCorloc:
     def test_half_right_hand_example(self):
@@ -268,7 +278,8 @@ class TestMatchingAgainstReferee:
         for _ in range(60):
             dataset, detections = matching_case(rng)
             for category in (1, 2, 3):
-                flags, num_gt = _match_category(dataset, detections, category, threshold)
+                flags, num_gt = _match_category(_ground_truth(dataset), detections, category,
+                                                threshold)
                 expected, expected_gt = naive_match_category(dataset, detections, category,
                                                              threshold)
                 assert flags.tolist() == expected.tolist()
@@ -276,7 +287,8 @@ class TestMatchingAgainstReferee:
 
     def match(self, objects, detections, threshold=MATCH_IOU):
         record = strong_record("img", isolated_boxes(2), np.zeros((2, 2)), objects)
-        flags, num_gt = _match_category(Dataset([record]), detections, 1, threshold)
+        flags, num_gt = _match_category(_ground_truth(Dataset([record])), detections, 1,
+                                        threshold)
         expected, expected_gt = naive_match_category(Dataset([record]), detections, 1,
                                                      threshold)
         assert flags.tolist() == expected.tolist() and num_gt == expected_gt
@@ -309,7 +321,7 @@ class TestMatchingAgainstReferee:
                    for name in ("b", "a")]
         dets = [Detection("b", 1, FAR_BOX, 0.5), Detection("a", 1, GT_BOX, 0.5),
                 Detection("a", 1, GT_BOX, 0.5)]
-        flags, num_gt = _match_category(Dataset(records), dets, 1, MATCH_IOU)
+        flags, num_gt = _match_category(_ground_truth(Dataset(records)), dets, 1, MATCH_IOU)
         expected, _ = naive_match_category(Dataset(records), dets, 1, MATCH_IOU)
         assert flags.tolist() == expected.tolist() == [True, False, False]
         assert num_gt == 2
