@@ -98,7 +98,7 @@ def _em_config(raw: dict, path: str, args: argparse.Namespace,
         raise SchemaError(f"{path}: unknown config keys {unknown}")
     _check_types(raw, typing.get_type_hints(EmConfig), path)
     for name in ("mode", "k", "em_iterations", "seed"):
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name, None)
         if value is not None:
             raw[name] = value
     return EmConfig(**raw), extras
@@ -180,7 +180,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.corloc:
         report.corloc, report.mean_corloc = corloc(dataset, params)
     Path(args.out).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
-    line = f"mAP {report.mean_ap:.4f}" if report.mean_ap is not None else "mAP n/a"
+    line = f"mAP {report.mean_ap:.4f}"
     if report.mean_corloc is not None:
         line += f"  meanCorLoc {report.mean_corloc:.4f}"
     print(line)

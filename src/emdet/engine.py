@@ -98,6 +98,11 @@ class EmConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.fg_per_image + self.bg_per_image < 1:
             raise ValueError("mini-batches need at least one proposal per image")
+        for name in ("lr_initial", "lr_dropped", "momentum", "weight_decay", "l2",
+                     "full_batch_lr"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -554,19 +559,17 @@ def _minibatches(rng: np.random.Generator, images: list, steps: int):
 
 
 def _sgd_image(record: ImageRecord, q: np.ndarray, params: ScorerParams,
-               config: EmConfig, plans: dict) -> tuple:
+               config: EmConfig) -> tuple:
     """One image's M-step inputs: features, checked soft labels, the row order
     (foreground-eligible rows, argmax not background, first), the foreground
-    row count, and the _draw_plan, shared through ``plans`` by pool sizes."""
+    row count, and the _draw_plan of its pool sizes."""
     q = np.asarray(q, dtype=np.float64)
     check_soft_labels(q, record.num_proposals, params.num_categories)
     fg = q.argmax(axis=1) != 0
     fg_rows = np.flatnonzero(fg)
     order = np.concatenate([fg_rows, np.flatnonzero(~fg)])
-    sizes = (fg_rows.size, order.size - fg_rows.size)
-    if sizes not in plans:
-        plans[sizes] = _draw_plan(*sizes, config)
-    return record.features, q, order, fg_rows.size, plans[sizes]
+    plan = _draw_plan(fg_rows.size, order.size - fg_rows.size, config)
+    return record.features, q, order, fg_rows.size, plan
 
 
 def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams,
@@ -585,8 +588,7 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
     and the generator state are those of drawing step by step.
     """
     records = dataset.records
-    plans: dict[tuple[int, int], tuple] = {}
-    images = [_sgd_image(r, labels[r.image_id], params, config, plans) for r in records]
+    images = [_sgd_image(r, labels[r.image_id], params, config) for r in records]
     background_only = sum(fg_size == 0 for *_, fg_size, _ in images)
     if background_only and config.fg_per_image > 0:
         logger.info("%d of %d images have no foreground-eligible proposals "

@@ -3,7 +3,7 @@
 A weak image only says which categories are present.  A latent configuration
 picks one center proposal per present category; proposals whose IoU with a
 center reaches ``CENTER_IOU`` take that center's category and everything else
-is background.  This collapses the label space from Cceil(B) assignments to at
+is background.  This collapses the label space from C^B assignments to at
 most B * (B - 1) * ... choices, which can be enumerated exactly at desk scale
 or truncated per category for larger instances.
 """
@@ -25,8 +25,9 @@ CENTER_IOU = 0.5
 # enumerate_exact or entries of exact_log_likelihood_grid, the B ** 2 pair
 # factors of exact_log_partition for M = 3, and select_k's max(r, M) ** M
 # candidates.  Co-coverage plans are built only for B ** 2 within it.  Not
-# bounded by it: the partition's arrays of every slot order of every triple
-# config (_ordered_configs), which grow with the triple plan.
+# bounded by it: the arrays of every slot order of every triple config that
+# _overlap_terms returns and exact_log_partition sorts, which grow with the
+# triple plan.
 OBJECTIVE_GUARD = 10 ** 6
 
 
@@ -426,8 +427,6 @@ def _bottom_slot(ka, kb, kc):
 # order p of n = 2 or 3 centers puts the plan's center _ORDERS[n][p][s]
 # (0 for j, 1 for k, 2 for l) in slot s.
 _ORDERS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 3)}
-# The plan's center in slot s of order p is its row _SLOT_ROWS[n][s * orders + p].
-_SLOT_ROWS = {n: orders.T.reshape(-1) for n, orders in _ORDERS.items()}
 
 
 def _order_table(n: int, rule, dtype) -> np.ndarray:
@@ -448,26 +447,6 @@ def _order_table(n: int, rule, dtype) -> np.ndarray:
 # so both depend on the slot order.
 _FIRST_WINS = _order_table(2, lambda ka, kb: ka >= kb, bool)
 _BOTTOM = _order_table(3, _bottom_slot, np.intp)
-
-
-def _slot_orders(centers: np.ndarray) -> np.ndarray:
-    """The plan's lines or configs in every slot order, one row per slot.
-
-    ``centers`` holds the plan's n centers of each line or config, one row
-    per center.  Column p * groups + g of the result puts group g's centers
-    in slot order p of _ORDERS[n].
-    """
-    rows = _SLOT_ROWS[len(centers)]
-    return centers.astype(np.intp).take(rows, axis=0).reshape(len(centers), -1)
-
-
-def _group_bins(count: np.ndarray, orders: int) -> np.ndarray:
-    """(orders, entries) bins, p * groups + g for an entry of group g in slot order p.
-
-    Bins match the columns of _slot_orders, and each bin's entries keep
-    their order in the plan.
-    """
-    return np.repeat(np.arange(orders * count.size).reshape(orders, -1), count, axis=1)
 
 
 def _co_covered(geometry: CenterGeometry):
@@ -528,10 +507,11 @@ class _Overlaps(NamedTuple):
     The config with slot m's center at proposal j_m scores ``base`` plus
     ``per_center[j_m, m]`` for every slot plus ``minus[(a, b)][j_a, j_b]``
     for every slot pair a < b, plus for M = 3 the ``bonus`` of its
-    (j_0, j_1, j_2) where that is one of the ``triples`` (j, k, l, bonus) of
-    _ordered_configs.  Each (B, B) pair factor is 0 off the lines the pair
-    plan touches and -inf on its diagonal, so no config reuses a proposal.
-    ``minus`` is empty for M = 1 and ``triples`` None for M < 3.
+    (j_0, j_1, j_2) where that is one of the ``triples`` (j, k, l, bonus):
+    every slot order of every triple config, each once, unsorted.  Each
+    (B, B) pair factor is 0 off the lines the pair plan touches and -inf on
+    its diagonal, so no config reuses a proposal.  ``minus`` is empty for
+    M = 1 and ``triples`` None for M < 3.
     """
 
     base: float
@@ -546,10 +526,10 @@ def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) 
     ``base`` is the all-background sum and ``per_center`` each center's
     foreground deltas over the proposals it covers.  Where two neighborhoods
     share a proposal the plain sum counts both categories, so each slot
-    pair's factor holds the losing slot's delta, summed per ordered line
-    over the entries of the pair plan in ascending i, and negated.  For M = 3
-    a proposal covered by all three chosen centers lost one delta too many,
-    so its bottom slot's delta comes back in its config's bonus.
+    pair's factor holds the losing slot's delta, negated and summed per
+    ordered line over the entries of the pair plan in ascending i.  For
+    M = 3 a proposal covered by all three chosen centers lost one delta too
+    many, so its bottom slot's delta comes back in its config's bonus.
 
     The plans hold every index; this reads only the log-probs.  Only
     ``per_center``, one matrix product, rebuilds a dense coverage.
@@ -567,43 +547,32 @@ def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) 
 
     if M >= 2:
         plan = geometry.pair_plan()
-        covered = delta.take(plan.i, axis=0)
-        # The loser sums of the lines in both slot orders, as _slot_orders
-        # lists them, each in ascending i.
-        line = _group_bins(plan.count, 2).reshape(-1)
+        lost = -delta.take(plan.i, axis=0)
         first_wins = _FIRST_WINS.take(plan.code, axis=1)
-        line_j, line_k = _slot_orders(plan.lines)
-        touched = line_j * B + line_k
+        # Each entry's cell on its line in both slot orders, (j, k) then
+        # (k, j); a bincount sums each cell's entries in ascending i.
+        lines = plan.lines.astype(np.intp)
+        cells = np.repeat(lines * B + lines[::-1], plan.count, axis=1).reshape(-1)
         for a, b in itertools.combinations(range(M), 2):
-            loser = np.where(first_wins, covered[:, b], covered[:, a])
-            sums = np.bincount(line, weights=loser.reshape(-1), minlength=2 * plan.count.size)
-            factor = np.zeros((B, B))
-            factor.put(touched, -sums)
+            loser = np.where(first_wins, lost[:, b], lost[:, a])
+            # Over no cells bincount returns int64 zeros.
+            factor = np.bincount(cells, weights=loser.reshape(-1), minlength=B * B)
+            factor = factor.astype(np.float64, copy=False).reshape(B, B)
             np.fill_diagonal(factor, -np.inf)
             minus[(a, b)] = factor
 
     if M == 3:
         plan = geometry.triple_plan()
-        bottom = _BOTTOM.take(plan.code, axis=1)
-        bottom += M * plan.i  # i < 1000 (see _co_covered), so M * i fits int16
-        triples = _ordered_configs(plan, delta.take(bottom), B)
+        # i < 1000 (see _co_covered), so M * i fits int16.
+        add = delta.take(_BOTTOM.take(plan.code, axis=1) + M * plan.i)
+        # Column p * configs + g puts config g's centers in slot order p and
+        # sums its entries' bottom-slot deltas in ascending i.
+        configs = plan.count.size
+        bins = np.repeat(np.arange(6 * configs).reshape(6, configs), plan.count, axis=1)
+        bonus = np.bincount(bins.reshape(-1), weights=add.reshape(-1), minlength=6 * configs)
+        centers = plan.configs.astype(np.intp)[_ORDERS[3].T].reshape(3, -1)
+        triples = (*centers, bonus)
     return _Overlaps(base, per_center, minus, triples)
-
-
-def _ordered_configs(plan: _TriplePlan, add: np.ndarray, B: int):
-    """Every slot order of every triple config over B proposals, ascending by (j, k, l).
-
-    Returns their j, k and l, and each one's bonus: the deltas ``add`` gives
-    back to it, summed over its entries in ascending i.
-    """
-    bonus = np.bincount(_group_bins(plan.count, 6).reshape(-1), weights=add.reshape(-1),
-                        minlength=6 * plan.count.size)
-    centers = _slot_orders(plan.configs)
-    j, k, l = centers
-    # Sorting (flat index, position) pairs packed into one int64 is far
-    # faster than an argsort; flat indexes stay below B ** 3 <= 2 ** 30.
-    order = np.sort(((j * B + k) * B + l) << 32 | np.arange(j.size)) & 0xFFFFFFFF
-    return (*centers.take(order, axis=1), bonus.take(order))
 
 
 def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> float:
@@ -638,8 +607,15 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     B = geometry.num_proposals
     _check_table(B, 3, B ** 2)
     _check_scoring_inputs(label.categories, log_probs, geometry)
-    terms = _overlap_terms(geometry, label.categories, log_probs)
-    minus, (u, v, w) = terms.minus, terms.per_center.T
+    base, per_center, minus, (j, k, l, bonus) = _overlap_terms(
+        geometry, label.categories, log_probs)
+    # The line grouping and the exact terms read the configs sorted by
+    # (j, k, l).  Sorting (flat index, position) pairs packed into one int64
+    # is far faster than an argsort; flat indexes stay below B ** 3 <= 2 ** 30.
+    order = np.sort(((j * B + k) * B + l) << 32 | np.arange(j.size)) & 0xFFFFFFFF
+    j, k, l, bonus = j.take(order), k.take(order), l.take(order), bonus.take(order)
+    del order  # before the (B, B) tables, which would stack on it
+    u, v, w = per_center.T
     outer = u[:, None] + v[None, :] + minus[(0, 1)]
 
     # inner[j, k] = sum over l of exp(w_l + P02[j, l] + P12[k, l]), with each
@@ -653,10 +629,9 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
     # Each triple config's bonus is summed once; its (j, k) line of inner is
     # recomputed without it, and its exact value is kept apart.  One
     # row-major flat index per entry gathers and scatters far faster than a
-    # pair of indexes.
-    j, k, l, bonus = terms.triples
-    # Sorted configs of one (j, k) line are contiguous; starts marks the
-    # first, and the configs of the n-th line are bounds[n]:bounds[n + 1].
+    # pair of indexes.  The sorted configs of one (j, k) line are contiguous;
+    # starts marks the first, and the configs of the n-th line are
+    # bounds[n]:bounds[n + 1].
     line = j * B + k
     starts = np.ones(line.size, dtype=bool)
     np.not_equal(line[1:], line[:-1], out=starts[1:])
@@ -678,7 +653,7 @@ def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> f
         exact = (outer.take(line) + w.take(l)
                  + minus[(0, 2)].take(j * B + l) + minus[(1, 2)].take(k * B + l) + bonus)
         total = np.logaddexp(total, logsumexp(exact))
-    return float(terms.base + total)
+    return float(base + total)
 
 
 def _integer_root(k: int, m: int) -> int:

@@ -176,7 +176,8 @@ def corloc(dataset: Dataset, params: ScorerParams,
 
 def _check_score_map(dataset: Dataset, score_map: dict[str, np.ndarray],
                      num_categories: int = 0) -> None:
-    """Reject a score map without a (B, >= num_categories) matrix for every image."""
+    """Reject a score map without a finite, non-negative (B, >= num_categories)
+    matrix for every image."""
     for record in dataset:
         mat = score_map.get(record.image_id)
         if mat is None:
@@ -184,6 +185,8 @@ def _check_score_map(dataset: Dataset, score_map: dict[str, np.ndarray],
         if mat.ndim != 2 or mat.shape[0] != record.num_proposals or mat.shape[1] < num_categories:
             raise ValueError(f"image {record.image_id}: score shape {mat.shape} does not cover "
                              f"{record.num_proposals} proposals and {num_categories} categories")
+        if not np.all(np.isfinite(mat)) or np.any(mat < 0):
+            raise ValueError(f"image {record.image_id}: scores must be finite and non-negative")
 
 
 def corloc_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],

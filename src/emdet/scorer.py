@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from emdet.data import SchemaError
+
 
 @dataclass
 class ScorerParams:
@@ -190,4 +192,6 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, dict]:
     if flat.size != c * (d + 1):
         raise ValueError(
             f"checkpoint {path} has {flat.size} weights, expected {c}x{d + 1}")
+    if not np.all(np.isfinite(flat)):
+        raise SchemaError(f"checkpoint {path}: weights must be finite")
     return ScorerParams(flat.reshape(c, d + 1)), payload.get("meta", {})

@@ -60,6 +60,10 @@ def bench(tmp_path_factory):
             "scores": scores}
 
 
+def refuse_training(*args, **kwargs):
+    raise AssertionError("training started on a config that should have been rejected")
+
+
 class TestGen:
     def test_writes_datasets_and_manifest(self, bench):
         train = load_dataset(bench["train"])
@@ -209,6 +213,20 @@ class TestTrain:
                    "--config", str(config), "--out", str(out)])
         assert rc == 2
         assert "num_categories must be >= 2 or None, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("lr_initial", float("nan")),
+                                              ("momentum", -0.9)])
+    def test_non_finite_or_negative_rate_exits_two(self, bench, tmp_path, capsys,
+                                                   monkeypatch, field, value):
+        monkeypatch.setattr(emdet.cli, "run_em", refuse_training)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, field: value}))
+        out = tmp_path / "x.json"
+        rc = main(["train", "--data", str(bench["train"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert f"{field} must be finite and >= 0, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_mode_in_config_is_rejected(self, bench, tmp_path):
@@ -422,6 +440,18 @@ class TestDetectAndEval:
         assert report["corloc"] is not None
         assert report["mean_corloc"] is not None
         assert "meanCorLoc" in capsys.readouterr().out
+
+    def test_non_finite_checkpoint_weight_exits_two(self, bench, tmp_path, capsys):
+        params, _ = load_checkpoint(bench["ckpt"])
+        params.weights[0, 0] = np.nan
+        bad = tmp_path / "nan_ckpt.json"
+        save_checkpoint(params, bad)
+        out = tmp_path / "m.json"
+        rc = main(["eval", "--data", str(bench["test"]), "--ckpt", str(bad),
+                   "--out", str(out), "--corloc"])
+        assert rc == 2
+        assert "weights must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dim_mismatch_is_a_usage_error(self, bench, tmp_path, capsys):
         bad = tmp_path / "bad_ckpt.json"

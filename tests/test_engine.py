@@ -104,6 +104,14 @@ class TestEmConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be >= 0"):
             EmConfig(fg_per_image=quotas[0], bg_per_image=quotas[1])
 
+    @pytest.mark.parametrize("field", ["lr_initial", "lr_dropped", "momentum",
+                                       "weight_decay", "l2", "full_batch_lr"])
+    def test_rejects_non_finite_or_negative_rates(self, field):
+        for value in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(ValueError, match=f"{field} must be finite and >= 0, got {value}"):
+                EmConfig(**{field: value})
+        assert getattr(EmConfig(**{field: 0.0}), field) == 0.0
+
 
 class TestPosteriorTable:
     def config_set(self):
@@ -689,7 +697,7 @@ class TestDrawPlan:
     """
 
     @staticmethod
-    def image(fg_size, bg_size, config, seed, plans=None):
+    def image(fg_size, bg_size, config, seed):
         """Soft labels with fg_size foreground-argmax rows at shuffled
         positions, and their _sgd_image inputs."""
         rng = np.random.default_rng(seed)
@@ -698,8 +706,7 @@ class TestDrawPlan:
         q = np.full((fg_size + bg_size, 3), 0.1)
         q[np.arange(len(categories)), rng.permutation(categories)] = 0.8
         record = random_weak_record(rng, num_proposals=len(categories), feature_dim=2)
-        return _sgd_image(record, q, ScorerParams.zeros(3, 2), config,
-                          {} if plans is None else plans)
+        return _sgd_image(record, q, ScorerParams.zeros(3, 2), config)
 
     def assert_matches_per_pool_calls(self, fg_size, bg_size, fg_quota, bg_quota, seed):
         config = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota)
@@ -776,12 +783,18 @@ class TestDrawPlan:
         assert np.all(q.argmax(axis=1)[order[:5]] != 0)
         assert np.all(q.argmax(axis=1)[order[5:]] == 0)
 
-    def test_plans_are_shared_by_pool_sizes(self):
-        plans = {}
-        first = self.image(3, 9, EmConfig(), seed=6, plans=plans)[-1]
-        second = self.image(3, 9, EmConfig(), seed=7, plans=plans)[-1]
-        assert first is second
-        assert list(plans) == [(3, 9)]
+    def test_plans_are_shared_by_pool_sizes(self, monkeypatch):
+        # equal pool sizes give equal plans, which _Chunks compiles once
+        images = [self.image(3, 9, EmConfig(), seed=6), self.image(3, 9, EmConfig(), seed=7),
+                  self.image(2, 9, EmConfig(), seed=8)]
+        first, second, other = (image[-1] for image in images)
+        assert first == second != other
+        compiled = []
+        step_draws = emdet.engine._step_draws
+        monkeypatch.setattr(emdet.engine, "_step_draws",
+                            lambda plan, count: compiled.append(plan) or step_draws(plan, count))
+        _Chunks(images)
+        assert sorted(compiled) == sorted([first, other])
 
 
 class ReferenceStream:
@@ -926,8 +939,8 @@ class TestChunkedDraws:
 
     @staticmethod
     def images(sizes, fg_quota=4, bg_quota=6):
-        config, plans = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota), {}
-        return [TestDrawPlan.image(fg_size, bg_size, config, seed, plans)
+        config = EmConfig(fg_per_image=fg_quota, bg_per_image=bg_quota)
+        return [TestDrawPlan.image(fg_size, bg_size, config, seed)
                 for seed, (fg_size, bg_size) in enumerate(sizes)]
 
     @settings(max_examples=100, deadline=None)
@@ -1043,8 +1056,8 @@ class TestChunkedDraws:
 
     def test_a_chunk_bounds_its_seen_flags(self):
         # quota 1 of a 5,000-row pool: three draws but 10,000 seen flags a step
-        config, plans = EmConfig(fg_per_image=0, bg_per_image=1), {}
-        images = [TestDrawPlan.image(0, 5000, config, seed, plans) for seed in range(2)]
+        config = EmConfig(fg_per_image=0, bg_per_image=1)
+        images = [TestDrawPlan.image(0, 5000, config, seed) for seed in range(2)]
         tracemalloc.start()
         try:
             assert sum(1 for _ in _minibatches(np.random.default_rng(1), images, 4000)) == 4000

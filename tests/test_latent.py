@@ -288,16 +288,24 @@ class TestCenterGeometry:
         assert np.array_equal(expand(config_set, proposals), naive)
 
 
+def expanded_plan(centers, plan, table):
+    """{slot-ordered centers: [(i, table[p, code]), ...]} over every slot order p.
+
+    ``centers`` holds the plan's centers of each line or config, one row per
+    center; slot order p of _ORDERS puts row _ORDERS[n][p][s] in slot s.
+    """
+    group = np.repeat(np.arange(plan.count.size), plan.count)
+    expanded = {}
+    for p, order in enumerate(emdet.latent._ORDERS[len(centers)]):
+        for e, g in enumerate(group):
+            expanded.setdefault(tuple(centers[order, g]), []).append(
+                (plan.i[e], table[p, plan.code[e]]))
+    return expanded
+
+
 def expanded_pairs(plan):
     """{(j, k): [(i, first_wins), ...]} of a pair plan in both slot orders."""
-    line_j, line_k = emdet.latent._slot_orders(plan.lines)
-    bins = emdet.latent._group_bins(plan.count, 2)
-    first_wins = emdet.latent._FIRST_WINS[:, plan.code]
-    lines = {}
-    for p in range(2):
-        for e, n in enumerate(bins[p]):
-            lines.setdefault((line_j[n], line_k[n]), []).append((plan.i[e], first_wins[p, e]))
-    return lines
+    return expanded_plan(plan.lines, plan, emdet.latent._FIRST_WINS)
 
 
 def referee_pairs(plan):
@@ -310,14 +318,7 @@ def referee_pairs(plan):
 
 def expanded_triples(plan):
     """{(j, k, l): [(i, bottom slot), ...]} of a triple plan in all six slot orders."""
-    j, k, l = emdet.latent._slot_orders(plan.configs)
-    bins = emdet.latent._group_bins(plan.count, 6)
-    bottom = emdet.latent._BOTTOM[:, plan.code]
-    configs = {}
-    for p in range(6):
-        for e, n in enumerate(bins[p]):
-            configs.setdefault((j[n], k[n], l[n]), []).append((plan.i[e], bottom[p, e]))
-    return configs
+    return expanded_plan(plan.configs, plan, emdet.latent._BOTTOM)
 
 
 def referee_triples(plan):
@@ -422,6 +423,35 @@ class TestCoCoveragePlans:
             log_probs = random_log_probs(rng, len(boxes))
             grid = exact_log_likelihood_grid(geometry, cats, log_probs)
             assert grid.tobytes() == referee_grid(geometry, cats, log_probs).tobytes()
+
+    def test_grid_and_partition_take_the_triples_in_any_order(self, monkeypatch):
+        # Only the partition sorts the slot-ordered triple configs; the grid
+        # scatters them as they come.
+        rng = np.random.default_rng(83)
+        train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=0))
+        instances = [clustered_boxes(rng, 12), clustered_boxes(rng, 24),
+                     *(r.proposals for r in train)]
+        cases = [(center_geometry(boxes), random_log_probs(rng, len(boxes)))
+                 for boxes in instances]
+
+        def values():
+            return [(exact_log_likelihood_grid(geometry, (1, 2, 3), log_probs).tobytes(),
+                     np.float64(exact_log_partition(geometry, (1, 2, 3), log_probs)).tobytes())
+                    for geometry, log_probs in cases]
+
+        expected = values()
+        overlap_terms = emdet.latent._overlap_terms
+        moved = []
+
+        def shuffled(*args):
+            terms = overlap_terms(*args)
+            order = rng.permutation(terms.triples[0].size)
+            moved.append(np.any(order != np.arange(order.size)))
+            return terms._replace(triples=tuple(a[order] for a in terms.triples))
+
+        monkeypatch.setattr(emdet.latent, "_overlap_terms", shuffled)
+        assert values() == expected
+        assert sum(moved) > len(cases)
 
     @settings(max_examples=200, deadline=None)
     @given(boxes=st.lists(_small_box, min_size=2, max_size=8), data=st.data())
@@ -656,6 +686,24 @@ class TestExactLogPartition:
         log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         expected = self.grid_value(geometry, (1, 2, 3), log_probs)
         assert abs(exact_log_partition(geometry, (1, 2, 3), log_probs) - expected) <= 1e-12
+
+    def test_exact_terms_are_summed_in_config_order(self, monkeypatch):
+        # The triple configs' exact terms reach their log-sum-exp sorted by
+        # (j, k, l), the order their rounding was pinned in.
+        rng = np.random.default_rng(84)
+        boxes = clustered_boxes(rng, 16)
+        geometry = center_geometry(boxes)
+        log_probs = random_log_probs(rng, len(boxes))
+        grid = exact_log_likelihood_grid(geometry, (1, 2, 3), log_probs)
+        summed = []
+        monkeypatch.setattr(emdet.latent, "logsumexp",
+                            lambda values: summed.append(values) or logsumexp(values))
+        exact_log_partition(geometry, (1, 2, 3), log_probs)
+        triples = ordered_triple_plan(geometry)  # configs ascending by (j, k, l)
+        dense, exact = summed
+        assert dense.shape == (len(boxes),) * 2 and exact.size > 100
+        expected = grid[triples.j, triples.k, triples.l] - log_probs[:, 0].sum()
+        assert np.max(np.abs(exact - expected)) < 1e-12
 
     def test_triple_lines_are_recomputed_a_chunk_at_a_time(self):
         # 40 clusters of 12 mutually covering proposals: 5,280 (j, k) lines of

@@ -367,6 +367,15 @@ class TestScoreMapValidation:
         with pytest.raises(ValueError, match="image train_0003: score shape \\(50,\\)"):
             baseline(train, scores)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_non_finite_or_negative_score_is_named(self, case, baseline, value):
+        train, scores = case
+        scores["train_0002"][7, 1] = value
+        with pytest.raises(ValueError, match="image train_0002: scores must be finite "
+                                             "and non-negative"):
+            baseline(train, scores)
+
     def test_too_few_columns_for_corloc_are_named(self, case):
         train, scores = case
         scores["train_0003"] = scores["train_0003"][:, :2]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emdet.data import SchemaError
 from emdet.scorer import (
     OptimizerState,
     ScorerParams,
@@ -373,4 +374,14 @@ class TestCheckpointIo:
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"c": 2, "d": 2, "weights": [0.0] * 5}))
         with pytest.raises(ValueError, match="expected 2x3"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_is_rejected(self, tmp_path, value):
+        # Python's json writes and reads NaN and Infinity.
+        weights = np.zeros((2, 3))
+        weights[1, 2] = value
+        path = tmp_path / "nan.json"
+        save_checkpoint(ScorerParams(weights), path)
+        with pytest.raises(SchemaError, match="weights must be finite"):
             load_checkpoint(path)
