@@ -167,7 +167,7 @@ class GeneratorConfig:
     max_objects_per_image: int = 3
 
     def __post_init__(self):
-        for name in ("n_train", "n_test", "jitters_per_object"):
+        for name in ("n_train", "n_test", "jitters_per_object", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         sizes = (self.canvas_width, self.canvas_height,
@@ -357,6 +357,8 @@ def split_semi(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     """
     if not (0.0 <= fraction <= 1.0):
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    if seed < 0:
+        raise ValueError(f"split seed must be >= 0, got {seed}")
     if any(r.is_weak for r in dataset):
         raise ValueError("split_semi requires a fully strong source dataset")
     n_strong = int(round(fraction * len(dataset)))
@@ -481,6 +483,8 @@ def make_init_scores(dataset: Dataset, noise_sigma: float = 0.4,
     """
     if not 0.0 <= noise_sigma < math.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if num_fg_categories is None:
         num_fg_categories = dataset.max_category()
     if num_fg_categories < 1:

@@ -93,7 +93,7 @@ class EmConfig:
             raise ValueError("em_iterations must be >= 0")
         if self.sgd_steps_per_m_step < 0:
             raise ValueError("sgd_steps_per_m_step must be >= 0")
-        for name in ("fg_per_image", "bg_per_image"):
+        for name in ("fg_per_image", "bg_per_image", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.fg_per_image + self.bg_per_image < 1:

@@ -187,7 +187,12 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, dict]:
     for key in ("c", "d", "weights"):
         if key not in payload:
             raise ValueError(f"checkpoint {path} is missing key {key!r}")
-    c, d = int(payload["c"]), int(payload["d"])
+    for key in ("c", "d"):
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise SchemaError(f"checkpoint {path}: {key!r} must be an integer >= 1, "
+                              f"got {json.dumps(value)}")
+    c, d = payload["c"], payload["d"]
     flat = np.asarray(payload["weights"], dtype=np.float64)
     if flat.size != c * (d + 1):
         raise ValueError(

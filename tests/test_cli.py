@@ -112,6 +112,7 @@ class TestGen:
         ({"n_train": -3}, "n_train must be >= 0, got -3"),
         ({"n_test": -1}, "n_test must be >= 0, got -1"),
         ({"jitters_per_object": -1}, "jitters_per_object must be >= 0, got -1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"canvas_width": float("inf")}, "canvas and object sizes must be finite"),
         ({"noise_sigma": -0.1}, "noise_sigma must be finite and >= 0, got -0.1"),
         ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0, got nan"),
@@ -227,6 +228,22 @@ class TestTrain:
                    "--config", str(config), "--out", str(out)])
         assert rc == 2
         assert f"{field} must be finite and >= 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("split_seed", -3, "split seed must be >= 0, got -3"),
+    ])
+    def test_negative_seed_exits_two_before_training(self, bench, tmp_path, capsys,
+                                                      monkeypatch, field, value, message):
+        monkeypatch.setattr(emdet.cli, "run_em", refuse_training)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, field: value}))
+        out = tmp_path / "x.json"
+        rc = main(["train", "--data", str(bench["train"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_mode_in_config_is_rejected(self, bench, tmp_path):
@@ -451,6 +468,17 @@ class TestDetectAndEval:
                    "--out", str(out), "--corloc"])
         assert rc == 2
         assert "weights must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_checkpoint_shape_exits_two(self, bench, tmp_path, capsys):
+        payload = json.loads(bench["ckpt"].read_text())
+        bad = tmp_path / "float_c.json"
+        bad.write_text(json.dumps({**payload, "c": payload["c"] + 0.5}))
+        out = tmp_path / "m.json"
+        rc = main(["eval", "--data", str(bench["test"]), "--ckpt", str(bad),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "'c' must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dim_mismatch_is_a_usage_error(self, bench, tmp_path, capsys):

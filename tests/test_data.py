@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emdet.data
-import emdet.oracle
+import referees
 from emdet.data import (
     Dataset,
     GeneratorConfig,
@@ -31,9 +31,9 @@ from emdet.data import (
 )
 from emdet.geometry import Box, boxes_to_array, iou_matrix
 from emdet.latent import CENTER_IOU, ImageLabel
-from emdet.oracle import naive_generate, naive_init_scores
 from helpers import (isolated_boxes, random_box, random_boxes, random_weak_record,
                      strong_record)
+from referees import naive_generate, naive_init_scores
 
 SMALL = GeneratorConfig(n_train=12, n_test=5, num_fg_categories=3,
                         proposals_per_image=20, feature_dim=8, seed=3)
@@ -149,7 +149,7 @@ class TestGeneratorConfigValidation:
         with pytest.raises(ValueError):
             GeneratorConfig(max_object_size=200.0)
 
-    @pytest.mark.parametrize("field", ["n_train", "n_test", "jitters_per_object"])
+    @pytest.mark.parametrize("field", ["n_train", "n_test", "jitters_per_object", "seed"])
     def test_negative_counts_are_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
             GeneratorConfig(**{field: -1})
@@ -245,7 +245,7 @@ def _record_bytes(record):
 
 def assert_generate_matches_referee(cfg):
     fast, fast_states = _generate_with_states(generate, emdet.data, "_synthesize_image", cfg)
-    naive, naive_states = _generate_with_states(naive_generate, emdet.oracle, "naive_image", cfg)
+    naive, naive_states = _generate_with_states(naive_generate, referees, "naive_image", cfg)
     assert len(fast_states) == cfg.n_train + cfg.n_test
     for n, (a, b) in enumerate(zip(fast_states, naive_states, strict=True)):
         assert a == b, f"generator state differs after image {n}"
@@ -287,7 +287,7 @@ def generator_configs(draw):
 
 
 class TestGenerateReferee:
-    """generate draws every box from one uniform block; oracle.naive_generate
+    """generate draws every box from one uniform block; referees.naive_generate
     draws them one scalar at a time.  Both must give the same bytes and leave
     the generator in the same state after every image."""
 
@@ -375,6 +375,12 @@ class TestSplitSemi:
     def test_rejects_fraction_outside_unit_interval(self):
         with pytest.raises(ValueError, match="fraction"):
             split_semi(self.source(), 1.5, seed=0)
+
+    def test_rejects_a_negative_seed_before_any_draw(self, monkeypatch):
+        source = self.source()
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match="split seed must be >= 0, got -3"):
+            split_semi(source, 0.5, seed=-3)
 
     def test_demotion_preserves_the_label_set(self):
         src = self.source()
@@ -599,6 +605,13 @@ class TestInitScores:
                            match=re.escape(f"noise_sigma must be finite and >= 0, got {sigma}")):
             make_init_scores(train, noise_sigma=sigma)
 
+    def test_rejects_a_negative_seed_before_any_draw(self, monkeypatch):
+        train, _ = generate(SMALL)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        monkeypatch.setattr(emdet.data, "iou_matrix", None)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            make_init_scores(train, seed=-1)
+
     def test_round_trip(self, tmp_path):
         train, _ = generate(SMALL)
         scores = make_init_scores(train, seed=2)
@@ -691,7 +704,7 @@ def strong_datasets(draw):
 
 class TestInitScoresReferee:
     """make_init_scores scores a chunk of images at a time with one noise draw;
-    oracle.naive_init_scores scores one image at a time.  Both must give the
+    referees.naive_init_scores scores one image at a time.  Both must give the
     same keys in the same order, the same bytes, and the same final generator
     state."""
 

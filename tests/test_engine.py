@@ -104,6 +104,10 @@ class TestEmConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be >= 0"):
             EmConfig(fg_per_image=quotas[0], bg_per_image=quotas[1])
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            EmConfig(seed=-1)
+
     @pytest.mark.parametrize("field", ["lr_initial", "lr_dropped", "momentum",
                                        "weight_decay", "l2", "full_batch_lr"])
     def test_rejects_non_finite_or_negative_rates(self, field):

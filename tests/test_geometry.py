@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from emdet.geometry import Box, ScoredBox, boxes_to_array, iou_matrix, nms
 from emdet.metrics import Detection
-from emdet.oracle import iou, naive_nms
+from emdet.oracle import iou
 from helpers import clustered_boxes
+from referees import naive_nms
 
 
 def box_strategy(max_coord=50.0):
@@ -204,7 +205,7 @@ def ids(dets):
 
 
 class TestNmsAgainstReferee:
-    """geometry.nms reads one IoU matrix per call; oracle.naive_nms is the
+    """geometry.nms reads one IoU matrix per call; referees.naive_nms is the
     scalar loop it replaced.  The kept lists must hold the same objects in the
     same order, so duplicates that compare equal still count by position."""
 

@@ -20,10 +20,10 @@ from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
                           score_config_set, select_k)
 from emdet.oracle import brute_marginal_likelihood, iou
 from emdet.oracle import expand as naive_expand
-from emdet.oracle import ordered_pair_plan, ordered_triple_plan
 from emdet.scorer import log_prob_matrix
 from helpers import (clustered_boxes, fg_log_probs, isolated_boxes, random_boxes,
                      random_params, weak_record)
+from referees import ordered_pair_plan, ordered_triple_plan
 
 WORKED_PROPOSALS = boxes_to_array([Box(0, 0, 10, 10), Box(1, 1, 11, 11), Box(20, 20, 30, 30)])
 
@@ -309,7 +309,7 @@ def expanded_pairs(plan):
 
 
 def referee_pairs(plan):
-    """expanded_pairs of the oracle's ordered pair plan, listed as it holds them."""
+    """expanded_pairs of the ordered referee pair plan, listed as it holds them."""
     lines = {}
     for i, first_wins, n in zip(plan.i, plan.first_wins, plan.line):
         lines.setdefault((plan.line_j[n], plan.line_k[n]), []).append((i, first_wins))
@@ -322,7 +322,7 @@ def expanded_triples(plan):
 
 
 def referee_triples(plan):
-    """expanded_triples of the oracle's ordered triple plan, listed as it holds them."""
+    """expanded_triples of the ordered referee triple plan, listed as it holds them."""
     configs = {}
     for i, bottom, n in zip(plan.i, plan.bottom, plan.config):
         configs.setdefault((plan.j[n], plan.k[n], plan.l[n]), []).append((i, bottom))
@@ -362,7 +362,7 @@ def random_log_probs(rng, num_proposals, num_categories=4):
 
 class TestCoCoveragePlans:
     """The plans hold each co-covering pair and triple of centers once; expanded to
-    every slot order they list the oracle's ordered plans entry for entry."""
+    every slot order they list the ordered referee plans entry for entry."""
 
     @staticmethod
     def check_against_referee(boxes):

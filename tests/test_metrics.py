@@ -28,9 +28,9 @@ from emdet.metrics import (
     load_detections,
     save_detections,
 )
-from emdet.oracle import naive_match_category
 from emdet.scorer import ScorerParams
 from helpers import isolated_boxes, random_weak_record, strong_record, weak_record
+from referees import naive_match_category
 
 GT_BOX = Box(0.0, 0.0, 10.0, 10.0)
 FAR_BOX = Box(50.0, 50.0, 60.0, 60.0)
@@ -269,7 +269,7 @@ def matching_case(rng):
 
 
 class TestMatchingAgainstReferee:
-    """_match_category reads one IoU matrix per image; oracle.naive_match_category
+    """_match_category reads one IoU matrix per image; referees.naive_match_category
     is the scalar loop it replaced."""
 
     @pytest.mark.parametrize("threshold", [0.0, 0.25, 0.5, 0.75, 1.0])

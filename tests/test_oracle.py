@@ -1,10 +1,14 @@
 """Brute-force reference checks and engine-vs-oracle equivalence sweeps."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emdet.oracle
 from emdet.engine import EmConfig, e_step
 from emdet.latent import GuardError, center_geometry
 from emdet.oracle import (
@@ -144,3 +148,22 @@ class TestEngineAgreement:
         assert sizes["exact"] == math.perm(rec.num_proposals, len(rec.annotation.label))
         assert sizes["hard"] == 1
         assert 1 <= sizes["k_em"] <= 4 < sizes["exact"]
+
+
+def test_test_only_referees_live_in_tests():
+    """emdet.oracle holds no test-only referee, and tests/referees.py no dead one:
+    each public name there that no other referee uses is imported by a test module."""
+    assert not [name for name in vars(emdet.oracle)
+                if re.match(r"naive_|ordered_|Ordered", name)]
+    tests = Path(__file__).parent
+    tree = ast.parse((tests / "referees.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    used_inside = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {alias.name for path in tests.glob("test_*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "referees"
+                for alias in node.names}
+    assert public - used_inside
+    assert public - used_inside <= imported

@@ -5,6 +5,7 @@ against a hand-unrolled recurrence, and the softmax against closed forms.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +375,19 @@ class TestCheckpointIo:
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"c": 2, "d": 2, "weights": [0.0] * 5}))
         with pytest.raises(ValueError, match="expected 2x3"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["c", "d"])
+    @pytest.mark.parametrize("value", [2.9, True, "2", 0])
+    def test_shape_must_be_a_positive_json_integer(self, tmp_path, key, value):
+        # As many weights as int() would read the shape for, so only the key's
+        # type or range can refuse the file.
+        shape = {"c": 2, "d": 2, key: value}
+        size = int(shape["c"]) * (int(shape["d"]) + 1)
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps({**shape, "weights": [0.0] * size}))
+        with pytest.raises(SchemaError, match=f"'{key}' must be an integer >= 1, got "
+                                              f"{re.escape(json.dumps(value))}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
