@@ -15,6 +15,7 @@ soft proposal labels those posteriors imply.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -399,6 +400,9 @@ def _batch_rows(rng: np.random.Generator, order: np.ndarray, plan: tuple) -> np.
 # its without-replacement calls: bounds a chunk's memory, as LABEL_CHUNK bounds
 # the labelling kernel's.  A chunk holds at least one step, however large.
 DRAW_CHUNK = 1 << 16
+# Rows per M-step gather block: a block of steps takes its feature rows and soft
+# labels from the M-step's tables in one call each.  A block holds at least one step.
+GATHER_ROWS = 1 << 12
 
 
 def _step_draws(plan: tuple, images: int):
@@ -586,6 +590,11 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
     takes its pick but makes no step.  A chunk of steps draws its picks and
     rows in one checked call before its first gradient (_minibatches); they
     and the generator state are those of drawing step by step.
+
+    Every image's bias-augmented feature rows and transposed soft labels are
+    copied into one table each, and each image's row order points at its own
+    rows there.  The steps' rows are then taken from both tables a block of
+    at most GATHER_ROWS rows at a time, and each step reads views of its block.
     """
     records = dataset.records
     images = [_sgd_image(r, labels[r.image_id], params, config) for r in records]
@@ -594,19 +603,34 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
         logger.info("%d of %d images have no foreground-eligible proposals "
                     "and contribute background samples only",
                     background_only, len(records))
-    # Mini-batch rows are gathered into one reused buffer whose last column
-    # stays 1, the bias input; per-image augmented copies would raise peak memory.
-    batch = np.ones((2 * (config.fg_per_image + config.bg_per_image), params.feature_dim + 1))
+    starts = np.cumsum([0] + [r.num_proposals for r in records])
+    table = np.ones((starts[-1], params.feature_dim + 1))  # the last column is the bias input
+    labels_t = np.empty((params.num_categories, starts[-1]))
+    for (features, q, *_), start, end in zip(images, starts, starts[1:]):
+        table[start:end, :-1] = features
+        labels_t[:, start:end] = q.T
+    images = [(features, q, order + start, *rest)
+              for (features, q, order, *rest), start in zip(images, starts)]
+
     steps = _minibatches(rng, images, config.sgd_steps_per_m_step)
-    for n, ((features, q, *_), rows) in enumerate(steps):
-        state.learning_rate = learning_rate(config, start_step + n)
-        if not rows.size:
-            continue
-        augmented = batch[:rows.size]
-        augmented[:, :-1] = features.take(rows, axis=0)
-        _, grad = ce_gradient(params, augmented, q.take(rows, axis=0), config.l2)
-        grad /= rows.size
-        sgd_step(params, state, grad)
+    per_block = max(1, GATHER_ROWS // (2 * (config.fg_per_image + config.bg_per_image)))
+    if config.sgd_steps_per_m_step:
+        state.learning_rate = learning_rate(config, start_step)
+    step = start_step
+    while block := [rows for _, rows in itertools.islice(steps, per_block)]:
+        rows = np.concatenate(block)
+        gathered, gathered_t = table.take(rows, axis=0), labels_t.take(rows, axis=1)
+        end = 0
+        for size in map(len, block):
+            if step == config.lr_drop_step:
+                state.learning_rate = config.lr_dropped
+            step += 1
+            if size:
+                start, end = end, end + size
+                _, grad = ce_gradient(params, gathered[start:end], gathered_t[:, start:end].T,
+                                      config.l2)
+                grad /= size
+                sgd_step(params, state, grad)
     return start_step + config.sgd_steps_per_m_step
 
 
@@ -657,7 +681,8 @@ def run_em(dataset: Dataset, config: EmConfig,
     enumerated sets).  The trace holds the objective at initialization and
     after every M-step.  Each of the em_iterations + 1 passes runs an M-step
     (but the first), scores once every image that the trace or a following
-    E-step reads, and turns each posterior into soft labels at once.
+    E-step reads, and turns each posterior into soft labels at once.  The
+    pass's log-probs are dropped after its E-steps, before the next M-step.
 
     Each weak image's center coverage is built once per run, after the
     exact and hard enumeration guards have passed, and read by every E-step,
@@ -721,4 +746,5 @@ def run_em(dataset: Dataset, config: EmConfig,
             post = (e_step_from_scores(record, init_scores[image], config) if from_scores
                     else e_step(record, log_probs[image], config, geometry))
             labels[image] = soft_labels(post, record, params.num_categories, geometry)
+        del log_probs  # read by nothing after the E-steps: freed before the M-step
     return EmResult(params, trace)

@@ -100,7 +100,7 @@ def check_soft_labels(soft_labels: np.ndarray, num_rows: int, num_categories: in
     if np.any(soft_labels < 0.0):
         raise ValueError("soft labels must be non-negative")
     sums = soft_labels.sum(axis=1)
-    if not np.allclose(sums, 1.0, atol=1e-9):
+    if not np.all(np.abs(sums - 1.0) <= 1e-9):  # NaN fails too
         raise ValueError("soft label rows must sum to 1")
 
 
@@ -115,14 +115,27 @@ def ce_gradient(params: ScorerParams, augmented: np.ndarray, soft_labels: np.nda
                 l2: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The gradient of weighted_ce_gradient's loss on bias-augmented rows, unchecked.
 
-    Returns (log-probabilities of the rows, gradient); the loss itself is not
-    computed.  The L2 term is added only when ``l2`` is nonzero.
+    Returns ((n, C) log-probabilities of the rows, gradient); the loss itself
+    is not computed.  The L2 term is added only when ``l2`` is nonzero.
+
+    The logits are ``W @ A.T``, in (C, n) layout, so each row's max and sum
+    over categories are axis-0 reductions of one contiguous array.  Its
+    gradient factor is copied to the (n, C) order before the matmul, whose
+    bits depend on the operands' layout.  Below 8 categories the sum adds
+    category after category, as ``_row_log_softmax``'s row sum does, so the
+    result equals the (n, C) form bit for bit.  From 8 on, numpy sums a
+    contiguous row pairwise; this form still adds left to right, so the
+    last bits may differ from log_prob_matrix's.
     """
-    logp = _row_log_softmax(augmented @ params.weights.T)
-    grad = (np.exp(logp) - soft_labels).T @ augmented
+    logp = params.weights @ augmented.T
+    logp -= np.maximum.reduce(logp, axis=0)
+    logp -= np.log(np.add.reduce(np.exp(logp), axis=0))
+    residual = np.exp(logp)
+    residual -= soft_labels.T
+    grad = residual.T.copy().T @ augmented
     if l2:
         grad += l2 * _without_bias(params.weights)
-    return logp, grad
+    return logp.T, grad
 
 
 def weighted_ce_gradient(params: ScorerParams, features: np.ndarray,

@@ -1,6 +1,12 @@
 """Builders for randomized and hand-laid test instances."""
 
+import contextlib
+import ctypes
+import glob
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from emdet.data import (Dataset, GroundTruth, ImageRecord, StrongAnnotation,
                         WeakAnnotation)
@@ -96,3 +102,31 @@ def isolated_weak_record(image_id, count, categories, features=None, dim=4):
     if features is None:
         features = np.zeros((count, dim))
     return weak_record(image_id, boxes, features, categories)
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS library, or None."""
+    for path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(count):
+    """Run the block with numpy's OpenBLAS on ``count`` threads; skip the test
+    where that library cannot be told."""
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS does not expose its thread count")
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(count)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)

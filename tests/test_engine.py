@@ -5,6 +5,7 @@ is checked numerically; posterior values are checked against hand products.
 """
 
 import collections
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -1084,39 +1085,62 @@ class TestMStep:
         labels = {"w": soft_labels(post, rec, 3, geometry)}
         return dataset, labels, params
 
+    @pytest.fixture(params=[1, 7, 32, 10 ** 6], ids=lambda steps: f"block{steps}")
+    def block_steps(self, request):
+        """Steps per M-step gather block; 10 ** 6 puts every step in one block."""
+        return request.param
+
     @staticmethod
     def assert_matches_a_per_step_loop(records, labels, config, start, seed, m_steps=1,
-                                       bit_generator=np.random.PCG64):
-        """m_step from start_step 5, ``m_steps`` times on one generator, against
-        a loop of per_pool_rows batches and weighted_ce_gradient steps on the
-        same generator stream: equal weights and equal generator states."""
+                                       bit_generator=np.random.PCG64, block_steps=None,
+                                       step_counts=None):
+        """m_step from start_step 5, ``m_steps`` times on one generator (or once
+        per entry of ``step_counts``, each that many steps), against a loop of
+        per_pool_rows batches and weighted_ce_gradient steps on the same
+        generator stream: equal weights, velocity, learning rate and generator
+        state.  ``block_steps`` patches GATHER_ROWS to that many full batches."""
+        if step_counts is None:
+            step_counts = [config.sgd_steps_per_m_step] * m_steps
+
         def run(step_fn):
             params = start.copy()
             state = OptimizerState.for_params(params, config.lr_initial,
                                               config.momentum, config.weight_decay)
+            state.learning_rate = -1.0  # set only by a step
             rng = np.random.Generator(bit_generator(seed))
             step_fn(params, state, rng)
-            return params.weights, rng.bit_generator.state
+            return (params.weights, state.velocity, state.learning_rate,
+                    rng.bit_generator.state)
 
         def reference(params, state, rng):
-            for n in range(m_steps * config.sgd_steps_per_m_step):
+            for n in range(sum(step_counts)):
                 state.learning_rate = learning_rate(config, 5 + n)
                 record = records[int(rng.integers(len(records)))]
                 q = labels[record.image_id]
                 rows = per_pool_rows(rng, q, config)
+                if not rows.size:
+                    continue
                 _, grad = weighted_ce_gradient(params, record.features[rows], q[rows],
                                                config.l2)
                 sgd_step(params, state, grad / rows.size)
 
         def m_steps_on_one_generator(params, state, rng):
             step = 5
-            for _ in range(m_steps):
-                step = m_step(Dataset(records), labels, params, state, config, rng, step)
+            for count in step_counts:
+                step = m_step(Dataset(records), labels, params, state,
+                              dataclasses.replace(config, sgd_steps_per_m_step=count), rng,
+                              step)
 
-        expected_weights, expected_state = run(reference)
-        weights, generator_state = run(m_steps_on_one_generator)
-        assert np.array_equal(weights, expected_weights)
-        assert same_state(generator_state, expected_state)
+        expected = run(reference)
+        with pytest.MonkeyPatch.context() as patch:
+            if block_steps is not None:
+                batch = 2 * (config.fg_per_image + config.bg_per_image)
+                patch.setattr(emdet.engine, "GATHER_ROWS", block_steps * batch)
+            weights, velocity, rate, generator_state = run(m_steps_on_one_generator)
+        assert weights.tobytes() == expected[0].tobytes()
+        assert velocity.tobytes() == expected[1].tobytes()
+        assert rate == expected[2]
+        assert same_state(generator_state, expected[3])
 
     def test_zero_steps_leave_params_unchanged(self):
         dataset, labels, params = self.small_setup()
@@ -1142,7 +1166,7 @@ class TestMStep:
         m_step(dataset, labels, params, state, config, np.random.default_rng(1))
         assert np.max(np.abs(params.weights)) > 0.0
 
-    def test_matches_a_per_step_gradient_loop_bit_for_bit(self):
+    def test_matches_a_per_step_gradient_loop_bit_for_bit(self, block_steps):
         # mixed images, one with no foreground-eligible rows, l2 on, and a
         # learning-rate drop inside the run
         rng = np.random.default_rng(3)
@@ -1163,9 +1187,10 @@ class TestMStep:
         config = EmConfig(sgd_steps_per_m_step=200, lr_drop_step=150, l2=0.3,
                           fg_per_image=4, bg_per_image=5)
         self.assert_matches_a_per_step_loop(records, labels, config,
-                                            random_params(rng, 3, 4), seed=9)
+                                            random_params(rng, 3, 4), seed=9,
+                                            block_steps=block_steps)
 
-    def test_matches_a_per_step_gradient_loop_without_l2(self):
+    def test_matches_a_per_step_gradient_loop_without_l2(self, block_steps):
         # a background-only image, a foreground pool exactly its quota, pools
         # shorter than their quotas, and l2 = 0: plans of two draws and of
         # four, and the gradient without the L2 term
@@ -1177,7 +1202,65 @@ class TestMStep:
         calls = [len(_draw_plan(*sizes[r.image_id], config)) for r in records]
         assert calls == [2, 4, 4, 4]
         self.assert_matches_a_per_step_loop(records, labels, config,
-                                            random_params(rng, 3, 4), seed=11)
+                                            random_params(rng, 3, 4), seed=11,
+                                            block_steps=block_steps)
+
+    def test_an_image_with_nothing_to_draw_takes_its_pick(self, block_steps):
+        # no background quota: the background-only image is picked but draws
+        # no rows, so its steps move the step counter and nothing else
+        rng = np.random.default_rng(19)
+        sizes = {"bg_only": (0, 6), "mixed": (3, 5), "long": (9, 14)}
+        records, labels = self.pooled_images(rng, sizes)
+        config = EmConfig(sgd_steps_per_m_step=90, lr_drop_step=60, fg_per_image=4,
+                          bg_per_image=0)
+        assert _draw_plan(*sizes["bg_only"], config) == ()
+        self.assert_matches_a_per_step_loop(records, labels, config,
+                                            random_params(rng, 3, 4), seed=20,
+                                            block_steps=block_steps)
+
+    def test_full_batches_of_96_and_128_rows(self, block_steps):
+        # the default quotas: 128 rows a step, 96 for a background-only image
+        rng = np.random.default_rng(21)
+        records, labels = self.pooled_images(rng, {"bg_only": (0, 60), "mixed": (20, 40),
+                                                   "short": (5, 30)})
+        config = EmConfig(sgd_steps_per_m_step=120, lr_drop_step=80, l2=0.3)
+        self.assert_matches_a_per_step_loop(records, labels, config,
+                                            random_params(rng, 3, 4), seed=22,
+                                            block_steps=block_steps)
+
+    @pytest.mark.parametrize("step_counts", [[0], [37, 0, 20], [0, 45]])
+    def test_a_zero_step_m_step_changes_nothing(self, block_steps, step_counts):
+        # with no step the learning rate is left as it was, here the -1 the
+        # comparison starts from; after one, it is that of the last step
+        rng = np.random.default_rng(23)
+        records, labels = self.pooled_images(rng, {"exact": (4, 5), "long": (9, 14)})
+        config = EmConfig(lr_drop_step=40, fg_per_image=4, bg_per_image=5)
+        self.assert_matches_a_per_step_loop(records, labels, config,
+                                            random_params(rng, 3, 4), seed=24,
+                                            block_steps=block_steps, step_counts=step_counts)
+
+    def test_gathers_a_block_at_a_time(self):
+        # 64-dim features: one draw chunk of this image holds about 250 steps
+        # of 128 rows, 17 MB of gathered rows; a block holds 4,096 rows
+        rng = np.random.default_rng(25)
+        records, labels = [], {}
+        for n in range(2):
+            record = random_weak_record(rng, f"w{n}", num_proposals=100, feature_dim=63)
+            q = np.eye(3)[np.r_[np.ones(20, dtype=int), np.zeros(80, dtype=int)]]
+            records.append(record)
+            labels[record.image_id] = q
+        params = ScorerParams.zeros(3, 63)
+        config = EmConfig(sgd_steps_per_m_step=600)
+        state = OptimizerState.for_params(params, config.lr_initial)
+        tracemalloc.start()
+        try:
+            m_step(Dataset(records), labels, params, state, config, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = 200 * (64 + 3) * 8
+        block = 4096 * ((64 + 3) * 8 + 8)  # gathered rows and their indices
+        assert peak < tables + block + 4e6  # 4e6: test_a_chunk_bounds_its_seen_flags' bound
 
     @staticmethod
     def pooled_images(rng, sizes):
@@ -1207,7 +1290,8 @@ class TestMStep:
         monkeypatch.setattr(emdet.engine, "_batch_rows", counting)
         return calls
 
-    def test_back_to_back_m_steps_carry_the_generator_between_chunks(self, monkeypatch):
+    def test_back_to_back_m_steps_carry_the_generator_between_chunks(self, block_steps,
+                                                                     monkeypatch):
         # two m_step calls on one generator, 157 steps each (a multiple of no
         # chunk), in chunks small enough that some end on an odd 32-bit word:
         # the buffered half carries into the next chunk and the next m_step
@@ -1219,22 +1303,26 @@ class TestMStep:
         config = EmConfig(sgd_steps_per_m_step=157, lr_drop_step=200, fg_per_image=4,
                           bg_per_image=5)
         self.assert_matches_a_per_step_loop(records, labels, config,
-                                            random_params(rng, 3, 4), seed=12, m_steps=2)
+                                            random_params(rng, 3, 4), seed=12, m_steps=2,
+                                            block_steps=block_steps)
         assert len(chunk_starts) > 4
         assert set(chunk_starts) == {0, 1}
 
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
                                                np.random.SFC64])
-    def test_other_bit_generators_take_the_chunk_path(self, bit_generator, monkeypatch):
+    def test_other_bit_generators_take_the_chunk_path(self, block_steps, bit_generator,
+                                                      monkeypatch):
         calls = self.count_batch_rows(monkeypatch)
         rng = np.random.default_rng(7)
         records, labels = self.pooled_images(rng, {"exact": (4, 5), "long": (9, 14)})
         config = EmConfig(sgd_steps_per_m_step=60, fg_per_image=4, bg_per_image=5)
         self.assert_matches_a_per_step_loop(records, labels, config, random_params(rng, 3, 4),
-                                            seed=0, bit_generator=bit_generator)
+                                            seed=0, bit_generator=bit_generator,
+                                            block_steps=block_steps)
         assert calls == []
 
-    def test_a_pool_where_choice_leaves_floyd_is_drawn_through_batch_rows(self, monkeypatch):
+    def test_a_pool_where_choice_leaves_floyd_is_drawn_through_batch_rows(self, block_steps,
+                                                                          monkeypatch):
         # rng.choice(12000, 300, replace=False) shuffles a tail (300 > 12000 // 50);
         # chunks draw every step of the small image and none of the large one
         calls = self.count_batch_rows(monkeypatch)
@@ -1250,12 +1338,13 @@ class TestMStep:
         records, labels = self.pooled_images(rng, {"large": (5, 12_000), "small": (0, 7)})
         config = EmConfig(sgd_steps_per_m_step=30, fg_per_image=4, bg_per_image=300)
         self.assert_matches_a_per_step_loop(records, labels, config,
-                                            random_params(rng, 3, 4), seed=13)
+                                            random_params(rng, 3, 4), seed=13,
+                                            block_steps=block_steps)
         large_steps = batch_sizes.count(2 * (4 + 300))
         assert 0 < large_steps < 30
         assert calls == [12_005] * large_steps
 
-    def test_a_wrong_first_pick_is_drawn_through_batch_rows(self, monkeypatch):
+    def test_a_wrong_first_pick_is_drawn_through_batch_rows(self, block_steps, monkeypatch):
         # as if every third chunk's first pick word were one numpy rejects
         def wrong_first(n, words):
             if n % 3 == 0:
@@ -1271,7 +1360,8 @@ class TestMStep:
                                                    "long": (9, 14)})
         config = EmConfig(sgd_steps_per_m_step=50, fg_per_image=4, bg_per_image=5)
         self.assert_matches_a_per_step_loop(records, labels, config,
-                                            random_params(rng, 3, 4), seed=14)
+                                            random_params(rng, 3, 4), seed=14,
+                                            block_steps=block_steps)
         assert len(calls) == (len(reads) + 2) // 3 > 2
 
     @pytest.mark.parametrize("steps, fg_per_image, lines", [(0, 16, 2), (3, 16, 2),
@@ -1302,6 +1392,15 @@ class TestMStep:
         with pytest.raises(ValueError, match="high <= 0"):
             m_step(Dataset([]), {}, params, state, EmConfig(sgd_steps_per_m_step=3),
                    np.random.default_rng(0))
+
+    def test_a_row_off_by_5e_6_is_rejected(self):
+        dataset, labels, params = self.small_setup()
+        labels["w"] = labels["w"].copy()
+        labels["w"][2] = [0.5, 0.5 + 5e-6, 0.0]
+        config = EmConfig(sgd_steps_per_m_step=5)
+        state = OptimizerState.for_params(params, config.lr_initial)
+        with pytest.raises(ValueError, match="sum to 1"):
+            m_step(dataset, labels, params, state, config, np.random.default_rng(0))
 
     def test_unnormalized_soft_label_row_is_rejected(self):
         dataset, labels, params = self.small_setup()

@@ -16,14 +16,16 @@ from emdet.data import SchemaError
 from emdet.scorer import (
     OptimizerState,
     ScorerParams,
+    _row_log_softmax,
     ce_gradient,
+    check_soft_labels,
     load_checkpoint,
     log_prob_matrix,
     save_checkpoint,
     sgd_step,
     weighted_ce_gradient,
 )
-from helpers import random_params
+from helpers import blas_threads, random_params
 
 
 class TestParamsValidation:
@@ -168,6 +170,24 @@ class TestWeightedCeGradient:
             weighted_ce_gradient(params, np.zeros((1, 2)),
                                  np.array([[0.5, 0.4]]))
 
+    @pytest.mark.parametrize("row, accepted", [
+        ([0.5, 0.5 + 5e-10, 0.0], True),
+        ([0.5, 0.5 + 5e-6, 0.0], False),  # within allclose's default rtol of 1e-5
+        ([0.5, 0.5 - 2e-5, 0.0], False),
+        ([0.5, np.nan, 0.0], False),
+    ])
+    def test_row_sums_are_held_to_an_absolute_1e_9(self, row, accepted):
+        params = ScorerParams.zeros(3, 2)
+        labels = np.array([[0.0, 0.0, 1.0], row])
+        if accepted:
+            check_soft_labels(labels, 2, 3)
+            weighted_ce_gradient(params, np.zeros((2, 2)), labels)
+            return
+        with pytest.raises(ValueError, match="sum to 1"):
+            check_soft_labels(labels, 2, 3)
+        with pytest.raises(ValueError, match="sum to 1"):
+            weighted_ce_gradient(params, np.zeros((2, 2)), labels)
+
     def test_rejects_row_count_mismatch(self):
         params = ScorerParams.zeros(2, 2)
         with pytest.raises(ValueError, match="rows"):
@@ -240,6 +260,50 @@ class TestByteIdentity:
         logp, core_grad = ce_gradient(params, augmented, labels, l2)
         assert core_grad.tobytes() == grad.tobytes()
         assert logp.tobytes() == log_prob_matrix(params, features).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 260), c=st.integers(2, 7),
+           d=st.integers(1, 40), scale=st.sampled_from([0.1, 1.0, 30.0]),
+           l2=st.sampled_from([0.0, 0.3]))
+    def test_ce_gradient_keeps_the_row_layout_bytes(self, threads, seed, n, c, d, scale, l2):
+        # the (n, C) form ce_gradient had: row softmax, then the gradient of
+        # the transposed (n, C) residual; soft labels passed as a view, as the
+        # M-step passes its block of transposed labels
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(0.0, scale, size=(c, d + 1))
+        augmented = np.ones((n, d + 1))
+        augmented[:, :-1] = rng.normal(size=(n, d))
+        labels = np.ascontiguousarray(rng.dirichlet(np.ones(c), size=n + 3).T)[:, 2:-1].T
+        with blas_threads(threads):
+            logp = _row_log_softmax(augmented @ weights.T)
+            grad = (np.exp(logp) - labels).T @ augmented
+            if l2:
+                grad += l2 * np.concatenate([weights[:, :-1], np.zeros((c, 1))], axis=1)
+            got_logp, got_grad = ce_gradient(ScorerParams(weights), augmented, labels, l2)
+        assert got_logp.shape == (n, c)
+        assert got_logp.tobytes() == logp.tobytes()
+        assert got_grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ce_gradient_sums_many_categories_left_to_right(self, seed):
+        # from 8 categories numpy sums a contiguous row pairwise, so
+        # ce_gradient's column sums may move the last bits against
+        # log_prob_matrix; they add category after category
+        c = 21
+        params, features, labels = self.instance(seed, n=50, c=c)
+        augmented = np.concatenate([features, np.ones((len(features), 1))], axis=1)
+        logits = params.weights @ augmented.T
+        shifted = logits - logits.max(axis=0)
+        total = np.zeros(len(features))
+        for row in np.exp(shifted):
+            total = total + row
+        logp = shifted - np.log(total)
+        residual = np.asfortranarray(np.exp(logp) - labels.T)
+        got_logp, got_grad = ce_gradient(params, augmented, labels)
+        assert got_logp.tobytes() == logp.T.tobytes()
+        assert got_grad.tobytes() == (residual @ augmented).tobytes()
+        assert np.allclose(got_logp, log_prob_matrix(params, features), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sgd_step_matches_the_naive_update(self, seed):
