@@ -555,6 +555,41 @@ class TestDatasetIo:
         assert len(load_dataset(path)) == 1
 
 
+# A zero-object strong image, a strong image with two boxes of one category
+# (integer coordinates, written back as floats), and a weak image.
+HAND_WRITTEN = [
+    {"id": "empty", "width": 10, "height": 8, "proposals": [[0, 0, 5, 5], [1, 2, 9, 7.5]],
+     "features": [[0.25, -1], [3, 0.5]], "annotation": {"type": "strong", "objects": []}},
+    {"id": "pair", "width": 20.5, "height": 12, "proposals": [[0, 0, 4, 4], [10, 2, 18.25, 11]],
+     "features": [[1, 0], [0, 1]],
+     "annotation": {"type": "strong", "objects": [{"box": [0, 0, 4.5, 4], "category": 2},
+                                                  {"box": [10, 2, 18, 11.75], "category": 2}]}},
+    {"id": "weak", "width": 10, "height": 10, "proposals": [[2, 2, 6, 6]],
+     "features": [[0.5, 0.5]], "annotation": {"type": "weak", "z": [3, 1]}},
+]
+
+
+class TestSavedBytes:
+    """save_dataset's bytes are pinned, so a change to the record layout that
+    keeps every in-memory referee happy still cannot change the files."""
+
+    @pytest.mark.parametrize("split, expected", [
+        (0, "6fb9927ebb487ffd02a0cfa3faa8e5234c9105a29457ff431c66681ad8433381"),
+        (1, "646b100ca6f7779a246c60ff92cbe0a6631886a8ba898b907507edb6893c49a7"),
+    ])
+    def test_default_generator_splits_are_pinned(self, tmp_path, split, expected):
+        path = tmp_path / "split.jsonl"
+        save_dataset(generate(GeneratorConfig(seed=0))[split], path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+    def test_hand_written_round_trip_is_pinned(self, tmp_path):
+        source, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        source.write_text("".join(json.dumps(obj) + "\n" for obj in HAND_WRITTEN))
+        save_dataset(load_dataset(source), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "4fbb301a5ad9b026ceccb7da734ed196092ba210cd2d014833a5d45442dc32ca"
+
+
 class TestInitScores:
     def test_shapes_and_determinism(self):
         train, _ = generate(SMALL)
