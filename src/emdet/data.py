@@ -1,11 +1,12 @@
 """Dataset records, synthetic benchmark generation, and JSONL IO.
 
 An image record carries its proposals as one (B, 4) array of [x1, y1, x2, y2]
-rows, with precomputed feature rows, plus either a strong annotation
-(ground-truth boxes) or a weak one (the set of categories present).  The
-synthetic generator plants one ground-truth box per sampled category,
-surrounds it with jittered proposals, and derives features from a fixed
-orthogonal prototype per category so a linear scorer can succeed.
+rows, with precomputed feature rows, plus either a strong annotation (its
+(m, 4) ground-truth boxes and their (m,) category ids) or a weak one (the set
+of categories present).  The synthetic generator plants one ground-truth box
+per sampled category, surrounds it with jittered proposals, and derives
+features from a fixed orthogonal prototype per category so a linear scorer
+can succeed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from emdet.geometry import Box, iou_matrix
+from emdet.geometry import iou_matrix
 from emdet.latent import CENTER_IOU, ImageLabel, as_label
 
 
@@ -30,14 +31,21 @@ class SchemaError(ValueError):
     """A dataset or score file violates the expected schema."""
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    box: Box
-    category: int
-
-    def __post_init__(self):
-        if self.category < 1:
-            raise ValueError(f"ground-truth category must be >= 1, got {self.category}")
+def _box_rows(boxes, name: str, rows: str, prefix: str = "") -> np.ndarray:
+    """boxes as a float64 (n, 4) array of [x1, y1, x2, y2] rows, each finite
+    with x1 < x2 and y1 < y2; a ValueError names the first row that is not."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ValueError(f"{prefix}{name}s must be a ({rows}, 4) array of [x1, y1, x2, y2] "
+                         f"rows, got shape {boxes.shape}")
+    if not np.isfinite(boxes).all():
+        raise ValueError(f"{prefix}{name} coordinates must be finite")
+    x1, y1, x2, y2 = boxes.T
+    proper = (x1 < x2) & (y1 < y2)
+    if not proper.all():
+        first = np.flatnonzero(~proper)[0]
+        raise ValueError(f"{prefix}degenerate {name} {first}: {boxes[first].tolist()}")
+    return boxes
 
 
 @dataclass(frozen=True)
@@ -45,9 +53,21 @@ class WeakAnnotation:
     label: ImageLabel
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class StrongAnnotation:
-    objects: tuple[GroundTruth, ...]
+    """Ground truth in annotation order: (m, 4) boxes, m >= 0, and (m,) ids >= 1."""
+
+    boxes: np.ndarray
+    categories: np.ndarray
+
+    def __post_init__(self):
+        self.boxes = _box_rows(self.boxes, "ground-truth object", "m")
+        self.categories = np.asarray(self.categories, dtype=np.int64)
+        if self.categories.shape != self.boxes.shape[:1]:
+            raise ValueError(f"ground-truth categories of shape {self.categories.shape} "
+                             f"for boxes of shape {self.boxes.shape}")
+        if self.categories.min(initial=1) < 1:
+            raise ValueError(f"ground-truth category must be >= 1, got {self.categories.min()}")
 
 
 @dataclass
@@ -64,19 +84,9 @@ class ImageRecord:
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ValueError(f"image {self.image_id} has a non-positive or non-finite "
                              f"size {self.width} x {self.height}")
-        self.proposals = np.asarray(self.proposals, dtype=np.float64)
-        if self.proposals.ndim != 2 or self.proposals.shape[1] != 4:
-            raise ValueError(f"image {self.image_id}: proposals must be a (B, 4) array of "
-                             f"[x1, y1, x2, y2] rows, got shape {self.proposals.shape}")
+        self.proposals = _box_rows(self.proposals, "proposal", "B", f"image {self.image_id}: ")
         if self.proposals.shape[0] == 0:
             raise ValueError(f"image {self.image_id} has no proposals")
-        if not np.all(np.isfinite(self.proposals)):
-            raise ValueError(f"image {self.image_id}: proposal coordinates must be finite")
-        x1, y1, x2, y2 = self.proposals.T
-        degenerate = np.flatnonzero(~((x1 < x2) & (y1 < y2)))
-        if degenerate.size:
-            raise ValueError(f"image {self.image_id}: degenerate proposal {degenerate[0]}: "
-                             f"{self.proposals[degenerate[0]].tolist()}")
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] != self.num_proposals:
             raise ValueError(
@@ -98,7 +108,7 @@ def positive_categories(record: ImageRecord) -> tuple[int, ...]:
     """Categories present in an image, from either annotation kind."""
     if isinstance(record.annotation, WeakAnnotation):
         return record.annotation.label.categories
-    return tuple(sorted({g.category for g in record.annotation.objects}))
+    return tuple(sorted(set(record.annotation.categories.tolist())))
 
 
 @dataclass
@@ -299,11 +309,10 @@ def _build_images(cfg: GeneratorConfig, draws: list[_ImageDraws],
             offset = overlap[:, :, col, None] * prototypes[cats[:, col] - 1][:, None, :]
             np.add(features, offset, out=features,
                    where=overlap[:, :, col, None] >= CENTER_IOU)
-        for n, boxes, image_cats, props, feats in zip(
-                members, gt.tolist(), cats.tolist(), proposals, features):
-            objects = tuple(GroundTruth(Box(*row), c) for row, c in zip(boxes, image_cats))
+        for i, n in enumerate(members):
             records[n] = ImageRecord(draws[n].image_id, cfg.canvas_width, cfg.canvas_height,
-                                     props.copy(), feats.copy(), StrongAnnotation(objects))
+                                     proposals[i].copy(), features[i].copy(),
+                                     StrongAnnotation(gt[i], cats[i]))
     return records
 
 
@@ -376,9 +385,10 @@ def _record_to_json(record: ImageRecord) -> dict:
     if isinstance(record.annotation, WeakAnnotation):
         ann = {"type": "weak", "z": list(record.annotation.label.categories)}
     else:
+        boxes, categories = record.annotation.boxes, record.annotation.categories
         ann = {"type": "strong",
-               "objects": [{"box": g.box.to_list(), "category": g.category}
-                           for g in record.annotation.objects]}
+               "objects": [{"box": box, "category": category}
+                           for box, category in zip(boxes.tolist(), categories.tolist())]}
     return {
         "id": record.image_id,
         "width": record.width,
@@ -396,13 +406,11 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             fh.write(json.dumps(_record_to_json(record)) + "\n")
 
 
-def _parse_box(raw, where: str) -> Box:
-    if not (isinstance(raw, list) and len(raw) == 4):
-        raise SchemaError(f"{where}: box must be [x1, y1, x2, y2], got {raw!r}")
-    try:
-        return Box(*(float(v) for v in raw))
-    except (TypeError, ValueError) as err:
-        raise SchemaError(f"{where}: {err}") from None
+def json_int(value, name: str) -> int:
+    """value, if it is a JSON integer; a boolean is not one, as in the CLI's checks."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def _parse_record(obj: dict, where: str) -> ImageRecord:
@@ -418,20 +426,21 @@ def _parse_record(obj: dict, where: str) -> ImageRecord:
             f"feature rows for {len(proposals)} proposals")
     ann = obj["annotation"]
     kind = ann.get("type") if isinstance(ann, dict) else None
-    if kind == "weak":
-        try:
-            annotation = WeakAnnotation(as_label(ann["z"]))
-        except (KeyError, ValueError) as err:
-            raise SchemaError(f"{where}: bad weak label: {err}") from None
-    elif kind == "strong":
-        try:
-            annotation = StrongAnnotation(tuple(
-                GroundTruth(_parse_box(g["box"], where), int(g["category"]))
-                for g in ann["objects"]))
-        except (KeyError, TypeError, ValueError) as err:
-            raise SchemaError(f"{where}: bad strong annotation: {err}") from None
-    else:
+    if kind not in ("weak", "strong"):
         raise SchemaError(f"{where}: unknown annotation type {kind!r}")
+    try:
+        if kind == "weak":
+            z = ann["z"]
+            if not isinstance(z, list):
+                raise ValueError(f"z must be a list of integers, got {json.dumps(z)}")
+            annotation = WeakAnnotation(as_label([json_int(c, "each z entry") for c in z]))
+        else:
+            objects = ann["objects"]
+            annotation = StrongAnnotation(
+                [g["box"] for g in objects] if objects else np.empty((0, 4)),
+                [json_int(g["category"], "category") for g in objects])
+    except (KeyError, TypeError, ValueError) as err:
+        raise SchemaError(f"{where}: bad {kind} annotation: {err}") from None
     try:
         return ImageRecord(str(obj["id"]), float(obj["width"]), float(obj["height"]),
                            proposals, np.asarray(features, dtype=np.float64), annotation)
@@ -493,11 +502,11 @@ def make_init_scores(dataset: Dataset, noise_sigma: float = 0.4,
         if record.is_weak:
             raise ValueError(
                 f"image {record.image_id} lacks ground truth for score synthesis")
-        for g in record.annotation.objects:
-            if g.category > num_fg_categories:
-                raise ValueError(
-                    f"image {record.image_id}: ground-truth category {g.category} "
-                    f"exceeds num_fg_categories={num_fg_categories}")
+        top = record.annotation.categories.max(initial=0)
+        if top > num_fg_categories:
+            raise ValueError(
+                f"image {record.image_id}: ground-truth category {top} "
+                f"exceeds num_fg_categories={num_fg_categories}")
     rng = np.random.default_rng(seed)
     out: dict[str, np.ndarray] = {}
     for chunk in _row_chunks(dataset.records):
@@ -506,13 +515,11 @@ def make_init_scores(dataset: Dataset, noise_sigma: float = 0.4,
         base = np.zeros_like(noise)
         groups: dict[tuple[int, int], list[int]] = defaultdict(list)
         for n, record in enumerate(chunk):
-            if record.annotation.objects:
-                groups[record.num_proposals, len(record.annotation.objects)].append(n)
+            groups[record.num_proposals, len(record.annotation.categories)].append(n)
         for (B, m), members in groups.items():
-            gts = [chunk[n].annotation.objects for n in members]
             overlap = iou_matrix(np.stack([chunk[n].proposals for n in members]),
-                                 np.array([[g.box.to_list() for g in gt] for gt in gts]))
-            cats = np.array([[g.category - 1 for g in gt] for gt in gts])
+                                 np.stack([chunk[n].annotation.boxes for n in members]))
+            cats = np.stack([chunk[n].annotation.categories for n in members]) - 1
             at = np.array([rows[n] for n in members])[:, None] + np.arange(B)
             for col in range(m):
                 cat = cats[:, col, None]

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from emdet.data import Dataset, ImageRecord, positive_categories
-from emdet.geometry import boxes_to_array, iou_matrix
+from emdet.geometry import iou_matrix
 from emdet.latent import (
     CENTER_IOU,
     CenterGeometry,
@@ -155,19 +155,14 @@ def strong_label_vector(record: ImageRecord, num_categories: int) -> np.ndarray:
     """
     if record.is_weak:
         raise ValueError(f"image {record.image_id} has no ground truth")
-    labels = np.zeros(record.num_proposals, dtype=np.int64)
-    objects = record.annotation.objects
-    if objects:
-        cats = np.array([g.category for g in objects], dtype=np.int64)
-        if cats.max() >= num_categories:
-            raise ValueError(
-                f"image {record.image_id} has category {cats.max()} but the scorer "
-                f"only covers {num_categories} categories")
-        overlap = iou_matrix(record.proposals, boxes_to_array([g.box for g in objects]))
-        best = overlap.argmax(axis=1)
-        best_iou = overlap[np.arange(len(labels)), best]
-        labels = np.where(best_iou >= CENTER_IOU, cats[best], 0)
-    return labels
+    cats = record.annotation.categories
+    if cats.max(initial=0) >= num_categories:
+        raise ValueError(f"image {record.image_id} has category {cats.max()} but the scorer "
+                         f"only covers {num_categories} categories")
+    if not len(cats):
+        return np.zeros(record.num_proposals, dtype=np.int64)
+    overlap = iou_matrix(record.proposals, record.annotation.boxes)
+    return np.where(overlap.max(axis=1) >= CENTER_IOU, cats[overlap.argmax(axis=1)], 0)
 
 
 def _weak_label(record: ImageRecord):

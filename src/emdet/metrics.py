@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from emdet.data import Dataset, ImageRecord, SchemaError, read_jsonl
+from emdet.data import (Dataset, ImageRecord, SchemaError, json_int, positive_categories,
+                        read_jsonl)
 from emdet.geometry import Box, ScoredBox, boxes_to_array, iou_matrix, nms
 from emdet.scorer import ScorerParams, log_prob_matrix
 
@@ -86,12 +87,12 @@ def detect(dataset: Dataset, params: ScorerParams,
 
 def _ground_truth(dataset: Dataset) -> dict[int, dict[str, np.ndarray]]:
     """Per category, each strong image's boxes of it, (n, 4), in annotation order."""
-    boxes: dict[int, dict[str, list[Box]]] = {}
+    truth: dict[int, dict[str, np.ndarray]] = {}
     for record in dataset:
-        for g in () if record.is_weak else record.annotation.objects:
-            boxes.setdefault(g.category, {}).setdefault(record.image_id, []).append(g.box)
-    return {category: {image_id: boxes_to_array(b) for image_id, b in per_image.items()}
-            for category, per_image in boxes.items()}
+        for category in () if record.is_weak else positive_categories(record):
+            boxes = record.annotation.boxes[record.annotation.categories == category]
+            truth.setdefault(category, {})[record.image_id] = boxes
+    return truth
 
 
 def _match_category(truth: dict[int, dict[str, np.ndarray]], detections: list[Detection],
@@ -198,23 +199,18 @@ def corloc_from_scores(dataset: Dataset, score_map: dict[str, np.ndarray],
     if any(r.is_weak for r in dataset):
         raise ValueError("correct-localization scoring needs ground truth for "
                          "every image; pass the strong variant of the dataset")
-    categories = sorted({g.category for r in dataset for g in r.annotation.objects})
+    categories = sorted({c for r in dataset for c in positive_categories(r)})
     _check_score_map(dataset, score_map, max(categories, default=0))
-    positives = dict.fromkeys(categories, 0)
-    correct = dict.fromkeys(categories, 0)
+    hits: dict[int, list[bool]] = {c: [] for c in categories}
     for record in dataset:
-        objects = record.annotation.objects
-        if not objects:
-            continue
-        present = np.array([g.category for g in objects])
-        cats = sorted(set(present.tolist()))
+        present = record.annotation.categories
+        cats = positive_categories(record)
         # each present category's top proposal, ties to the lower index
-        tops = np.argmax(score_map[record.image_id][:, np.array(cats) - 1], axis=0)
-        overlap = iou_matrix(record.proposals[tops], boxes_to_array([g.box for g in objects]))
+        tops = np.argmax(score_map[record.image_id][:, np.array(cats, dtype=np.int64) - 1], axis=0)
+        overlap = iou_matrix(record.proposals[tops], record.annotation.boxes)
         for category, row in zip(cats, overlap):
-            positives[category] += 1
-            correct[category] += bool(row[present == category].max() >= iou_threshold)
-    result: dict[int, float | None] = {c: correct[c] / positives[c] for c in categories}
+            hits[category].append(bool(row[present == category].max() >= iou_threshold))
+    result: dict[int, float | None] = {c: sum(h) / len(h) for c, h in hits.items()}
     mean = float(np.mean(list(result.values()))) if result else None
     return result, mean
 
@@ -258,7 +254,7 @@ def load_detections(path: str | Path) -> list[Detection]:
     out: list[Detection] = []
     for where, obj in read_jsonl(path):
         try:
-            out.append(Detection(str(obj["id"]), int(obj["category"]),
+            out.append(Detection(str(obj["id"]), json_int(obj["category"], "category"),
                                  Box(*(float(v) for v in obj["box"])),
                                  float(obj["score"])))
         except (KeyError, TypeError, ValueError) as err:

@@ -3,13 +3,13 @@
 import contextlib
 import ctypes
 import glob
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emdet.data import (Dataset, GroundTruth, ImageRecord, StrongAnnotation,
-                        WeakAnnotation)
+from emdet.data import Dataset, ImageRecord, StrongAnnotation, WeakAnnotation
 from emdet.engine import objective, strong_label_vector
 from emdet.geometry import Box, boxes_to_array
 from emdet.latent import ImageLabel, center_geometry
@@ -62,9 +62,26 @@ def random_weak_record(rng, image_id="img_0", num_proposals=6, num_fg=2,
 
 
 def strong_record(image_id, proposals, features, objects):
+    """A strong image whose ground truth is the (Box, category) pairs in objects."""
     return ImageRecord(image_id, 100.0, 100.0, proposals, features,
-                       StrongAnnotation(tuple(GroundTruth(b, c)
-                                              for b, c in objects)))
+                       StrongAnnotation(boxes_to_array([b for b, _ in objects]),
+                                        [c for _, c in objects]))
+
+
+# Annotations holding a category id that is not a JSON integer, each with the
+# error it raises.  Booleans do not count as integers.
+NON_INTEGER_CATEGORIES = [
+    pytest.param({"type": "weak", "z": "12"}, 'z must be a list of integers, got "12"',
+                 id="z_string"),
+    pytest.param({"type": "weak", "z": 3}, "z must be a list of integers, got 3", id="z_number"),
+    pytest.param({"type": "weak", "z": [1.5]}, "each z entry must be an integer, got 1.5",
+                 id="z_float_entry"),
+    pytest.param({"type": "weak", "z": [1, True]}, "each z entry must be an integer, got true",
+                 id="z_bool_entry"),
+    *(pytest.param({"type": "strong", "objects": [{"box": [0, 0, 5, 5], "category": value}]},
+                   f"category must be an integer, got {json.dumps(value)}", id=f"category_{name}")
+      for name, value in (("float", 1.7), ("string", "2"), ("bool", True))),
+]
 
 
 def random_params(rng, num_categories, feature_dim, scale=0.5):

@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from emdet.data import (Dataset, GeneratorConfig, GroundTruth, ImageRecord,
-                        StrongAnnotation)
+from emdet.data import Dataset, GeneratorConfig, ImageRecord, StrongAnnotation
 from emdet.geometry import Box, ScoredBox, boxes_to_array, iou_matrix
 from emdet.latent import CENTER_IOU, CenterGeometry
 from emdet.metrics import Detection
@@ -41,7 +40,9 @@ def naive_match_category(dataset: Dataset, detections: list[Detection], category
     """Reference for metrics' AP matching: each ranked detection scans the
     unclaimed ground-truth boxes of its image and claims the first of highest
     positive IoU that reaches the threshold."""
-    gt = {r.image_id: [g.box for g in r.annotation.objects if g.category == category]
+    gt = {r.image_id: [Box(*row) for row, c in zip(r.annotation.boxes.tolist(),
+                                                    r.annotation.categories.tolist())
+                       if c == category]
           for r in dataset if not r.is_weak}
     claimed = {image_id: [False] * len(boxes) for image_id, boxes in gt.items()}
     dets = sorted((d for d in detections if d.category == category),
@@ -90,27 +91,27 @@ def naive_image(rng: np.random.Generator, cfg: GeneratorConfig,
     """One synthetic image drawn box by box with scalar uniforms."""
     m = int(rng.integers(1, min(cfg.max_objects_per_image, cfg.num_fg_categories) + 1))
     cats = np.sort(rng.choice(cfg.num_fg_categories, size=m, replace=False) + 1)
-    objects = tuple(GroundTruth(_random_box(rng, cfg), int(c)) for c in cats)
+    objects = [_random_box(rng, cfg) for _ in cats]
 
     boxes: list[Box] = []
     for gt in objects:
         for j in range(cfg.jitters_per_object):
             # Magnitudes from near-copies to loose context boxes.
             frac = j / max(cfg.jitters_per_object - 1, 1)
-            boxes.append(_jittered_box(rng, gt.box, 0.03 + 0.55 * frac, cfg))
+            boxes.append(_jittered_box(rng, gt, 0.03 + 0.55 * frac, cfg))
     while len(boxes) < cfg.proposals_per_image:
         boxes.append(_random_box(rng, cfg))
     proposals = boxes_to_array(boxes[:cfg.proposals_per_image])
 
-    overlap = iou_matrix(proposals, boxes_to_array([g.box for g in objects]))
+    overlap = iou_matrix(proposals, boxes_to_array(objects))
     features = rng.normal(0.0, cfg.noise_sigma,
                           size=(len(proposals), cfg.feature_dim))
-    for col, gt in enumerate(objects):
+    for col, category in enumerate(cats):
         strong = overlap[:, col] >= CENTER_IOU
-        features[strong] += overlap[strong, col:col + 1] * prototypes[gt.category - 1]
+        features[strong] += overlap[strong, col:col + 1] * prototypes[category - 1]
 
-    return ImageRecord(image_id, cfg.canvas_width, cfg.canvas_height,
-                       proposals, features, StrongAnnotation(objects))
+    return ImageRecord(image_id, cfg.canvas_width, cfg.canvas_height, proposals, features,
+                       StrongAnnotation(boxes_to_array(objects), cats))
 
 
 def naive_generate(cfg: GeneratorConfig) -> tuple[Dataset, Dataset]:
@@ -136,12 +137,11 @@ def naive_init_scores(dataset: Dataset, noise_sigma: float = 0.4,
             raise ValueError(
                 f"image {record.image_id} lacks ground truth for score synthesis")
         base = np.zeros((record.num_proposals, num_fg_categories))
-        objects = record.annotation.objects
-        if objects:
-            overlap = iou_matrix(record.proposals, boxes_to_array([g.box for g in objects]))
-            for col, gt in enumerate(objects):
-                cat = gt.category - 1
-                base[:, cat] = np.maximum(base[:, cat], overlap[:, col])
+        categories = record.annotation.categories.tolist()
+        if categories:
+            overlap = iou_matrix(record.proposals, record.annotation.boxes)
+            for col, category in enumerate(categories):
+                base[:, category - 1] = np.maximum(base[:, category - 1], overlap[:, col])
         noisy = base + rng.normal(0.0, noise_sigma, size=base.shape)
         out[record.image_id] = np.clip(noisy, 0.0, None)
     return out

@@ -20,7 +20,8 @@ from emdet.engine import EmConfig, PosteriorTable, e_step
 from emdet.latent import LatentConfigSet, center_geometry, enumerate_exact
 from emdet.metrics import load_detections
 from emdet.scorer import ScorerParams, load_checkpoint, log_prob_matrix, save_checkpoint
-from helpers import clustered_boxes, random_params, random_weak_record, weak_record
+from helpers import (NON_INTEGER_CATEGORIES, clustered_boxes, random_params,
+                     random_weak_record, weak_record)
 
 GEN_SPEC = {"n_train": 12, "n_test": 6, "num_fg_categories": 3,
             "proposals_per_image": 8, "feature_dim": 8,
@@ -411,6 +412,21 @@ class TestTrain:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert f"{data}:2: image" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("annotation, message", NON_INTEGER_CATEGORIES)
+    def test_non_integer_category_id_exits_two(self, bench, tmp_path, capsys, monkeypatch,
+                                               annotation, message):
+        monkeypatch.setattr(emdet.cli, "run_em", refuse_training)
+        record = json.loads(bench["train"].read_text().splitlines()[0])
+        record["annotation"] = annotation
+        data = tmp_path / "one.jsonl"
+        data.write_text(json.dumps(record) + "\n")
+        rc = main(["train", "--data", str(data), "--config", str(bench["config"]),
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{data}:1: " in err and message in err
+        assert "Traceback" not in err
 
     def test_non_finite_features_exit_two(self, bench, tmp_path, capsys):
         lines = bench["train"].read_text().splitlines()

@@ -1,8 +1,10 @@
 """Tests for dataset records, the synthetic generator, splits, and IO."""
 
+import ast
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emdet.data
+import emdet.engine
 import referees
 from emdet.data import (
     Dataset,
     GeneratorConfig,
-    GroundTruth,
     ImageRecord,
     SchemaError,
+    StrongAnnotation,
     WeakAnnotation,
     config_hash,
     demote,
@@ -31,8 +34,8 @@ from emdet.data import (
 )
 from emdet.geometry import Box, boxes_to_array, iou_matrix
 from emdet.latent import CENTER_IOU, ImageLabel
-from helpers import (isolated_boxes, random_box, random_boxes, random_weak_record,
-                     strong_record)
+from helpers import (NON_INTEGER_CATEGORIES, isolated_boxes, random_box, random_boxes,
+                     random_weak_record, strong_record)
 from referees import naive_generate, naive_init_scores
 
 SMALL = GeneratorConfig(n_train=12, n_test=5, num_fg_categories=3,
@@ -94,9 +97,40 @@ class TestRecordValidation:
             ImageRecord("a", 0, 10, isolated_boxes(1), np.zeros((1, 2)),
                         WeakAnnotation(ImageLabel((1,))))
 
-    def test_ground_truth_category_must_be_foreground(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            GroundTruth(Box(0, 0, 1, 1), 0)
+    @pytest.mark.parametrize("boxes, categories, message", [
+        pytest.param([[0, 0, 1, 1]], [0], ">= 1", id="category_0"),
+        pytest.param([[0, 0, 1, 1], [0, 0, 2, 2]], [1, -3],
+                     "ground-truth category must be >= 1, got -3", id="category_negative"),
+        pytest.param([[0, 0, np.nan, 1]], [1], "ground-truth object coordinates must be finite",
+                     id="nan"),
+        pytest.param([[0, 0, 1, np.inf]], [1], "ground-truth object coordinates must be finite",
+                     id="inf"),
+        pytest.param([[0, 0, 1, 1], [2, 0, 2, 1]], [1, 1],
+                     re.escape("degenerate ground-truth object 1: [2.0, 0.0, 2.0, 1.0]"),
+                     id="zero_width"),
+        pytest.param([[0, 1, 1, 0]], [1], "degenerate ground-truth object 0", id="flipped"),
+        pytest.param([[0, 0, 1, 1, 1]], [1], re.escape("a (m, 4) array"), id="five_columns"),
+        pytest.param([0, 0, 1, 1], [1], re.escape("got shape (4,)"), id="one_dimensional"),
+        pytest.param([], [], re.escape("got shape (0,)"), id="empty_list"),
+        pytest.param([[0, 0, 1, 1]], [1, 2],
+                     re.escape("categories of shape (2,) for boxes of shape (1, 4)"),
+                     id="more_categories"),
+        pytest.param([[0, 0, 1, 1], [0, 0, 2, 2]], [1],
+                     re.escape("categories of shape (1,) for boxes of shape (2, 4)"),
+                     id="fewer_categories"),
+        pytest.param([[0, 0, 1, 1]], [[1]], re.escape("categories of shape (1, 1)"),
+                     id="category_matrix"),
+    ])
+    def test_strong_annotation_checks(self, boxes, categories, message):
+        with pytest.raises(ValueError, match=message):
+            StrongAnnotation(boxes, categories)
+
+    def test_strong_annotation_arrays(self):
+        empty = StrongAnnotation(np.empty((0, 4)), [])
+        assert empty.boxes.shape == (0, 4) and empty.categories.shape == (0,)
+        truth = StrongAnnotation([[0, 0, 1, 2], [1, 1, 3, 3]], np.array([2, 1], dtype=np.uint8))
+        assert truth.boxes.dtype == np.float64 and truth.categories.dtype == np.int64
+        assert truth.categories.tolist() == [2, 1]
 
     def test_positive_categories_for_both_kinds(self):
         weak = random_weak_record(np.random.default_rng(0), num_present=2)
@@ -105,6 +139,18 @@ class TestRecordValidation:
         strong = strong_record("s", boxes_to_array([box]), np.zeros((1, 2)),
                                [(box, 2), (box, 2), (box, 1)])
         assert positive_categories(strong) == (1, 2)
+
+
+def test_data_and_engine_read_ground_truth_only_as_arrays():
+    """Neither module names Box or boxes_to_array, so ground truth reaches them
+    only as StrongAnnotation's arrays and a second format cannot creep back."""
+    for module in (emdet.data, emdet.engine):
+        tree = ast.parse(Path(module.__file__).read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"Box", "boxes_to_array"}, module.__name__
 
 
 class TestDatasetContainer:
@@ -195,12 +241,12 @@ class TestGenerate:
         for ds in (train, test):
             for rec in ds:
                 assert not rec.is_weak
-                assert 1 <= len(rec.annotation.objects) <= 3
+                assert 1 <= len(rec.annotation.categories) <= 3
                 x1, y1, x2, y2 = rec.proposals.T
                 assert np.all((0.0 <= x1) & (x1 < x2) & (x2 <= SMALL.canvas_width))
                 assert np.all((0.0 <= y1) & (y1 < y2) & (y2 <= SMALL.canvas_height))
-                for gt in rec.annotation.objects:
-                    assert 1 <= gt.category <= SMALL.num_fg_categories
+                assert np.all((1 <= rec.annotation.categories)
+                              & (rec.annotation.categories <= SMALL.num_fg_categories))
 
     def test_noise_free_features_are_scaled_prototypes(self):
         # single category, sigma 0: covered proposals carry their IoU in
@@ -210,8 +256,7 @@ class TestGenerate:
                               noise_sigma=0.0, max_objects_per_image=1, seed=9)
         train, _ = generate(cfg)
         for rec in train:
-            gt = rec.annotation.objects[0]
-            overlap = iou_matrix(rec.proposals, boxes_to_array([gt.box]))[:, 0]
+            overlap = iou_matrix(rec.proposals, rec.annotation.boxes)[:, 0]
             covered = overlap >= CENTER_IOU
             assert np.allclose(rec.features[covered, 0], overlap[covered],
                                atol=1e-12)
@@ -237,10 +282,9 @@ def _generate_with_states(generate_fn, image_fn_owner, image_fn_name, cfg):
 
 
 def _record_bytes(record):
-    gt = record.annotation.objects
+    truth = record.annotation
     return (record.image_id, record.width, record.height, record.proposals.tobytes(),
-            record.features.tobytes(), boxes_to_array([g.box for g in gt]).tobytes(),
-            tuple(g.category for g in gt))
+            record.features.tobytes(), truth.boxes.tobytes(), tuple(truth.categories.tolist()))
 
 
 def assert_generate_matches_referee(cfg):
@@ -319,12 +363,10 @@ def generation_digest(cfg):
     train, test = generate(cfg)
     for offset, dataset in enumerate((train, test), start=1):
         for record in dataset:
-            gt = record.annotation.objects
             digest.update(record.image_id.encode())
             digest.update(np.array([record.width, record.height]).tobytes())
             for array in (record.proposals, record.features,
-                          np.array([g.box.to_list() for g in gt]),
-                          np.array([g.category for g in gt], dtype=np.int64)):
+                          record.annotation.boxes, record.annotation.categories):
                 digest.update(repr(array.shape).encode())
                 digest.update(array.tobytes())
         for image_id, scores in make_init_scores(dataset, seed=cfg.seed + offset).items():
@@ -447,7 +489,8 @@ class TestDatasetIo:
             if before.is_weak:
                 assert after.annotation == before.annotation
             else:
-                assert after.annotation.objects == before.annotation.objects
+                assert after.annotation.boxes.tobytes() == before.annotation.boxes.tobytes()
+                assert np.array_equal(after.annotation.categories, before.annotation.categories)
 
     def test_resave_is_byte_identical(self, tmp_path):
         train, _ = generate(SMALL)
@@ -544,6 +587,19 @@ class TestDatasetIo:
             "proposals": [[0, 0, 5, 5]], "features": [[1.0]],
             "annotation": {"type": "soft"}}) + "\n")
         with pytest.raises(SchemaError, match="annotation type"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("annotation, message", NON_INTEGER_CATEGORIES)
+    def test_category_ids_must_be_json_integers(self, tmp_path, annotation, message):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"id": "a", "width": 10, "height": 10,
+                           "proposals": [[0, 0, 5, 5]], "features": [[1.0]],
+                           "annotation": {"type": "weak", "z": [1]}})
+        bad = json.dumps({"id": "b", "width": 10, "height": 10,
+                          "proposals": [[0, 0, 5, 5]], "features": [[1.0]],
+                          "annotation": annotation})
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ") + ".*" + re.escape(message)):
             load_dataset(path)
 
     def test_blank_lines_are_skipped(self, tmp_path):

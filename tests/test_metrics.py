@@ -6,6 +6,7 @@ case is constructed so every metric must come out exactly 1.0.
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -400,6 +401,15 @@ class TestDetectionIo:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(SchemaError, match=":1"):
+            load_detections(path)
+
+    @pytest.mark.parametrize("category", [1.7, "2", True, None])
+    def test_category_must_be_a_json_integer(self, tmp_path, category):
+        path = tmp_path / "bad.jsonl"
+        good = {"id": "a", "category": 1, "box": [0, 0, 5, 5], "score": 0.5}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "category": category}) + "\n")
+        message = f"{path}:2: category must be an integer, got {json.dumps(category)}"
+        with pytest.raises(SchemaError, match=re.escape(message)):
             load_detections(path)
 
 
