@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (Dataset, GeneratorConfig, SchemaError, config_hash,
-                   generate, load_dataset, load_init_scores, save_dataset,
+                   generate, is_integer, load_dataset, load_init_scores, save_dataset,
                    split_semi)
 from .engine import EmConfig, e_step, infer_num_categories, objective, run_em
 from .latent import GuardError, center_geometry
@@ -60,11 +60,11 @@ _JSON_NAMES = {int: "an integer", float: "a number", bool: "true or false",
 
 def _has_json_type(value, kind) -> bool:
     """Whether a parsed JSON value fits a field type; booleans fit only bool,
-    and integers fit float too."""
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
+    integers (data.is_integer) fit int and float."""
+    if kind is bool:
+        return isinstance(value, bool)
+    if kind in (int, float):
+        return is_integer(value) or (kind is float and isinstance(value, float))
     return isinstance(value, kind)
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from emdet.geometry import iou_matrix
-from emdet.latent import CENTER_IOU, ImageLabel, as_label
+from emdet.latent import CENTER_IOU, ImageLabel, as_label, is_integer
 
 
 class SchemaError(ValueError):
@@ -34,7 +34,15 @@ class SchemaError(ValueError):
 def _box_rows(boxes, name: str, rows: str, prefix: str = "") -> np.ndarray:
     """boxes as a float64 (n, 4) array of [x1, y1, x2, y2] rows, each finite
     with x1 < x2 and y1 < y2; a ValueError names the first row that is not."""
-    boxes = np.asarray(boxes, dtype=np.float64)
+    try:
+        boxes = np.asarray(boxes, dtype=np.float64)
+    except ValueError:
+        # a ragged list: name its first row that is no four numbers
+        for n, row in enumerate(boxes if isinstance(boxes, (list, tuple)) else ()):
+            if np.shape(row) != (4,):
+                raise ValueError(f"{prefix}{name} {n} must be [x1, y1, x2, y2], "
+                                 f"got {row!r}") from None
+        raise
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise ValueError(f"{prefix}{name}s must be a ({rows}, 4) array of [x1, y1, x2, y2] "
                          f"rows, got shape {boxes.shape}")
@@ -62,7 +70,13 @@ class StrongAnnotation:
 
     def __post_init__(self):
         self.boxes = _box_rows(self.boxes, "ground-truth object", "m")
-        self.categories = np.asarray(self.categories, dtype=np.int64)
+        ids = self.categories
+        if not isinstance(ids, np.ndarray) or ids.dtype.kind not in "iu":
+            # numpy would take [1, True] as integers and [1.7] as 1
+            for c in np.ravel(np.asarray(ids, dtype=object)):
+                if not is_integer(c):
+                    raise ValueError(f"ground-truth category must be an integer, got {c!r}")
+        self.categories = np.asarray(ids, dtype=np.int64)
         if self.categories.shape != self.boxes.shape[:1]:
             raise ValueError(f"ground-truth categories of shape {self.categories.shape} "
                              f"for boxes of shape {self.boxes.shape}")
@@ -407,8 +421,8 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def json_int(value, name: str) -> int:
-    """value, if it is a JSON integer; a boolean is not one, as in the CLI's checks."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """value, if it is a JSON integer (is_integer)."""
+    if not is_integer(value):
         raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
     return value
 

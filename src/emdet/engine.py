@@ -10,6 +10,12 @@ latent center-box configs compatible with the image label z.  The E-step
 turns the current scorer into per-image posteriors over configs (exact,
 argmax-only, or per-category truncated); the M-step fits the scorer to the
 soft proposal labels those posteriors imply.
+
+A run that records the objective trace plans it once (objective_plan): the
+weak images with two or three categories fall into chunks of one proposal
+count and label size, whose index work latent builds for the whole run, and
+each trace point evaluates a chunk's exact terms in one set of batched
+passes, then adds every image's term in record order.
 """
 
 from __future__ import annotations
@@ -31,11 +37,14 @@ from emdet.latent import (
     LatentConfigSet,
     center_geometry,
     check_enumeration,
+    check_partition,
+    chunk_log_partition,
     enumerate_exact,
     exact_log_likelihood_grid,
     exact_log_partition,
     label_marginals,
     logsumexp,
+    partition_chunks,
     score_config_set,
     select_k,
 )
@@ -314,28 +323,73 @@ def soft_labels(post: PosteriorTable, record: ImageRecord, num_categories: int,
     return label_marginals(post.config_set, post.weights, geometry, num_categories)
 
 
+def objective_plan(dataset: Dataset, geometries: dict[str, CenterGeometry]) -> list:
+    """The partition chunks of the dataset's weak images, for objective.
+
+    Images with two or three categories are grouped by proposal count and
+    label size into latent.partition_chunks, each a (positions, chunk) pair
+    whose positions count weak images in record order.  Every image is first
+    checked against the partition's config guard in record order, so a
+    GuardError names the first image past it.  ``geometries`` maps weak image
+    ids to their center coverage.
+    """
+    weak = [r for r in dataset if r.is_weak]
+    for record in weak:
+        with _naming(record):
+            check_partition(record.num_proposals, _weak_label(record))
+    return partition_chunks([geometries[r.image_id] for r in weak],
+                            [_weak_label(r) for r in weak])
+
+
+def _weak_terms(weak: list[ImageRecord], log_probs: dict[str, np.ndarray],
+                geometries: dict[str, CenterGeometry], plan: list) -> list[float]:
+    """exact_log_partition of every weak image, chunk by chunk where the plan has one."""
+    terms: dict[int, float] = {}
+    for positions, chunk in plan:
+        values = chunk_log_partition(chunk, [log_probs[weak[p].image_id] for p in positions])
+        terms.update(zip(positions, values.tolist()))
+    return [terms[p] if p in terms else
+            exact_log_partition(geometries[r.image_id], _weak_label(r), log_probs[r.image_id])
+            for p, r in enumerate(weak)]
+
+
 def objective(dataset: Dataset, log_probs: dict[str, np.ndarray],
               geometries: dict[str, CenterGeometry],
-              strong_vectors: dict[str, np.ndarray]) -> ObjectiveValue:
+              strong_vectors: dict[str, np.ndarray], plan: list | None = None) -> ObjectiveValue:
     """The true mixed-supervision log-likelihood J at the given scorer.
 
-    Weak terms are always exact: exact_log_partition sums every config, for
-    three categories without building the B ** 3 grid.  The objective has no
-    truncated form, so an image past that function's config guard raises a
-    GuardError that names the image.  ``log_probs``, ``geometries`` and
-    ``strong_vectors`` map image ids to their log_prob_matrix, weak center
-    coverage and strong_label_vector; the caller builds all three.
+    Weak terms are always exact.  The weak images with two or three
+    categories are evaluated a chunk at a time (``plan``, from
+    objective_plan of the same dataset and geometries, or built here), each
+    image to the bits of its own exact_log_partition; the others call
+    exact_log_partition one by one.  The terms are then added in record
+    order.  The objective has no truncated form, so an image past the
+    partition's config guard raises a GuardError that names the image, and
+    faulty scores raise what the first faulty image in record order raises
+    alone.  ``log_probs``, ``geometries`` and ``strong_vectors`` map image
+    ids to their log_prob_matrix, weak center coverage and
+    strong_label_vector; the caller builds all three.
     """
+    weak = [r for r in dataset if r.is_weak]
+    if plan is None:
+        plan = objective_plan(dataset, geometries)
+    try:
+        terms = iter(_weak_terms(weak, log_probs, geometries, plan))
+    except ValueError:
+        # Some image's scores are at fault: raise what the first of them in
+        # record order raises alone, whichever chunk met one first.
+        for record in weak:
+            exact_log_partition(geometries[record.image_id], _weak_label(record),
+                                log_probs[record.image_id])
+        raise
     strong_term = 0.0
     weak_term = 0.0
     for record in dataset:
-        values = log_probs[record.image_id]
         if record.is_weak:
-            with _naming(record):
-                weak_term += exact_log_partition(geometries[record.image_id],
-                                                 _weak_label(record), values)
+            weak_term += next(terms)
         else:
             labels = strong_vectors[record.image_id]
+            values = log_probs[record.image_id]
             strong_term += float(values[np.arange(len(labels)), labels].sum())
     return ObjectiveValue(strong_term, weak_term)
 
@@ -682,7 +736,8 @@ def run_em(dataset: Dataset, config: EmConfig,
     Each weak image's center coverage is built once per run, after the
     exact and hard enumeration guards have passed, and read by every E-step,
     soft-label pass and objective of the run; so is each strong image's
-    label vector.  Nothing outlives the run.
+    label vector, and, with the trace on, the objective's plan.  Nothing
+    outlives the run.
     """
     if init_params is not None and init_scores is not None:
         raise ValueError("pass at most one of init_params and init_scores")
@@ -715,6 +770,7 @@ def run_em(dataset: Dataset, config: EmConfig,
             with _naming(record):
                 check_enumeration(record.num_proposals, _weak_label(record))
     geometries = {r.image_id: center_geometry(r.proposals) for r in weak_records}
+    plan = objective_plan(dataset, geometries) if config.record_trace else None
 
     labels = {image_id: np.eye(params.num_categories)[vector]
               for image_id, vector in strong_vectors.items()}
@@ -733,7 +789,7 @@ def run_em(dataset: Dataset, config: EmConfig,
         log_probs = {r.image_id: log_prob_matrix(params, r.features) for r in dataset
                      if config.record_trace or (r.is_weak and not (last or from_scores))}
         if config.record_trace:
-            trace.append(objective(dataset, log_probs, geometries, strong_vectors))
+            trace.append(objective(dataset, log_probs, geometries, strong_vectors, plan))
         if last:
             break
         for record in weak_records:

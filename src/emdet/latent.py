@@ -6,10 +6,20 @@ center reaches ``CENTER_IOU`` take that center's category and everything else
 is background.  This collapses the label space from C^B assignments to at
 most B * (B - 1) * ... choices, which can be enumerated exactly at desk scale
 or truncated per category for larger instances.
+
+The exact log-partition log P(z | x) and the exact grid of up to three
+categories take their inclusion-exclusion factors from one kernel,
+_chunk_terms, which evaluates a chunk of images sharing a proposal count and
+a label size (PartitionChunk) with one set of passes over stacked arrays.  A
+chunk holds every index those passes read that depends on coverage alone, so
+a caller that evaluates the same images again, as the objective trace of a
+training run does, builds them once (partition_chunks); the public
+functions make a chunk of the one image they are given.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -25,9 +35,8 @@ CENTER_IOU = 0.5
 # enumerate_exact or entries of exact_log_likelihood_grid, the B ** 2 pair
 # factors of exact_log_partition for M = 3, and select_k's max(r, M) ** M
 # candidates.  Co-coverage plans are built only for B ** 2 within it.  Not
-# bounded by it: the arrays of every slot order of every triple config that
-# _overlap_terms returns and exact_log_partition sorts, which grow with the
-# triple plan.
+# bounded by it: the arrays of every slot order of every triple config that a
+# partition chunk holds, which grow with the triple plan.
 OBJECTIVE_GUARD = 10 ** 6
 
 
@@ -63,6 +72,14 @@ def logsumexp(values: np.ndarray) -> float:
     return float(m + np.log(shifted.sum()))
 
 
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a boolean is not one.
+
+    The one rule for category ids in memory and for integers in JSON files.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ImageLabel:
     """The set of foreground categories present in an image, sorted ascending."""
@@ -72,6 +89,9 @@ class ImageLabel:
     def __post_init__(self):
         if len(self.categories) == 0:
             raise ValueError("image label must contain at least one category")
+        for c in self.categories:
+            if not is_integer(c):
+                raise ValueError(f"category id must be an integer, got {c!r}")
         if any(c < 1 for c in self.categories):
             raise ValueError(f"category ids must be >= 1, got {self.categories}")
         if tuple(sorted(set(self.categories))) != self.categories:
@@ -91,6 +111,9 @@ def as_label(z) -> ImageLabel:
     """Normalize a category collection into an ImageLabel."""
     if isinstance(z, ImageLabel):
         return z
+    for c in z:
+        if not is_integer(c):
+            raise ValueError(f"category id must be an integer, got {c!r}")
     return ImageLabel(tuple(sorted(set(int(c) for c in z))))
 
 
@@ -135,7 +158,7 @@ class LatentConfigSet:
 
 
 # Config rows labelled per kernel pass, and (j, k) lines of triple configs
-# that exact_log_partition recomputes per pass; bounds the (rows, B) buffers
+# that the log-partition recomputes per pass; bounds the (rows, B) buffers
 # so neither grows with the size of the config set.
 LABEL_CHUNK = 1024
 
@@ -177,12 +200,14 @@ class CenterGeometry:
     def pair_plan(self) -> _PairPlan:
         """The co-covered pair entries, built on the first call."""
         if self._pairs is None:
+            _check_plans(self.num_proposals)
             self._pairs = _build_pair_plan(self)
         return self._pairs
 
     def triple_plan(self) -> _TriplePlan:
         """The triple-covered entries and their configs, built on the first call."""
         if self._triples is None:
+            _check_plans(self.num_proposals)
             self._triples = _build_triple_plan(self)
         return self._triples
 
@@ -336,10 +361,12 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
     score_config_set to float accumulation order.  ``geometry`` is the
     center_geometry of the image's B proposals, and ``log_probs`` holds one
     finite row per proposal.  The hard and exact E-steps read the grid, and
-    so does exact_log_partition for every label but three categories.  More
-    than OBJECTIVE_GUARD entries raise GuardError before anything is built.
+    so does exact_log_partition for one category and for more than three.
+    More than OBJECTIVE_GUARD entries raise GuardError before anything is
+    built.
 
-    For M <= 3 the grid materializes the factors of _overlap_terms, with u,
+    For M <= 3 the grid materializes the factors that _chunk_terms builds
+    for the image as a chunk of its own (_overlap_terms), with u,
     v, w the per-center terms and P01, P02, P12 the pair factors:
     base + u for M = 1, G = ((base + u[j]) + v[k]) + P01[j, k] for M = 2,
     and for M = 3 (G[j, k] + (w[l] + P02[j, l])) + P12[k, l], plus the bonus
@@ -446,21 +473,26 @@ def _order_table(n: int, rule, dtype) -> np.ndarray:
 # _BOTTOM[p, code] is the slot that ranks last.  Ties go to the earlier slot,
 # so both depend on the slot order.
 _FIRST_WINS = _order_table(2, lambda ka, kb: ka >= kb, bool)
-_BOTTOM = _order_table(3, _bottom_slot, np.intp)
+_BOTTOM = _order_table(3, _bottom_slot, np.int8)
+
+
+def _check_plans(B: int) -> None:
+    """GuardError for the co-coverage plans of an image past the B ** 2 config guard."""
+    if B ** 2 > OBJECTIVE_GUARD:
+        raise GuardError(f"co-coverage plans over {B} proposals exceed the "
+                         f"{OBJECTIVE_GUARD} config guard")
 
 
 def _co_covered(geometry: CenterGeometry):
     """(i, position of (i, j), position of (i, k)) for covering centers j < k.
 
     Listed by i, then j, then k.  Positions index the member lists, which by
-    symmetry name the centers covering proposal i.  Plans are read only
-    behind the B ** 2 <= OBJECTIVE_GUARD rule, so B <= 1000 and int16 holds
-    every proposal and count; more raise GuardError before anything is built.
+    symmetry name the centers covering proposal i.  An image's plans are
+    read only behind the B ** 2 <= OBJECTIVE_GUARD rule (_check_plans), so
+    B <= 1000, and a stack of images has fewer than 2 ** 15 proposals
+    (_stacked_geometry): int16 holds every proposal and count.
     """
     B = geometry.num_proposals
-    if B ** 2 > OBJECTIVE_GUARD:
-        raise GuardError(f"co-coverage plans over {B} proposals exceed the "
-                         f"{OBJECTIVE_GUARD} config guard")
     rows = np.repeat(np.arange(B), np.diff(geometry.offsets))
     at_j, at_k = _member_positions(geometry.offsets, rows)
     keep = geometry.members[at_j] < geometry.members[at_k]
@@ -501,18 +533,346 @@ def _build_triple_plan(geometry: CenterGeometry) -> _TriplePlan:
                                  geometry))
 
 
-class _Overlaps(NamedTuple):
-    """One image's config log-likelihoods for M <= 3 category slots, as factors.
+# Cells of the (B, B) tables that one partition chunk stacks: the weak images
+# of one proposal count B and label size M are evaluated
+# max(1, PARTITION_CELLS // B ** 2) at a time, so the chunk's float tables
+# hold at most this many cells each, and from B = 182 on a chunk is one image.
+PARTITION_CELLS = 1 << 15
 
-    The config with slot m's center at proposal j_m scores ``base`` plus
-    ``per_center[j_m, m]`` for every slot plus ``minus[(a, b)][j_a, j_b]``
-    for every slot pair a < b, plus for M = 3 the ``bonus`` of its
-    (j_0, j_1, j_2) where that is one of the ``triples`` (j, k, l, bonus):
-    every slot order of every triple config, each once, unsorted.  Each
-    (B, B) pair factor is 0 off the lines the pair plan touches and -inf on
-    its diagonal, so no config reuses a proposal.  ``minus`` is empty for
-    M = 1 and ``triples`` None for M < 3.
+
+@dataclass(eq=False, slots=True)
+class PartitionChunk:
+    """The label-independent index work of the exact log-partition of a few images.
+
+    The images share a proposal count B and a label size M <= 3, and
+    ``categories`` holds their labels, one row per image.  Stacked, proposal
+    i of image a is row a * B + i, and cell (j, k) of its (B, B) tables is
+    flat cell (a * B + j) * B + k.  A chunk built for the partition keeps
+    every index in int16 when it has at most 2 ** 15 cells and fewer
+    slot-ordered triple configs, and in int32 otherwise.
+
+    - ``cover``: the cell (center, member) of every covered pair.
+    - Pairs (M >= 2), one entry per pair-plan entry: its proposal's row
+      ``pair_rows``, its _FIRST_WINS flags in both slot orders ``pair_first``
+      (2, entries), and the cells its loser's delta is summed into,
+      (j, k) then (k, j), ``pair_cells`` (2 * entries).
+    - Triples (M = 3): ``triple_configs`` holds the rows (j, k, l) of every
+      slot order of every triple config (3, configs).  Per slot order, each
+      triple-plan entry's bottom-slot delta is ``triple_take`` into the
+      stacked (rows, 3) deltas and goes to bin ``triple_bins``, its config's
+      column (both (6, entries)).  A chunk built for the partition sorts the
+      configs by (a, j, k, l): the (j, k) line starting at config
+      ``line_bounds[n]`` ends at ``line_bounds[n + 1]``, and image a's
+      configs are ``image_bounds[a]:image_bounds[a + 1]``.  One built for the
+      grid keeps them in plan order, which its scatter does not depend on.
     """
+
+    num_proposals: int
+    categories: np.ndarray
+    cover: np.ndarray
+    pair_rows: np.ndarray | None = None
+    pair_first: np.ndarray | None = None
+    pair_cells: np.ndarray | None = None
+    triple_take: np.ndarray | None = None
+    triple_bins: np.ndarray | None = None
+    triple_configs: np.ndarray | None = None
+    line_bounds: np.ndarray | None = None
+    image_bounds: np.ndarray | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the index arrays."""
+        return sum(getattr(self, name).nbytes for name in self.__slots__
+                   if isinstance(getattr(self, name), np.ndarray))
+
+
+def _stacked_geometry(geometries: list[CenterGeometry]) -> CenterGeometry:
+    """The coverage of images of B proposals side by side: image a's i is a * B + i.
+
+    No center covers a proposal of another image, so the co-coverage plans
+    of the stack are those of the images, each raised by a * B.
+    """
+    B = geometries[0].num_proposals
+    if len(geometries) * B >= 1 << 15:
+        raise ValueError(f"{len(geometries)} images of {B} proposals are too many to stack")
+    counts = np.concatenate([np.diff(g.offsets) for g in geometries])
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    shift = np.repeat(np.arange(len(geometries)) * B, [g.members.size for g in geometries])
+    members = np.concatenate([g.members for g in geometries]) + shift
+    return CenterGeometry(offsets, members.astype(np.int32),
+                          np.concatenate([g.keys for g in geometries]))
+
+
+def _partition_chunk(geometries: list[CenterGeometry], categories,
+                     partition: bool = True) -> PartitionChunk:
+    """The PartitionChunk of images of one proposal count with one label size each.
+
+    ``categories`` holds one label per geometry, all of one size M <= 3.
+    A chunk for the partition has its triple configs sorted and its indexes
+    compact; one for the grid, which reads neither, is built without that
+    work.  One image reads the co-coverage plans it keeps on its geometry; a
+    stack of images builds them over _stacked_geometry for the chunk alone.
+    Each index is built in its final dtype, so the build holds few
+    temporaries of 8 bytes per triple-plan entry or config.
+    """
+    cats = np.array(categories, dtype=np.int64).reshape(len(geometries), -1)
+    n, M = cats.shape
+    B = geometries[0].num_proposals
+    if n == 1:
+        geometry = geometries[0]
+        pair_plan, triple_plan = geometry.pair_plan, geometry.triple_plan
+    else:
+        geometry = _stacked_geometry(geometries)
+        pair_plan = functools.partial(_build_pair_plan, geometry)
+        triple_plan = functools.partial(_build_triple_plan, geometry)
+    triples = triple_plan() if M == 3 else None
+    configs = 0 if triples is None else 6 * triples.count.size
+    # cells lie below n * B ** 2, and config columns and bounds reach the configs
+    dtype = (np.intp if not partition else
+             np.int16 if max(n * B * B - 1, configs) < 1 << 15 else np.int32)
+    rows = np.repeat(np.arange(n * B, dtype=dtype), np.diff(geometry.offsets))
+    index = {"cover": rows * B + (geometry.members % B).astype(dtype)}
+    if M >= 2:
+        plan = pair_plan()
+        lines = plan.lines.astype(dtype)
+        # cell (j, k) of a line is j's row * B + k, and (k, j) is k's row * B + j
+        cells = lines * B + lines[::-1] % B
+        index["pair_rows"] = plan.i
+        index["pair_cells"] = np.repeat(cells, plan.count, axis=1).reshape(-1)
+        index["pair_first"] = _FIRST_WINS.take(plan.code, axis=1)
+    if M == 3:
+        index["triple_take"] = _BOTTOM.take(triples.code, axis=1) + 3 * triples.i.astype(dtype)
+        # Column p * count + g puts config g's centers in slot order p.
+        centers = triples.configs.astype(dtype)[_ORDERS[3].T].reshape(3, -1)
+        column = np.arange(configs, dtype=dtype)
+        if partition:
+            key = centers[0].astype(np.int64) * B + centers[1] % B
+            key *= B
+            key += centers[2] % B
+            order = np.argsort(key)
+            del key
+            column[order] = column.copy()
+            centers = centers[:, order]
+            del order
+            starts = np.ones(configs, dtype=bool)
+            starts[1:] = np.any(centers[:2, 1:] != centers[:2, :-1], axis=0)
+            index["line_bounds"] = np.append(np.flatnonzero(starts), configs).astype(dtype)
+            index["image_bounds"] = np.searchsorted(
+                centers[0], np.arange(n + 1) * B).astype(dtype)
+        index["triple_bins"] = np.repeat(column.reshape(6, -1), triples.count, axis=1)
+        index["triple_configs"] = centers
+    return PartitionChunk(B, cats, **index)
+
+
+def partition_chunks(geometries: list[CenterGeometry], labels: list):
+    """The images with two or three categories, as (positions, PartitionChunk) pairs.
+
+    ``geometries`` and ``labels`` list the images; each chunk holds images of
+    one proposal count B and label size, in list order, at most
+    max(1, PARTITION_CELLS // B ** 2) of them.  Each image's table must be
+    within the guard (check_partition); nothing is checked here.  Images of
+    one category are left to exact_log_partition, which reads their grid:
+    the benchmark's k_em workloads count that grid's work
+    (perfbench/test_perfbench.py requires it).
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for position, (geometry, label) in enumerate(zip(geometries, labels)):
+        if len(label) in (2, 3):
+            groups.setdefault((geometry.num_proposals, len(label)), []).append(position)
+    chunks = []
+    for (B, _), positions in groups.items():
+        size = max(1, PARTITION_CELLS // B ** 2)
+        for start in range(0, len(positions), size):
+            part = positions[start:start + size]
+            chunks.append((part, _partition_chunk([geometries[p] for p in part],
+                                                  [as_label(labels[p]).categories
+                                                   for p in part])))
+    return chunks
+
+
+class _ChunkTerms(NamedTuple):
+    """The factors of the config log-likelihoods of every image of a chunk.
+
+    Image a's config with slot m's center at proposal j_m scores ``base[a]``
+    plus ``per_center[a, j_m, m]`` for every slot plus
+    ``minus[(s, t)][a, j_s, j_t]`` for every slot pair s < t, plus for M = 3
+    the ``bonus`` of its (j_0, j_1, j_2) where that is a triple config of the
+    chunk (in the chunk's sorted order).  Each (B, B) pair factor is 0 off the
+    lines the pair plan touches and -inf on its diagonal, so no config reuses
+    a proposal.  ``minus`` is empty for M = 1 and ``bonus`` None for M < 3.
+    """
+
+    base: np.ndarray
+    per_center: np.ndarray
+    minus: dict[tuple[int, int], np.ndarray]
+    bonus: np.ndarray | None
+
+
+def _chunk_terms(chunk: PartitionChunk, log_probs: np.ndarray) -> _ChunkTerms:
+    """The inclusion-exclusion factors of a chunk, from its stacked (n, B, C) log-probs.
+
+    ``base`` is each image's all-background sum and ``per_center`` each
+    center's foreground deltas over the proposals it covers, one batched
+    matrix product with the dense coverage.  Where two neighborhoods share a
+    proposal the plain sum counts both categories, so each slot pair's factor
+    holds the losing slot's delta, negated and summed per ordered line over
+    the pair-plan entries in ascending i: one bincount over the chunk.  For
+    M = 3 a proposal covered by all three chosen centers lost one delta too
+    many, so its bottom slot's delta comes back in its config's bonus.
+    """
+    n, M = chunk.categories.shape
+    B = chunk.num_proposals
+    base = log_probs[:, :, 0].sum(axis=1)
+    labelled = log_probs[np.arange(n)[:, None, None], np.arange(B)[:, None],
+                         chunk.categories[:, None, :]]
+    delta = labelled - log_probs[:, :, [0]]
+    cover = np.zeros((n, B, B))
+    cover.reshape(-1)[chunk.cover] = 1.0
+    per_center = np.matmul(cover.transpose(0, 2, 1), delta)  # (n, B, M)
+    del cover
+    minus: dict[tuple[int, int], np.ndarray] = {}
+    bonus = None
+
+    if M >= 2:
+        lost = -delta.reshape(n * B, M).take(chunk.pair_rows, axis=0)
+        for a, b in itertools.combinations(range(M), 2):
+            loser = np.where(chunk.pair_first, lost[:, b], lost[:, a])
+            # Over no cells bincount returns int64 zeros.
+            factor = np.bincount(chunk.pair_cells, weights=loser.reshape(-1),
+                                 minlength=n * B * B).astype(np.float64, copy=False)
+            factor.reshape(n, B * B)[:, ::B + 1] = -np.inf
+            minus[(a, b)] = factor.reshape(n, B, B)
+
+    if M == 3:
+        # Each config's bin sums its entries' bottom-slot deltas in ascending i.
+        bonus = np.bincount(chunk.triple_bins.reshape(-1),
+                            weights=delta.reshape(-1).take(chunk.triple_take).reshape(-1),
+                            minlength=chunk.triple_configs.shape[1])
+    return _ChunkTerms(base, per_center, minus, bonus)
+
+
+def _row_logsumexp(values: np.ndarray) -> np.ndarray:
+    """logsumexp of each row of a 2-D array, to the bit; ``values`` is overwritten."""
+    top = values.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        values -= top[:, None]
+        np.exp(values, out=values)
+        total = top + np.log(values.sum(axis=1))
+    return np.where(np.isfinite(top), total, top)
+
+
+def _segment_logsumexp(values: np.ndarray, bounds: np.ndarray):
+    """(segments, logsumexp of each) over the nonempty values[bounds[a]:bounds[a + 1]].
+
+    Each to the bit of logsumexp of its segment alone, for finite values;
+    ``values`` is overwritten.  numpy's reduceat sums a segment in another
+    order than sum, so each segment is summed by itself.
+    """
+    some = np.flatnonzero(bounds[1:] > bounds[:-1])
+    top = np.maximum.reduceat(values, bounds[some])
+    values -= np.repeat(top, bounds[some + 1] - bounds[some])
+    np.exp(values, out=values)
+    sums = np.array([values[bounds[a]:bounds[a + 1]].sum() for a in some.tolist()])
+    return some, top + np.log(sums)
+
+
+def _chunk_log_partition(chunk: PartitionChunk, log_probs: np.ndarray) -> np.ndarray:
+    """log P(z | x) of every image of a chunk, from its stacked, checked log-probs.
+
+    For M <= 2 this is each image's log-sum-exp over its grid (see
+    exact_log_likelihood_grid).  For M = 3 it sums the factors of
+    _chunk_terms over the pairwise factor graph instead (variable
+    elimination).  With u, v, w the per-center terms and P01, P02, P12 the
+    pair factors,
+
+        log Z = base + logsumexp over (j, k) of
+                u_j + v_k + P01[j, k] + log inner[j, k],
+        inner[j, k] = sum over l of exp(w_l + P02[j, l] + P12[k, l]),
+
+    where inner is one (B, B) matrix product per image of two factors
+    exponentiated with each row shifted by its own max: no exp overflows,
+    and corrections hundreds of nats apart do not underflow every config,
+    as one shift per factor would.  Configs with a triple-covered proposal
+    are left out of inner on their (j, k) lines and added with their exact
+    values, so only positive terms are summed; those lines are recomputed
+    LABEL_CHUNK at a time.
+    """
+    n, M = chunk.categories.shape
+    B = chunk.num_proposals
+    base, per_center, minus, bonus = _chunk_terms(chunk, log_probs)
+    # The (n, B, B) tables are updated in place where the bits allow it (a + b
+    # is b + a), so a chunk holds a few of them at a time.
+    if M < 3:
+        grid = base[:, None] + per_center[:, :, 0]
+        if M == 2:
+            grid = grid[:, :, None] + per_center[:, None, :, 1]
+            grid += minus.pop((0, 1))
+        return _row_logsumexp(grid.reshape(n, -1))
+
+    u, v, w = per_center.transpose(2, 0, 1)
+    outer = u[:, :, None] + v[:, None, :]
+    outer += minus.pop((0, 1))
+    near, far = minus.pop((0, 2)), minus.pop((1, 2))
+    j, k, rows = chunk.triple_configs
+    l = rows % B
+    if bonus.size:
+        # Each triple config's bonus is summed once, with its exact value.
+        exact = (outer.reshape(-1).take(j * B + k % B) + w.reshape(-1).take(rows)
+                 + near.reshape(-1).take(j * B + l) + far.reshape(-1).take(k * B + l) + bonus)
+        some, terms = _segment_logsumexp(exact, chunk.image_bounds)
+    near += w[:, None, :]
+    near_top, far_top = near.max(axis=2), far.max(axis=2)
+    near -= near_top[:, :, None]
+    far -= far_top[:, :, None]
+    np.exp(near, out=near)
+    np.exp(far, out=far)
+    inner = np.matmul(near, far.transpose(0, 2, 1))
+    # The (j, k) line of inner of each triple config is recomputed without it.
+    near, far, flat = near.reshape(n * B, B), far.reshape(n * B, B), inner.reshape(-1)
+    bounds = chunk.line_bounds
+    line_j, line_k = j.take(bounds[:-1]), k.take(bounds[:-1])
+    line_cells = line_j * B + line_k % B
+    for s in range(0, line_cells.size, LABEL_CHUNK):
+        e = min(s + LABEL_CHUNK, line_cells.size)
+        kept = near.take(line_j[s:e], axis=0)
+        kept *= far.take(line_k[s:e], axis=0)
+        line = np.repeat(np.arange(e - s), np.diff(bounds[s:e + 1]))
+        kept[line, l[bounds[s]:bounds[e]]] = 0.0
+        flat.put(line_cells[s:e], kept.sum(axis=1))
+    near = far = kept = None
+    outer += near_top[:, :, None]
+    outer += far_top[:, None, :]
+    with np.errstate(divide="ignore"):
+        # A line whose every config is triple-covered sums to 0.
+        outer += np.log(inner, out=inner)
+    del inner
+    total = _row_logsumexp(outer.reshape(n, -1))
+    if bonus.size:
+        total[some] = np.logaddexp(total[some], terms)
+    return base + total
+
+
+def chunk_log_partition(chunk: PartitionChunk, log_probs: list) -> np.ndarray:
+    """log P(z | x) of every image of a chunk, in chunk order.
+
+    ``log_probs`` lists one (B, C) matrix per image.  Matrices of another
+    shape, too few columns for a label, or non-finite entries raise
+    ValueError.  Each value has the bits of exact_log_partition of its image.
+    """
+    stacked = np.stack(log_probs).astype(np.float64, copy=False)
+    if (stacked.shape[:2] != (len(chunk.categories), chunk.num_proposals) or stacked.ndim != 3
+            or chunk.categories.max() >= stacked.shape[2]):
+        raise ValueError(f"log-prob matrices of shape {stacked.shape[1:]} do not fit a "
+                         f"chunk of {chunk.num_proposals} proposals and categories up to "
+                         f"{chunk.categories.max()}")
+    if not np.isfinite(stacked).all():
+        raise ValueError("log probabilities must be finite")
+    return _chunk_log_partition(chunk, stacked)
+
+
+class _Overlaps(NamedTuple):
+    """One image's _ChunkTerms, with its triple configs as (j, k, l, bonus) intp arrays."""
 
     base: float
     per_center: np.ndarray
@@ -521,139 +881,42 @@ class _Overlaps(NamedTuple):
 
 
 def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) -> _Overlaps:
-    """The inclusion-exclusion factors of the config log-likelihoods of one image.
-
-    ``base`` is the all-background sum and ``per_center`` each center's
-    foreground deltas over the proposals it covers.  Where two neighborhoods
-    share a proposal the plain sum counts both categories, so each slot
-    pair's factor holds the losing slot's delta, negated and summed per
-    ordered line over the entries of the pair plan in ascending i.  For
-    M = 3 a proposal covered by all three chosen centers lost one delta too
-    many, so its bottom slot's delta comes back in its config's bonus.
-
-    The plans hold every index; this reads only the log-probs.  Only
-    ``per_center``, one matrix product, rebuilds a dense coverage.
-    """
-    B, M = geometry.num_proposals, len(categories)
-    cats = np.array(categories, dtype=np.int64)
-    base = log_probs[:, 0].sum()
-    delta = log_probs[:, cats] - log_probs[:, [0]]
-    cover = np.zeros((B, B))
-    cover[np.repeat(np.arange(B), np.diff(geometry.offsets)), geometry.members] = 1.0
-    per_center = cover.T @ delta  # (B, M)
-    del cover
-    minus: dict[tuple[int, int], np.ndarray] = {}
+    """The inclusion-exclusion factors of one image: its chunk's, by _chunk_terms."""
+    chunk = _partition_chunk([geometry], [categories], partition=False)
+    base, per_center, minus, bonus = _chunk_terms(chunk, log_probs[None])
     triples = None
+    if bonus is not None:
+        triples = (*chunk.triple_configs.astype(np.intp), bonus)
+    return _Overlaps(base[0], per_center[0], {pair: f[0] for pair, f in minus.items()},
+                     triples)
 
-    if M >= 2:
-        plan = geometry.pair_plan()
-        lost = -delta.take(plan.i, axis=0)
-        first_wins = _FIRST_WINS.take(plan.code, axis=1)
-        # Each entry's cell on its line in both slot orders, (j, k) then
-        # (k, j); a bincount sums each cell's entries in ascending i.
-        lines = plan.lines.astype(np.intp)
-        cells = np.repeat(lines * B + lines[::-1], plan.count, axis=1).reshape(-1)
-        for a, b in itertools.combinations(range(M), 2):
-            loser = np.where(first_wins, lost[:, b], lost[:, a])
-            # Over no cells bincount returns int64 zeros.
-            factor = np.bincount(cells, weights=loser.reshape(-1), minlength=B * B)
-            factor = factor.astype(np.float64, copy=False).reshape(B, B)
-            np.fill_diagonal(factor, -np.inf)
-            minus[(a, b)] = factor
 
-    if M == 3:
-        plan = geometry.triple_plan()
-        # i < 1000 (see _co_covered), so M * i fits int16.
-        add = delta.take(_BOTTOM.take(plan.code, axis=1) + M * plan.i)
-        # Column p * configs + g puts config g's centers in slot order p and
-        # sums its entries' bottom-slot deltas in ascending i.
-        configs = plan.count.size
-        bins = np.repeat(np.arange(6 * configs).reshape(6, configs), plan.count, axis=1)
-        bonus = np.bincount(bins.reshape(-1), weights=add.reshape(-1), minlength=6 * configs)
-        centers = plan.configs.astype(np.intp)[_ORDERS[3].T].reshape(3, -1)
-        triples = (*centers, bonus)
-    return _Overlaps(base, per_center, minus, triples)
+def check_partition(num_proposals: int, z) -> None:
+    """Raise as exact_log_partition would for label z, building nothing."""
+    M = len(as_label(z))
+    _check_table(num_proposals, M, num_proposals ** (2 if M == 3 else M))
 
 
 def exact_log_partition(geometry: CenterGeometry, z, log_probs: np.ndarray) -> float:
     """log P(z | x): the log-sum-exp of every exact config's log-likelihood.
 
     ``geometry`` is the center_geometry of the image's B proposals, and
-    ``log_probs`` holds one finite row per proposal.  For every M but 3 this
-    is logsumexp(exact_log_likelihood_grid(...)), a table of B ** M entries.
-    For M = 3 it equals the grid's log-sum-exp up to float rounding, but
-    sums the factors of _overlap_terms, which the grid materializes, over
-    the pairwise factor graph instead (variable elimination).  With u, v, w
-    the per-center terms and P01, P02, P12 the pair factors,
-
-        log Z = base + logsumexp over (j, k) of
-                u_j + v_k + P01[j, k] + log inner[j, k],
-        inner[j, k] = sum over l of exp(w_l + P02[j, l] + P12[k, l]),
-
-    where inner is one (B, B) matrix product of two factors exponentiated
-    with each row shifted by its own max: no exp overflows, and corrections
-    hundreds of nats apart do not underflow every config, as one shift per
-    factor would.  Configs with a triple-covered proposal are left out of
-    inner on their (j, k) lines and added with their exact values, so only
-    positive terms are summed; those lines are recomputed LABEL_CHUNK at a
-    time.  The largest table built has B ** 2 entries for M = 3 and B ** M
-    otherwise: more than OBJECTIVE_GUARD raise GuardError before anything is
-    built.
+    ``log_probs`` holds one finite row per proposal.  For one category or
+    more than three this is logsumexp(exact_log_likelihood_grid(...)); for
+    two and three the image is a chunk of its own (_chunk_log_partition),
+    which for three categories equals the grid's log-sum-exp up to float
+    rounding without building it.  The largest table built has B ** 2
+    entries for M = 3 and B ** M otherwise: more than OBJECTIVE_GUARD raise
+    GuardError before anything is built.
     """
     label = as_label(z)
-    if len(label) != 3:
+    if len(label) not in (2, 3):
         return logsumexp(exact_log_likelihood_grid(geometry, label, log_probs).reshape(-1))
     log_probs = np.asarray(log_probs, dtype=np.float64)
-    B = geometry.num_proposals
-    _check_table(B, 3, B ** 2)
+    check_partition(geometry.num_proposals, label)
     _check_scoring_inputs(label.categories, log_probs, geometry)
-    base, per_center, minus, (j, k, l, bonus) = _overlap_terms(
-        geometry, label.categories, log_probs)
-    # The line grouping and the exact terms read the configs sorted by
-    # (j, k, l).  Sorting (flat index, position) pairs packed into one int64
-    # is far faster than an argsort; flat indexes stay below B ** 3 <= 2 ** 30.
-    order = np.sort(((j * B + k) * B + l) << 32 | np.arange(j.size)) & 0xFFFFFFFF
-    j, k, l, bonus = j.take(order), k.take(order), l.take(order), bonus.take(order)
-    del order  # before the (B, B) tables, which would stack on it
-    u, v, w = per_center.T
-    outer = u[:, None] + v[None, :] + minus[(0, 1)]
-
-    # inner[j, k] = sum over l of exp(w_l + P02[j, l] + P12[k, l]), with each
-    # row of the two factors shifted by its own max.
-    near = w + minus[(0, 2)]
-    far = minus[(1, 2)]
-    near_top, far_top = near.max(axis=1), far.max(axis=1)
-    near = np.exp(near - near_top[:, None])
-    far = np.exp(far - far_top[:, None])
-    inner = near @ far.T
-    # Each triple config's bonus is summed once; its (j, k) line of inner is
-    # recomputed without it, and its exact value is kept apart.  One
-    # row-major flat index per entry gathers and scatters far faster than a
-    # pair of indexes.  The sorted configs of one (j, k) line are contiguous;
-    # starts marks the first, and the configs of the n-th line are
-    # bounds[n]:bounds[n + 1].
-    line = j * B + k
-    starts = np.ones(line.size, dtype=bool)
-    np.not_equal(line[1:], line[:-1], out=starts[1:])
-    row = np.cumsum(starts) - 1
-    first = np.flatnonzero(starts)
-    bounds = np.append(first, line.size)
-    for s in range(0, first.size, LABEL_CHUNK):
-        lines = first[s:s + LABEL_CHUNK]
-        kept = near.take(j.take(lines), axis=0)
-        kept *= far.take(k.take(lines), axis=0)
-        configs = slice(bounds[s], bounds[s + lines.size])
-        kept[row[configs] - s, l[configs]] = 0.0
-        inner.put(line.take(lines), kept.sum(axis=1))
-    with np.errstate(divide="ignore"):
-        # A line whose every config is triple-covered sums to 0.
-        dense = outer + near_top[:, None] + far_top[None, :] + np.log(inner)
-    total = logsumexp(dense)
-    if bonus.size:
-        exact = (outer.take(line) + w.take(l)
-                 + minus[(0, 2)].take(j * B + l) + minus[(1, 2)].take(k * B + l) + bonus)
-        total = np.logaddexp(total, logsumexp(exact))
-    return float(base + total)
+    chunk = _partition_chunk([geometry], [label.categories])
+    return float(_chunk_log_partition(chunk, log_probs[None])[0])
 
 
 def _integer_root(k: int, m: int) -> int:

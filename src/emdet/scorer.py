@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from emdet.data import SchemaError
+from emdet.data import SchemaError, is_integer
 
 
 @dataclass
@@ -202,7 +202,7 @@ def load_checkpoint(path: str | Path) -> tuple[ScorerParams, dict]:
             raise ValueError(f"checkpoint {path} is missing key {key!r}")
     for key in ("c", "d"):
         value = payload[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if not is_integer(value) or value < 1:
             raise SchemaError(f"checkpoint {path}: {key!r} must be an integer >= 1, "
                               f"got {json.dumps(value)}")
     c, d = payload["c"], payload["d"]

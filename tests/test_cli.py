@@ -6,6 +6,7 @@ exercised against it and their exit codes and artifacts checked.
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import emdet.cli
 import emdet.oracle
 from emdet.cli import main
-from emdet.data import (Dataset, GeneratorConfig, generate, load_dataset,
+from emdet.data import (Dataset, GeneratorConfig, SchemaError, generate, load_dataset,
                         make_init_scores, save_dataset, save_init_scores,
                         split_semi)
 from emdet.engine import EmConfig, PosteriorTable, e_step
@@ -665,3 +666,59 @@ class TestOracle:
         assert rc == 3
         assert "guard" in capsys.readouterr().err
 
+
+
+def _read_dataset_id(tmp_path, value):
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps({"id": "a", "width": 10, "height": 10,
+                                "proposals": [[0, 0, 5, 5]], "features": [[1.0]],
+                                "annotation": {"type": "weak", "z": [value]}}) + "\n")
+    return load_dataset(path)
+
+
+def _read_config_int(tmp_path, value):
+    return emdet.cli._generator_config({"seed": value}, str(tmp_path / "spec.json"))
+
+
+def _read_checkpoint_shape(tmp_path, value):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps({"c": value, "d": 1, "weights": [0.0, 0.0]}))
+    return load_checkpoint(path)
+
+
+JSON_INT_READERS = [_read_dataset_id, _read_config_int, _read_checkpoint_shape]
+
+
+class TestJsonIntegerRule:
+    """Dataset ids, config integers and checkpoint shapes take JSON integers by
+    one rule (data.is_integer): a boolean, a float or a string is none."""
+
+    @pytest.mark.parametrize("reader", JSON_INT_READERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["true", "float", "string"])
+    def test_every_reader_rejects_what_is_no_integer(self, tmp_path, reader, value):
+        got = re.escape(f"got {json.dumps(value)}")
+        with pytest.raises(SchemaError, match=f"must be an integer.*{got}$"):
+            reader(tmp_path, value)
+
+    @pytest.mark.parametrize("reader", JSON_INT_READERS, ids=lambda f: f.__name__)
+    def test_every_reader_takes_an_integer(self, tmp_path, reader):
+        assert reader(tmp_path, 1) is not None
+
+    def test_ragged_boxes_exit_two_naming_the_line(self, bench, tmp_path, capsys):
+        lines = bench["train"].read_text().splitlines()
+        strong = next(n for n, line in enumerate(lines)
+                      if json.loads(line)["annotation"]["type"] == "strong")
+        for where, message in (("proposals", "proposal 1 must be [x1, y1, x2, y2]"),
+                               ("objects", "ground-truth object 0 must be [x1, y1, x2, y2]")):
+            record = json.loads(lines[strong])
+            if where == "proposals":
+                record["proposals"][1] = record["proposals"][1][:3]
+            else:
+                record["annotation"]["objects"][0]["box"] = [0, 0, 5]
+            data = tmp_path / f"ragged_{where}.jsonl"
+            data.write_text("\n".join(lines[:strong] + [json.dumps(record)]) + "\n")
+            rc = main(["train", "--data", str(data), "--config", str(bench["config"]),
+                       "--out", str(tmp_path / "x.json")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert f"{data}:{strong + 1}: " in err and message in err, err

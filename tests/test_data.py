@@ -120,10 +120,27 @@ class TestRecordValidation:
                      id="fewer_categories"),
         pytest.param([[0, 0, 1, 1]], [[1]], re.escape("categories of shape (1, 1)"),
                      id="category_matrix"),
+        *(pytest.param([[0, 0, 1, 1], [0, 0, 2, 2]], [1, value],
+                       re.escape(f"ground-truth category must be an integer, got {value!r}"),
+                       id=f"category_{name}")
+          for name, value in (("float", 1.7), ("bool", True), ("string", "3"),
+                              ("numpy_float", np.float64(2.0)))),
+        pytest.param([[0, 0, 1, 1]], np.array([1.0]),
+                     re.escape("ground-truth category must be an integer, got 1.0"),
+                     id="float_array"),
+        pytest.param([[0, 0, 5, 5], [0, 0, 5], [1, 2]], [1, 1, 1],
+                     re.escape("ground-truth object 1 must be [x1, y1, x2, y2], got [0, 0, 5]"),
+                     id="ragged"),
     ])
     def test_strong_annotation_checks(self, boxes, categories, message):
         with pytest.raises(ValueError, match=message):
             StrongAnnotation(boxes, categories)
+
+    def test_ragged_proposals_name_their_first_short_row(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "image a: proposal 2 must be [x1, y1, x2, y2], got [0, 0, 5, 5, 1]")):
+            ImageRecord("a", 10, 10, [[0, 0, 5, 5], [1, 1, 6, 6], [0, 0, 5, 5, 1]],
+                        np.zeros((3, 2)), WeakAnnotation(ImageLabel((1,))))
 
     def test_strong_annotation_arrays(self):
         empty = StrongAnnotation(np.empty((0, 4)), [])
@@ -131,6 +148,8 @@ class TestRecordValidation:
         truth = StrongAnnotation([[0, 0, 1, 2], [1, 1, 3, 3]], np.array([2, 1], dtype=np.uint8))
         assert truth.boxes.dtype == np.float64 and truth.categories.dtype == np.int64
         assert truth.categories.tolist() == [2, 1]
+        mixed = StrongAnnotation([[0, 0, 1, 2], [1, 1, 3, 3]], [np.int32(3), 1])
+        assert mixed.categories.dtype == np.int64 and mixed.categories.tolist() == [3, 1]
 
     def test_positive_categories_for_both_kinds(self):
         weak = random_weak_record(np.random.default_rng(0), num_present=2)

@@ -6,6 +6,7 @@ is checked numerically; posterior values are checked against hand products.
 
 import collections
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
@@ -33,6 +34,8 @@ from emdet.engine import (
     infer_num_categories,
     learning_rate,
     m_step,
+    objective,
+    objective_plan,
     run_em,
     soft_labels,
     strong_label_vector,
@@ -50,6 +53,7 @@ from emdet.latent import (
     GuardError,
     LatentConfigSet,
     center_geometry,
+    chunk_log_partition,
     enumerate_exact,
     exact_log_likelihood_grid,
     exact_log_partition,
@@ -214,6 +218,211 @@ class TestObjective:
                                  num_present=4)
         with pytest.raises(GuardError, match="image big: .* exceed"):
             objective_of(single_record_dataset(rec), ScorerParams.zeros(5, 5))
+
+
+@functools.cache
+def mixed_dataset():
+    """Weak and strong images of 20, 30 and 50 proposals with one to three
+    categories, and four at 20 proposals (the B ** 4 grid is slow past them),
+    in shuffled record order."""
+    records = []
+    for proposals, most, seed in ((20, 4, 1), (30, 3, 2), (50, 3, 3)):
+        train, _ = generate(GeneratorConfig(n_train=16, n_test=1, proposals_per_image=proposals,
+                                            num_fg_categories=5, max_objects_per_image=most,
+                                            seed=seed))
+        records += [dataclasses.replace(r, image_id=f"b{proposals}_{r.image_id}")
+                    for r in split_semi(train, 0.25, seed=seed)]
+    order = np.random.default_rng(86).permutation(len(records))
+    return Dataset([records[n] for n in order])
+
+
+def objective_inputs(dataset, params):
+    """objective's log-probs, weak coverages and strong label vectors."""
+    log_probs = {r.image_id: log_prob_matrix(params, r.features) for r in dataset}
+    geometries = {r.image_id: center_geometry(r.proposals) for r in dataset if r.is_weak}
+    strong = {r.image_id: strong_label_vector(r, params.num_categories)
+              for r in dataset if not r.is_weak}
+    return log_probs, geometries, strong
+
+
+class TestObjectiveChunks:
+    """The objective evaluates the weak images with two or three categories a
+    chunk of one proposal count and label size at a time, each to the bits of
+    its own exact_log_partition."""
+
+    @pytest.mark.parametrize("cells", [1, 1800, 5000, None])
+    def test_objective_has_the_bits_of_the_per_image_sum(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(emdet.latent, "PARTITION_CELLS", cells)
+        dataset = mixed_dataset()
+        weak = [r for r in dataset if r.is_weak]
+        assert {len(r.annotation.label) for r in weak} == {1, 2, 3, 4}
+        assert {r.num_proposals for r in weak} == {20, 30, 50}
+        assert len(weak) < len(dataset)
+        params = random_params(np.random.default_rng(87), 6, dataset.feature_dim, scale=1.5)
+        log_probs, geometries, strong = objective_inputs(dataset, params)
+        weak_term = strong_term = 0.0
+        for record in dataset:
+            values = log_probs[record.image_id]
+            if record.is_weak:
+                weak_term += exact_log_partition(geometries[record.image_id],
+                                                 record.annotation.label, values)
+            else:
+                labels = strong[record.image_id]
+                strong_term += float(values[np.arange(len(labels)), labels].sum())
+        plan = objective_plan(dataset, geometries)
+        for positions, chunk in plan:
+            budget = emdet.latent.PARTITION_CELLS // chunk.num_proposals ** 2
+            assert len(positions) <= max(1, budget)
+        assert (max(len(positions) for positions, _ in plan) > 1) == (cells != 1)
+        for value in (objective(dataset, log_probs, geometries, strong),
+                      objective(dataset, log_probs, geometries, strong, plan)):
+            assert (value.weak_term, value.strong_term) == (weak_term, strong_term)
+
+    @pytest.mark.parametrize("first", ["big3", "big4"])
+    def test_guard_error_names_the_first_image_past_it(self, first):
+        small = random_weak_record(np.random.default_rng(88), "small", num_proposals=6,
+                                   num_fg=4, feature_dim=4, num_present=2)
+        big3 = isolated_weak_record("big3", 1001, (1, 2, 3))
+        big4 = isolated_weak_record("big4", 40, (1, 2, 3, 4))
+        dataset = Dataset([small, big3, big4] if first == "big3" else [small, big4, big3])
+        message = {
+            "big3": "image big3: 1001 proposals with 3 categories need 1002001 table entries, "
+                    "which exceed the 1000000 config guard",
+            "big4": "image big4: 40 proposals with 4 categories need 2560000 table entries, "
+                    "which exceed the 1000000 config guard",
+        }[first]
+        with pytest.raises(GuardError, match=f"^{re.escape(message)}$"):
+            objective_of(dataset, ScorerParams.zeros(5, 4))
+        with pytest.raises(GuardError, match=f"^{re.escape(message)}$"):
+            run_em(dataset, EmConfig(em_iterations=1, sgd_steps_per_m_step=5))
+
+    @pytest.mark.parametrize("defects", [("nan", "rows"), ("rows", "nan")])
+    def test_faulty_scores_raise_what_the_first_faulty_image_raises(self, defects):
+        dataset = mixed_dataset()
+        params = random_params(np.random.default_rng(89), 6, dataset.feature_dim)
+        log_probs, geometries, strong = objective_inputs(dataset, params)
+        weak = [r for r in dataset if r.is_weak]
+        chunked = [r for r in weak if len(r.annotation.label) in (2, 3)]
+
+        def group(record):
+            return record.num_proposals, len(record.annotation.label)
+
+        # the first chunk evaluated holds an image that comes after one of a later chunk
+        early = next(r for r in chunked if group(r) != group(chunked[0]))
+        late = [r for r in chunked if group(r) == group(chunked[0])][-1]
+        assert weak.index(early) < weak.index(late)
+        for record, defect in zip((early, late), defects):
+            values = log_probs[record.image_id].copy()
+            if defect == "nan":
+                values[3, 0] = np.nan
+            else:
+                values = values[:-1]
+            log_probs[record.image_id] = values
+        B = early.num_proposals
+        message = {"nan": "log probabilities must be finite",
+                   "rows": f"{B - 1} score rows for {B} proposals"}[defects[0]]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            objective(dataset, log_probs, geometries, strong)
+
+    def test_the_plan_is_built_once_per_traced_run_and_never_untraced(self, monkeypatch):
+        train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))
+        dataset = split_semi(train, 0.0, seed=4)
+        plans, chunks = [], []
+        plan = emdet.engine.objective_plan
+        monkeypatch.setattr(emdet.engine, "objective_plan",
+                            lambda *args: plans.append(plan(*args)) or plans[-1])
+        build = emdet.latent._partition_chunk
+        monkeypatch.setattr(emdet.latent, "_partition_chunk", lambda *args, **kwargs: (
+            chunks.append(kwargs.get("partition", True)) or build(*args, **kwargs)))
+        config = EmConfig(em_iterations=2, sgd_steps_per_m_step=10, record_trace=False)
+        assert run_em(dataset, config).trace == []
+        assert plans == [] and chunks == []
+        config = EmConfig(em_iterations=2, sgd_steps_per_m_step=10)
+        assert len(run_em(dataset, config).trace) == 3
+        # one plan; the grids of the one-category images build chunks of their own
+        assert len(plans) == 1 and chunks.count(True) == len(plans[0])
+
+    @pytest.mark.parametrize("images", [1, 3, 8])
+    def test_a_chunk_holds_a_few_tables_of_its_cell_budget(self, images, monkeypatch):
+        train, _ = generate(GeneratorConfig(n_train=60, n_test=1, seed=0))
+        dataset = Dataset([r for r in split_semi(train, 0.0, seed=0)
+                           if len(r.annotation.label) == 3][:images])
+        B = 50
+        cells = images * B * B
+        monkeypatch.setattr(emdet.latent, "PARTITION_CELLS", cells)
+        monkeypatch.setattr(emdet.latent, "LABEL_CHUNK", 64)
+        geometries = {r.image_id: center_geometry(r.proposals) for r in dataset}
+        (positions, chunk), = objective_plan(dataset, geometries)
+        assert len(positions) == images
+        params = random_params(np.random.default_rng(90), 5, dataset.feature_dim)
+        log_probs = [log_prob_matrix(params, r.features) for r in dataset]
+        expected = chunk_log_partition(chunk, log_probs)
+        tracemalloc.start()
+        try:
+            assert chunk_log_partition(chunk, log_probs).tobytes() == expected.tobytes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # eight (B, B) tables per image, and two passes of triple lines
+        assert peak < (8 * cells + 2 * 64 * B) * 8
+
+    def test_the_desk_plan_is_compact(self):
+        # the default generator's 200 weak images, all of 50 proposals
+        train, _ = generate(GeneratorConfig(n_test=1, seed=0))
+        dataset = split_semi(train, 0.0, seed=0)
+        geometries = {r.image_id: center_geometry(r.proposals) for r in dataset}
+        plan = objective_plan(dataset, geometries)
+        assert sorted(p for positions, _ in plan for p in positions) == [
+            n for n, r in enumerate(dataset) if len(r.annotation.label) in (2, 3)]
+        arrays = [getattr(chunk, name) for _, chunk in plan
+                  for name in type(chunk).__slots__ if name not in ("num_proposals", "categories")]
+        assert {a.dtype for a in arrays if a is not None} == {
+            np.dtype(np.int16), np.dtype(bool)}
+        assert sum(chunk.nbytes for _, chunk in plan) < 1.5e6
+
+
+class TestOneKernel:
+    """The exact objective, log-partition and M <= 3 grid all take their
+    inclusion-exclusion factors from latent._chunk_terms: a second copy of the
+    factors could not move with it."""
+
+    def test_every_exact_reader_reaches_the_chunk_kernel(self, monkeypatch):
+        train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))
+        dataset = split_semi(train, 0.0, seed=4)
+        params = random_params(np.random.default_rng(91), 5, dataset.feature_dim, scale=1.0)
+        log_probs, geometries, strong = objective_inputs(dataset, params)
+
+        def readers():
+            out = {"objective": objective(dataset, log_probs, geometries, strong).weak_term}
+            for record in dataset:
+                label, values = record.annotation.label, log_probs[record.image_id]
+                geometry = geometries[record.image_id]
+                out["partition", record.image_id] = exact_log_partition(geometry, label, values)
+                out["grid", record.image_id] = exact_log_likelihood_grid(geometry, label, values)
+            return out
+
+        before = readers()
+        kernel = emdet.latent._chunk_terms
+        reached = []
+
+        def shifted(chunk, log_probs):
+            # every config scores one more: every value rises by one
+            reached.append(chunk.categories.shape)
+            terms = kernel(chunk, log_probs)
+            return terms._replace(base=terms.base + 1.0)
+
+        monkeypatch.setattr(emdet.latent, "_chunk_terms", shifted)
+        after = readers()
+        assert {m for _, m in reached} == {1, 2, 3}
+        assert after["objective"] - before["objective"] == pytest.approx(len(dataset), abs=1e-9)
+        for key, value in before.items():
+            if key[0] == "partition":
+                assert after[key] - value == pytest.approx(1.0, abs=1e-12), key
+            elif key[0] == "grid":
+                finite = np.isfinite(value)
+                assert np.array_equal(finite, np.isfinite(after[key])), key
+                assert np.allclose(after[key][finite] - value[finite], 1.0, atol=1e-12), key
 
 
 class TestEStep:
@@ -1617,17 +1826,27 @@ class TestRunEm:
 
     @pytest.mark.parametrize("mode", ["k_em", "hard"])
     def test_each_geometry_builds_its_plan_at_most_once_per_run(self, mode, monkeypatch):
+        # The objective's chunks plan their stacked coverage once per run; a
+        # chunk of one image reads that image's own plans, which the hard
+        # E-step's grid reads too.
         train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))
         dataset = split_semi(train, 0.0, seed=4)
         sizes = [len(r.annotation.label) for r in dataset]
         assert {1, 2, 3} <= set(sizes)
+        geometries = {r.image_id: center_geometry(r.proposals) for r in dataset}
+        chunks = [(len(positions), chunk.categories.shape[1])
+                  for positions, chunk in objective_plan(dataset, geometries)]
+        stacks = [m for n, m in chunks if n > 1]
+        # the images alone in their chunk, or in hard mode all of them
+        own = sizes if mode == "hard" else [m for n, m in chunks if n == 1]
         built = self.count_plans(monkeypatch)
         config = EmConfig(mode=mode, em_iterations=3, sgd_steps_per_m_step=20)
         assert config.record_trace
         run_em(dataset, config)
         assert set(built.values()) == {1}
-        assert sum(level == "pair" for level, _ in built) == sum(m >= 2 for m in sizes)
-        assert sum(level == "triple" for level, _ in built) == sizes.count(3)
+        assert sum(level == "pair" for level, _ in built) == (
+            sum(m >= 2 for m in stacks) + sum(m >= 2 for m in own))
+        assert sum(level == "triple" for level, _ in built) == stacks.count(3) + own.count(3)
 
     def test_k_em_without_trace_builds_no_plan(self, monkeypatch):
         train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -14,7 +15,7 @@ from emdet.data import GeneratorConfig, generate
 from emdet.engine import PosteriorTable, soft_labels
 from emdet.geometry import Box, boxes_to_array, iou_matrix
 from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
-                          ImageLabel, LatentConfigSet, center_geometry,
+                          ImageLabel, LatentConfigSet, as_label, center_geometry,
                           enumerate_exact, exact_log_likelihood_grid,
                           exact_log_partition, expand, label_marginals, logsumexp,
                           score_config_set, select_k)
@@ -77,6 +78,22 @@ class TestImageLabel:
             ImageLabel((2, 1))
         with pytest.raises(ValueError):
             ImageLabel((1, 1))
+
+    @pytest.mark.parametrize("ids, shown", [
+        ([1.7, 2.2], "1.7"), ([True], "True"), (["3"], "'3'"), ([1, 2.0], "2.0"),
+        ([2, np.float64(1.0)], repr(np.float64(1.0))), ([np.bool_(True)], repr(np.bool_(True))),
+    ])
+    def test_non_integer_ids_are_named(self, ids, shown):
+        message = re.escape(f"category id must be an integer, got {shown}")
+        with pytest.raises(ValueError, match=message):
+            as_label(ids)
+        with pytest.raises(ValueError, match=message):
+            ImageLabel(tuple(ids))
+
+    def test_python_and_numpy_integers_pass(self):
+        assert as_label([np.int64(3), 1, np.uint8(2)]).categories == (1, 2, 3)
+        assert as_label(np.array([2, 1], dtype=np.int32)).categories == (1, 2)
+        assert all(type(c) is int for c in as_label(np.array([4, 2])).categories)
 
 
 class TestExpand:
@@ -425,31 +442,40 @@ class TestCoCoveragePlans:
             assert grid.tobytes() == referee_grid(geometry, cats, log_probs).tobytes()
 
     def test_grid_and_partition_take_the_triples_in_any_order(self, monkeypatch):
-        # Only the partition sorts the slot-ordered triple configs; the grid
-        # scatters them as they come.
+        # The partition's chunk sorts the slot-ordered triple configs itself;
+        # the grid scatters them as they come.  Neither depends on the order
+        # in which the triple plan lists its configs.
         rng = np.random.default_rng(83)
         train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=0))
         instances = [clustered_boxes(rng, 12), clustered_boxes(rng, 24),
                      *(r.proposals for r in train)]
-        cases = [(center_geometry(boxes), random_log_probs(rng, len(boxes)))
-                 for boxes in instances]
+        cases = [(boxes, random_log_probs(rng, len(boxes))) for boxes in instances]
 
         def values():
-            return [(exact_log_likelihood_grid(geometry, (1, 2, 3), log_probs).tobytes(),
-                     np.float64(exact_log_partition(geometry, (1, 2, 3), log_probs)).tobytes())
-                    for geometry, log_probs in cases]
+            # fresh geometries, so each reader builds its triple plan anew
+            return [(exact_log_likelihood_grid(center_geometry(boxes), (1, 2, 3),
+                                               log_probs).tobytes(),
+                     np.float64(exact_log_partition(center_geometry(boxes), (1, 2, 3),
+                                                    log_probs)).tobytes())
+                    for boxes, log_probs in cases]
 
         expected = values()
-        overlap_terms = emdet.latent._overlap_terms
+        build = emdet.latent._build_triple_plan
         moved = []
 
-        def shuffled(*args):
-            terms = overlap_terms(*args)
-            order = rng.permutation(terms.triples[0].size)
+        def shuffled(geometry):
+            # the configs in a random order, each with its entries in ascending i
+            plan = build(geometry)
+            order = rng.permutation(plan.count.size)
+            starts = np.cumsum(plan.count) - plan.count
+            entries = np.concatenate([np.zeros(0, dtype=np.intp)]
+                                     + [np.arange(starts[g], starts[g] + plan.count[g])
+                                        for g in order])
             moved.append(np.any(order != np.arange(order.size)))
-            return terms._replace(triples=tuple(a[order] for a in terms.triples))
+            return plan._replace(i=plan.i[entries], code=plan.code[entries],
+                                 configs=plan.configs[:, order], count=plan.count[order])
 
-        monkeypatch.setattr(emdet.latent, "_overlap_terms", shuffled)
+        monkeypatch.setattr(emdet.latent, "_build_triple_plan", shuffled)
         assert values() == expected
         assert sum(moved) > len(cases)
 
@@ -696,14 +722,33 @@ class TestExactLogPartition:
         log_probs = random_log_probs(rng, len(boxes))
         grid = exact_log_likelihood_grid(geometry, (1, 2, 3), log_probs)
         summed = []
-        monkeypatch.setattr(emdet.latent, "logsumexp",
-                            lambda values: summed.append(values) or logsumexp(values))
+        rows, segments = emdet.latent._row_logsumexp, emdet.latent._segment_logsumexp
+        monkeypatch.setattr(emdet.latent, "_row_logsumexp",
+                            lambda values: summed.append(values.copy()) or rows(values))
+        monkeypatch.setattr(emdet.latent, "_segment_logsumexp",
+                            lambda values, bounds: summed.append(values.copy())
+                            or segments(values, bounds))
         exact_log_partition(geometry, (1, 2, 3), log_probs)
         triples = ordered_triple_plan(geometry)  # configs ascending by (j, k, l)
-        dense, exact = summed
-        assert dense.shape == (len(boxes),) * 2 and exact.size > 100
+        exact, dense = summed
+        assert dense.shape == (1, len(boxes) ** 2) and exact.size > 100
         expected = grid[triples.j, triples.k, triples.l] - log_probs[:, 0].sum()
         assert np.max(np.abs(exact - expected)) < 1e-12
+
+    def test_row_and_segment_log_sum_exps_have_the_bits_of_logsumexp(self):
+        rng = np.random.default_rng(85)
+        for rows, width in ((1, 7), (5, 300), (3, 2500)):
+            values = rng.normal(0.0, 20.0, size=(rows, width))
+            values[0, :] = -np.inf  # a row of no config, as an all-triple-covered image
+            expected = [logsumexp(row) for row in values]
+            assert emdet.latent._row_logsumexp(values.copy()).tolist() == expected
+        # numpy's reduceat sums many of these lengths in another order than sum
+        sizes = [0, *range(1, 40), 129, 130, 1000, 0, 2]
+        values = rng.normal(0.0, 1.0, size=sum(sizes))
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        some, terms = emdet.latent._segment_logsumexp(values.copy(), bounds)
+        assert some.tolist() == [a for a, size in enumerate(sizes) if size]
+        assert terms.tolist() == [logsumexp(values[bounds[a]:bounds[a + 1]]) for a in some]
 
     def test_triple_lines_are_recomputed_a_chunk_at_a_time(self):
         # 40 clusters of 12 mutually covering proposals: 5,280 (j, k) lines of
