@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (Dataset, GeneratorConfig, SchemaError, config_hash,
-                   generate, is_integer, load_dataset, load_init_scores, save_dataset,
-                   split_semi)
+                   generate, is_integer, is_number, load_dataset, load_init_scores,
+                   save_dataset, split_semi)
 from .engine import EmConfig, e_step, infer_num_categories, objective, run_em
 from .latent import GuardError, center_geometry
 from .metrics import corloc, detect, evaluate_detections, save_detections
@@ -60,11 +60,13 @@ _JSON_NAMES = {int: "an integer", float: "a number", bool: "true or false",
 
 def _has_json_type(value, kind) -> bool:
     """Whether a parsed JSON value fits a field type; booleans fit only bool,
-    integers (data.is_integer) fit int and float."""
+    integers (data.is_integer) fit int, and numbers (data.is_number) float."""
     if kind is bool:
         return isinstance(value, bool)
-    if kind in (int, float):
-        return is_integer(value) or (kind is float and isinstance(value, float))
+    if kind is int:
+        return is_integer(value)
+    if kind is float:
+        return is_number(value)
     return isinstance(value, kind)
 
 

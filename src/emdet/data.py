@@ -427,6 +427,42 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def is_number(value) -> bool:
+    """Whether value is an integer (is_integer) or a float; a boolean is neither.
+
+    The one rule for numbers in JSON files, where a string is none either.
+    """
+    return is_integer(value) or isinstance(value, float)
+
+
+def json_number(value, name: str) -> float:
+    """value as a float, if it is a JSON number (is_number)."""
+    if not is_number(value):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _json_rows(rows: list, name: str) -> list:
+    """rows, if each of its lists holds JSON numbers (is_number) alone; a
+    ValueError names the first that does not.  Shapes are the caller's to check."""
+    for n, row in enumerate(rows):
+        if isinstance(row, list) and not all(map(is_number, row)):
+            raise ValueError(f"{name} {n} must hold numbers, got {json.dumps(row)}")
+    return rows
+
+
+def _json_matrix(rows, name: str) -> np.ndarray:
+    """rows as a float64 matrix, if it is a nonempty list of lists of JSON
+    numbers, each as long as the first; a ValueError names the first row that is not."""
+    if not (isinstance(rows, list) and rows and isinstance(rows[0], list)):
+        raise ValueError(f"{name}s must be a nonempty list of lists of numbers")
+    for n, row in enumerate(_json_rows(rows, name)):
+        if not isinstance(row, list) or len(row) != len(rows[0]):
+            raise ValueError(f"{name} {n} must hold {len(rows[0])} numbers as {name} 0 does, "
+                             f"got {json.dumps(row)}")
+    return np.array(rows, dtype=np.float64)
+
+
 def _parse_record(obj: dict, where: str) -> ImageRecord:
     for key in ("id", "width", "height", "proposals", "features", "annotation"):
         if key not in obj:
@@ -451,13 +487,15 @@ def _parse_record(obj: dict, where: str) -> ImageRecord:
         else:
             objects = ann["objects"]
             annotation = StrongAnnotation(
-                [g["box"] for g in objects] if objects else np.empty((0, 4)),
+                _json_rows([g["box"] for g in objects], "ground-truth object") if objects
+                else np.empty((0, 4)),
                 [json_int(g["category"], "category") for g in objects])
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"{where}: bad {kind} annotation: {err}") from None
     try:
-        return ImageRecord(str(obj["id"]), float(obj["width"]), float(obj["height"]),
-                           proposals, np.asarray(features, dtype=np.float64), annotation)
+        return ImageRecord(str(obj["id"]), json_number(obj["width"], "width"),
+                           json_number(obj["height"], "height"), _json_rows(proposals, "proposal"),
+                           _json_matrix(features, "feature row"), annotation)
     except (TypeError, ValueError) as err:
         raise SchemaError(f"{where}: {err}") from None
 
@@ -572,9 +610,10 @@ def load_init_scores(path: str | Path) -> dict[str, np.ndarray]:
     for where, obj in read_jsonl(path):
         if "id" not in obj or "scores" not in obj:
             raise SchemaError(f"{where}: need keys 'id' and 'scores'")
-        mat = np.asarray(obj["scores"], dtype=np.float64)
-        if mat.ndim != 2:
-            raise SchemaError(f"{where}: scores must be a matrix")
+        try:
+            mat = _json_matrix(obj["scores"], "score row")
+        except ValueError as err:
+            raise SchemaError(f"{where}: {err}") from None
         if not np.all(np.isfinite(mat)) or np.any(mat < 0):
             raise SchemaError(f"{where}: scores must be finite and non-negative")
         image_id = str(obj["id"])

@@ -13,9 +13,11 @@ soft proposal labels those posteriors imply.
 
 A run that records the objective trace plans it once (objective_plan): the
 weak images with two or three categories fall into chunks of one proposal
-count and label size, whose index work latent builds for the whole run, and
-each trace point evaluates a chunk's exact terms in one set of batched
-passes, then adds every image's term in record order.
+count and label size, whose index work latent stacks once for the whole run
+from the co-coverage plans of each image's coverage (which the exact and
+hard E-steps' grids read too), and each trace point evaluates a chunk's
+exact terms in one set of batched passes, then adds every image's term in
+record order.
 """
 
 from __future__ import annotations

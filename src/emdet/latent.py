@@ -11,15 +11,15 @@ The exact log-partition log P(z | x) and the exact grid of up to three
 categories take their inclusion-exclusion factors from one kernel,
 _chunk_terms, which evaluates a chunk of images sharing a proposal count and
 a label size (PartitionChunk) with one set of passes over stacked arrays.  A
-chunk holds every index those passes read that depends on coverage alone, so
-a caller that evaluates the same images again, as the objective trace of a
-training run does, builds them once (partition_chunks); the public
+chunk holds every index those passes read that depends on coverage alone,
+stacked from the co-coverage plans each image keeps on its CenterGeometry,
+so a caller that evaluates the same images again, as the objective trace of
+a training run does, builds them once (partition_chunks); the public
 functions make a chunk of the one image they are given.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -179,9 +179,10 @@ class CenterGeometry:
     The plan is the index work of the inclusion-exclusion terms that depends
     on coverage alone, never on a label or on scores: pair_plan for two or
     more categories, triple_plan for three.  Each is built on first use and
-    then kept, so one geometry per image per run builds each at most once.
-    Both hold each co-covering pair and triple of centers once, not once per
-    slot order, and the readers expand them to every slot order per call.
+    then kept, so one geometry per image per run builds each at most once;
+    nothing else builds a plan, and a chunk of images stacks theirs.  Both
+    hold each co-covering pair and triple of centers once, not once per slot
+    order, and the chunk expands them to every slot order.
     The pair plan holds 3 bytes per co-covered (i, j < k) entry and 6 per
     touched (j, k) line; the triple plan 3 per triple-covered (i, j < k < l)
     entry and 8 per (j, k, l) config.
@@ -190,21 +191,21 @@ class CenterGeometry:
     offsets: np.ndarray
     members: np.ndarray
     keys: np.ndarray
-    _pairs: _PairPlan | None = field(default=None, init=False, repr=False)
-    _triples: _TriplePlan | None = field(default=None, init=False, repr=False)
+    _pairs: _Plan | None = field(default=None, init=False, repr=False)
+    _triples: _Plan | None = field(default=None, init=False, repr=False)
 
     @property
     def num_proposals(self) -> int:
         return len(self.offsets) - 1
 
-    def pair_plan(self) -> _PairPlan:
+    def pair_plan(self) -> _Plan:
         """The co-covered pair entries, built on the first call."""
         if self._pairs is None:
             _check_plans(self.num_proposals)
             self._pairs = _build_pair_plan(self)
         return self._pairs
 
-    def triple_plan(self) -> _TriplePlan:
+    def triple_plan(self) -> _Plan:
         """The triple-covered entries and their configs, built on the first call."""
         if self._triples is None:
             _check_plans(self.num_proposals)
@@ -366,12 +367,11 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
     built.
 
     For M <= 3 the grid materializes the factors that _chunk_terms builds
-    for the image as a chunk of its own (_overlap_terms), with u,
-    v, w the per-center terms and P01, P02, P12 the pair factors:
-    base + u for M = 1, G = ((base + u[j]) + v[k]) + P01[j, k] for M = 2,
-    and for M = 3 (G[j, k] + (w[l] + P02[j, l])) + P12[k, l], plus the bonus
-    of each triple config.  The pair factors' -inf diagonals mask every
-    entry that repeats an index.
+    for the image as a chunk of its own, with u, v, w the per-center terms
+    and P01, P02, P12 the pair factors: G = _pair_grid for M <= 2, and for
+    M = 3 (G[j, k] + (w[l] + P02[j, l])) + P12[k, l], plus the bonus of each
+    triple config.  The pair factors' -inf diagonals mask every entry that
+    repeats an index.
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
@@ -386,46 +386,32 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
         grid[tuple(config_set.centers.T)] = score_config_set(config_set, log_probs, geometry)
         return grid
 
-    terms = _overlap_terms(geometry, label.categories, log_probs)
-    grid = terms.base + terms.per_center[:, 0]
-    if M == 1:
-        return grid
-    grid = (grid[:, None] + terms.per_center[:, 1]) + terms.minus[(0, 1)]
+    chunk = _partition_chunk([geometry], [label.categories])
+    base, per_center, minus, bonus = _chunk_terms(chunk, log_probs[None])
+    grid = _pair_grid(base, per_center, minus)[0]
     if M == 3:
-        grid = grid[:, :, None] + (terms.per_center[:, 2] + terms.minus[(0, 2)])[:, None, :]
-        grid += terms.minus[(1, 2)]
-        # Each slot order of a triple config is its own cell of the fresh grid.
-        j, k, l, bonus = terms.triples
+        grid = grid[:, :, None] + (per_center[0, :, 2] + minus[(0, 2)][0])[:, None, :]
+        grid += minus[(1, 2)][0]
+        # Each slot order of a triple config is its own cell of the fresh grid,
+        # so the scatter does not depend on the order of the configs.
+        j, k, l = chunk.triple_configs.astype(np.intp)
         grid.reshape(-1)[(j * B + k) * B + l] += bonus
     return grid
 
 
-class _PairPlan(NamedTuple):
-    """Every (i, j, k) where centers j < k both cover proposal i, each pair once.
+class _Plan(NamedTuple):
+    """Every (i, j, k) where centers j < k both cover proposal i, each pair once,
+    or every (i, j, k, l) where centers j < k < l all do, each triple once.
 
-    Entries are grouped by their (j, k) line: the touched ``lines``, unique
-    and ascending columns (j, k), hold ``count`` entries each, in ascending
-    i.  ``code`` compares j's key on i with k's (see _order_code).
+    Entries are grouped by their centers: the ``centers``, unique and
+    ascending columns (j, k) or (j, k, l), hold ``count`` entries each, in
+    ascending i.  ``code`` orders the centers' keys on i, ties included (see
+    _order_code).
     """
 
     i: np.ndarray
     code: np.ndarray
-    lines: np.ndarray
-    count: np.ndarray
-
-
-class _TriplePlan(NamedTuple):
-    """Every (i, j, k, l) where centers j < k < l all cover proposal i, each triple once.
-
-    Entries are grouped by their (j, k, l) config: the ``configs``, unique
-    and ascending columns (j, k, l), hold ``count`` entries each, in
-    ascending i.  ``code`` orders the three centers' keys on i, ties
-    included (see _order_code).
-    """
-
-    i: np.ndarray
-    code: np.ndarray
-    configs: np.ndarray
+    centers: np.ndarray
     count: np.ndarray
 
 
@@ -490,7 +476,7 @@ def _co_covered(geometry: CenterGeometry):
     symmetry name the centers covering proposal i.  An image's plans are
     read only behind the B ** 2 <= OBJECTIVE_GUARD rule (_check_plans), so
     B <= 1000, and a stack of images has fewer than 2 ** 15 proposals
-    (_stacked_geometry): int16 holds every proposal and count.
+    (_partition_chunk): int16 holds every proposal and count.
     """
     B = geometry.num_proposals
     rows = np.repeat(np.arange(B), np.diff(geometry.offsets))
@@ -517,20 +503,19 @@ def _grouped(i: np.ndarray, at: np.ndarray, geometry: CenterGeometry):
             centers.astype(np.int16), count.astype(np.int16))
 
 
-def _build_pair_plan(geometry: CenterGeometry) -> _PairPlan:
+def _build_pair_plan(geometry: CenterGeometry) -> _Plan:
     """CenterGeometry.pair_plan: 3 bytes per entry and 6 per line."""
     i, at_j, at_k = _co_covered(geometry)
-    return _PairPlan(*_grouped(i, np.stack([at_j, at_k]), geometry))
+    return _Plan(*_grouped(i, np.stack([at_j, at_k]), geometry))
 
 
-def _build_triple_plan(geometry: CenterGeometry) -> _TriplePlan:
+def _build_triple_plan(geometry: CenterGeometry) -> _Plan:
     """CenterGeometry.triple_plan: 3 bytes per entry and 8 per config."""
     i, at_j, at_k = _co_covered(geometry)
     entry, at_l = _member_positions(geometry.offsets, i)
     keep = geometry.members[at_l] > geometry.members[at_k[entry]]
     entry, at_l = entry[keep], at_l[keep]
-    return _TriplePlan(*_grouped(i[entry], np.stack([at_j[entry], at_k[entry], at_l]),
-                                 geometry))
+    return _Plan(*_grouped(i[entry], np.stack([at_j[entry], at_k[entry], at_l]), geometry))
 
 
 # Cells of the (B, B) tables that one partition chunk stacks: the weak images
@@ -547,9 +532,9 @@ class PartitionChunk:
     The images share a proposal count B and a label size M <= 3, and
     ``categories`` holds their labels, one row per image.  Stacked, proposal
     i of image a is row a * B + i, and cell (j, k) of its (B, B) tables is
-    flat cell (a * B + j) * B + k.  A chunk built for the partition keeps
-    every index in int16 when it has at most 2 ** 15 cells and fewer
-    slot-ordered triple configs, and in int32 otherwise.
+    flat cell (a * B + j) * B + k.  A chunk keeps every index in int16 when
+    it has at most 2 ** 15 cells and fewer slot-ordered triple configs, and
+    in int32 otherwise.
 
     - ``cover``: the cell (center, member) of every covered pair.
     - Pairs (M >= 2), one entry per pair-plan entry: its proposal's row
@@ -557,14 +542,13 @@ class PartitionChunk:
       (2, entries), and the cells its loser's delta is summed into,
       (j, k) then (k, j), ``pair_cells`` (2 * entries).
     - Triples (M = 3): ``triple_configs`` holds the rows (j, k, l) of every
-      slot order of every triple config (3, configs).  Per slot order, each
-      triple-plan entry's bottom-slot delta is ``triple_take`` into the
-      stacked (rows, 3) deltas and goes to bin ``triple_bins``, its config's
-      column (both (6, entries)).  A chunk built for the partition sorts the
-      configs by (a, j, k, l): the (j, k) line starting at config
-      ``line_bounds[n]`` ends at ``line_bounds[n + 1]``, and image a's
-      configs are ``image_bounds[a]:image_bounds[a + 1]``.  One built for the
-      grid keeps them in plan order, which its scatter does not depend on.
+      slot order of every triple config (3, configs), sorted by (a, j, k, l).
+      Per slot order, each triple-plan entry's bottom-slot delta is
+      ``triple_take`` into the stacked (rows, 3) deltas and goes to bin
+      ``triple_bins``, its config's column (both (6, entries)).  The (j, k)
+      line starting at config ``line_bounds[n]`` ends at
+      ``line_bounds[n + 1]``, and image a's configs are
+      ``image_bounds[a]:image_bounds[a + 1]``.
     """
 
     num_proposals: int
@@ -586,56 +570,45 @@ class PartitionChunk:
                    if isinstance(getattr(self, name), np.ndarray))
 
 
-def _stacked_geometry(geometries: list[CenterGeometry]) -> CenterGeometry:
-    """The coverage of images of B proposals side by side: image a's i is a * B + i.
+def _stacked_plan(plans: list[_Plan], B: int) -> _Plan:
+    """The plan of images of B proposals side by side: image a's i and centers go up by a * B.
 
-    No center covers a proposal of another image, so the co-coverage plans
-    of the stack are those of the images, each raised by a * B.
+    No center covers a proposal of another image, so the stack lists each
+    image's groups in turn, as a plan of the stacked coverage would.  The
+    caller keeps the stack below 2 ** 15 proposals, which int16 holds.
     """
-    B = geometries[0].num_proposals
-    if len(geometries) * B >= 1 << 15:
-        raise ValueError(f"{len(geometries)} images of {B} proposals are too many to stack")
-    counts = np.concatenate([np.diff(g.offsets) for g in geometries])
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    shift = np.repeat(np.arange(len(geometries)) * B, [g.members.size for g in geometries])
-    members = np.concatenate([g.members for g in geometries]) + shift
-    return CenterGeometry(offsets, members.astype(np.int32),
-                          np.concatenate([g.keys for g in geometries]))
+    if len(plans) == 1:
+        return plans[0]
+    shift = np.arange(len(plans), dtype=np.int16) * B
+    i, code, centers, count = (np.concatenate(parts, axis=-1) for parts in zip(*plans))
+    i += np.repeat(shift, [plan.i.size for plan in plans])
+    centers += np.repeat(shift, [plan.count.size for plan in plans])
+    return _Plan(i, code, centers, count)
 
 
-def _partition_chunk(geometries: list[CenterGeometry], categories,
-                     partition: bool = True) -> PartitionChunk:
+def _partition_chunk(geometries: list[CenterGeometry], categories) -> PartitionChunk:
     """The PartitionChunk of images of one proposal count with one label size each.
 
     ``categories`` holds one label per geometry, all of one size M <= 3.
-    A chunk for the partition has its triple configs sorted and its indexes
-    compact; one for the grid, which reads neither, is built without that
-    work.  One image reads the co-coverage plans it keeps on its geometry; a
-    stack of images builds them over _stacked_geometry for the chunk alone.
+    The chunk stacks the co-coverage plans each image keeps on its geometry.
     Each index is built in its final dtype, so the build holds few
     temporaries of 8 bytes per triple-plan entry or config.
     """
     cats = np.array(categories, dtype=np.int64).reshape(len(geometries), -1)
     n, M = cats.shape
     B = geometries[0].num_proposals
-    if n == 1:
-        geometry = geometries[0]
-        pair_plan, triple_plan = geometry.pair_plan, geometry.triple_plan
-    else:
-        geometry = _stacked_geometry(geometries)
-        pair_plan = functools.partial(_build_pair_plan, geometry)
-        triple_plan = functools.partial(_build_triple_plan, geometry)
-    triples = triple_plan() if M == 3 else None
+    if n * B >= 1 << 15:
+        raise ValueError(f"{n} images of {B} proposals are too many to stack")
+    triples = _stacked_plan([g.triple_plan() for g in geometries], B) if M == 3 else None
     configs = 0 if triples is None else 6 * triples.count.size
     # cells lie below n * B ** 2, and config columns and bounds reach the configs
-    dtype = (np.intp if not partition else
-             np.int16 if max(n * B * B - 1, configs) < 1 << 15 else np.int32)
-    rows = np.repeat(np.arange(n * B, dtype=dtype), np.diff(geometry.offsets))
-    index = {"cover": rows * B + (geometry.members % B).astype(dtype)}
+    dtype = np.int16 if max(n * B * B - 1, configs) < 1 << 15 else np.int32
+    rows = np.repeat(np.arange(n * B, dtype=dtype),
+                     np.concatenate([np.diff(g.offsets) for g in geometries]))
+    index = {"cover": rows * B + np.concatenate([g.members for g in geometries]).astype(dtype)}
     if M >= 2:
-        plan = pair_plan()
-        lines = plan.lines.astype(dtype)
+        plan = _stacked_plan([g.pair_plan() for g in geometries], B)
+        lines = plan.centers.astype(dtype)
         # cell (j, k) of a line is j's row * B + k, and (k, j) is k's row * B + j
         cells = lines * B + lines[::-1] % B
         index["pair_rows"] = plan.i
@@ -644,22 +617,20 @@ def _partition_chunk(geometries: list[CenterGeometry], categories,
     if M == 3:
         index["triple_take"] = _BOTTOM.take(triples.code, axis=1) + 3 * triples.i.astype(dtype)
         # Column p * count + g puts config g's centers in slot order p.
-        centers = triples.configs.astype(dtype)[_ORDERS[3].T].reshape(3, -1)
-        column = np.arange(configs, dtype=dtype)
-        if partition:
-            key = centers[0].astype(np.int64) * B + centers[1] % B
-            key *= B
-            key += centers[2] % B
-            order = np.argsort(key)
-            del key
-            column[order] = column.copy()
-            centers = centers[:, order]
-            del order
-            starts = np.ones(configs, dtype=bool)
-            starts[1:] = np.any(centers[:2, 1:] != centers[:2, :-1], axis=0)
-            index["line_bounds"] = np.append(np.flatnonzero(starts), configs).astype(dtype)
-            index["image_bounds"] = np.searchsorted(
-                centers[0], np.arange(n + 1) * B).astype(dtype)
+        centers = triples.centers.astype(dtype)[_ORDERS[3].T].reshape(3, -1)
+        key = centers[0].astype(np.int64) * B + centers[1] % B
+        key *= B
+        key += centers[2] % B
+        order = np.argsort(key)
+        del key
+        column = np.empty(configs, dtype=dtype)
+        column[order] = np.arange(configs, dtype=dtype)
+        centers = centers[:, order]
+        del order
+        starts = np.ones(configs, dtype=bool)
+        starts[1:] = np.any(centers[:2, 1:] != centers[:2, :-1], axis=0)
+        index["line_bounds"] = np.append(np.flatnonzero(starts), configs).astype(dtype)
+        index["image_bounds"] = np.searchsorted(centers[0], np.arange(n + 1) * B).astype(dtype)
         index["triple_bins"] = np.repeat(column.reshape(6, -1), triples.count, axis=1)
         index["triple_configs"] = centers
     return PartitionChunk(B, cats, **index)
@@ -752,6 +723,19 @@ def _chunk_terms(chunk: PartitionChunk, log_probs: np.ndarray) -> _ChunkTerms:
     return _ChunkTerms(base, per_center, minus, bonus)
 
 
+def _pair_grid(base: np.ndarray, per_center: np.ndarray, minus: dict) -> np.ndarray:
+    """_chunk_terms' (n, B) base + u for M = 1, else ((base + u[j]) + v[k]) + P01[j, k].
+
+    Over the first two slots for M >= 2: (n, B, B), popping P01 from ``minus``.
+    """
+    grid = base[:, None] + per_center[:, :, 0]
+    if per_center.shape[2] == 1:
+        return grid
+    grid = grid[:, :, None] + per_center[:, None, :, 1]
+    grid += minus.pop((0, 1))
+    return grid
+
+
 def _row_logsumexp(values: np.ndarray) -> np.ndarray:
     """logsumexp of each row of a 2-D array, to the bit; ``values`` is overwritten."""
     top = values.max(axis=1)
@@ -804,11 +788,7 @@ def _chunk_log_partition(chunk: PartitionChunk, log_probs: np.ndarray) -> np.nda
     # The (n, B, B) tables are updated in place where the bits allow it (a + b
     # is b + a), so a chunk holds a few of them at a time.
     if M < 3:
-        grid = base[:, None] + per_center[:, :, 0]
-        if M == 2:
-            grid = grid[:, :, None] + per_center[:, None, :, 1]
-            grid += minus.pop((0, 1))
-        return _row_logsumexp(grid.reshape(n, -1))
+        return _row_logsumexp(_pair_grid(base, per_center, minus).reshape(n, -1))
 
     u, v, w = per_center.transpose(2, 0, 1)
     outer = u[:, :, None] + v[:, None, :]
@@ -869,26 +849,6 @@ def chunk_log_partition(chunk: PartitionChunk, log_probs: list) -> np.ndarray:
     if not np.isfinite(stacked).all():
         raise ValueError("log probabilities must be finite")
     return _chunk_log_partition(chunk, stacked)
-
-
-class _Overlaps(NamedTuple):
-    """One image's _ChunkTerms, with its triple configs as (j, k, l, bonus) intp arrays."""
-
-    base: float
-    per_center: np.ndarray
-    minus: dict[tuple[int, int], np.ndarray]
-    triples: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
-
-
-def _overlap_terms(geometry: CenterGeometry, categories, log_probs: np.ndarray) -> _Overlaps:
-    """The inclusion-exclusion factors of one image: its chunk's, by _chunk_terms."""
-    chunk = _partition_chunk([geometry], [categories], partition=False)
-    base, per_center, minus, bonus = _chunk_terms(chunk, log_probs[None])
-    triples = None
-    if bonus is not None:
-        triples = (*chunk.triple_configs.astype(np.intp), bonus)
-    return _Overlaps(base[0], per_center[0], {pair: f[0] for pair, f in minus.items()},
-                     triples)
 
 
 def check_partition(num_proposals: int, z) -> None:

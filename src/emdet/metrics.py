@@ -5,13 +5,14 @@ average precision with greedy matching, and correct-localization scoring.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from emdet.data import (Dataset, ImageRecord, SchemaError, json_int, positive_categories,
-                        read_jsonl)
+from emdet.data import (Dataset, ImageRecord, SchemaError, json_int, json_number,
+                        positive_categories, read_jsonl)
 from emdet.geometry import Box, ScoredBox, boxes_to_array, iou_matrix, nms
 from emdet.scorer import ScorerParams, log_prob_matrix
 
@@ -254,9 +255,12 @@ def load_detections(path: str | Path) -> list[Detection]:
     out: list[Detection] = []
     for where, obj in read_jsonl(path):
         try:
-            out.append(Detection(str(obj["id"]), json_int(obj["category"], "category"),
-                                 Box(*(float(v) for v in obj["box"])),
-                                 float(obj["score"])))
+            category = json_int(obj["category"], "category")
+            box = Box(*(json_number(v, "box coordinate") for v in obj["box"]))
+            score = json_number(obj["score"], "score")
+            if not math.isfinite(score):
+                raise ValueError(f"score must be finite, got {json.dumps(score)}")
+            out.append(Detection(str(obj["id"]), category, box, score))
         except (KeyError, TypeError, ValueError) as err:
             raise SchemaError(f"{where}: {err}") from None
     return out

@@ -311,6 +311,42 @@ class TestTrain:
         assert rc == 2
         assert f"{scores}:2: duplicate image id '5'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scores, message", [
+        ([[0.5, "1"]], 'score row 0 must hold numbers, got [0.5, "1"]'),
+        ([[0.5, 0.1], [0.5]], "score row 1 must hold 2 numbers as score row 0 does"),
+    ], ids=["string", "ragged"])
+    def test_init_scores_that_are_no_matrix_of_numbers_exit_two(self, bench, tmp_path, capsys,
+                                                                  monkeypatch, scores, message):
+        monkeypatch.setattr(emdet.cli, "run_em", refuse_training)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"id": "a", "scores": [[0.5]]}) + "\n"
+                        + json.dumps({"id": "b", "scores": scores}) + "\n")
+        rc = main(["train", "--data", str(bench["train"]), "--config", str(bench["config"]),
+                   "--init-scores", str(path), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("width", "100"), ("height", True),
+                                            ("proposals", "0"), ("features", True)])
+    def test_dataset_values_that_are_no_numbers_exit_two(self, bench, tmp_path, capsys,
+                                                         monkeypatch, key, value):
+        monkeypatch.setattr(emdet.cli, "run_em", refuse_training)
+        lines = bench["train"].read_text().splitlines()
+        record = json.loads(lines[1])
+        if key in ("width", "height"):
+            record[key] = value
+        else:
+            record[key][0][0] = value
+        lines[1] = json.dumps(record)
+        data = tmp_path / "typed.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--data", str(data), "--config", str(bench["config"]),
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{data}:2: " in err and json.dumps(value) in err and "Traceback" not in err
+
     def test_integer_for_a_number_and_null_categories_are_accepted(self, bench, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**TRAIN_CONFIG, "em_iterations": 0, "lr_initial": 1,

@@ -621,6 +621,30 @@ class TestDatasetIo:
         with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ") + ".*" + re.escape(message)):
             load_dataset(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"width": "100"}, 'width must be a number, got "100"'),
+        ({"height": True}, "height must be a number, got true"),
+        ({"proposals": [[0, 0, 5, 5], ["0", 0, 5, 5]]},
+         'proposal 1 must hold numbers, got ["0", 0, 5, 5]'),
+        ({"features": [[1.0], ["0.5"]]}, 'feature row 1 must hold numbers, got ["0.5"]'),
+        ({"features": [[True], [1.0]]}, "feature row 0 must hold numbers, got [true]"),
+        ({"features": [[1.0], [1.0, 2.0]]},
+         "feature row 1 must hold 1 numbers as feature row 0 does, got [1.0, 2.0]"),
+        ({"annotation": {"type": "strong",
+                         "objects": [{"box": [0, 0, 5, "5"], "category": 1}]}},
+         'ground-truth object 0 must hold numbers, got [0, 0, 5, "5"]'),
+    ], ids=["width", "height", "proposal", "feature", "feature_bool", "feature_ragged",
+            "ground_truth"])
+    def test_numbers_must_be_json_numbers(self, tmp_path, edit, message):
+        # numpy would read "100" and true as 100.0 and 1.0
+        path = tmp_path / "bad.jsonl"
+        good = {"id": "a", "width": 10, "height": 10,
+                "proposals": [[0, 0, 5, 5], [1, 1, 6, 6]], "features": [[1.0], [0.5]],
+                "annotation": {"type": "weak", "z": [1]}}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **edit}) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ") + ".*" + re.escape(message)):
+            load_dataset(path)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         line = json.dumps({"id": "a", "width": 10, "height": 10,
@@ -755,6 +779,20 @@ class TestInitScores:
         line = json.dumps({"id": "a", "scores": [[0.5]]})
         path.write_text(line + "\n" + line + "\n")
         with pytest.raises(SchemaError, match="duplicate"):
+            load_init_scores(path)
+
+    @pytest.mark.parametrize("scores, message", [
+        ([[0.5, "1"]], 'score row 0 must hold numbers, got [0.5, "1"]'),
+        ([[0.5], [True]], "score row 1 must hold numbers, got [true]"),
+        ([[0.5, 0.1], [0.5]], "score row 1 must hold 2 numbers as score row 0 does, got [0.5]"),
+        ([0.5, 0.1], "score rows must be a nonempty list of lists of numbers"),
+        ([], "score rows must be a nonempty list of lists of numbers"),
+    ], ids=["string", "bool", "ragged", "vector", "empty"])
+    def test_load_rejects_what_is_no_matrix_of_numbers(self, tmp_path, scores, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"id": "a", "scores": [[0.5]]}) + "\n"
+                        + json.dumps({"id": "b", "scores": scores}) + "\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
             load_init_scores(path)
 
     @pytest.mark.parametrize("first, second", [(5, 5), (5, "5")])

@@ -333,15 +333,19 @@ class TestObjectiveChunks:
         monkeypatch.setattr(emdet.engine, "objective_plan",
                             lambda *args: plans.append(plan(*args)) or plans[-1])
         build = emdet.latent._partition_chunk
-        monkeypatch.setattr(emdet.latent, "_partition_chunk", lambda *args, **kwargs: (
-            chunks.append(kwargs.get("partition", True)) or build(*args, **kwargs)))
+        monkeypatch.setattr(emdet.latent, "_partition_chunk", lambda geometries, categories: (
+            chunks.append(len(categories[0])) or build(geometries, categories)))
         config = EmConfig(em_iterations=2, sgd_steps_per_m_step=10, record_trace=False)
         assert run_em(dataset, config).trace == []
         assert plans == [] and chunks == []
         config = EmConfig(em_iterations=2, sgd_steps_per_m_step=10)
         assert len(run_em(dataset, config).trace) == 3
-        # one plan; the grids of the one-category images build chunks of their own
-        assert len(plans) == 1 and chunks.count(True) == len(plans[0])
+        # one plan; the grid of each one-category image builds a chunk of its
+        # own at each of the three trace points
+        single = sum(len(r.annotation.label) == 1 for r in dataset)
+        assert len(plans) == 1 and single > 0
+        assert sorted(chunks) == [1] * 3 * single + sorted(
+            chunk.categories.shape[1] for _, chunk in plans[0])
 
     @pytest.mark.parametrize("images", [1, 3, 8])
     def test_a_chunk_holds_a_few_tables_of_its_cell_budget(self, images, monkeypatch):
@@ -1826,27 +1830,26 @@ class TestRunEm:
 
     @pytest.mark.parametrize("mode", ["k_em", "hard"])
     def test_each_geometry_builds_its_plan_at_most_once_per_run(self, mode, monkeypatch):
-        # The objective's chunks plan their stacked coverage once per run; a
-        # chunk of one image reads that image's own plans, which the hard
-        # E-step's grid reads too.
+        # Each weak image's geometry builds the plans its label needs once per
+        # run: the objective's chunks stack them and the hard E-step's grid
+        # reads them, and nothing else builds a plan.
         train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))
         dataset = split_semi(train, 0.0, seed=4)
-        sizes = [len(r.annotation.label) for r in dataset]
-        assert {1, 2, 3} <= set(sizes)
-        geometries = {r.image_id: center_geometry(r.proposals) for r in dataset}
-        chunks = [(len(positions), chunk.categories.shape[1])
-                  for positions, chunk in objective_plan(dataset, geometries)]
-        stacks = [m for n, m in chunks if n > 1]
-        # the images alone in their chunk, or in hard mode all of them
-        own = sizes if mode == "hard" else [m for n, m in chunks if n == 1]
+        assert {1, 2, 3} <= {len(r.annotation.label) for r in dataset}
+        made = []
+        original = emdet.engine.center_geometry
+        monkeypatch.setattr(emdet.engine, "center_geometry",
+                            lambda proposals: made.append((proposals, original(proposals)))
+                            or made[-1][1])
         built = self.count_plans(monkeypatch)
         config = EmConfig(mode=mode, em_iterations=3, sgd_steps_per_m_step=20)
         assert config.record_trace
         run_em(dataset, config)
-        assert set(built.values()) == {1}
-        assert sum(level == "pair" for level, _ in built) == (
-            sum(m >= 2 for m in stacks) + sum(m >= 2 for m in own))
-        assert sum(level == "triple" for level, _ in built) == stacks.count(3) + own.count(3)
+        sizes = {id(r.proposals): len(r.annotation.label) for r in dataset}
+        assert len(made) == len(dataset)
+        assert built == collections.Counter(
+            {(level, id(geometry)): 1 for proposals, geometry in made
+             for level, m in (("pair", 2), ("triple", 3)) if sizes[id(proposals)] >= m})
 
     def test_k_em_without_trace_builds_no_plan(self, monkeypatch):
         train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))

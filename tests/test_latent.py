@@ -322,7 +322,7 @@ def expanded_plan(centers, plan, table):
 
 def expanded_pairs(plan):
     """{(j, k): [(i, first_wins), ...]} of a pair plan in both slot orders."""
-    return expanded_plan(plan.lines, plan, emdet.latent._FIRST_WINS)
+    return expanded_plan(plan.centers, plan, emdet.latent._FIRST_WINS)
 
 
 def referee_pairs(plan):
@@ -335,7 +335,7 @@ def referee_pairs(plan):
 
 def expanded_triples(plan):
     """{(j, k, l): [(i, bottom slot), ...]} of a triple plan in all six slot orders."""
-    return expanded_plan(plan.configs, plan, emdet.latent._BOTTOM)
+    return expanded_plan(plan.centers, plan, emdet.latent._BOTTOM)
 
 
 def referee_triples(plan):
@@ -346,11 +346,14 @@ def referee_triples(plan):
     return configs
 
 
-def referee_grid(geometry, categories, log_probs):
-    """exact_log_likelihood_grid for M = 2, 3 from factors of the ordered referee plans."""
-    B, M = geometry.num_proposals, len(categories)
-    terms = emdet.latent._overlap_terms(geometry, categories, log_probs)
+def referee_grid(boxes, categories, log_probs):
+    """exact_log_likelihood_grid for M = 2, 3 from the dense coverage of the boxes
+    and factors of the ordered referee plans."""
+    B, M = len(boxes), len(categories)
+    geometry = center_geometry(boxes)
     delta = log_probs[:, list(categories)] - log_probs[:, [0]]
+    cover = (iou_matrix(boxes) >= CENTER_IOU).astype(np.float64)
+    per_center = cover.T @ delta
     pairs = ordered_pair_plan(geometry)
     covered = delta.take(pairs.i, axis=0)
     minus = {}
@@ -360,8 +363,7 @@ def referee_grid(geometry, categories, log_probs):
         minus[(a, b)][pairs.line_j, pairs.line_k] = -np.bincount(
             pairs.line, weights=loser, minlength=pairs.line_j.size)
         np.fill_diagonal(minus[(a, b)], -np.inf)
-    per_center = terms.per_center
-    grid = ((terms.base + per_center[:, 0])[:, None] + per_center[:, 1]) + minus[(0, 1)]
+    grid = ((log_probs[:, 0].sum() + per_center[:, 0])[:, None] + per_center[:, 1]) + minus[(0, 1)]
     if M == 3:
         triples = ordered_triple_plan(geometry)
         bonus = np.bincount(triples.config, weights=delta.take(triples.i * M + triples.bottom),
@@ -385,9 +387,9 @@ class TestCoCoveragePlans:
     def check_against_referee(boxes):
         geometry = center_geometry(boxes)
         pairs, triples = geometry.pair_plan(), geometry.triple_plan()
-        assert np.all(pairs.lines[0] < pairs.lines[1])
-        assert np.all(triples.configs[0] < triples.configs[1])
-        assert np.all(triples.configs[1] < triples.configs[2])
+        assert np.all(pairs.centers[0] < pairs.centers[1])
+        assert np.all(triples.centers[0] < triples.centers[1])
+        assert np.all(triples.centers[1] < triples.centers[2])
         # same entries, flags and bottom slots, in the same order by i on every line and config
         assert expanded_pairs(pairs) == referee_pairs(ordered_pair_plan(geometry))
         assert expanded_triples(triples) == referee_triples(ordered_triple_plan(geometry))
@@ -426,7 +428,7 @@ class TestCoCoveragePlans:
             log_probs = random_log_probs(np.random.default_rng(m), 4)
             cats = tuple(range(1, m + 1))
             grid = exact_log_likelihood_grid(geometry, cats, log_probs)
-            assert grid.tobytes() == referee_grid(geometry, cats, log_probs).tobytes()
+            assert grid.tobytes() == referee_grid(proposals, cats, log_probs).tobytes()
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_grid_bytes_equal_the_referee_grid(self, m):
@@ -439,11 +441,11 @@ class TestCoCoveragePlans:
             cats = tuple(sorted(rng.choice(np.arange(1, 4), size=m, replace=False).tolist()))
             log_probs = random_log_probs(rng, len(boxes))
             grid = exact_log_likelihood_grid(geometry, cats, log_probs)
-            assert grid.tobytes() == referee_grid(geometry, cats, log_probs).tobytes()
+            assert grid.tobytes() == referee_grid(boxes, cats, log_probs).tobytes()
 
     def test_grid_and_partition_take_the_triples_in_any_order(self, monkeypatch):
-        # The partition's chunk sorts the slot-ordered triple configs itself;
-        # the grid scatters them as they come.  Neither depends on the order
+        # The chunk that the partition and the grid read sorts the
+        # slot-ordered triple configs itself, so neither depends on the order
         # in which the triple plan lists its configs.
         rng = np.random.default_rng(83)
         train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=0))
@@ -473,7 +475,7 @@ class TestCoCoveragePlans:
                                         for g in order])
             moved.append(np.any(order != np.arange(order.size)))
             return plan._replace(i=plan.i[entries], code=plan.code[entries],
-                                 configs=plan.configs[:, order], count=plan.count[order])
+                                 centers=plan.centers[:, order], count=plan.count[order])
 
         monkeypatch.setattr(emdet.latent, "_build_triple_plan", shuffled)
         assert values() == expected
@@ -492,7 +494,7 @@ class TestCoCoveragePlans:
                                      len(boxes))
         cats = tuple(range(1, m + 1))
         grid = exact_log_likelihood_grid(geometry, cats, log_probs)
-        assert grid.tobytes() == referee_grid(geometry, cats, log_probs).tobytes()
+        assert grid.tobytes() == referee_grid(proposals, cats, log_probs).tobytes()
 
     def test_plans_past_the_guard_raise_before_building(self):
         geometry = center_geometry(isolated_boxes(1001))

@@ -413,6 +413,22 @@ class TestDetectionIo:
             load_detections(path)
 
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"score": float("nan")}, "score must be finite, got NaN"),
+        ({"score": float("inf")}, "score must be finite, got Infinity"),
+        ({"score": "0.5"}, 'score must be a number, got "0.5"'),
+        ({"score": True}, "score must be a number, got true"),
+        ({"box": [0, "0", 5, 5]}, 'box coordinate must be a number, got "0"'),
+        ({"box": [0, 0, True, 5]}, "box coordinate must be a number, got true"),
+    ], ids=["nan", "inf", "string", "bool", "box_string", "box_bool"])
+    def test_score_and_box_must_be_json_numbers(self, tmp_path, edit, message):
+        # float() would read each of these, and evaluate_detections would rank a NaN
+        path = tmp_path / "bad.jsonl"
+        good = {"id": "a", "category": 1, "box": [0, 0, 5, 5], "score": 0.5}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **edit}) + "\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+            load_detections(path)
+
 PINNED_RUNS = {"desk_s0": (0, {}), "desk_s3": (3, {}),
                "large_s0": (0, {"n_train": 100, "n_test": 50, "proposals_per_image": 200})}
 
