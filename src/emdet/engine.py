@@ -11,19 +11,19 @@ turns the current scorer into per-image posteriors over configs (exact,
 argmax-only, or per-category truncated); the M-step fits the scorer to the
 soft proposal labels those posteriors imply.
 
-A run that records the objective trace plans it once (objective_plan): the
-weak images with two or three categories fall into chunks of one proposal
-count and label size, whose index work latent stacks once for the whole run
-from the co-coverage plans of each image's coverage (which the exact and
-hard E-steps' grids read too), and each trace point evaluates a chunk's
-exact terms in one set of batched passes, then adds every image's term in
-record order.
+A run that records the objective trace, or takes hard E-steps, plans it
+once (objective_plan): the weak images with two or three categories fall
+into chunks of one proposal count and label size, whose index work latent
+stacks once for the whole run from the co-coverage plans of each image's
+coverage (which the exact E-step's grids read too).  Each trace point
+evaluates a chunk's exact terms in one set of batched passes, then adds
+every image's term in record order, and each hard E-step pass takes every
+image's most likely config from the same chunks' terms (_hard_e_steps).
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -40,6 +40,7 @@ from emdet.latent import (
     center_geometry,
     check_enumeration,
     check_partition,
+    chunk_argmax,
     chunk_log_partition,
     enumerate_exact,
     exact_log_likelihood_grid,
@@ -204,11 +205,13 @@ def e_step(record: ImageRecord, log_probs: np.ndarray, config: EmConfig,
 
     ``log_probs`` is the scorer's log_prob_matrix of the record's features,
     ``geometry`` the center_geometry of its proposals; the caller builds both.
+    This is the per-image form: run_em takes the hard E-step of the images
+    its plan holds a chunk at a time (_hard_e_steps), to the same config.
 
     "exact" weighs enumerate_exact's rows by their entries of the exact
-    grid.  In "hard" mode the one config kept is the argmax of that grid;
-    scorer likelihoods are no product of per-center terms, so the truncation
-    of e_step_from_scores does not apply.
+    grid.  In "hard" mode the one config kept is the first argmax of that
+    grid; scorer likelihoods are no product of per-center terms, so the
+    truncation of e_step_from_scores does not apply.
     Configs that label every proposal alike (a center absorbed by another
     center's neighborhood, or duplicate proposals) have equal likelihoods,
     but the grid's factor sums can differ in the last bits between them,
@@ -229,16 +232,47 @@ def e_step(record: ImageRecord, log_probs: np.ndarray, config: EmConfig,
     grid = exact_log_likelihood_grid(geometry, label, log_probs)
     if config.mode == "hard":
         flat = int(np.argmax(grid))
-        if not np.isfinite(grid.flat[flat]):
-            raise ValueError(
-                f"image {record.image_id} has zero likelihood under the scorer")
-        centers = np.array(np.unravel_index(flat, grid.shape)).reshape(1, -1)
-        config_set = LatentConfigSet(label.categories, centers)
-        return PosteriorTable(record.image_id, config_set, np.array([1.0]))
+        return _hard_posterior(record, np.unravel_index(flat, grid.shape), grid.flat[flat])
 
     config_set = enumerate_exact(record.proposals, label)
     values = grid[tuple(config_set.centers.T)]
     return PosteriorTable(record.image_id, config_set, _normalized(values))
+
+
+def _hard_posterior(record: ImageRecord, centers, value: float) -> PosteriorTable:
+    """The one config a hard E-step keeps, of log-likelihood ``value``; a value
+    that is not finite means the image has zero likelihood."""
+    if not np.isfinite(value):
+        raise ValueError(f"image {record.image_id} has zero likelihood under the scorer")
+    config_set = LatentConfigSet(_weak_label(record).categories, np.reshape(centers, (1, -1)))
+    return PosteriorTable(record.image_id, config_set, np.array([1.0]))
+
+
+def _hard_e_steps(weak: list[ImageRecord], log_probs: dict[str, np.ndarray], config: EmConfig,
+                 geometries: dict[str, CenterGeometry], plan: list):
+    """Yield the hard-mode e_step of every weak image, in record order.
+
+    ``plan`` is objective_plan of the same weak images and geometries.  Its
+    images take their configs a chunk at a time (latent.chunk_argmax), each
+    the one its own e_step keeps; the others, of one category or of more
+    than three, call e_step.  Faulty scores or a zero likelihood raise what
+    the first such image in record order raises alone.
+    """
+    found: dict[int, tuple] = {}
+    try:
+        for positions, chunk in plan:
+            centers, best = chunk_argmax(chunk, [log_probs[weak[p].image_id] for p in positions])
+            found.update(zip(positions, zip(centers, best.tolist())))
+    except ValueError:
+        # Some image's scores are at fault: raise what the first of them in
+        # record order raises alone, whichever chunk met one first.
+        for record in weak:
+            e_step(record, log_probs[record.image_id], config, geometries[record.image_id])
+        raise
+    for position, record in enumerate(weak):
+        image = record.image_id
+        yield (_hard_posterior(record, *found[position]) if position in found
+               else e_step(record, log_probs[image], config, geometries[image]))
 
 
 def e_step_from_scores(record: ImageRecord, scores: np.ndarray,
@@ -591,26 +625,28 @@ class _Chunks:
 
 
 def _minibatches(rng: np.random.Generator, images: list, steps: int):
-    """Yield each step's _sgd_image inputs and mini-batch rows.
+    """Yield the ``steps`` steps' picks and mini-batch rows a draw chunk at a time.
 
-    The rows are those of a per-step loop that picks ``rng.integers(len(images))``
+    A chunk is ``(picks, rows, ends)``: step s of it picks ``images[picks[s]]``
+    and takes ``rows[ends[s - 1]:ends[s]]``, from 0 for s = 0.  The picks and
+    rows are those of a per-step loop that picks ``rng.integers(len(images))``
     and draws _batch_rows, and the generator ends in the same state, for any
     bit generator.  The pools are fixed within an M-step, so once its pick
     is known a step is a fixed run of numpy's bounded draws, and a chunk of
     steps is drawn in one checked call (_Chunks.draw).  A step the chunk
-    leaves out goes through _batch_rows.
+    leaves out goes through _batch_rows and comes as a chunk of one.
     """
     chunks = _Chunks(images)
     done = 0
     while done < steps:
         picks, rows, ends = chunks.draw(rng, steps - done) if images else ([], None, [])
-        for image, start, end in zip(picks, [0] + ends, ends):
-            yield images[image], rows[start:end]
-        done += len(picks)
         if not picks:
-            inputs = images[int(rng.integers(len(images)))]
-            yield inputs, _batch_rows(rng, inputs[2], inputs[-1]) if inputs[-1] else inputs[2][:0]
-            done += 1
+            picks = [int(rng.integers(len(images)))]
+            _, _, order, _, plan = images[picks[0]]
+            rows = _batch_rows(rng, order, plan) if plan else order[:0]
+            ends = [rows.size]
+        yield picks, rows, ends
+        done += len(picks)
 
 
 def _sgd_image(record: ImageRecord, q: np.ndarray, params: ScorerParams,
@@ -644,8 +680,9 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
 
     Every image's bias-augmented feature rows and transposed soft labels are
     copied into one table each, and each image's row order points at its own
-    rows there.  The steps' rows are then taken from both tables a block of
-    at most GATHER_ROWS rows at a time, and each step reads views of its block.
+    rows there.  Each draw chunk's rows, in step order, are then taken from
+    both tables a block of steps of at most GATHER_ROWS rows at a time, one
+    ``take`` per table, and each step reads views of its block.
     """
     records = dataset.records
     images = [_sgd_image(r, labels[r.image_id], params, config) for r in records]
@@ -663,25 +700,29 @@ def m_step(dataset: Dataset, labels: dict[str, np.ndarray], params: ScorerParams
     images = [(features, q, order + start, *rest)
               for (features, q, order, *rest), start in zip(images, starts)]
 
-    steps = _minibatches(rng, images, config.sgd_steps_per_m_step)
     per_block = max(1, GATHER_ROWS // (2 * (config.fg_per_image + config.bg_per_image)))
     if config.sgd_steps_per_m_step:
         state.learning_rate = learning_rate(config, start_step)
     step = start_step
-    while block := [rows for _, rows in itertools.islice(steps, per_block)]:
-        rows = np.concatenate(block)
-        gathered, gathered_t = table.take(rows, axis=0), labels_t.take(rows, axis=1)
-        end = 0
-        for size in map(len, block):
-            if step == config.lr_drop_step:
-                state.learning_rate = config.lr_dropped
-            step += 1
-            if size:
-                start, end = end, end + size
-                _, grad = ce_gradient(params, gathered[start:end], gathered_t[:, start:end].T,
-                                      config.l2)
-                grad /= size
-                sgd_step(params, state, grad)
+    for _, rows, ends in _minibatches(rng, images, config.sgd_steps_per_m_step):
+        for first in range(0, len(ends), per_block):
+            # the block's rows start where the step before it ends
+            offset = ends[first - 1] if first else 0
+            block = ends[first:first + per_block]
+            held = rows[offset:block[-1]]
+            gathered, gathered_t = table.take(held, axis=0), labels_t.take(held, axis=1)
+            start = 0
+            for end in block:
+                end -= offset
+                if step == config.lr_drop_step:
+                    state.learning_rate = config.lr_dropped
+                step += 1
+                if end > start:
+                    _, grad = ce_gradient(params, gathered[start:end],
+                                          gathered_t[:, start:end].T, config.l2)
+                    grad /= end - start
+                    sgd_step(params, state, grad)
+                start = end
     return start_step + config.sgd_steps_per_m_step
 
 
@@ -738,8 +779,10 @@ def run_em(dataset: Dataset, config: EmConfig,
     Each weak image's center coverage is built once per run, after the
     exact and hard enumeration guards have passed, and read by every E-step,
     soft-label pass and objective of the run; so is each strong image's
-    label vector, and, with the trace on, the objective's plan.  Nothing
-    outlives the run.
+    label vector.  The objective's plan is built at the start of the run
+    with the trace on, and otherwise at the first hard E-step that reads it
+    (never in k_em or exact mode with the trace off), then kept: every
+    hard E-step pass reads its chunks.  Nothing outlives the run.
     """
     if init_params is not None and init_scores is not None:
         raise ValueError("pass at most one of init_params and init_scores")
@@ -794,10 +837,21 @@ def run_em(dataset: Dataset, config: EmConfig,
             trace.append(objective(dataset, log_probs, geometries, strong_vectors, plan))
         if last:
             break
-        for record in weak_records:
-            image, geometry = record.image_id, geometries[record.image_id]
-            post = (e_step_from_scores(record, init_scores[image], config) if from_scores
-                    else e_step(record, log_probs[image], config, geometry))
-            labels[image] = soft_labels(post, record, params.num_categories, geometry)
-        del log_probs  # read by nothing after the E-steps: freed before the M-step
+        if from_scores:
+            posts = (e_step_from_scores(r, init_scores[r.image_id], config)
+                     for r in weak_records)
+        elif config.mode == "hard":
+            if plan is None:
+                plan = objective_plan(dataset, geometries)
+            posts = _hard_e_steps(weak_records, log_probs, config, geometries, plan)
+        else:
+            posts = (e_step(r, log_probs[r.image_id], config, geometries[r.image_id])
+                     for r in weak_records)
+        for record, post in zip(weak_records, posts):
+            labels[record.image_id] = soft_labels(post, record, params.num_categories,
+                                                  geometries[record.image_id])
+        # Read by nothing after the E-steps: freed before the M-step.  zip stops
+        # at the last record, so the hard pass's generator is left suspended,
+        # holding the log-prob matrices, until it is dropped.
+        del log_probs, posts
     return EmResult(params, trace)

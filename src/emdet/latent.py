@@ -7,15 +7,16 @@ is background.  This collapses the label space from C^B assignments to at
 most B * (B - 1) * ... choices, which can be enumerated exactly at desk scale
 or truncated per category for larger instances.
 
-The exact log-partition log P(z | x) and the exact grid of up to three
-categories take their inclusion-exclusion factors from one kernel,
-_chunk_terms, which evaluates a chunk of images sharing a proposal count and
-a label size (PartitionChunk) with one set of passes over stacked arrays.  A
-chunk holds every index those passes read that depends on coverage alone,
-stacked from the co-coverage plans each image keeps on its CenterGeometry,
-so a caller that evaluates the same images again, as the objective trace of
-a training run does, builds them once (partition_chunks); the public
-functions make a chunk of the one image they are given.
+The exact log-partition log P(z | x), the exact grid of up to three
+categories and its argmax take their inclusion-exclusion factors from one
+kernel, _chunk_terms, which evaluates a chunk of images sharing a proposal
+count and a label size (PartitionChunk) with one set of passes over stacked
+arrays.  A chunk holds every index those passes read that depends on
+coverage alone, stacked from the co-coverage plans each image keeps on its
+CenterGeometry, so a caller that evaluates the same images again, as the
+objective trace and the hard E-steps of a training run do, builds them once
+(partition_chunks, then chunk_log_partition and chunk_argmax); the
+per-image functions make a chunk of the one image they are given.
 """
 
 from __future__ import annotations
@@ -341,7 +342,9 @@ def label_marginals(config_set: LatentConfigSet, weights: np.ndarray,
                     geometry: CenterGeometry, num_categories: int) -> np.ndarray:
     """Per-proposal category distribution (B, C) under weights over the configs.
 
-    ``geometry`` is the center_geometry of the image's B proposals.
+    ``geometry`` is the center_geometry of the image's B proposals.  Each
+    present category's column sums the weights of the configs that give a
+    proposal that category.
     """
     _check_centers(config_set.centers, geometry.num_proposals)
     q = np.zeros((geometry.num_proposals, num_categories))
@@ -361,17 +364,13 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
     proposal jm; entries with repeated indices are -inf.  Matches
     score_config_set to float accumulation order.  ``geometry`` is the
     center_geometry of the image's B proposals, and ``log_probs`` holds one
-    finite row per proposal.  The hard and exact E-steps read the grid, and
-    so does exact_log_partition for one category and for more than three.
-    More than OBJECTIVE_GUARD entries raise GuardError before anything is
-    built.
+    finite row per proposal.  The exact E-step reads the grid, and so do
+    the per-image hard E-step and exact_log_partition for one category and
+    for more than three.  More than OBJECTIVE_GUARD entries raise GuardError
+    before anything is built.
 
-    For M <= 3 the grid materializes the factors that _chunk_terms builds
-    for the image as a chunk of its own, with u, v, w the per-center terms
-    and P01, P02, P12 the pair factors: G = _pair_grid for M <= 2, and for
-    M = 3 (G[j, k] + (w[l] + P02[j, l])) + P12[k, l], plus the bonus of each
-    triple config.  The pair factors' -inf diagonals mask every entry that
-    repeats an index.
+    For M <= 3 the grid is _image_grid of the image as a chunk of its own,
+    and has the bits of its grid in any chunk (chunk_argmax).
     """
     label = as_label(z)
     log_probs = np.asarray(log_probs, dtype=np.float64)
@@ -387,16 +386,7 @@ def exact_log_likelihood_grid(geometry: CenterGeometry, z,
         return grid
 
     chunk = _partition_chunk([geometry], [label.categories])
-    base, per_center, minus, bonus = _chunk_terms(chunk, log_probs[None])
-    grid = _pair_grid(base, per_center, minus)[0]
-    if M == 3:
-        grid = grid[:, :, None] + (per_center[0, :, 2] + minus[(0, 2)][0])[:, None, :]
-        grid += minus[(1, 2)][0]
-        # Each slot order of a triple config is its own cell of the fresh grid,
-        # so the scatter does not depend on the order of the configs.
-        j, k, l = chunk.triple_configs.astype(np.intp)
-        grid.reshape(-1)[(j * B + k) * B + l] += bonus
-    return grid
+    return _image_grid(chunk, _chunk_terms(chunk, log_probs[None]), 0)
 
 
 class _Plan(NamedTuple):
@@ -642,9 +632,11 @@ def partition_chunks(geometries: list[CenterGeometry], labels: list):
     ``geometries`` and ``labels`` list the images; each chunk holds images of
     one proposal count B and label size, in list order, at most
     max(1, PARTITION_CELLS // B ** 2) of them.  Each image's table must be
-    within the guard (check_partition); nothing is checked here.  Images of
-    one category are left to exact_log_partition, which reads their grid:
-    the benchmark's k_em workloads count that grid's work
+    within the guard (check_partition); nothing is checked here.  A chunk is
+    read by chunk_log_partition, for the log-partition of its images, and by
+    chunk_argmax, for their most likely configs.  Images of one category are
+    left to exact_log_partition and exact_log_likelihood_grid, which read
+    their grid: the benchmark's k_em workloads count that grid's work
     (perfbench/test_perfbench.py requires it).
     """
     groups: dict[tuple[int, int], list[int]] = {}
@@ -723,16 +715,42 @@ def _chunk_terms(chunk: PartitionChunk, log_probs: np.ndarray) -> _ChunkTerms:
     return _ChunkTerms(base, per_center, minus, bonus)
 
 
-def _pair_grid(base: np.ndarray, per_center: np.ndarray, minus: dict) -> np.ndarray:
+def _pair_grid(base: np.ndarray, per_center: np.ndarray, p01: np.ndarray | None) -> np.ndarray:
     """_chunk_terms' (n, B) base + u for M = 1, else ((base + u[j]) + v[k]) + P01[j, k].
 
-    Over the first two slots for M >= 2: (n, B, B), popping P01 from ``minus``.
+    Over the first two slots for M >= 2: (n, B, B).  ``p01`` is None for M = 1.
     """
     grid = base[:, None] + per_center[:, :, 0]
-    if per_center.shape[2] == 1:
+    if p01 is None:
         return grid
     grid = grid[:, :, None] + per_center[:, None, :, 1]
-    grid += minus.pop((0, 1))
+    grid += p01
+    return grid
+
+
+def _image_grid(chunk: PartitionChunk, terms: _ChunkTerms, a: int) -> np.ndarray:
+    """Image a's config log-likelihoods (B,) * M, from its chunk's _chunk_terms.
+
+    With u, v, w the per-center terms and P01, P02, P12 the pair factors,
+    the grid G is _pair_grid for M <= 2, and for M = 3
+    (G[j, k] + (w[l] + P02[j, l])) + P12[k, l], plus the bonus of each of
+    the image's triple configs (``image_bounds[a]:image_bounds[a + 1]``,
+    stacked rows taken % B).  The pair factors' -inf diagonals mask every
+    entry that repeats an index.  Each of an image's entries has the same
+    bits in a chunk of any size.
+    """
+    base, per_center, minus, bonus = terms
+    B, M = chunk.num_proposals, chunk.categories.shape[1]
+    grid = _pair_grid(base[a:a + 1], per_center[a:a + 1],
+                      minus[(0, 1)][a:a + 1] if M > 1 else None)[0]
+    if M == 3:
+        grid = grid[:, :, None] + (per_center[a, :, 2] + minus[(0, 2)][a])[:, None, :]
+        grid += minus[(1, 2)][a]
+        # Each slot order of a triple config is its own cell of the fresh grid,
+        # so the scatter does not depend on the order of the configs.
+        first, last = chunk.image_bounds[a:a + 2]
+        j, k, l = chunk.triple_configs[:, first:last].astype(np.intp) % B
+        grid.reshape(-1)[(j * B + k) * B + l] += bonus[first:last]
     return grid
 
 
@@ -788,7 +806,7 @@ def _chunk_log_partition(chunk: PartitionChunk, log_probs: np.ndarray) -> np.nda
     # The (n, B, B) tables are updated in place where the bits allow it (a + b
     # is b + a), so a chunk holds a few of them at a time.
     if M < 3:
-        return _row_logsumexp(_pair_grid(base, per_center, minus).reshape(n, -1))
+        return _row_logsumexp(_pair_grid(base, per_center, minus.pop((0, 1), None)).reshape(n, -1))
 
     u, v, w = per_center.transpose(2, 0, 1)
     outer = u[:, :, None] + v[:, None, :]
@@ -833,13 +851,8 @@ def _chunk_log_partition(chunk: PartitionChunk, log_probs: np.ndarray) -> np.nda
     return base + total
 
 
-def chunk_log_partition(chunk: PartitionChunk, log_probs: list) -> np.ndarray:
-    """log P(z | x) of every image of a chunk, in chunk order.
-
-    ``log_probs`` lists one (B, C) matrix per image.  Matrices of another
-    shape, too few columns for a label, or non-finite entries raise
-    ValueError.  Each value has the bits of exact_log_partition of its image.
-    """
+def _stacked(chunk: PartitionChunk, log_probs: list) -> np.ndarray:
+    """The chunk's (n, B, C) log-probs from one matrix per image, checked."""
     stacked = np.stack(log_probs).astype(np.float64, copy=False)
     if (stacked.shape[:2] != (len(chunk.categories), chunk.num_proposals) or stacked.ndim != 3
             or chunk.categories.max() >= stacked.shape[2]):
@@ -848,7 +861,40 @@ def chunk_log_partition(chunk: PartitionChunk, log_probs: list) -> np.ndarray:
                          f"{chunk.categories.max()}")
     if not np.isfinite(stacked).all():
         raise ValueError("log probabilities must be finite")
-    return _chunk_log_partition(chunk, stacked)
+    return stacked
+
+
+def chunk_log_partition(chunk: PartitionChunk, log_probs: list) -> np.ndarray:
+    """log P(z | x) of every image of a chunk, in chunk order.
+
+    ``log_probs`` lists one (B, C) matrix per image.  Matrices of another
+    shape, too few columns for a label, or non-finite entries raise
+    ValueError.  Each value has the bits of exact_log_partition of its image.
+    """
+    return _chunk_log_partition(chunk, _stacked(chunk, log_probs))
+
+
+def chunk_argmax(chunk: PartitionChunk, log_probs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The most likely config of every image of a chunk, and its log-likelihood.
+
+    Returns (n, M) centers and (n,) values in chunk order: row a is the
+    first maximum, in C order, of image a's exact_log_likelihood_grid, which
+    np.argmax of that grid finds, and a zero likelihood reads as a value
+    that is not finite.  The chunk's factors are built once, and one
+    image's B ** M grid exists at a time.  ``log_probs`` is read and checked
+    as by chunk_log_partition.
+    """
+    terms = _chunk_terms(chunk, _stacked(chunk, log_probs))
+    n, M = chunk.categories.shape
+    centers = np.empty((n, M), dtype=np.int64)
+    best = np.empty(n)
+    for a in range(n):
+        grid = _image_grid(chunk, terms, a).reshape(-1)
+        flat = int(np.argmax(grid))
+        centers[a] = np.unravel_index(flat, (chunk.num_proposals,) * M)
+        best[a] = grid[flat]
+        del grid  # freed before the next image's grid is built
+    return centers, best
 
 
 def check_partition(num_proposals: int, z) -> None:
@@ -909,8 +955,12 @@ def select_k(proposals: np.ndarray, z, log_probs: np.ndarray, k: int) -> LatentC
     r = min(B, _integer_root(k, M))
     width = max(r, M)
     _check_table(B, M, width ** M)
-    candidates = [np.argsort(-log_probs[:, c], kind="stable")[:width] for c in label.categories]
-    rows = np.stack([c.ravel() for c in np.meshgrid(*candidates, indexing="ij")], axis=1)
+    # column m of candidates lists category m's candidates, best first; the
+    # template's rows are positions in those lists, in the raveled order of
+    # np.meshgrid(..., indexing="ij")
+    candidates = np.argsort(-log_probs[:, label.categories], axis=0, kind="stable")[:width]
+    template = np.indices((width,) * M).reshape(M, -1).T
+    rows = candidates[template, np.arange(M)]
     rows = rows[~_reuses_proposal(rows.T)]
     if len(rows) > k:
         score = log_probs[rows, np.array(label.categories)].sum(axis=1)

@@ -120,19 +120,21 @@ def ce_gradient(params: ScorerParams, augmented: np.ndarray, soft_labels: np.nda
 
     The logits are ``W @ A.T``, in (C, n) layout, so each row's max and sum
     over categories are axis-0 reductions of one contiguous array.  Its
-    gradient factor is copied to the (n, C) order before the matmul, whose
-    bits depend on the operands' layout.  Below 8 categories the sum adds
-    category after category, as ``_row_log_softmax``'s row sum does, so the
-    result equals the (n, C) form bit for bit.  From 8 on, numpy sums a
-    contiguous row pairwise; this form still adds left to right, so the
-    last bits may differ from log_prob_matrix's.
+    gradient factor is copied to Fortran order, the (n, C) layout, before
+    the product, whose bits depend on the operands' layout.  Below 8
+    categories the sum adds category after category, as
+    ``_row_log_softmax``'s row sum does, so the result equals the (n, C)
+    form bit for bit.  From 8 on, numpy sums a contiguous row pairwise; this
+    form still adds left to right, so the last bits may differ from
+    log_prob_matrix's.  Both products are ``np.dot``, the same BLAS call as
+    ``@`` on these 2-D operands at less call cost.
     """
-    logp = params.weights @ augmented.T
+    logp = np.dot(params.weights, augmented.T)
     logp -= np.maximum.reduce(logp, axis=0)
     logp -= np.log(np.add.reduce(np.exp(logp), axis=0))
     residual = np.exp(logp)
     residual -= soft_labels.T
-    grad = residual.T.copy().T @ augmented
+    grad = np.dot(residual.copy(order="F"), augmented)
     if l2:
         grad += l2 * _without_bias(params.weights)
     return logp.T, grad

@@ -15,6 +15,7 @@ import math
 import re
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from emdet.engine import (
     _batch_rows,
     _Chunks,
     _draw_plan,
+    _hard_e_steps,
     _minibatches,
     _read_ahead,
     _sgd_image,
@@ -544,6 +546,158 @@ class TestEStep:
         assert time.monotonic() - start < 1.0
 
 
+class TestHardChunks:
+    """The hard E-step of the images the objective plan holds, a chunk at a
+    time (_hard_e_steps): each image keeps the config, and gets the
+    soft-label bytes, of its own e_step, and faults raise what the first
+    faulty image in record order raises alone."""
+
+    @staticmethod
+    def hard_pass(dataset, log_probs):
+        weak = [r for r in dataset if r.is_weak]
+        geometries = {r.image_id: center_geometry(r.proposals) for r in weak}
+        plan = objective_plan(dataset, geometries)
+        return weak, geometries, plan, _hard_e_steps(weak, log_probs, EmConfig(mode="hard"),
+                                                     geometries, plan)
+
+    def assert_matches_per_image_e_steps(self, dataset, log_probs, num_categories):
+        """Returns the plan."""
+        weak, geometries, plan, posts = self.hard_pass(dataset, log_probs)
+        posts = list(posts)
+        assert len(posts) == len(weak)
+        for record, post in zip(weak, posts):
+            geometry = geometries[record.image_id]
+            alone = e_step(record, log_probs[record.image_id], EmConfig(mode="hard"), geometry)
+            assert post.image_id == record.image_id
+            assert post.config_set.centers.tolist() == alone.config_set.centers.tolist()
+            assert post.weights.tolist() == [1.0]
+            assert soft_labels(post, record, num_categories, geometry).tobytes() == \
+                soft_labels(alone, record, num_categories, geometry).tobytes()
+        return plan
+
+    @pytest.mark.parametrize("cells", [2500, 5000, None])
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_desk_images_keep_their_own_configs(self, seed, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(emdet.latent, "PARTITION_CELLS", cells)
+        train, _ = generate(GeneratorConfig(n_train=40, n_test=1, seed=seed))
+        dataset = split_semi(train, 0.0, seed=seed)
+        assert {len(r.annotation.label) for r in dataset} >= {1, 2, 3}
+        params = random_params(np.random.default_rng(seed), 5, dataset.feature_dim, scale=1.0)
+        log_probs = {r.image_id: log_prob_matrix(params, r.features) for r in dataset}
+        plan = self.assert_matches_per_image_e_steps(dataset, log_probs, 5)
+        assert max(len(positions) for positions, _ in plan) == {2500: 1, 5000: 2}.get(cells, 13)
+
+    def test_clustered_instances_keep_their_own_configs(self):
+        # Proposals covered by three centers, duplicates and IoU exactly 0.5,
+        # M = 1 to 3; a uniform scorer on every fourth image ties many configs.
+        rng = np.random.default_rng(41)
+        records, log_probs = [], {}
+        for n in range(36):
+            boxes = clustered_boxes(rng, 8)
+            record = weak_record(f"w{n}", boxes, rng.normal(size=(8, 3)), tuple(
+                range(1, 2 + n % 3)))
+            params = random_params(rng, 4, 3, scale=[0.0, 0.3, 1.5, 3.0][n % 4])
+            records.append(record)
+            log_probs[record.image_id] = log_prob_matrix(params, record.features)
+        plan = self.assert_matches_per_image_e_steps(Dataset(records), log_probs, 4)
+        assert max(len(positions) for positions, _ in plan) > 1
+        ties = 0
+        for record in records:
+            grid = exact_log_likelihood_grid(center_geometry(record.proposals),
+                                             record.annotation.label,
+                                             log_probs[record.image_id])
+            ties += np.count_nonzero(grid == grid.max()) > 1
+        assert ties > 0
+
+    @staticmethod
+    def zero_likelihood_dataset(order):
+        """Weak images of 8 proposals by id: ``ok`` and ``zero3`` of three
+        categories share a chunk, ``zero1`` of one is outside the plan; the
+        zero images' log-probs all read -1e308, so every config sums to -inf."""
+        rng = np.random.default_rng(43)
+        labels = {"ok": (1, 2, 3), "zero3": (1, 2, 3), "zero1": (2,)}
+        records = [weak_record(name, clustered_boxes(rng, 8), rng.normal(size=(8, 3)),
+                               labels[name]) for name in order]
+        params = random_params(rng, 4, 3)
+        log_probs = {r.image_id: (np.full((8, 4), -1e308) if r.image_id.startswith("zero")
+                                  else log_prob_matrix(params, r.features)) for r in records}
+        return Dataset(records), log_probs
+
+    @pytest.mark.parametrize("order, first", [(("ok", "zero3", "zero1"), "zero3"),
+                                              (("ok", "zero1", "zero3"), "zero1"),
+                                              (("zero1", "zero3", "ok"), "zero1")])
+    def test_a_zero_likelihood_raises_for_the_first_such_image(self, order, first):
+        dataset, log_probs = self.zero_likelihood_dataset(order)
+        with np.errstate(over="ignore"):
+            weak, geometries, plan, posts = self.hard_pass(dataset, log_probs)
+            assert [len(positions) for positions, _ in plan] == [2]
+            with pytest.raises(ValueError, match=f"^image {first} has zero likelihood under "
+                                                 f"the scorer$"):
+                list(posts)
+            # the per-image e_step raises the same for that image
+            record = next(r for r in weak if r.image_id == first)
+            with pytest.raises(ValueError, match="zero likelihood"):
+                e_step(record, log_probs[first], EmConfig(mode="hard"), geometries[first])
+
+    @pytest.mark.parametrize("defects", [("rows", "nan"), ("nan", "rows")])
+    def test_faulty_scores_raise_what_the_first_faulty_image_raises(self, defects):
+        # the chunk holding a three-category image meets its defect first,
+        # whether or not a one-category image outside the plan comes before it
+        rng = np.random.default_rng(45)
+        records = [weak_record(f"w{n}", clustered_boxes(rng, 8), rng.normal(size=(8, 3)),
+                               labels) for n, labels in enumerate([(1,), (1, 2, 3), (1, 2, 3)])]
+        params = random_params(rng, 4, 3)
+        log_probs = {r.image_id: log_prob_matrix(params, r.features) for r in records}
+        for image_id, defect in zip(("w0", "w2"), defects):
+            if defect == "nan":
+                log_probs[image_id] = log_probs[image_id].copy()
+                log_probs[image_id][3, 0] = np.nan
+            else:
+                log_probs[image_id] = log_probs[image_id][:-1]
+        message = {"nan": "log probabilities must be finite",
+                   "rows": "7 score rows for 8 proposals"}[defects[0]]
+        _, _, _, posts = self.hard_pass(Dataset(records), log_probs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            next(posts)
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_a_hard_run_plans_once_and_builds_grids_only_outside_the_plan(self, record_trace,
+                                                                           monkeypatch):
+        train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))
+        dataset = split_semi(train, 0.0, seed=4)
+        sizes = [len(r.annotation.label) for r in dataset]
+        assert {1, 2, 3} <= set(sizes)
+        plans, chunks, grids = [], [], []
+        plan = emdet.engine.objective_plan
+        monkeypatch.setattr(emdet.engine, "objective_plan",
+                            lambda *args: plans.append(plan(*args)) or plans[-1])
+        build = emdet.latent._partition_chunk
+        monkeypatch.setattr(emdet.latent, "_partition_chunk", lambda geometries, categories: (
+            chunks.append((len(geometries), len(categories[0])))
+            or build(geometries, categories)))
+        grid = emdet.latent.exact_log_likelihood_grid
+
+        def counting(geometry, z, log_probs):
+            grids.append(len(z))
+            return grid(geometry, z, log_probs)
+
+        for module in (emdet.latent, emdet.engine):
+            monkeypatch.setattr(module, "exact_log_likelihood_grid", counting)
+        config = EmConfig(mode="hard", em_iterations=3, sgd_steps_per_m_step=20,
+                          record_trace=record_trace)
+        run_em(dataset, config)
+        # the E-steps of passes 0 to 2 and, traced, the objective of passes 0 to 3
+        # build the grid of every image outside the plan; nothing else does
+        passes = config.em_iterations + record_trace * (config.em_iterations + 1)
+        outside = [m for m in sizes if m not in (2, 3)]
+        assert len(plans) == 1
+        assert collections.Counter(grids) == collections.Counter(outside * passes)
+        assert collections.Counter(chunks) == collections.Counter(
+            [(len(positions), chunk.categories.shape[1]) for positions, chunk in plans[0]]
+            + [(1, m) for m in outside if m == 1] * passes)
+
+
 class TestEStepFromScores:
     def config(self, mode="exact", k=100):
         return EmConfig(mode=mode, k=k)
@@ -932,7 +1086,7 @@ class TestDrawPlan:
         _, q, order, _, plan = image
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         table_rng = np.random.default_rng(seed)
-        table = _minibatches(table_rng, [image], 3)
+        table = split_minibatches(table_rng, [image], 3)
         for _ in range(3):
             # m_step skips an image with an empty plan before drawing
             rows = _batch_rows(rng, order, plan) if plan else order[:0]
@@ -1082,6 +1236,15 @@ def next_words(rng, count):
     return words[:count]
 
 
+def split_minibatches(rng, images, steps):
+    """_minibatches split by each chunk's ends: every step's _sgd_image
+    inputs and rows, one step at a time."""
+    for picks, rows, ends in _minibatches(rng, images, steps):
+        assert len(picks) == len(ends) and rows.size == (ends[-1] if ends else 0)
+        for image, start, end in zip(picks, [0] + ends, ends):
+            yield images[image], rows[start:end]
+
+
 def per_step_minibatches(rng, images, steps):
     """The per-step loop _minibatches reproduces: a pick below the image
     count, then the picked image's _batch_rows."""
@@ -1097,7 +1260,7 @@ def assert_matches_the_per_step_loop(images, steps, seed, bit_generator=np.rando
     Returns the steps drawn."""
     rng, reference = np.random.Generator(bit_generator(seed)), np.random.Generator(
         bit_generator(seed))
-    drawn = list(_minibatches(rng, images, steps))
+    drawn = list(split_minibatches(rng, images, steps))
     expected = list(per_step_minibatches(reference, images, steps))
     assert len(drawn) == steps
     for (inputs, rows), (expected_inputs, expected_rows) in zip(drawn, expected):
@@ -1278,7 +1441,8 @@ class TestChunkedDraws:
         images = [TestDrawPlan.image(0, 5000, config, seed) for seed in range(2)]
         tracemalloc.start()
         try:
-            assert sum(1 for _ in _minibatches(np.random.default_rng(1), images, 4000)) == 4000
+            assert sum(1 for _ in split_minibatches(np.random.default_rng(1), images,
+                                                    4000)) == 4000
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1828,11 +1992,13 @@ class TestRunEm:
             monkeypatch.setattr(emdet.latent, f"_build_{level}_plan", counting)
         return built
 
-    @pytest.mark.parametrize("mode", ["k_em", "hard"])
-    def test_each_geometry_builds_its_plan_at_most_once_per_run(self, mode, monkeypatch):
+    @pytest.mark.parametrize("mode, record_trace",
+                             [("k_em", True), ("hard", True), ("hard", False)])
+    def test_each_geometry_builds_its_plan_at_most_once_per_run(self, mode, record_trace,
+                                                                monkeypatch):
         # Each weak image's geometry builds the plans its label needs once per
-        # run: the objective's chunks stack them and the hard E-step's grid
-        # reads them, and nothing else builds a plan.
+        # run: the chunks that the objective and the hard E-steps read stack
+        # them, and nothing else builds a plan.
         train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))
         dataset = split_semi(train, 0.0, seed=4)
         assert {1, 2, 3} <= {len(r.annotation.label) for r in dataset}
@@ -1842,8 +2008,8 @@ class TestRunEm:
                             lambda proposals: made.append((proposals, original(proposals)))
                             or made[-1][1])
         built = self.count_plans(monkeypatch)
-        config = EmConfig(mode=mode, em_iterations=3, sgd_steps_per_m_step=20)
-        assert config.record_trace
+        config = EmConfig(mode=mode, em_iterations=3, sgd_steps_per_m_step=20,
+                          record_trace=record_trace)
         run_em(dataset, config)
         sizes = {id(r.proposals): len(r.annotation.label) for r in dataset}
         assert len(made) == len(dataset)
@@ -1858,6 +2024,32 @@ class TestRunEm:
         run_em(dataset, EmConfig(em_iterations=3, sgd_steps_per_m_step=20,
                                  record_trace=False))
         assert not built
+
+    @pytest.mark.parametrize("mode", ["k_em", "hard", "exact"])
+    def test_each_pass_drops_its_log_probs_before_the_m_step(self, mode, monkeypatch):
+        # Nothing reads an E-step pass's log-prob matrices after it, so none
+        # is alive when the next M-step starts; the hard pass's generator,
+        # which zip leaves suspended after the last record, must not keep them.
+        train, _ = generate(GeneratorConfig(n_train=12, n_test=1, seed=4))
+        dataset = split_semi(train, 0.0, seed=4)
+        made, alive = [], []
+        log_prob_matrix, m_step = emdet.engine.log_prob_matrix, emdet.engine.m_step
+
+        def spy(*args):
+            matrix = log_prob_matrix(*args)
+            made.append(weakref.ref(matrix))
+            return matrix
+
+        def counted(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in made))
+            return m_step(*args, **kwargs)
+
+        monkeypatch.setattr(emdet.engine, "log_prob_matrix", spy)
+        monkeypatch.setattr(emdet.engine, "m_step", counted)
+        run_em(dataset, EmConfig(mode=mode, em_iterations=3, sgd_steps_per_m_step=20,
+                                 record_trace=False))
+        assert len(made) == 3 * sum(r.is_weak for r in dataset)
+        assert alive == [0, 0, 0]
 
     @pytest.mark.parametrize("with_scores", [False, True])
     def test_k_em_trains_with_more_categories_than_candidates(self, with_scores):

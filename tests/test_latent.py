@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emdet.latent
-from emdet.data import GeneratorConfig, generate
+from emdet.data import GeneratorConfig, generate, split_semi
 from emdet.engine import PosteriorTable, soft_labels
 from emdet.geometry import Box, boxes_to_array, iou_matrix
 from emdet.latent import (CENTER_IOU, LABEL_CHUNK, OBJECTIVE_GUARD, GuardError,
                           ImageLabel, LatentConfigSet, as_label, center_geometry,
-                          enumerate_exact, exact_log_likelihood_grid,
+                          chunk_argmax, enumerate_exact, exact_log_likelihood_grid,
                           exact_log_partition, expand, label_marginals, logsumexp,
                           score_config_set, select_k)
 from emdet.oracle import brute_marginal_likelihood, iou
@@ -643,6 +643,91 @@ class TestExactGrid:
         assert np.isfinite(grid).sum() == 4 * 3 * 2
 
 
+class TestChunkArgmax:
+    """chunk_argmax assembles each image's grid from its chunk's factors: the
+    bytes of the image's own exact_log_likelihood_grid in a chunk of any size,
+    and np.argmax's first maximum of it."""
+
+    @staticmethod
+    def assert_grids_of_their_own(geometries, labels, log_probs):
+        """Every chunk of partition_chunks against the per-image grids; returns the chunks."""
+        chunks = emdet.latent.partition_chunks(geometries, labels)
+        for positions, chunk in chunks:
+            matrices = [log_probs[p] for p in positions]
+            terms = emdet.latent._chunk_terms(chunk, np.stack(matrices))
+            centers, best = chunk_argmax(chunk, matrices)
+            assert centers.shape == (len(positions), chunk.categories.shape[1])
+            for a, p in enumerate(positions):
+                grid = exact_log_likelihood_grid(geometries[p], labels[p], log_probs[p])
+                assert emdet.latent._image_grid(chunk, terms, a).tobytes() == grid.tobytes()
+                flat = int(np.argmax(grid))
+                assert tuple(centers[a]) == np.unravel_index(flat, grid.shape)
+                assert best[a].tobytes() == grid.flat[flat].tobytes()
+        return chunks
+
+    @pytest.mark.parametrize("cells", [2500, 5000, None])
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_desk_images_keep_their_own_grids(self, seed, cells, monkeypatch):
+        # 2,500 cells hold one 50-proposal image, 5,000 two, the default 13
+        if cells is not None:
+            monkeypatch.setattr(emdet.latent, "PARTITION_CELLS", cells)
+        train, _ = generate(GeneratorConfig(n_train=40, n_test=1, seed=seed))
+        dataset = split_semi(train, 0.0, seed=seed)
+        params = random_params(np.random.default_rng(seed), 5, dataset.feature_dim, scale=1.0)
+        chunks = self.assert_grids_of_their_own(
+            [center_geometry(r.proposals) for r in dataset],
+            [r.annotation.label for r in dataset],
+            [log_prob_matrix(params, r.features) for r in dataset])
+        assert {len(r.annotation.label) for r in dataset} >= {2, 3}
+        assert max(len(positions) for positions, _ in chunks) == {2500: 1, 5000: 2}.get(
+            cells, 13)
+
+    def test_clustered_instances_keep_their_own_grids(self):
+        # Proposals covered by three centers, duplicates and IoU exactly 0.5;
+        # a uniform scorer on every third image ties whole lines of the grid.
+        rng = np.random.default_rng(77)
+        geometries, labels, log_probs = [], [], []
+        for n in range(30):
+            boxes = clustered_boxes(rng, 8)
+            m = 2 + n % 2
+            params = random_params(rng, 4, 3, scale=[0.0, 1.5, 3.0][n % 3])
+            geometries.append(center_geometry(boxes))
+            labels.append(tuple(sorted(rng.choice(np.arange(1, 4), size=m,
+                                                  replace=False).tolist())))
+            log_probs.append(log_prob_matrix(params, rng.normal(size=(8, 3))))
+        chunks = self.assert_grids_of_their_own(geometries, labels, log_probs)
+        assert max(len(positions) for positions, _ in chunks) > 1
+        ties = sum(np.count_nonzero(grid == grid.max()) > 1 for grid in (
+            exact_log_likelihood_grid(g, z, lp) for g, z, lp in zip(geometries, labels,
+                                                                     log_probs)))
+        assert ties > 0
+
+    def test_one_grid_at_a_time(self):
+        # Past the chunk's factors, at most one image's B^3 grid and its bonus
+        # indexes are alive: keeping the last grid while building the next
+        # adds one more grid to the peak.
+        train, _ = generate(GeneratorConfig(n_train=60, n_test=1, seed=0))
+        dataset = split_semi(train, 0.0, seed=0)
+        params = random_params(np.random.default_rng(0), 5, dataset.feature_dim, scale=1.0)
+        log_probs = [log_prob_matrix(params, r.features) for r in dataset]
+        chunks = [(positions, chunk) for positions, chunk in emdet.latent.partition_chunks(
+            [center_geometry(r.proposals) for r in dataset],
+            [r.annotation.label for r in dataset]) if chunk.categories.shape[1] == 3]
+        assert max(len(positions) for positions, _ in chunks) >= 7
+        for positions, chunk in chunks:
+            matrices = [log_probs[p] for p in positions]
+            tracemalloc.start()
+            try:
+                emdet.latent._chunk_terms(chunk, np.stack(matrices))
+                terms_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                chunk_argmax(chunk, matrices)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < terms_peak + 1.3 * chunk.num_proposals ** 3 * 8
+
+
 class TestExactLogPartition:
     @staticmethod
     def grid_value(geometry, label, log_probs):
@@ -978,6 +1063,26 @@ class TestSelectK:
                 if dropped:
                     assert min(score[r] for r in rows) >= max(score[r] for r in dropped)
 
+
+    def test_product_rows_come_in_meshgrid_order(self):
+        # select_k's product template against np.meshgrid of the candidate
+        # lists, raveled: the same rows in the same order, ties included
+        rng = np.random.default_rng(79)
+        for trial in range(300):
+            boxes, label, log_probs = random_instance(rng, max_b=12, max_m=4, max_fg=5)
+            log_probs = np.round(log_probs, trial % 3)
+            k = int(rng.integers(1, 150))
+            M = len(label)
+            width = max(M, min(len(boxes), emdet.latent._integer_root(k, M)))
+            candidates = [np.argsort(-log_probs[:, c], kind="stable")[:width] for c in label]
+            rows = np.stack([c.ravel() for c in np.meshgrid(*candidates, indexing="ij")],
+                            axis=1)
+            rows = rows[[len(set(row)) == M for row in rows.tolist()]]
+            if len(rows) > k:
+                score = log_probs[rows, np.array(label.categories)].sum(axis=1)
+                rows = rows[np.sort(np.argsort(-score, kind="stable")[:k])]
+            got = select_k(boxes, label, log_probs, k).centers
+            assert got.dtype == rows.dtype and np.array_equal(got, rows)
 
     def test_guard_rejects_oversized_candidate_product_up_front(self):
         # 1500 ** 2 candidate rows exceed the 10 ** 6 guard; building them takes ~70 MB
